@@ -23,7 +23,6 @@ from .expr import parse, to_text
 from .field import (
     Grid,
     ScalarField,
-    VectorField,
     constant_field,
     from_callable,
     load_field,
@@ -58,7 +57,6 @@ __all__ = [
     "ScalarField",
     "SolveReport",
     "SystemProblem",
-    "VectorField",
     "apply_T",
     "apply_lambda",
     "calibrate_C",

@@ -3,9 +3,11 @@
 Every command reads one flat key-value config (see config module), writes
 its artifacts into the output directory, prints a one-line outcome, and
 exits with 0 (success), 2 (config or input error), 3 (a solver failed to
-converge), or 4 (a verification check failed).  All CSV output uses `,`
-separators, `.` decimals, LF line endings, and 17 significant digits, so
-identical config and seed reproduce files byte for byte.
+converge), or 4 (a verification check failed).  Any other exception is a
+bug: its traceback goes to stderr before the `error:` line, and it exits 2.
+All CSV output uses `,` separators, `.` decimals, LF line endings, and 17
+significant digits, so identical config and seed reproduce files byte for
+byte.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .config import ConfigError, Setup, load_setup
 from .field import load_field, save_field
 from .fixpoint import (
-    SolverAbort,
     calibrate_C,
     certify,
     check_ball_invariance,
@@ -224,16 +226,14 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except SolverAbort as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return 3
     except ValueError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except RuntimeError as err:  # SolverAbort included
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
-    except Exception as err:  # the exit-code contract is total
+    except Exception as err:  # the exit-code contract is total; a bug shows its traceback
+        traceback.print_exc()
         print(f"error: {err}", file=sys.stderr)
         return 2
 

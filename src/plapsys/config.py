@@ -114,6 +114,13 @@ def _as_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
 
 
+def _as_positive(cfg: dict[str, str], key: str) -> float:
+    val = _as_float(cfg, key)
+    if not (np.isfinite(val) and val > 0.0):
+        raise ConfigError(f"{key}: must be positive and finite, got {cfg[key]!r}")
+    return val
+
+
 def _as_floats(cfg: dict[str, str], key: str, count: int) -> tuple[float, ...]:
     parts = [p.strip() for p in cfg[key].split(",")]
     if len(parts) != count:
@@ -219,6 +226,9 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     theta = _as_float(cfg, "picard.theta")
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"picard.theta: must be in (0, 1], got {theta}")
+    max_iter = _as_int(cfg, "picard.max_iter")
+    if max_iter < 1:
+        raise ConfigError(f"picard.max_iter: must be >= 1, got {max_iter}")
     samples = _as_int(cfg, "calibration.samples")
     trials = _as_int(cfg, "certificate.trials")
     cfg_seed = _as_int(cfg, "calibration.seed")
@@ -228,10 +238,10 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
         exponents=exponents,
         coupling=coupling,
         problem=problem,
-        solver_tol=_as_float(cfg, "solver.tol"),
+        solver_tol=_as_positive(cfg, "solver.tol"),
         picard_theta=theta,
-        picard_tol=_as_float(cfg, "picard.tol"),
-        picard_max_iter=_as_int(cfg, "picard.max_iter"),
+        picard_tol=_as_positive(cfg, "picard.tol"),
+        picard_max_iter=max_iter,
         calib_samples=samples,
         seed=cfg_seed if seed is None else seed,
         ball_trials=trials,

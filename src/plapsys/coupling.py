@@ -11,17 +11,18 @@ monotonicity of both functions on a bounded sample lattice; both report
 violations instead of trusting declared constants.
 
 The homogeneous transform shifts the arguments by boundary lifts h, k:
-phit(x, u, v) = phi(x, u + h(x), v + k(x)).  Splitting the shifted growth
-bound with the elementary inequality
-|a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives, for any
-eps > 0, the stored constants
+phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is nemytskii at the
+shifted fields.  Splitting the shifted growth bound with the elementary
+inequality |a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives,
+for any eps > 0 and with q = p - 1, the stored data
 
-    a_i' = a_i (1 + eps)^(p-1),   b_i' = b_i (1 + eps)^(p-1)
-    c(x)  = (1 + 1/eps)^(p-1) (a1 |h(x)|^(p-1) + a2 |k(x)|^(p-1))
-    c'(x) = (1 + 1/eps)^(p-1) (b1 |h(x)|^(p-1) + b2 |k(x)|^(p-1))
+    a_i' = a_i (1 + eps)^q,   b_i' = b_i (1 + eps)^q   (growth_factor)
+    c(x)  = (1 + 1/eps)^q (a1 |h(x)|^q + a2 |k(x)|^q)
+    c'(x) = (1 + 1/eps)^q (b1 |k(x)|^q + b2 |h(x)|^q)
 
-so that |phit| <= a1'|u|^(p-1) + a2'|v|^(p-1) + c(x), with the psi bound
-using the primed b constants and c'(x).
+so that |phit| <= a1'|u|^q + a2'|v|^q + c(x) and
+|psit| <= b1'|v|^q + b2'|u|^q + c'(x): in c' the constant b1, which
+multiplies |v|^q, meets the shift k of v, and b2 meets the shift h of u.
 """
 
 from __future__ import annotations
@@ -67,13 +68,6 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
     return Coupling(phi, psi, a1, a2, b1, b2, p)
 
 
-def _bindings(grid: Grid, u: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
-    out = {"x": grid.coords[:, 0], "u": u, "v": v}
-    if grid.d == 2:
-        out["y"] = grid.coords[:, 1]
-    return out
-
-
 def _eval_on_nodes(e: ex.Expr, grid: Grid, bindings: dict[str, np.ndarray]) -> np.ndarray:
     try:
         vals = ex.evaluate_arrays(e, bindings)
@@ -94,7 +88,9 @@ def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField,
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("u and v must share a grid")
-    b = _bindings(grid, u.values, v.values)
+    b = {"x": grid.coords[:, 0], "u": u.values, "v": v.values}
+    if grid.d == 2:
+        b["y"] = grid.coords[:, 1]
     return (
         ScalarField(grid, _eval_on_nodes(c.phi, grid, b)),
         ScalarField(grid, _eval_on_nodes(c.psi, grid, b)),
@@ -117,53 +113,22 @@ class TransformedCoupling:
             raise ValueError("h and k must share a grid")
 
     @property
-    def grid(self) -> Grid:
-        return self.h.grid
+    def growth_factor(self) -> float:
+        """(1 + eps)^(p-1): every primed growth constant is this times its base."""
+        return (1.0 + self.eps) ** (self.base.p - 1.0)
 
-    @property
-    def a1_prime(self) -> float:
-        return self.base.a1 * (1.0 + self.eps) ** (self.base.p - 1.0)
-
-    @property
-    def a2_prime(self) -> float:
-        return self.base.a2 * (1.0 + self.eps) ** (self.base.p - 1.0)
-
-    @property
-    def b1_prime(self) -> float:
-        return self.base.b1 * (1.0 + self.eps) ** (self.base.p - 1.0)
-
-    @property
-    def b2_prime(self) -> float:
-        return self.base.b2 * (1.0 + self.eps) ** (self.base.p - 1.0)
+    def _split_field(self, s_h: float, s_k: float) -> ScalarField:
+        """(1 + 1/eps)^(p-1) (s_h |h|^(p-1) + s_k |k|^(p-1))."""
+        q = self.base.p - 1.0
+        factor = (1.0 + 1.0 / self.eps) ** q
+        vals = factor * (s_h * np.abs(self.h.values) ** q + s_k * np.abs(self.k.values) ** q)
+        return ScalarField(self.h.grid, vals)
 
     def c_field(self) -> ScalarField:
-        q = self.base.p - 1.0
-        factor = (1.0 + 1.0 / self.eps) ** q
-        vals = factor * (
-            self.base.a1 * np.abs(self.h.values) ** q
-            + self.base.a2 * np.abs(self.k.values) ** q
-        )
-        return ScalarField(self.grid, vals)
+        return self._split_field(self.base.a1, self.base.a2)
 
     def c_prime_field(self) -> ScalarField:
-        q = self.base.p - 1.0
-        factor = (1.0 + 1.0 / self.eps) ** q
-        vals = factor * (
-            self.base.b1 * np.abs(self.h.values) ** q
-            + self.base.b2 * np.abs(self.k.values) ** q
-        )
-        return ScalarField(self.grid, vals)
-
-    def nemytskii(self, u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
-        """(phit, psit) at (u, v), i.e. the base pair at (u + h, v + k)."""
-        grid = u.grid
-        if grid is not self.grid or v.grid is not grid:
-            raise ValueError("fields must live on the transform's grid")
-        b = _bindings(grid, u.values + self.h.values, v.values + self.k.values)
-        return (
-            ScalarField(grid, _eval_on_nodes(self.base.phi, grid, b)),
-            ScalarField(grid, _eval_on_nodes(self.base.psi, grid, b)),
-        )
+        return self._split_field(self.base.b2, self.base.b1)
 
 
 def transform(c: Coupling, h: ScalarField, k: ScalarField, eps: float) -> TransformedCoupling:
@@ -271,36 +236,15 @@ def check_monotone(c: Coupling, spec: SampleSpec | None = None) -> HypothesisRep
     violations = []
     for name, e in (("phi", c.phi), ("psi", c.psi)):
         vals = _sample_eval(e, spec)
-        du = np.diff(vals, axis=1)
-        for m, i, j in np.argwhere(du < 0.0):
-            violations.append(
-                (
-                    name,
-                    "u",
-                    float(spec.points[m, 0]),
-                    float(spec.points[m, 1]),
-                    float(vv[j]),
-                    float(uu[i]),
-                    float(uu[i + 1]),
-                    float(vals[m, i, j]),
-                    float(vals[m, i + 1, j]),
+        for var, axis, sweep, other in (("u", 1, uu, vv), ("v", 2, vv, uu)):
+            for m, i, j in np.argwhere(np.diff(vals, axis=axis) < 0.0):
+                t, o = (i, j) if axis == 1 else (j, i)
+                nxt = (m, i + 1, j) if axis == 1 else (m, i, j + 1)
+                x, y = spec.points[m]
+                violations.append(
+                    (name, var, float(x), float(y), float(other[o]), float(sweep[t]),
+                     float(sweep[t + 1]), float(vals[m, i, j]), float(vals[nxt]))
                 )
-            )
-        dv = np.diff(vals, axis=2)
-        for m, i, j in np.argwhere(dv < 0.0):
-            violations.append(
-                (
-                    name,
-                    "v",
-                    float(spec.points[m, 0]),
-                    float(spec.points[m, 1]),
-                    float(uu[i]),
-                    float(vv[j]),
-                    float(vv[j + 1]),
-                    float(vals[m, i, j]),
-                    float(vals[m, i, j + 1]),
-                )
-            )
     n = 2 * len(spec.points) * spec.nu * spec.nv
     return HypothesisReport(
         n_samples=n,

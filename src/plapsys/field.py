@@ -12,7 +12,8 @@ and all integral quantities use the vertex-averaged elementwise quadrature
     lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
 Gradients of the P1 interpolant are constant per element and exact for
-affine data.
+affine data; element_gradients is the one kernel that computes them, for
+the energy, the Newton system and the weak residual alike.
 """
 
 from __future__ import annotations
@@ -186,23 +187,6 @@ class ScalarField:
         object.__setattr__(self, "values", _readonly(v))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """One d-vector per element (e.g. a P1 gradient); immutable."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = (self.grid.n_elements, self.grid.d)
-        if v.shape != want:
-            raise ValueError(f"values must have shape {want}, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
-
-
 def constant_field(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.n_nodes, float(value)))
 
@@ -214,12 +198,11 @@ def from_callable(grid: Grid, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(vals, dtype=float) + np.zeros(grid.n_nodes))
 
 
-def gradient(u: ScalarField) -> VectorField:
-    """Per-element gradient of the P1 interpolant; exact for affine data."""
-    g = u.grid
-    vals = u.values[g.elements]  # (E, d+1)
-    out = np.einsum("ev,evd->ed", vals, g.grad_phi)
-    return VectorField(g, out)
+def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element gradient G (E, d) of the P1 interpolant of nodal `values`
+    and its squared norm |G|^2 (E,); exact for affine data."""
+    G = np.einsum("ev,evd->ed", values[grid.elements], grid.grad_phi)
+    return G, np.einsum("ed,ed->e", G, G)
 
 
 def element_means(w: ScalarField) -> np.ndarray:
@@ -254,8 +237,11 @@ def save_field(path, w: ScalarField) -> None:
 
 def load_field(path, grid: Grid) -> ScalarField:
     """Read a field CSV written by save_field, validating the row count."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as err:
+        raise ValueError(f"cannot read field file {path}: {err.strerror}") from None
     if not lines:
         raise ValueError(f"{path}: empty field file")
     header = lines[0].split(",")

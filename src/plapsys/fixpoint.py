@@ -13,7 +13,8 @@ the system through one final lift.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
-coupling, lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1 gives the
+coupling, lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
+max is (1 + eps)^(p-1) max{a1, a2, b1, b2}, gives the
 ball radius M0 = max{||c||_r, ||c'||_r} / (1 - lambda), invariant for every
 M >= M0.  The constant C (source norm to lifted-state norm, power p-1) is
 calibrated empirically on the grid from random smooth sources and is an
@@ -43,12 +44,6 @@ DEFAULT_PICARD_MAX_ITER = 200
 BALL_SLACK = 1e-6
 MIN_CALIBRATION_SAMPLES = 10
 SAMPLER_MODES = 8
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 class SolverAbort(RuntimeError):
@@ -146,7 +141,6 @@ class IterationState:
     g: ScalarField
     u_f: ScalarField
     v_g: ScalarField
-    pair_norm: float
 
 
 def apply_T(
@@ -163,7 +157,7 @@ def apply_T(
     rv = solve_p_poisson(PPoissonProblem(prob.grid, ex.p, g, prob.k), tol=tol)
     if not rv.converged:
         raise SolverAbort("v", rv.gradient_norm)
-    return IterationState(f, g, ru.solution, rv.solution, pair_norm(f, g, ex.r))
+    return IterationState(f, g, ru.solution, rv.solution)
 
 
 def apply_lambda(
@@ -251,7 +245,7 @@ def calibrate_C(
             f"calibration needs at least {MIN_CALIBRATION_SAMPLES} samples, "
             f"got {samples}"
         )
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sources = [
         scale_to_norm(sample_smooth_field(grid, rng), exponents.r, 1.0)
         for _ in range(samples)
@@ -317,7 +311,8 @@ def certify(prob: SystemProblem, C: float, C_samples: int = 0) -> Certificate:
         raise ValueError(f"C must be positive and finite, got {C}")
     ex = prob.exponents
     tc = prob.transformed()
-    amax = max(tc.a1_prime, tc.a2_prime, tc.b1_prime, tc.b2_prime)
+    c = prob.coupling
+    amax = tc.growth_factor * max(c.a1, c.a2, c.b1, c.b2)
     lam = smallness_lambda(amax, C, prob.grid.measure, ex.p, ex.d)
     if lam < 1.0:
         m0 = ball_radius(
@@ -362,7 +357,7 @@ def check_ball_invariance(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     ex = prob.exponents
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     violations = []
     for trial in range(trials):
@@ -417,8 +412,10 @@ class ConvergenceTrace:
         return lines
 
 
-def _max_residual(prob: SystemProblem, state: IterationState) -> float:
-    R1, R2 = system_residuals(state.u_f, state.v_g, prob.coupling, prob.exponents.p)
+def _max_residual(
+    state: IterationState, phi_f: ScalarField, psi_f: ScalarField, p: float
+) -> float:
+    R1, R2 = system_residuals(state.u_f, state.v_g, phi_f, psi_f, p)
     return float(max(np.abs(R1).max(), np.abs(R2).max(), 0.0))
 
 
@@ -440,6 +437,8 @@ def picard_solve(
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if cert is None:
         warnings.warn("no certificate supplied; iterating without a smallness guarantee")
     elif not cert.valid:
@@ -465,7 +464,7 @@ def picard_solve(
         delta = pair_norm(diff_f, diff_g, ex.r)
         rows.append(
             TraceRow(it, lq_norm(f, ex.r), lq_norm(g, ex.r), delta,
-                     _max_residual(prob, state))
+                     _max_residual(state, phi_f, psi_f, ex.p))
         )
         if delta > prev_delta:
             increases += 1
@@ -480,9 +479,9 @@ def picard_solve(
             converged = True
             break
 
-    final = apply_T(prob, f, g, solver_tol)
+    phi_f, psi_f, final = apply_lambda(prob, f, g, solver_tol)
     rows.append(
         TraceRow(rows[-1].index + 1, lq_norm(f, ex.r), lq_norm(g, ex.r), delta,
-                 _max_residual(prob, final))
+                 _max_residual(final, phi_f, psi_f, ex.p))
     )
     return final.u_f, final.v_g, ConvergenceTrace(rows, converged, th)

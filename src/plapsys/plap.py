@@ -19,18 +19,25 @@ or p <= 1.3 the problem is first solved at p = 2 and continued from there.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
-the report carries converged=False and the last iterate.
+the report carries converged=False and the last iterate.  tol and reg must
+be positive and finite.
+
+residual_vector is the one weighted-flux residual of the package: with
+reg > 0 it is the gradient of the regularized energy that Newton drives to
+zero, and with reg = 0 it is the unregularized weak form that verify
+classifies, the weight |grad u|^(p-2) extended by 0 where grad u = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
-from .field import Grid, ScalarField
+from .field import Grid, ScalarField, element_gradients
 
 ARMIJO_DECREASE = 1e-4
 ARMIJO_FACTOR = 0.5
@@ -72,41 +79,35 @@ class SolveReport:
     energy_history: list[float]
 
 
-def _element_grads(grid: Grid, u: np.ndarray):
-    """Per-element gradient G (E, d) and its squared norm (E,)."""
-    G = np.einsum("ev,evd->ed", u[grid.elements], grid.grad_phi)
-    return G, np.einsum("ed,ed->e", G, G)
-
-
-def energy(u: ScalarField, p: float, f: ScalarField) -> float:
-    """Discrete energy (1/p) sum |grad u|^p area + sum mean(f u) area."""
-    grid = u.grid
-    _, G2 = _element_grads(grid, u.values)
-    grad_term = np.sum(G2 ** (p / 2.0)) * grid.element_measure / p
-    fu = (f.values * u.values)[grid.elements].mean(axis=1)
-    return float(grad_term + np.sum(fu) * grid.element_measure)
+def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
+    """Element flux weights (|grad u|^2 + reg^2)^((p-2)/2), extended by 0
+    where that base vanishes (only possible at reg = 0)."""
+    base = G2 + reg * reg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = base ** ((p - 2.0) / 2.0)
+    return np.where(base > 0.0, W, 0.0)
 
 
 def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> float:
-    _, G2 = _element_grads(grid, u)
+    _, G2 = element_gradients(grid, u)
     grad_term = np.sum((G2 + reg * reg) ** (p / 2.0)) * grid.element_measure / p
     return float(grad_term + np.dot(grid.lumped * f, u))
 
 
-def flux_vector(grid: Grid, u: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Nodal vector t_i = sum_e area W_e (G_e . grad phi_i), given element weights."""
-    G, _ = _element_grads(grid, u)
-    contrib = np.einsum("ed,evd->ev", G, grid.grad_phi) * weights[:, None]
-    out = np.zeros(grid.n_nodes)
-    np.add.at(out, grid.elements, contrib * grid.element_measure)
-    return out
+def energy(u: ScalarField, p: float, f: ScalarField) -> float:
+    """Discrete energy (1/p) sum |grad u|^p area + sum mean(f u) area."""
+    return _energy_reg(u.grid, u.values, p, f.values, 0.0)
 
 
 def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
-    """Gradient of the regularized energy at u, over all nodes."""
-    _, G2 = _element_grads(grid, u)
-    W = (G2 + reg * reg) ** ((p - 2.0) / 2.0)
-    return flux_vector(grid, u, W) + grid.lumped * f
+    """Weak residual t_i = sum_e area W_e (G_e . grad phi_i) + m_i f_i at every
+    node: the gradient of the regularized energy for reg > 0, and at reg = 0
+    the unregularized weak form, with weight 0 where grad u = 0."""
+    G, G2 = element_gradients(grid, u)
+    contrib = np.einsum("ed,evd->ev", G, grid.grad_phi) * _weights(G2, p, reg)[:, None]
+    out = np.zeros(grid.n_nodes)
+    np.add.at(out, grid.elements, contrib * grid.element_measure)
+    return out + grid.lumped * f
 
 
 def _assemble_matrix(grid: Grid, W: np.ndarray, Wp: np.ndarray, G: np.ndarray) -> csr_matrix:
@@ -142,11 +143,9 @@ def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
 
 
 def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> csr_matrix:
-    G, G2 = _element_grads(grid, u)
-    base = G2 + reg * reg
-    W = base ** ((p - 2.0) / 2.0)
-    Wp = (p - 2.0) * base ** ((p - 4.0) / 2.0)
-    return _assemble_matrix(grid, W, Wp, G)
+    G, G2 = element_gradients(grid, u)
+    Wp = (p - 2.0) * (G2 + reg * reg) ** ((p - 4.0) / 2.0)
+    return _assemble_matrix(grid, _weights(G2, p, reg), Wp, G)
 
 
 def solve_p_poisson(
@@ -156,6 +155,9 @@ def solve_p_poisson(
     reg: float = DEFAULT_REG,
 ) -> SolveReport:
     """Minimize the regularized energy; see the module docstring for the scheme."""
+    for name, val in (("tol", tol), ("reg", reg)):
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {val}")
     grid, p = prob.grid, prob.p
     fv = prob.f.values
     I = grid.interior

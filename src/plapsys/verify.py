@@ -12,7 +12,10 @@ through the discrete weak residuals against every interior nodal hat eta_i:
 and the psi analogue R2.  Verdicts: solution when every |R| <= tol,
 supersolution when every R >= -tol, subsolution when every R <= tol,
 neither otherwise.  The test functions are exactly the interior hat basis
-(nonnegative, spanning the discrete zero-boundary space).
+(nonnegative, spanning the discrete zero-boundary space).  The residual
+rows come from plap.residual_vector at reg = 0, the same weighted-flux
+kernel the scalar solver minimizes with; the caller supplies the reaction
+pair, so a Picard state evaluates its coupling once.
 
 The shift test realizes the comparison statement that adding a constant
 alpha > 0 to u and beta >= 0 to v preserves supersolutions when the
@@ -31,51 +34,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling, SampleSpec, check_monotone, nemytskii
-from .field import Grid, ScalarField, lq_norm
-from .plap import PPoissonProblem, flux_vector, solve_p_poisson
+from .field import Grid, ScalarField, from_callable, lq_norm
+from .plap import PPoissonProblem, residual_vector, solve_p_poisson
 
 DEFAULT_CLASS_TOL = 1e-6
 
 
-def _raw_weights(G2: np.ndarray, p: float) -> np.ndarray:
-    """|grad u|^(p-2) per element, with the continuous extension 0 at grad u = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        W = G2 ** ((p - 2.0) / 2.0)
-    return np.where(G2 > 0.0, W, 0.0)
-
-
-def _equation_residual(u: ScalarField, reaction: ScalarField, p: float) -> np.ndarray:
-    """Full-node residual vector of one equation; rows at interior nodes are
-    the weak residuals against the corresponding hats."""
-    grid = u.grid
-    G = np.einsum("ev,evd->ed", u.values[grid.elements], grid.grad_phi)
-    G2 = np.einsum("ed,ed->e", G, G)
-    W = _raw_weights(G2, p)
-    return flux_vector(grid, u.values, W) + grid.lumped * reaction.values
-
-
 def system_residuals(
-    u: ScalarField, v: ScalarField, c: Coupling, p: float
+    u: ScalarField, v: ScalarField, phi_f: ScalarField, psi_f: ScalarField, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-hat weak residuals (R1, R2) of the coupled system at (u, v)."""
-    phi_f, psi_f = nemytskii(c, u, v)
-    I = u.grid.interior
-    R1 = _equation_residual(u, phi_f, p)[I]
-    R2 = _equation_residual(v, psi_f, p)[I]
-    return R1, R2
-
-
-def residual_functional(
-    u: ScalarField, v: ScalarField, c: Coupling, p: float, eta: ScalarField
-) -> tuple[float, float]:
-    """(R1(eta), R2(eta)) for a test field eta vanishing on the boundary."""
+    """Interior-hat weak residuals (R1, R2) of the coupled system at (u, v),
+    given the reaction pair (phi, psi) evaluated at the nodes of (u, v)."""
     grid = u.grid
-    B = grid.boundary
-    if np.any(eta.values[B] != 0.0):
-        raise ValueError("test function must vanish on the boundary")
-    R1, R2 = system_residuals(u, v, c, p)
-    w = eta.values[grid.interior]
-    return float(R1 @ w), float(R2 @ w)
+    I = grid.interior
+    R1 = residual_vector(grid, u.values, p, phi_f.values, 0.0)[I]
+    R2 = residual_vector(grid, v.values, p, psi_f.values, 0.0)[I]
+    return R1, R2
 
 
 @dataclass
@@ -114,7 +88,7 @@ def weak_residuals(
     """Classify (u, v) as solution / supersolution / subsolution / neither."""
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    R1, R2 = system_residuals(u, v, c, p)
+    R1, R2 = system_residuals(u, v, *nemytskii(c, u, v), p)
     lo = min(R1.min(), R2.min())
     hi = max(R1.max(), R2.max())
     if max(abs(lo), abs(hi)) <= tol:
@@ -245,8 +219,6 @@ EXACTNESS_FLOOR = 1e-8
 
 
 def _case_sinsin(n: int):
-    from .field import from_callable
-
     grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
     f = from_callable(grid, lambda x, y: -2.0 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y))
     h = from_callable(grid, lambda x, y: np.zeros_like(x))
@@ -255,8 +227,6 @@ def _case_sinsin(n: int):
 
 
 def _case_affine(n: int):
-    from .field import from_callable
-
     grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
     f = from_callable(grid, lambda x, y: np.zeros_like(x))
     h = from_callable(grid, lambda x, y: 2.0 * x + 3.0 * y)
@@ -264,8 +234,6 @@ def _case_affine(n: int):
 
 
 def _case_p3_1d(n: int):
-    from .field import from_callable
-
     grid = Grid(1, (0.0, 1.0), n)
     f = from_callable(grid, lambda x: np.ones_like(x))
     h = from_callable(grid, lambda x: np.zeros_like(x))

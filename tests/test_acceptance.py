@@ -104,17 +104,14 @@ def test_criterion_4_transform_constants():
             lead = (1 + 1 / eps) ** q
             worst = max(
                 worst,
-                abs(tc.a1_prime - a1 * grow),
-                abs(tc.a2_prime - a2 * grow),
-                abs(tc.b1_prime - b1 * grow),
-                abs(tc.b2_prime - b2 * grow),
+                *(abs(tc.growth_factor * a - a * grow) for a in (a1, a2, b1, b2)),
                 np.abs(
                     tc.c_field().values
                     - lead * (a1 * np.abs(h.values) ** q + a2 * np.abs(k.values) ** q)
                 ).max(),
                 np.abs(
                     tc.c_prime_field().values
-                    - lead * (b1 * np.abs(h.values) ** q + b2 * np.abs(k.values) ** q)
+                    - lead * (b1 * np.abs(k.values) ** q + b2 * np.abs(h.values) ** q)
                 ).max(),
             )
     ok = worst <= 1e-14

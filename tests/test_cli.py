@@ -100,6 +100,42 @@ def test_missing_key_exit_2(tmp_path, capsys):
     assert "boundary.k" in capsys.readouterr().err
 
 
+def test_picard_max_iter_zero_exit_2(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, {"picard.max_iter": "0"})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "picard.max_iter" in err
+
+
+@pytest.mark.parametrize("key", ["solver.tol", "picard.tol"])
+@pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
+    cfg = cfg_file(tmp_path, {key: value})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert key in err
+
+
+def test_unexpected_exception_prints_traceback(tmp_path, capsys, monkeypatch):
+    """A bug (here a KeyError) still exits 2 but is not dressed up as an
+    input error: its traceback goes to stderr."""
+    import plapsys.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("missing-internal-key")
+
+    monkeypatch.setattr(cli, "load_setup", broken)
+    cfg = cfg_file(tmp_path)
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "KeyError" in err
+    assert "missing-internal-key" in err
+    assert "input error" not in err
+
+
 def test_inadmissible_exponents_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path, {"exponents.p": "2.0", "exponents.r": "1.5"})
     assert main(["solve", "--config", cfg]) == 2
@@ -282,10 +318,13 @@ def test_verify_malformed_field_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_verify_missing_field_file_exit_2(tmp_path):
+def test_verify_missing_field_file_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path)
     missing = str(tmp_path / "nope.csv")
     assert main(["verify", "--config", cfg, missing, missing]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

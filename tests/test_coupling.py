@@ -94,10 +94,8 @@ def test_transform_prime_constants():
             c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 2.0, 3.0, 4.0, p)
             tc = transform(c, h, k, eps)
             factor = (1 + eps) ** (p - 1)
-            assert tc.a1_prime == pytest.approx(1.0 * factor, abs=1e-14)
-            assert tc.a2_prime == pytest.approx(2.0 * factor, abs=1e-14)
-            assert tc.b1_prime == pytest.approx(3.0 * factor, abs=1e-14)
-            assert tc.b2_prime == pytest.approx(4.0 * factor, abs=1e-14)
+            for base in (c.a1, c.a2, c.b1, c.b2):
+                assert tc.growth_factor * base == pytest.approx(base * factor, abs=1e-14)
             assert np.all(tc.c_field().values == 0.0)
             assert np.all(tc.c_prime_field().values == 0.0)
 
@@ -106,7 +104,7 @@ def test_transform_example_value():
     g = unit_square(3)
     c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 0.0, 0.0, 3.0)
     tc = transform(c, constant_field(g, 0.0), constant_field(g, 0.0), 1.0)
-    assert tc.a1_prime == 4.0  # (1+1)^2
+    assert tc.growth_factor * c.a1 == 4.0  # (1+1)^2
 
 
 def test_transform_c_fields_formula():
@@ -122,7 +120,7 @@ def test_transform_c_fields_formula():
             q = p - 1
             lead = (1 + 1 / eps) ** q
             want_c = lead * (a1 * np.abs(h.values) ** q + a2 * np.abs(k.values) ** q)
-            want_cp = lead * (b1 * np.abs(h.values) ** q + b2 * np.abs(k.values) ** q)
+            want_cp = lead * (b1 * np.abs(k.values) ** q + b2 * np.abs(h.values) ** q)
             assert np.abs(tc.c_field().values - want_c).max() <= 1e-14
             assert np.abs(tc.c_prime_field().values - want_cp).max() <= 1e-14
 
@@ -131,47 +129,52 @@ def test_transform_all_zero():
     g = unit_square(3)
     c = zero_coupling(2.5)
     tc = transform(c, constant_field(g, 1.0), constant_field(g, 2.0), 1.0)
-    assert tc.a1_prime == tc.a2_prime == tc.b1_prime == tc.b2_prime == 0.0
+    assert tc.growth_factor * max(c.a1, c.a2, c.b1, c.b2) == 0.0
     assert np.all(tc.c_field().values == 0.0)
     assert np.all(tc.c_prime_field().values == 0.0)
 
 
-def test_transformed_nemytskii_is_shift():
-    """phi-tilde(x, u, v) = phi(x, u + h, v + k)."""
+def test_transform_split_bounds_hold():
+    """|phit| <= a1'|u|^q + a2'|v|^q + c(x) and |psit| <= b1'|v|^q + b2'|u|^q
+    + c'(x) on a state lattice, with phit, psit the base pair at (u+h, v+k);
+    h != k and b1 != b2, so a c' that pairs b1 with h instead of k fails."""
     g = unit_square(4)
-    c = Coupling(ex.parse("odd_pow(u,2)+x*v"), ex.parse("u*v"), 1, 1, 1, 1, 3.0)
     h = from_callable(g, lambda x, y: x)
-    k = from_callable(g, lambda x, y: y)
-    tc = transform(c, h, k, 1.0)
-    rng = np.random.default_rng(8)
-    u = ScalarField(g, rng.uniform(-1, 1, g.n_nodes))
-    v = ScalarField(g, rng.uniform(-1, 1, g.n_nodes))
-    a1, a2 = tc.nemytskii(u, v)
-    b1, b2 = nemytskii(c, ScalarField(g, u.values + h.values), ScalarField(g, v.values + k.values))
-    assert np.array_equal(a1.values, b1.values)
-    assert np.array_equal(a2.values, b2.values)
+    k = from_callable(g, lambda x, y: 2 - y)
+    a1, a2, b1, b2 = 0.7, 0.3, 1.1, 0.2
+    lattice = np.linspace(-3.0, 3.0, 13)
+    for eps in (0.5, 1.0, 2.0):
+        for p in (1.5, 2.0, 3.0):
+            q = p - 1
+            tc = transform(power_family(a1, a2, b1, b2, p), h, k, eps)
+            gf, c, cp = tc.growth_factor, tc.c_field().values, tc.c_prime_field().values
+            for s in lattice:
+                for t in lattice:
+                    phit, psit = nemytskii(
+                        tc.base, ScalarField(g, s + h.values), ScalarField(g, t + k.values)
+                    )
+                    bound_phi = gf * (a1 * abs(s) ** q + a2 * abs(t) ** q) + c
+                    bound_psi = gf * (b1 * abs(t) ** q + b2 * abs(s) ** q) + cp
+                    assert np.all(np.abs(phit.values) <= bound_phi * (1 + 1e-12))
+                    assert np.all(np.abs(psit.values) <= bound_psi * (1 + 1e-12))
 
 
 def test_transformed_at_zero_recovers_boundary_values():
-    # phi-tilde(x, 0, .) = phi(x, h, .)
+    """At u = v = 0 the shifted pair is the base pair at the boundary values,
+    (phit, psit)(x, 0, 0) = (phi, psi)(x, h, k), and the split bounds reduce
+    to |phi(x, h, k)| <= c(x) and |psi(x, h, k)| <= c'(x).  With psi =
+    odd_pow(v, 1.5), b1 = 1, b2 = 0, h = 0, k = 2 and eps = 1, psit(x, 0, 0)
+    = 2^1.5 and c'(x) = 2^1.5 * 2^1.5; pairing b1 with h would give c' = 0."""
     g = unit_square(3)
-    c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    tc = transform(c, constant_field(g, 1.0), constant_field(g, 0.0), 1.0)
-    pf, _ = tc.nemytskii(constant_field(g, 0.0), constant_field(g, 0.0))
-    assert np.all(pf.values == 1.0)
-
-
-def test_transform_zero_shift_matches_base():
-    g = unit_square(4)
-    c = Coupling(ex.parse("odd_pow(u,1.5)+v"), ex.parse("u-v"), 1, 1, 1, 1, 2.5)
-    tc = transform(c, constant_field(g, 0.0), constant_field(g, 0.0), 1.0)
-    rng = np.random.default_rng(10)
-    u = ScalarField(g, rng.uniform(-1, 1, g.n_nodes))
-    v = ScalarField(g, rng.uniform(-1, 1, g.n_nodes))
-    a1, a2 = tc.nemytskii(u, v)
-    b1, b2 = nemytskii(c, u, v)
-    assert np.array_equal(a1.values, b1.values)
-    assert np.array_equal(a2.values, b2.values)
+    c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("odd_pow(v,1.5)"), 1.0, 0.0, 1.0, 0.0, 2.5)
+    h, k = constant_field(g, 0.0), constant_field(g, 2.0)
+    phit, psit = nemytskii(c, h, k)
+    tc = transform(c, h, k, 1.0)
+    assert np.all(phit.values == 0.0)
+    assert np.allclose(psit.values, 2.0**1.5, rtol=1e-14)
+    assert np.allclose(tc.c_prime_field().values, 8.0, rtol=1e-14)
+    assert np.all(np.abs(phit.values) <= tc.c_field().values)
+    assert np.all(np.abs(psit.values) <= tc.c_prime_field().values)
 
 
 def test_growth_equality_case_passes():

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
 from plapsys.coupling import Coupling, power_family
-from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm, pair_norm
+from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.fixpoint import (
     BallReport,
     Certificate,
@@ -116,7 +116,6 @@ def test_apply_T_affine_boundary():
     z = constant_field(g, 0.0)
     state = apply_T(prob, z, z)
     assert np.abs(state.u_f.values - h.values).max() <= 1e-8
-    assert state.pair_norm == 0.0
 
 
 def test_apply_T_symmetry():
@@ -132,12 +131,12 @@ def test_apply_T_abort_names_component():
     z = constant_field(g, 0.0)
     prob = SystemProblem(g, exps, zero_coupling(2.2), z, z, 1.0)
     f = from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    # tol = 0 is unreachable for a nonzero source, so the named side aborts
+    # tol = 1e-300 is unreachable for a nonzero source, so the named side aborts
     with pytest.raises(SolverAbort) as err:
-        apply_T(prob, f, z, tol=0.0)
+        apply_T(prob, f, z, tol=1e-300)
     assert err.value.component == "u"
     with pytest.raises(SolverAbort) as err:
-        apply_T(prob, z, f, tol=0.0)
+        apply_T(prob, z, f, tol=1e-300)
     assert err.value.component == "v"
 
 
@@ -147,10 +146,9 @@ def test_apply_lambda_zero_coupling():
         prob.grid, prob.exponents, zero_coupling(2.2), prob.h, prob.k, 1.0
     )
     f = from_callable(prob.grid, lambda x, y: x * y)
-    phi_f, psi_f, state = apply_lambda(probz, f, f)
+    phi_f, psi_f, _ = apply_lambda(probz, f, f)
     assert np.all(phi_f.values == 0.0)
     assert np.all(psi_f.values == 0.0)
-    assert state.pair_norm == pair_norm(f, f, prob.exponents.r)
 
 
 def test_problem_validation():
@@ -437,6 +435,13 @@ def test_picard_max_iter_exhaustion_is_reported():
     assert trace.iterations == 1
     assert len(trace.rows) == 2
     assert u.values.shape == (prob.grid.n_nodes,)
+
+
+def test_picard_max_iter_validation():
+    prob = small_problem(n=6)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            picard_solve(prob, None, max_iter=bad)
 
 
 def test_picard_theta_validation():

@@ -8,8 +8,8 @@ import pytest
 from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.plap import (
     PPoissonProblem,
+    _energy_reg,
     energy,
-    flux_vector,
     harmonic_extension,
     residual_vector,
     solve_p_poisson,
@@ -71,9 +71,47 @@ def test_residual_matches_matrix_form_at_p2():
 
 
 def test_flux_of_constant_is_zero():
+    # grad u = 0 everywhere: zero flux, including the zero extension of the
+    # weight at reg = 0 and p < 2, where |grad u|^(p-2) itself is infinite
     g = unit_square(4)
-    W = np.ones(g.n_elements)
-    assert np.all(flux_vector(g, np.full(g.n_nodes, 5.0), W) == 0.0)
+    u = np.full(g.n_nodes, 5.0)
+    zero = np.zeros(g.n_nodes)
+    for p in (1.5, 2.0, 3.0):
+        for reg in (0.0, 1e-8):
+            assert np.all(residual_vector(g, u, p, zero, reg) == 0.0)
+
+
+def test_residual_is_energy_gradient():
+    """residual_vector . eta is the derivative of the regularized energy
+    along eta (central difference), for p below and above 2."""
+    g = unit_square(5)
+    rng = np.random.default_rng(6)
+    u = rng.uniform(-1, 1, g.n_nodes)
+    f = rng.uniform(-1, 1, g.n_nodes)
+    eta = rng.uniform(-1, 1, g.n_nodes)
+    t = 1e-6
+    for p in (1.5, 2.0, 3.0):
+        res = residual_vector(g, u, p, f, 1e-3)
+        up = _energy_reg(g, u + t * eta, p, f, 1e-3)
+        down = _energy_reg(g, u - t * eta, p, f, 1e-3)
+        assert res @ eta == pytest.approx((up - down) / (2 * t), rel=1e-6)
+
+
+def test_solver_rejects_nonpositive_reg():
+    g = unit_square(4)
+    h = constant_field(g, 1.0)
+    prob = PPoissonProblem(g, 1.5, constant_field(g, 0.0), h)
+    for reg in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="reg"):
+            solve_p_poisson(prob, reg=reg)
+
+
+def test_solver_rejects_nonpositive_tol():
+    g = unit_square(4)
+    prob = PPoissonProblem(g, 2.0, constant_field(g, 1.0), constant_field(g, 0.0))
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            solve_p_poisson(prob, tol=tol)
 
 
 def test_affine_data_reproduced_p2():
