@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .coupling import Coupling, power_family
+from .coupling import Coupling, eval_on_nodes, power_family
 from .field import Grid, ScalarField
 from .fixpoint import Exponents, SystemProblem, make_exponents
 
@@ -140,14 +140,11 @@ def _parse_expr(cfg: dict[str, str], key: str) -> ex.Expr:
 
 def _boundary_field(grid: Grid, cfg: dict[str, str], key: str) -> ScalarField:
     e = _parse_expr(cfg, key)
-    names = {"x": grid.coords[:, 0]}
-    if grid.d == 2:
-        names["y"] = grid.coords[:, 1]
     try:
-        values = ex.evaluate_arrays(e, names)
+        values = eval_on_nodes(e, grid)
     except ex.EvaluationError as err:
         raise ConfigError(f"{key}: {err}") from None
-    return ScalarField(grid, np.broadcast_to(values, (grid.n_nodes,)).astype(float).copy())
+    return ScalarField(grid, values)
 
 
 def _coupling(cfg: dict[str, str], p: float) -> Coupling:

@@ -68,9 +68,18 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
     return Coupling(phi, psi, a1, a2, b1, b2, p)
 
 
-def _eval_on_nodes(e: ex.Expr, grid: Grid, bindings: dict[str, np.ndarray]) -> np.ndarray:
+def eval_on_nodes(e: ex.Expr, grid: Grid, **fields: np.ndarray) -> np.ndarray:
+    """Values of e at every node, with x (and y) bound to the node
+    coordinates and each keyword to a nodal array.
+
+    Evaluation-domain errors are reported with the offending node's index
+    and coordinates.
+    """
+    b = {"x": grid.coords[:, 0], **fields}
+    if grid.d == 2:
+        b["y"] = grid.coords[:, 1]
     try:
-        vals = ex.evaluate_arrays(e, bindings)
+        vals = ex.evaluate_arrays(e, b)
     except ex._IndexedDomainError as err:
         where = ", ".join(f"{c:.17g}" for c in grid.coords[err.index])
         raise ex.EvaluationDomainError(
@@ -80,20 +89,14 @@ def _eval_on_nodes(e: ex.Expr, grid: Grid, bindings: dict[str, np.ndarray]) -> n
 
 
 def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Nodewise (phi(x, u(x), v(x)), psi(x, u(x), v(x))).
-
-    Evaluation-domain errors are reported with the offending node's index
-    and coordinates.
-    """
+    """Nodewise (phi(x, u(x), v(x)), psi(x, u(x), v(x))), evaluated by
+    eval_on_nodes."""
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("u and v must share a grid")
-    b = {"x": grid.coords[:, 0], "u": u.values, "v": v.values}
-    if grid.d == 2:
-        b["y"] = grid.coords[:, 1]
     return (
-        ScalarField(grid, _eval_on_nodes(c.phi, grid, b)),
-        ScalarField(grid, _eval_on_nodes(c.psi, grid, b)),
+        ScalarField(grid, eval_on_nodes(c.phi, grid, u=u.values, v=v.values)),
+        ScalarField(grid, eval_on_nodes(c.psi, grid, u=u.values, v=v.values)),
     )
 
 

@@ -14,11 +14,16 @@ and all integral quantities use the vertex-averaged elementwise quadrature
 Gradients of the P1 interpolant are constant per element and exact for
 affine data; element_gradients is the one kernel that computes them, for
 the energy, the Newton system and the weak residual alike.
+
+Grid.laplace_solve is the one Laplace solve of the package: it inverts the
+interior block K_II of the P1 Laplace stiffness exactly in the sine basis,
+for the harmonic extension and the Newton-CG preconditioner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +50,12 @@ class Grid:
     `grad_phi` (n_elements, d+1, d) basis-function gradients, `interior`
     and `boundary` node index arrays, `lumped` (n_nodes,) vertex-quadrature
     node weights.
+
+    `laplace_solve` solves with the interior block K_II of the P1 Laplace
+    stiffness.  On this lattice K_II is exactly the 5-point stencil with
+    weights hy/hx and hx/hy (the hypotenuse edges couple with weight 0), so
+    the orthonormal DST-I matrix S of order n - 1 diagonalizes it; S and
+    the eigenvalues are computed on the first solve and kept (O(n^2)).
     """
 
     d: int
@@ -134,6 +145,29 @@ class Grid:
         object.__setattr__(self, "interior", _readonly(interior))
         object.__setattr__(self, "boundary", _readonly(boundary))
         object.__setattr__(self, "lumped", _readonly(lumped))
+
+    @cached_property
+    def _sine_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """S with S @ S = I, and the eigenvalues of K_II shaped like the
+        interior: (n-1,) in 1-D, (n-1, n-1) indexed [j, i] in 2-D."""
+        n = self.n
+        k = np.arange(1, n)
+        # reduce k*l mod 2n first so the sine argument stays below 2 pi
+        S = np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n)
+        lam = 4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2  # of tridiag(-1, 2, -1)
+        if self.d == 1:
+            return S, lam / self.spacing[0]
+        hx, hy = self.spacing
+        return S, (hy / hx) * lam[None, :] + (hx / hy) * lam[:, None]
+
+    def laplace_solve(self, r: np.ndarray) -> np.ndarray:
+        """x with K_II x = r, for r given at the interior nodes in the order
+        of `interior`."""
+        S, lam = self._sine_basis
+        if self.d == 1:
+            return S @ ((S @ r) / lam)
+        R = r.reshape(lam.shape)
+        return (S @ ((S @ R @ S) / lam) @ S).ravel()
 
     @property
     def n_nodes(self) -> int:

@@ -10,12 +10,20 @@ f = Delta_p u, so f = Delta u when p = 2).
 
 The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
-system (positive definite for p > 1) is solved by diagonally preconditioned
-conjugate gradients; if the linear solve fails or produces an ascent
-direction, the step falls back to steepest descent.  Steps are accepted by
-Armijo backtracking (sufficient decrease 1e-4, halving, at most 40 trials).
-The initial iterate is the discrete 2-harmonic extension of h; for p >= 4
-or p <= 1.3 the problem is first solved at p = 2 and continued from there.
+system H (positive definite for p > 1) is solved by conjugate gradients
+preconditioned with the diagonally scaled Laplacian,
+M^-1 z = s^-1 K_II^-1 (s^-1 z) with s = sqrt(diag H), applied exactly by
+Grid.laplace_solve (Huang, Li and Liu, J. Sci. Comput. 2007).  The scaling
+carries the local weight |grad u|^(p-2) that the plain Laplacian lacks.
+Near p = 2 the CG count per Newton step stays flat in n; for p far from 2
+it still grows with n.  If the linear solve fails or produces an ascent
+direction, or its step finds no Armijo decrease, the step falls back to
+steepest descent.  Steps are accepted by Armijo backtracking (sufficient
+decrease 1e-4, halving, at most 40 trials).  The initial iterate is the discrete 2-harmonic extension of h,
+one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first solved
+at p = 2 and continued from there.  The report counts the Newton steps, CG
+iterations and steepest-descent fallbacks of its own Newton loop (not those
+of the p = 2 warm start).
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
@@ -35,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg, spsolve
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .field import Grid, ScalarField, element_gradients
 
@@ -71,7 +79,8 @@ class PPoissonProblem:
 class SolveReport:
     solution: ScalarField
     iterations: int
-    energy: float
+    cg_iterations: int
+    fallbacks: int
     gradient_norm: float
     reg: float
     tol: float
@@ -133,12 +142,11 @@ def stiffness_matrix(grid: Grid) -> csr_matrix:
 
 def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
     """Discrete 2-harmonic extension of the boundary values of h."""
-    A = stiffness_matrix(grid)
     I, B = grid.interior, grid.boundary
     u = np.zeros(grid.n_nodes)
     u[B] = h.values[B]
-    rhs = -A[np.ix_(I, B)] @ u[B]
-    u[I] = spsolve(A[np.ix_(I, I)].tocsc(), rhs)
+    # -(K u_B)_I: at p = 2 every flux weight is exactly 1, whatever reg
+    u[I] = grid.laplace_solve(-residual_vector(grid, u, 2.0, 0.0, reg=1.0)[I])
     return ScalarField(grid, u)
 
 
@@ -170,8 +178,13 @@ def solve_p_poisson(
     u[grid.boundary] = prob.h.values[grid.boundary]
 
     history = [_energy_reg(grid, u, p, fv, reg)]
-    iterations = 0
+    iterations = cg_iterations = fallbacks = 0
     converged = False
+
+    def count_cg(_):
+        nonlocal cg_iterations
+        cg_iterations += 1
+
     while True:
         g = residual_vector(grid, u, p, fv, reg)[I]
         gnorm = float(np.linalg.norm(g))
@@ -182,20 +195,21 @@ def solve_p_poisson(
             break
 
         H = _newton_system(grid, u, p, reg)[np.ix_(I, I)]
-        diag = H.diagonal()
-        M = LinearOperator(H.shape, matvec=lambda z: z / diag)
-        delta, info = cg(H, -g, rtol=CG_RTOL, atol=0.0, M=M)
+        s = np.sqrt(H.diagonal())
+        M = LinearOperator(
+            H.shape, matvec=lambda z: grid.laplace_solve(z / s) / s, dtype=float
+        )
+        delta, info = cg(H, -g, rtol=CG_RTOL, atol=0.0, M=M, callback=count_cg)
         slope = float(g @ delta)
-        if info != 0 or slope >= 0.0 or not np.isfinite(delta).all():
-            delta = -g
-            slope = -gnorm * gnorm
-
-        step, new_u, new_energy = _armijo(grid, u, p, fv, reg, I, delta, slope, history[-1])
-        if step is None and not np.array_equal(delta, -g):
-            delta = -g
-            slope = -gnorm * gnorm
+        step = None
+        if info == 0 and slope < 0.0 and np.isfinite(delta).all():
             step, new_u, new_energy = _armijo(
                 grid, u, p, fv, reg, I, delta, slope, history[-1]
+            )
+        if step is None:
+            fallbacks += 1
+            step, new_u, new_energy = _armijo(
+                grid, u, p, fv, reg, I, -g, -gnorm * gnorm, history[-1]
             )
         if step is None:
             break  # stalled: no acceptable decrease in either direction
@@ -203,11 +217,11 @@ def solve_p_poisson(
         history.append(new_energy)
         iterations += 1
 
-    sol = ScalarField(grid, u)
     return SolveReport(
-        solution=sol,
+        solution=ScalarField(grid, u),
         iterations=iterations,
-        energy=energy(sol, p, prob.f),
+        cg_iterations=cg_iterations,
+        fallbacks=fallbacks,
         gradient_norm=gnorm,
         reg=reg,
         tol=tol,

@@ -136,6 +136,14 @@ def test_unexpected_exception_prints_traceback(tmp_path, capsys, monkeypatch):
     assert "input error" not in err
 
 
+def test_boundary_domain_error_names_node_exit_2(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, {"boundary.h": "log(x)"})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: boundary.h: log is not finite" in err
+    assert "at node 0 (0, 0)" in err
+
+
 def test_inadmissible_exponents_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path, {"exponents.p": "2.0", "exponents.r": "1.5"})
     assert main(["solve", "--config", cfg]) == 2

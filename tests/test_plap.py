@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from plapsys import plap
 from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.plap import (
     PPoissonProblem,
@@ -57,6 +59,30 @@ def test_stiffness_is_symmetric():
     g = unit_square(4)
     A = stiffness_matrix(g).toarray()
     assert np.abs(A - A.T).max() == 0.0
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("d", [1, 2])
+def test_laplace_solve_inverts_interior_stiffness(d, n, side):
+    # 1-D: [0, side]; 2-D: [0, 1] x [0, side], so hx != hy when side = 2
+    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+    I = g.interior
+    K = stiffness_matrix(g).tocsr()[np.ix_(I, I)]
+    x = np.random.default_rng(n).uniform(-1, 1, len(I))
+    assert np.abs(g.laplace_solve(K @ x) - x).max(initial=0.0) <= 1e-12
+
+
+def test_harmonic_extension_matches_direct_solve():
+    for d, box in ((1, (0.0, 2.0)), (2, (0.0, 1.0, 0.0, 2.0))):
+        g = Grid(d, box, 9)
+        hv = np.random.default_rng(d).uniform(-1, 1, g.n_nodes)
+        A = stiffness_matrix(g).tocsr()
+        I, B = g.interior, g.boundary
+        want = spsolve(A[np.ix_(I, I)].tocsc(), -A[np.ix_(I, B)] @ hv[B])
+        ext = harmonic_extension(g, ScalarField(g, hv)).values
+        assert np.abs(ext[I] - want).max() <= 1e-12
+        assert np.array_equal(ext[B], hv[B])
 
 
 def test_residual_matches_matrix_form_at_p2():
@@ -234,6 +260,44 @@ def test_continuation_high_p():
     rep = solve_p_poisson(PPoissonProblem(g, 4.5, f, constant_field(g, 0.0)))
     assert rep.converged
     assert rep.gradient_norm <= 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.5, 6.0])
+def test_solver_converges_across_p(p, n):
+    g = unit_square(n)
+    f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+    h = from_callable(g, lambda x, y: x * y)
+    rep = solve_p_poisson(PPoissonProblem(g, p, f, h))
+    assert rep.converged
+    assert rep.gradient_norm <= 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_cg_iterations_per_newton_step_flat_in_n(n):
+    """The scaled-Laplacian preconditioner keeps CG per Newton step bounded
+    as the mesh is refined at p near 2."""
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), n)
+    f = from_callable(g, lambda x, y: 5 * np.sin(10 * x) * np.cos(20 * y / 3))
+    h = from_callable(g, lambda x, y: 1 + x * y)
+    rep = solve_p_poisson(PPoissonProblem(g, 2.2, f, h))
+    assert rep.converged
+    assert rep.fallbacks == 0
+    assert 0 < rep.cg_iterations <= 30 * rep.iterations
+
+
+def test_failed_cg_falls_back_to_steepest_descent(monkeypatch):
+    def failing_cg(H, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(plap, "cg", failing_cg)
+    g = unit_square(6)
+    f = constant_field(g, 1.0)
+    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)), max_iter=3)
+    assert rep.iterations == 3
+    assert rep.fallbacks == 3
+    assert rep.cg_iterations == 0
+    assert np.all(np.diff(rep.energy_history) < 0.0)
 
 
 def test_low_p_solve():
