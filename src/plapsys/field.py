@@ -17,7 +17,10 @@ the energy, the Newton system and the weak residual alike.
 
 Grid.laplace_solve is the one Laplace solve of the package: it inverts the
 interior block K_II of the P1 Laplace stiffness exactly in the sine basis,
-for the harmonic extension and the Newton-CG preconditioner.
+for the harmonic extension and the Newton-CG preconditioner.  Element
+values are summed into nodes (the lumped weights, the weak residual) or
+matrix slots (the Newton matrix) by np.bincount, which adds the values in
+element order.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class Grid:
     weights hy/hx and hx/hy (the hypotenuse edges couple with weight 0), so
     the orthonormal DST-I matrix S of order n - 1 diagonalizes it; S and
     the eigenvalues are computed on the first solve and kept (O(n^2)).
+
+    The Newton system of `plap` is assembled into two more structures,
+    built on the first assembly and kept: `_interior_pattern`, the CSR
+    pattern of the interior block with the data slot of every element-local
+    entry, and `_local_stiffness`, the products grad phi_a . grad phi_b per
+    element.  At n = 256 they take 6.8 MB of int32 (slots, indices, indptr)
+    and 9.4 MB of float64.
     """
 
     d: int
@@ -97,8 +107,7 @@ class Grid:
         grad[:, 1, 0] = 1.0 / hx
         interior = np.arange(1, n)
         boundary = np.array([0, n])
-        lumped = np.zeros(n + 1)
-        np.add.at(lumped, elements, hx / 2.0)
+        lumped = np.bincount(elements.ravel(), np.full(2 * n, hx / 2.0), n + 1)
         self._stash(coords, elements, grad, interior, boundary, lumped)
 
     def _build_2d(self):
@@ -134,8 +143,8 @@ class Grid:
         on_boundary = (flat_i == 0) | (flat_i == n) | (flat_j == 0) | (flat_j == n)
         interior = np.flatnonzero(~on_boundary)
         boundary = np.flatnonzero(on_boundary)
-        lumped = np.zeros((n + 1) ** 2)
-        np.add.at(lumped, elements, hx * hy / 2.0 / 3.0)
+        third = hx * hy / 2.0 / 3.0
+        lumped = np.bincount(elements.ravel(), np.full(elements.size, third), (n + 1) ** 2)
         self._stash(coords, elements, grad, interior, boundary, lumped)
 
     def _stash(self, coords, elements, grad, interior, boundary, lumped):
@@ -159,6 +168,49 @@ class Grid:
             return S, lam / self.spacing[0]
         hx, hy = self.spacing
         return S, (hy / hx) * lam[None, :] + (hx / hy) * lam[:, None]
+
+    @cached_property
+    def _interior_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, indices, indptr): the CSR pattern (sorted indices, no
+        duplicates) of the interior block of any P1 element matrix, and the
+        slot in its data array of every element-local entry (e, a, b),
+        raveled; an entry that touches a boundary node goes to the dump slot
+        nnz = len(indices).
+
+        Built without sorting: within a row the columns are ordered by their
+        offset from the row, which takes few distinct values (3 in 1-D, 7 in
+        2-D on this lattice), so each entry's rank is a table lookup.  int32
+        holds every index of a grid that fits in memory.
+        """
+        N = len(self.interior)
+        pos = np.full(self.n_nodes, -1, dtype=np.int32)
+        pos[self.interior] = np.arange(N, dtype=np.int32)
+        el = pos[self.elements]  # interior index of each vertex, -1 on the boundary
+        row, col = el[:, :, None], el[:, None, :]
+        keep = (row >= 0) & (col >= 0)  # (E, m, m)
+        shift = col - row + N  # column offset from the row, moved into 0 .. 2N
+        occurs = np.zeros(2 * N + 1, dtype=bool)
+        occurs[shift[keep]] = True
+        K = int(occurs.sum())
+        rank = np.cumsum(occurs, dtype=np.int32) - 1
+        key = np.where(keep, row * K + rank[shift], N * K).ravel()  # N * K: dump
+        used = np.zeros(N * K + 1, dtype=bool)
+        used[key] = True
+        used[-1] = True
+        slot = np.cumsum(used, dtype=np.int32) - 1  # the dump key gets nnz
+        used = used[:-1].reshape(N, K)
+        offsets = np.flatnonzero(occurs).astype(np.int32) - N
+        indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[used]
+        indptr = np.zeros(N + 1, dtype=np.int32)
+        np.cumsum(used.sum(axis=1), out=indptr[1:])
+        return _readonly(slot[key]), _readonly(indices), _readonly(indptr)
+
+    @cached_property
+    def _local_stiffness(self) -> np.ndarray:
+        """grad phi_a . grad phi_b of every element, shape (E, m*m)."""
+        gp = self.grad_phi
+        dots = sum(gp[:, :, None, k] * gp[:, None, :, k] for k in range(self.d))
+        return _readonly(dots.reshape(len(gp), -1))
 
     def laplace_solve(self, r: np.ndarray) -> np.ndarray:
         """x with K_II x = r, for r given at the interior nodes in the order

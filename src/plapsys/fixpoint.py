@@ -36,7 +36,7 @@ import numpy as np
 
 from .coupling import Coupling, TransformedCoupling, nemytskii, transform
 from .field import Grid, ScalarField, constant_field, lq_norm, pair_norm
-from .plap import DEFAULT_TOL, PPoissonProblem, solve_p_poisson
+from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, solve_p_poisson
 from .verify import system_residuals
 
 DEFAULT_PICARD_TOL = 1e-7
@@ -47,14 +47,20 @@ SAMPLER_MODES = 8
 
 
 class SolverAbort(RuntimeError):
-    """An inner p-Poisson solve failed to converge; names the component."""
+    """An inner p-Poisson solve failed to converge: names the component, the
+    exponent p, the grid size n, why the solve stopped and its last gradient
+    norm."""
 
-    def __init__(self, component: str, gradient_norm: float):
+    def __init__(self, component: str, p: float, report: SolveReport):
         self.component = component
-        self.gradient_norm = gradient_norm
+        self.p = p
+        self.n = report.solution.grid.n
+        self.stop_reason = report.stop_reason
+        self.gradient_norm = report.gradient_norm
         super().__init__(
             f"inner solve for the {component} component did not converge "
-            f"(gradient norm {gradient_norm:.3e})"
+            f"({self.stop_reason} at p = {p:g}, n = {self.n}, "
+            f"gradient norm {self.gradient_norm:.3e})"
         )
 
 
@@ -153,10 +159,10 @@ def apply_T(
     ex = prob.exponents
     ru = solve_p_poisson(PPoissonProblem(prob.grid, ex.p, f, prob.h), tol=tol)
     if not ru.converged:
-        raise SolverAbort("u", ru.gradient_norm)
+        raise SolverAbort("u", ex.p, ru)
     rv = solve_p_poisson(PPoissonProblem(prob.grid, ex.p, g, prob.k), tol=tol)
     if not rv.converged:
-        raise SolverAbort("v", rv.gradient_norm)
+        raise SolverAbort("v", ex.p, rv)
     return IterationState(f, g, ru.solution, rv.solution)
 
 
@@ -219,7 +225,7 @@ def calibration_ratios(
     for f in sources:
         rep = solve_p_poisson(PPoissonProblem(grid, ex.p, f, zero), tol=tol)
         if not rep.converged:
-            raise SolverAbort("calibration", rep.gradient_norm)
+            raise SolverAbort("calibration", ex.p, rep)
         denom = lq_norm(f, ex.r)
         if denom == 0.0:
             raise ValueError("calibration sources must be nonzero")

@@ -10,24 +10,30 @@ f = Delta_p u, so f = Delta u when p = 2).
 
 The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
-system H (positive definite for p > 1) is solved by conjugate gradients
-preconditioned with the diagonally scaled Laplacian,
-M^-1 z = s^-1 K_II^-1 (s^-1 z) with s = sqrt(diag H), applied exactly by
-Grid.laplace_solve (Huang, Li and Liu, J. Sci. Comput. 2007).  The scaling
-carries the local weight |grad u|^(p-2) that the plain Laplacian lacks.
-Near p = 2 the CG count per Newton step stays flat in n; for p far from 2
-it still grows with n.  If the linear solve fails or produces an ascent
-direction, or its step finds no Armijo decrease, the step falls back to
-steepest descent.  Steps are accepted by Armijo backtracking (sufficient
-decrease 1e-4, halving, at most 40 trials).  The initial iterate is the discrete 2-harmonic extension of h,
-one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first solved
-at p = 2 and continued from there.  The report counts the Newton steps, CG
-iterations and steepest-descent fallbacks of its own Newton loop (not those
-of the p = 2 warm start).
+system H (positive definite for p > 1) is only its interior block H_II:
+each step forms the element matrices from the grid's cached local stiffness
+and sums them with one np.bincount into the grid's cached interior CSR
+pattern, so no index array, COO conversion or submatrix slice is rebuilt
+per step.  It is solved by conjugate gradients preconditioned with the
+diagonally scaled Laplacian, M^-1 z = s^-1 K_II^-1 (s^-1 z) with
+s = sqrt(diag H), applied exactly by Grid.laplace_solve (Huang, Li and
+Liu, J. Sci. Comput. 2007).  The scaling carries the local weight
+|grad u|^(p-2) that the plain Laplacian lacks.  Near p = 2 the CG count
+per Newton step stays flat in n; for p far from 2 it still grows with n.
+If the linear solve fails or produces an ascent direction, or its step
+finds no Armijo decrease, the step falls back to steepest descent.  Steps
+are accepted by Armijo backtracking (sufficient decrease 1e-4, halving, at
+most 40 trials).  The initial iterate is the discrete 2-harmonic extension
+of h, one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first
+solved at p = 2 and continued from there.  The report counts the Newton
+steps, CG iterations and steepest-descent fallbacks of its own Newton loop
+(not those of the p = 2 warm start).
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
-the report carries converged=False and the last iterate.  tol and reg must
+the report carries converged=False, the last iterate and its stop_reason,
+"max_iter" (max_iter Newton steps taken) or "stalled" (no Armijo decrease
+along the Newton direction nor along steepest descent).  tol and reg must
 be positive and finite.
 
 residual_vector is the one weighted-flux residual of the package: with
@@ -85,6 +91,7 @@ class SolveReport:
     reg: float
     tol: float
     converged: bool
+    stop_reason: str  # "converged", "max_iter" or "stalled"
     energy_history: list[float]
 
 
@@ -114,30 +121,9 @@ def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: flo
     the unregularized weak form, with weight 0 where grad u = 0."""
     G, G2 = element_gradients(grid, u)
     contrib = np.einsum("ed,evd->ev", G, grid.grad_phi) * _weights(G2, p, reg)[:, None]
-    out = np.zeros(grid.n_nodes)
-    np.add.at(out, grid.elements, contrib * grid.element_measure)
+    contrib *= grid.element_measure
+    out = np.bincount(grid.elements.ravel(), contrib.ravel(), grid.n_nodes)
     return out + grid.lumped * f
-
-
-def _assemble_matrix(grid: Grid, W: np.ndarray, Wp: np.ndarray, G: np.ndarray) -> csr_matrix:
-    """Full-node matrix sum_e area [W gphi_a.gphi_b + Wp (G.gphi_a)(G.gphi_b)]."""
-    gp = grid.grad_phi
-    dot_ab = np.einsum("ead,ebd->eab", gp, gp)
-    Ke = W[:, None, None] * dot_ab
-    if Wp is not None:
-        t = np.einsum("ed,ead->ea", G, gp)
-        Ke = Ke + Wp[:, None, None] * (t[:, :, None] * t[:, None, :])
-    Ke = Ke * grid.element_measure
-    m = grid.elements.shape[1]
-    rows = np.repeat(grid.elements, m, axis=1).ravel()
-    cols = np.tile(grid.elements, (1, m)).ravel()
-    return csr_matrix((Ke.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
-
-
-def stiffness_matrix(grid: Grid) -> csr_matrix:
-    """P1 Laplace stiffness (the p = 2 case, no regularization needed)."""
-    ones = np.ones(grid.n_elements)
-    return _assemble_matrix(grid, ones, None, None)
 
 
 def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
@@ -151,9 +137,20 @@ def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
 
 
 def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> csr_matrix:
+    """Interior block H_II of the Hessian of the regularized energy at u:
+    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], summed into the
+    grid's cached interior pattern."""
     G, G2 = element_gradients(grid, u)
-    Wp = (p - 2.0) * (G2 + reg * reg) ** ((p - 4.0) / 2.0)
-    return _assemble_matrix(grid, _weights(G2, p, reg), Wp, G)
+    W = _weights(G2, p, reg) * grid.element_measure
+    Wp = (p - 2.0) * W / (G2 + reg * reg)  # reg > 0, so the base is positive
+    t = np.einsum("ed,ead->ea", G, grid.grad_phi)
+    Ke = grid._local_stiffness * W[:, None]
+    Ke += np.einsum("ea,eb->eab", Wp[:, None] * t, t).reshape(Ke.shape)
+    slot, indices, indptr = grid._interior_pattern
+    nnz = len(indices)
+    data = np.bincount(slot, Ke.ravel(), nnz + 1)[:nnz]
+    N = len(grid.interior)
+    return csr_matrix((data, indices, indptr), shape=(N, N))
 
 
 def solve_p_poisson(
@@ -179,7 +176,6 @@ def solve_p_poisson(
 
     history = [_energy_reg(grid, u, p, fv, reg)]
     iterations = cg_iterations = fallbacks = 0
-    converged = False
 
     def count_cg(_):
         nonlocal cg_iterations
@@ -189,12 +185,13 @@ def solve_p_poisson(
         g = residual_vector(grid, u, p, fv, reg)[I]
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
-            converged = True
+            stop_reason = "converged"
             break
         if iterations >= max_iter:
+            stop_reason = "max_iter"
             break
 
-        H = _newton_system(grid, u, p, reg)[np.ix_(I, I)]
+        H = _newton_system(grid, u, p, reg)
         s = np.sqrt(H.diagonal())
         M = LinearOperator(
             H.shape, matvec=lambda z: grid.laplace_solve(z / s) / s, dtype=float
@@ -212,7 +209,8 @@ def solve_p_poisson(
                 grid, u, p, fv, reg, I, -g, -gnorm * gnorm, history[-1]
             )
         if step is None:
-            break  # stalled: no acceptable decrease in either direction
+            stop_reason = "stalled"  # no Armijo decrease in either direction
+            break
         u = new_u
         history.append(new_energy)
         iterations += 1
@@ -225,7 +223,8 @@ def solve_p_poisson(
         gradient_norm=gnorm,
         reg=reg,
         tol=tol,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         energy_history=history,
     )
 

@@ -30,8 +30,9 @@ from plapsys.fixpoint import (
     make_exponents,
     picard_solve,
 )
-from plapsys.plap import stiffness_matrix
 from plapsys.verify import convergence_study, shift_test, weak_residuals
+
+from p1_reference import stiffness_matrix
 
 SHIFTS = [(1.0, 0.0), (0.5, 0.2), (2.0, 1.0)]
 

@@ -83,6 +83,15 @@ def test_solve_exhausted_iterations_exit_3(tmp_path, capsys):
     assert (out / "trace.csv").exists()
 
 
+def test_inner_solver_failure_exit_3(tmp_path, capsys):
+    # tol = 1e-300 is unreachable, so the first calibration lift aborts
+    cfg = cfg_file(tmp_path, {"solver.tol": "1e-300", "grid.n": "4"})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: inner solve for the calibration component did not converge" in err
+    assert "(max_iter at p = 2.2, n = 4, gradient norm" in err
+
+
 # ---------------------------------------------------------------------------
 # config errors
 

@@ -29,7 +29,9 @@ from plapsys.fixpoint import (
     scale_to_norm,
     smallness_lambda,
 )
-from plapsys.plap import PPoissonProblem, solve_p_poisson, stiffness_matrix
+from plapsys.plap import PPoissonProblem, solve_p_poisson
+
+from p1_reference import stiffness_matrix
 
 
 def zero_coupling(p=2.0):
@@ -135,6 +137,8 @@ def test_apply_T_abort_names_component():
     with pytest.raises(SolverAbort) as err:
         apply_T(prob, f, z, tol=1e-300)
     assert err.value.component == "u"
+    assert (err.value.p, err.value.n, err.value.stop_reason) == (2.2, 3, "max_iter")
+    assert "u component did not converge (max_iter at p = 2.2, n = 3, gradient norm" in str(err.value)
     with pytest.raises(SolverAbort) as err:
         apply_T(prob, z, f, tol=1e-300)
     assert err.value.component == "v"

@@ -7,16 +7,19 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from plapsys import plap
-from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
+from plapsys.field import Grid, ScalarField, constant_field, element_gradients, from_callable
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
+    _newton_system,
+    _weights,
     energy,
     harmonic_extension,
     residual_vector,
     solve_p_poisson,
-    stiffness_matrix,
 )
+
+from p1_reference import newton_matrix, stiffness_matrix
 
 
 def unit_square(n):
@@ -83,6 +86,52 @@ def test_harmonic_extension_matches_direct_solve():
         ext = harmonic_extension(g, ScalarField(g, hv)).values
         assert np.abs(ext[I] - want).max() <= 1e-12
         assert np.array_equal(ext[B], hv[B])
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("d", [1, 2])
+def test_newton_system_matches_coo_assembly(d, n, side):
+    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+    u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
+    N = len(g.interior)
+    for p in (1.2, 2.0, 2.2, 6.0):
+        for reg in (1e-8, 1e-2):
+            H = _newton_system(g, u, p, reg)
+            want = newton_matrix(g, u, p, reg).toarray()
+            assert H.shape == (N, N)
+            assert H.has_canonical_format
+            scale = np.abs(want).max(initial=0.0)
+            assert np.abs(H.toarray() - want).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_newton_pattern_is_built_once_per_grid():
+    g = unit_square(6)
+    rng = np.random.default_rng(3)
+    H1 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 3.0, 1e-8)
+    H2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
+    assert np.shares_memory(H1.indices, H2.indices)
+    assert np.shares_memory(H1.indptr, H2.indptr)
+    assert not np.shares_memory(H1.data, H2.data)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_node_sums_match_add_at(d):
+    """residual_vector and Grid.lumped sum element values into nodes in
+    element order, exactly as np.add.at does."""
+    g = Grid(d, (0.0, 2.0) if d == 1 else (0.0, 1.0, 0.0, 2.0), 9)
+    rng = np.random.default_rng(d)
+    u = rng.uniform(-1, 1, g.n_nodes)
+    f = rng.uniform(-1, 1, g.n_nodes)
+    lumped = np.zeros(g.n_nodes)
+    np.add.at(lumped, g.elements, g.element_measure / (d + 1))
+    assert np.array_equal(g.lumped, lumped)
+    for p, reg in ((1.5, 1e-8), (3.0, 0.0)):
+        G, G2 = element_gradients(g, u)
+        contrib = np.einsum("ed,evd->ev", G, g.grad_phi) * _weights(G2, p, reg)[:, None]
+        want = np.zeros(g.n_nodes)
+        np.add.at(want, g.elements, contrib * g.element_measure)
+        assert np.array_equal(residual_vector(g, u, p, f, reg), want + g.lumped * f)
 
 
 def test_residual_matches_matrix_form_at_p2():
@@ -249,8 +298,30 @@ def test_honest_non_convergence():
         PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)), max_iter=1
     )
     assert not rep.converged
+    assert rep.stop_reason == "max_iter"
     assert rep.gradient_norm > 1e-8
     assert rep.iterations == 1
+
+
+def test_stop_reason_converged():
+    g = unit_square(8)
+    f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+    rep = solve_p_poisson(PPoissonProblem(g, 2.5, f, constant_field(g, 0.0)))
+    assert rep.converged
+    assert rep.stop_reason == "converged"
+
+
+def test_stop_reason_stalled(monkeypatch):
+    # no Armijo decrease along the Newton direction nor along -g
+    monkeypatch.setattr(plap, "_armijo", lambda *args: (None, None, None))
+    g = unit_square(8)
+    f = constant_field(g, 1.0)
+    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)))
+    assert not rep.converged
+    assert rep.stop_reason == "stalled"
+    assert rep.iterations == 0
+    assert rep.fallbacks == 1
+    assert rep.gradient_norm > 1e-8
 
 
 def test_continuation_high_p():
