@@ -19,8 +19,8 @@ Grid.laplace_solve is the one Laplace solve of the package: it inverts the
 interior block K_II of the P1 Laplace stiffness exactly in the sine basis,
 for the harmonic extension and the Newton-CG preconditioner.  Element
 values are summed into nodes (the lumped weights, the weak residual) or
-matrix slots (the Newton matrix) by np.bincount, which adds the values in
-element order.
+the slots of the Newton matrix's stencil diagonals by np.bincount, which
+adds the values in element order.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class Grid:
     the orthonormal DST-I matrix S of order n - 1 diagonalizes it; S and
     the eigenvalues are computed on the first solve and kept (O(n^2)).
 
-    The Newton system of `plap` is assembled into two more structures,
-    built on the first assembly and kept: `_interior_pattern`, the CSR
-    pattern of the interior block with the data slot of every element-local
-    entry, and `_local_stiffness`, the products grad phi_a . grad phi_b per
-    element.  At n = 256 they take 6.8 MB of int32 (slots, indices, indptr)
-    and 9.4 MB of float64.
+    The Newton system of `plap` is assembled with two more structures,
+    built on the first assembly and kept: `_newton_slots`, the column
+    offsets of the interior block's stencil diagonals and the slot in
+    those diagonals of every element-local entry, and `_local_stiffness`,
+    the products grad phi_a . grad phi_b per element.  At n = 256 they
+    take 4.7 MB of int32 (the slots) and 9.4 MB of float64.
     """
 
     d: int
@@ -170,17 +170,16 @@ class Grid:
         return S, (hy / hx) * lam[None, :] + (hx / hy) * lam[:, None]
 
     @cached_property
-    def _interior_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slot, indices, indptr): the CSR pattern (sorted indices, no
-        duplicates) of the interior block of any P1 element matrix, and the
-        slot in its data array of every element-local entry (e, a, b),
-        raveled; an entry that touches a boundary node goes to the dump slot
-        nnz = len(indices).
+    def _newton_slots(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(slot, offsets): the column offsets from the row (ascending, at
+        most 3 in 1-D and 7 in 2-D on this lattice) of the interior block of
+        any P1 element matrix, and the slot rank * N + row of every
+        element-local entry (e, a, b), raveled, where rank indexes `offsets`
+        and N = len(interior); an entry that touches a boundary node goes to
+        the dump slot K * N, K = len(offsets).
 
-        Built without sorting: within a row the columns are ordered by their
-        offset from the row, which takes few distinct values (3 in 1-D, 7 in
-        2-D on this lattice), so each entry's rank is a table lookup.  int32
-        holds every index of a grid that fits in memory.
+        Built without sorting: each entry's rank is a table lookup on its
+        column offset.  int32 holds every slot of a grid that fits in memory.
         """
         N = len(self.interior)
         pos = np.full(self.n_nodes, -1, dtype=np.int32)
@@ -193,17 +192,9 @@ class Grid:
         occurs[shift[keep]] = True
         K = int(occurs.sum())
         rank = np.cumsum(occurs, dtype=np.int32) - 1
-        key = np.where(keep, row * K + rank[shift], N * K).ravel()  # N * K: dump
-        used = np.zeros(N * K + 1, dtype=bool)
-        used[key] = True
-        used[-1] = True
-        slot = np.cumsum(used, dtype=np.int32) - 1  # the dump key gets nnz
-        used = used[:-1].reshape(N, K)
-        offsets = np.flatnonzero(occurs).astype(np.int32) - N
-        indices = (np.arange(N, dtype=np.int32)[:, None] + offsets)[used]
-        indptr = np.zeros(N + 1, dtype=np.int32)
-        np.cumsum(used.sum(axis=1), out=indptr[1:])
-        return _readonly(slot[key]), _readonly(indices), _readonly(indptr)
+        slot = np.where(keep, rank[shift] * N + row, K * N).ravel()  # int32
+        offsets = tuple((np.flatnonzero(occurs) - N).tolist())
+        return _readonly(slot), offsets
 
     @cached_property
     def _local_stiffness(self) -> np.ndarray:

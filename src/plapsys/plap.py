@@ -10,12 +10,14 @@ f = Delta_p u, so f = Delta u when p = 2).
 
 The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
-system H (positive definite for p > 1) is only its interior block H_II:
-each step forms the element matrices from the grid's cached local stiffness
-and sums them with one np.bincount into the grid's cached interior CSR
-pattern, so no index array, COO conversion or submatrix slice is rebuilt
-per step.  It is solved by conjugate gradients preconditioned with the
-diagonally scaled Laplacian, M^-1 z = s^-1 K_II^-1 (s^-1 z) with
+system H (positive definite for p > 1) is only its interior block H_II,
+kept as its stencil diagonals, shape (K, N) with K = 3 in 1-D and 7 in 2-D
+(fewer when n <= 2): each step forms the element matrices from the grid's
+cached local stiffness and sums them with one np.bincount into the grid's
+cached slot map, so no index array or sparse format is built per step.  It
+is solved by cg, a numpy PCG that performs the operations of scipy's cg,
+with the stencil product in the order of a CSR product, and preconditioned
+by the diagonally scaled Laplacian, M^-1 z = s^-1 K_II^-1 (s^-1 z) with
 s = sqrt(diag H), applied exactly by Grid.laplace_solve (Huang, Li and
 Liu, J. Sci. Comput. 2007).  The scaling carries the local weight
 |grad u|^(p-2) that the plain Laplacian lacks.  Near p = 2 the CG count
@@ -48,8 +50,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .field import Grid, ScalarField, element_gradients
 
@@ -136,21 +136,66 @@ def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
     return ScalarField(grid, u)
 
 
-def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> csr_matrix:
+def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarray:
     """Interior block H_II of the Hessian of the regularized energy at u:
-    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], summed into the
-    grid's cached interior pattern."""
+    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], summed into its
+    diagonals, shape (K, N): row k holds H[i, i + offsets[k]] at column i,
+    with the grid's cached `offsets`, and 0 where that entry does not exist."""
     G, G2 = element_gradients(grid, u)
     W = _weights(G2, p, reg) * grid.element_measure
     Wp = (p - 2.0) * W / (G2 + reg * reg)  # reg > 0, so the base is positive
     t = np.einsum("ed,ead->ea", G, grid.grad_phi)
     Ke = grid._local_stiffness * W[:, None]
     Ke += np.einsum("ea,eb->eab", Wp[:, None] * t, t).reshape(Ke.shape)
-    slot, indices, indptr = grid._interior_pattern
-    nnz = len(indices)
-    data = np.bincount(slot, Ke.ravel(), nnz + 1)[:nnz]
-    N = len(grid.interior)
-    return csr_matrix((data, indices, indptr), shape=(N, N))
+    slot, offsets = grid._newton_slots
+    K, N = len(offsets), len(grid.interior)
+    return np.bincount(slot, Ke.ravel(), K * N + 1)[: K * N].reshape(K, N)
+
+
+def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """H x for H given by its diagonals D at `offsets`: each row sums its
+    terms from 0 in increasing column order, as a CSR product does."""
+    N = len(x)
+    y = np.zeros(N)
+    for d, o in zip(D, offsets):
+        if o < 0:
+            y[-o:] += d[-o:] * x[: N + o]
+        else:
+            y[: N - o] += d[: N - o] * x[o:]
+    return y
+
+
+def cg(A, b, *, rtol, M, callback=None):
+    """Preconditioned conjugate gradients for A x = b from x = 0, with A and
+    M^-1 given as callables.  Stops when ||r|| < rtol ||b||; returns (x, 0),
+    or (x, maxiter) after maxiter = 10 N iterations without convergence.
+    callback(x) is called once per iteration.  The operations and their
+    order are those of scipy.sparse.linalg.cg with atol = 0."""
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b, 0
+    atol = rtol * bnorm
+    maxiter = 10 * len(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M(r)
+        rho = np.dot(r, z)
+        if it == 0:
+            d = z.copy()
+        else:
+            d *= rho / rho_prev
+            d += z
+        q = A(d)
+        alpha = rho / np.dot(d, q)
+        x += alpha * d
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def solve_p_poisson(
@@ -191,12 +236,16 @@ def solve_p_poisson(
             stop_reason = "max_iter"
             break
 
-        H = _newton_system(grid, u, p, reg)
-        s = np.sqrt(H.diagonal())
-        M = LinearOperator(
-            H.shape, matvec=lambda z: grid.laplace_solve(z / s) / s, dtype=float
+        D = _newton_system(grid, u, p, reg)
+        offsets = grid._newton_slots[1]
+        s = np.sqrt(D[len(D) // 2])  # offsets are symmetric: the middle one is 0
+        delta, info = cg(
+            lambda z: _stencil_matvec(D, offsets, z),
+            -g,
+            rtol=CG_RTOL,
+            M=lambda z: grid.laplace_solve(z / s) / s,
+            callback=count_cg,
         )
-        delta, info = cg(H, -g, rtol=CG_RTOL, atol=0.0, M=M, callback=count_cg)
         slope = float(g @ delta)
         step = None
         if info == 0 and slope < 0.0 and np.isfinite(delta).all():

@@ -135,11 +135,12 @@ def shift_test(
     nu: int = 41,
 ) -> ShiftReport:
     """Check that (u + alpha, v + beta) stays a supersolution (alpha > 0,
-    beta >= 0), or (u - alpha, v - beta) a subsolution for subsolution input."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    beta >= 0, both finite), or (u - alpha, v - beta) a subsolution for
+    subsolution input."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be nonnegative and finite, got {beta}")
     base = weak_residuals(u, v, c, p, tol)
     if base.verdict == "supersolution":
         directions = ["up"]

@@ -3,7 +3,8 @@
 Every element matrix is scattered as COO triplets over all nodes and
 converted to CSR by scipy, which sums the duplicates; the interior block is
 sliced out with np.ix_.  This is the textbook path, kept here as the oracle
-that the package's assembly into a cached pattern is checked against.
+that the package's assembly into cached stencil diagonals is checked
+against; `densify` turns those diagonals back into a dense matrix.
 """
 
 import numpy as np
@@ -40,3 +41,17 @@ def newton_matrix(grid, u, p, reg):
     Wp = (p - 2.0) * base ** ((p - 4.0) / 2.0)
     I = grid.interior
     return assemble_coo(grid, W, Wp, G)[np.ix_(I, I)]
+
+
+def densify(D, offsets):
+    """Dense N x N matrix with H[i, i + offsets[k]] = D[k, i], for the
+    diagonals D (K, N) of plap._newton_system; an entry whose column falls
+    outside 0 .. N-1 must be 0."""
+    K, N = D.shape
+    H = np.zeros((N, N))
+    for d, o in zip(D, offsets):
+        i = np.arange(N)
+        inside = (i + o >= 0) & (i + o < N)
+        assert not d[~inside].any(), f"nonzero entry outside the matrix at offset {o}"
+        H[i[inside], i[inside] + o] = d[inside]
+    return H

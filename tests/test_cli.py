@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: artifacts, exit codes, reproducibility."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import plapsys
 from plapsys.cli import main
 from plapsys.field import Grid, ScalarField, from_callable, load_field, save_field
 
@@ -327,6 +329,24 @@ def test_verify_shift_precondition_failure_exit_4(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan"), ("--beta", "inf")]
+)
+def test_shift_test_nonfinite_alpha_beta_exit_2(tmp_path, capsys, flag, value):
+    cfg = zero_cfg(tmp_path)
+    u_csv, v_csv = write_quadratic_pair(tmp_path)
+    shift = {"--alpha": "1.0", "--beta": "0.0", flag: value}
+    code = main([
+        "verify", "--config", cfg, "--out", str(tmp_path), u_csv, v_csv,
+        "--alpha", shift["--alpha"], "--beta", shift["--beta"],
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"input error: {flag[2:]} must be" in err
+    assert value in err
+    assert "Traceback" not in err
+
+
 def test_verify_malformed_field_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path)
     bad = tmp_path / "short.csv"
@@ -401,3 +421,16 @@ def test_module_help_lists_subcommands():
     assert proc.returncode == 0
     for name in ("solve", "certify", "verify", "study"):
         assert name in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime is numpy-only: scipy is a test dependency."""
+    code = (
+        "import sys, plapsys.cli; "
+        "bad = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(f'plapsys.cli loads {bad}' if bad else 0)"
+    )
+    src = os.path.dirname(os.path.dirname(plapsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
+from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
 from plapsys.field import Grid, ScalarField, constant_field, element_gradients, from_callable
@@ -12,6 +13,7 @@ from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
     _newton_system,
+    _stencil_matvec,
     _weights,
     energy,
     harmonic_extension,
@@ -19,7 +21,7 @@ from plapsys.plap import (
     solve_p_poisson,
 )
 
-from p1_reference import newton_matrix, stiffness_matrix
+from p1_reference import densify, newton_matrix, stiffness_matrix
 
 
 def unit_square(n):
@@ -95,24 +97,112 @@ def test_newton_system_matches_coo_assembly(d, n, side):
     g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
     u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
     N = len(g.interior)
+    offsets = g._newton_slots[1]
+    assert offsets == tuple(-o for o in reversed(offsets))
+    assert len(offsets) <= (3 if d == 1 else 7)
     for p in (1.2, 2.0, 2.2, 6.0):
         for reg in (1e-8, 1e-2):
-            H = _newton_system(g, u, p, reg)
+            D = _newton_system(g, u, p, reg)
             want = newton_matrix(g, u, p, reg).toarray()
-            assert H.shape == (N, N)
-            assert H.has_canonical_format
+            assert D.shape == (len(offsets), N)
             scale = np.abs(want).max(initial=0.0)
-            assert np.abs(H.toarray() - want).max(initial=0.0) <= 1e-12 * scale
+            assert np.abs(densify(D, offsets) - want).max(initial=0.0) <= 1e-12 * scale
 
 
 def test_newton_pattern_is_built_once_per_grid():
     g = unit_square(6)
     rng = np.random.default_rng(3)
-    H1 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 3.0, 1e-8)
-    H2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
-    assert np.shares_memory(H1.indices, H2.indices)
-    assert np.shares_memory(H1.indptr, H2.indptr)
-    assert not np.shares_memory(H1.data, H2.data)
+    slots = g._newton_slots
+    D1 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 3.0, 1e-8)
+    D2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
+    assert g._newton_slots is slots
+    assert not slots[0].flags.writeable
+    assert not np.shares_memory(D1, D2)
+
+
+def _oracle_csr(g, u, p, reg):
+    """The Newton matrix as CSR on the COO oracle's pattern, with the values
+    of plap's diagonals, and those diagonals' offsets."""
+    D = _newton_system(g, u, p, reg)
+    offsets = g._newton_slots[1]
+    H = newton_matrix(g, u, p, reg)
+    H.sort_indices()
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    H.data = densify(D, offsets)[rows, H.indices]
+    return H, D, offsets
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stencil_matvec_matches_csr(d, n):
+    """The stencil product equals, bit for bit, the CSR product of the COO
+    oracle's pattern filled with the same values."""
+    g = Grid(d, (0.0, 1.0) if d == 1 else (0.0, 1.0, 0.0, 2.0), n)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-1, 1, g.n_nodes)
+    for p in (1.5, 2.0, 4.0):
+        H, D, offsets = _oracle_csr(g, u, p, 1e-8)
+        for x in (rng.uniform(-1, 1, H.shape[0]), rng.standard_normal(H.shape[0]) * 1e3):
+            assert np.array_equal(_stencil_matvec(D, offsets, x), H @ x)
+
+
+def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
+    """(x, info, callbacks) of plap.cg on callables and of scipy's cg on
+    the same operators."""
+    counts = [0, 0]
+
+    def counter(k):
+        def cb(_):
+            counts[k] += 1
+        return cb
+
+    x, info = plap.cg(ours_A, b, rtol=rtol, M=ours_M, callback=counter(0))
+    want, want_info = scipy_cg(A, b, rtol=rtol, atol=0.0, M=M, callback=counter(1))
+    return (x, info, counts[0]), (want, want_info, counts[1])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_cg_matches_scipy_cg(n):
+    """plap.cg repeats scipy's cg operation for operation: the Newton step's
+    system (stencil against CSR, the scaled-Laplacian preconditioner), an
+    exhausted maxiter and b = 0."""
+    g = unit_square(n)
+    rng = np.random.default_rng(n)
+    H, D, offsets = _oracle_csr(g, rng.uniform(-1, 1, g.n_nodes), 2.5, 1e-8)
+    s = np.sqrt(D[len(D) // 2])
+    N = len(s)
+
+    def precond(z):
+        return g.laplace_solve(z / s) / s
+
+    M = LinearOperator((N, N), matvec=precond, dtype=float)
+
+    def stencil(z):
+        return _stencil_matvec(D, offsets, z)
+
+    b = rng.standard_normal(N)
+    ours, theirs = _run_both_cg(stencil, precond, H, M, b, 1e-10)
+    assert ours[1] == theirs[1] == 0
+    assert np.array_equal(ours[0], theirs[0])
+    assert ours[2] == theirs[2] > 0
+
+    # an unreachable tolerance on an ill-conditioned system: all 10 N
+    # iterations run, info = 10 N, and the iterates stay finite
+    A = np.diag(np.geomspace(1.0, 1e12, 8))
+    A[0, 1] = A[1, 0] = 0.5
+    E = np.eye(8)
+    ours, theirs = _run_both_cg(
+        lambda z: A @ z, lambda z: E @ z, A, E, np.ones(8), 1e-300
+    )
+    assert ours[1] == theirs[1] == 80
+    assert np.isfinite(ours[0]).all() and np.array_equal(ours[0], theirs[0])
+    assert ours[2] == theirs[2] == 80
+
+    # b = 0 is returned at once, without a callback
+    ours, theirs = _run_both_cg(stencil, precond, H, M, np.zeros(N), 1e-10)
+    assert ours[1] == theirs[1] == 0
+    assert np.array_equal(ours[0], theirs[0]) and not ours[0].any()
+    assert ours[2] == theirs[2] == 0
 
 
 @pytest.mark.parametrize("d", [1, 2])
