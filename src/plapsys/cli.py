@@ -69,6 +69,8 @@ def cmd_solve(args) -> int:
         f"seed = {setup.seed}",
         f"iterations = {trace.iterations}",
         f"picard_converged = {'true' if trace.converged else 'false'}",
+        f"picard_stop_reason = {trace.stop_reason}",
+        f"picard_restarts = {trace.restarts}",
         f"verdict = {cls.verdict}",
         f"max_abs_residual = {cls.max_abs_residual:.17g}",
     ]

@@ -114,6 +114,13 @@ def _as_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
 
 
+def _as_finite(cfg: dict[str, str], key: str) -> float:
+    val = _as_float(cfg, key)
+    if not np.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
+    return val
+
+
 def _as_positive(cfg: dict[str, str], key: str) -> float:
     val = _as_float(cfg, key)
     if not (np.isfinite(val) and val > 0.0):
@@ -159,7 +166,7 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
         key = f"coupling.{name}"
         if not cfg[key]:
             raise ConfigError(f"missing required key {key!r}")
-        consts[name] = _as_float(cfg, key)
+        consts[name] = _as_finite(cfg, key)
     if family == "power":
         return power_family(consts["a1"], consts["a2"], consts["b1"], consts["b2"], p)
     if family:
@@ -242,9 +249,9 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
         calib_samples=samples,
         seed=cfg_seed if seed is None else seed,
         ball_trials=trials,
-        verify_tol=_as_float(cfg, "verify.tol"),
+        verify_tol=_as_positive(cfg, "verify.tol"),
         study_case=cfg["study.case"],
-        study_min_order=_as_float(cfg, "study.min_order"),
+        study_min_order=_as_finite(cfg, "study.min_order"),
         out_dir=cfg["output.dir"] if out_dir is None else out_dir,
     )
 

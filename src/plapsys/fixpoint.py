@@ -9,7 +9,12 @@ is attacked through the composed map Lambda(f, g) = (B1 T(f,g), B2 T(f,g)):
 T lifts a source pair to the pair of p-Poisson solutions (u_f, v_g) with
 Delta_p u_f = f, u_f = h (and g, k alike), and B1, B2 substitute the lifted
 pair back into the coupling.  A fixed point of Lambda yields a solution of
-the system through one final lift.
+the system through one final lift.  `picard_solve` finds it by damped
+Picard steps on Lambda, accelerated by type-II Anderson mixing over a
+window of the last ANDERSON_WINDOW differences (Walker and Ni, SIAM J.
+Numer. Anal. 2011), with two safeguards: a growing successive difference
+empties the window, and an aborted lift of an extrapolated pair is
+replaced by the damped step.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
@@ -19,6 +24,7 @@ ball radius M0 = max{||c||_r, ||c'||_r} / (1 - lambda), invariant for every
 M >= M0.  The constant C (source norm to lifted-state norm, power p-1) is
 calibrated empirically on the grid from random smooth sources and is an
 estimate, not a proven bound; every certificate records that provenance.
+lambda and M0 describe Lambda itself, not the accelerated iteration.
 
 Exponent bookkeeping: r must lie in [d p'/(d + p'), d/p) with p' = p/(p-1),
 which is nonempty exactly when 1 < p < d.  The dimension d enters only
@@ -44,6 +50,7 @@ DEFAULT_PICARD_MAX_ITER = 200
 BALL_SLACK = 1e-6
 MIN_CALIBRATION_SAMPLES = 10
 SAMPLER_MODES = 8
+ANDERSON_WINDOW = 3  # differences kept by the Anderson step of picard_solve
 
 
 class SolverAbort(RuntimeError):
@@ -398,11 +405,20 @@ class TraceRow:
 @dataclass
 class ConvergenceTrace:
     """Per-iteration record of the Picard run plus a final row for the
-    returned state.  `converged` is False when max_iter was exhausted."""
+    returned state.
+
+    `stop_reason` is "converged" or "max_iter"; `restarts` counts the
+    Anderson history restarts, abort fallbacks included.
+    """
 
     rows: list[TraceRow]
-    converged: bool
+    stop_reason: str
     theta_final: float
+    restarts: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self) -> int:
@@ -425,6 +441,24 @@ def _max_residual(
     return float(max(np.abs(R1).max(), np.abs(R2).max(), 0.0))
 
 
+def _lambda_pair(
+    prob: SystemProblem, x: np.ndarray, solver_tol: float
+) -> tuple[np.ndarray, float, IterationState]:
+    """Lambda on the stacked source pair x (2, n_nodes): the stacked image,
+    the largest weak residual of the lifted state, and that state."""
+    grid = prob.grid
+    phi_f, psi_f, state = apply_lambda(
+        prob, ScalarField(grid, x[0]), ScalarField(grid, x[1]), solver_tol
+    )
+    residual = _max_residual(state, phi_f, psi_f, prob.exponents.p)
+    return np.stack([phi_f.values, psi_f.values]), residual, state
+
+
+def _lq_norms(grid: Grid, x: np.ndarray, r: float) -> tuple[float, float]:
+    """L^r norms of both components of a stacked pair."""
+    return lq_norm(ScalarField(grid, x[0]), r), lq_norm(ScalarField(grid, x[1]), r)
+
+
 def picard_solve(
     prob: SystemProblem,
     cert: Certificate | None = None,
@@ -433,13 +467,29 @@ def picard_solve(
     max_iter: int = DEFAULT_PICARD_MAX_ITER,
     solver_tol: float = DEFAULT_TOL,
 ) -> tuple[ScalarField, ScalarField, ConvergenceTrace]:
-    """Damped Picard iteration on Lambda from the zero source pair.
+    """Safeguarded Anderson-accelerated Picard iteration on Lambda from the
+    zero source pair.
 
-    (f,g) <- (1-theta)(f,g) + theta Lambda(f,g) until the successive
-    difference drops to tol in the pair norm.  After three consecutive
-    increases of that difference the damping falls back to theta = 0.5.
-    Returns the lifted pair (u, v) of the final source pair and the trace;
-    exhaustion of max_iter is reported in the trace, not raised.
+    The state is the stacked pair x = (f, g) and its residual is
+    F(x) = Lambda(x) - x.  Each step is the type-II Anderson step
+
+        x+ = (1 - theta) x + theta Lambda(x) - (dX + theta dF) gamma,
+
+    where dX, dF hold the last ANDERSON_WINDOW differences of successive
+    iterates and residuals, and gamma minimizes |sqrt(w) (F - dF gamma)|_2
+    with w the lumped node weights of both components.  With an empty
+    window the step is the damped Picard step.  Safeguards: when the
+    successive difference delta = |theta F(x)| (L^r pair norm) grows, the
+    window is emptied, and after three growths in a row theta falls back
+    to 0.5; when the lift of an extrapolated pair raises SolverAbort, the
+    iteration takes the damped step from the last evaluated iterate
+    instead and empties the window (an abort there propagates).  The run
+    stops once delta <= tol, with a damped step, and returns the lifted
+    pair (u, v) of the final source pair and the trace; exhaustion of
+    max_iter is reported in the trace, not raised.
+
+    The certificate's lambda and M0 describe Lambda itself, not this
+    accelerated iteration.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -452,42 +502,62 @@ def picard_solve(
             f"certificate is invalid (lambda={cert.lam:.3g} >= 1); "
             f"iterating without a smallness guarantee"
         )
-    ex = prob.exponents
-    f = constant_field(prob.grid, 0.0)
-    g = constant_field(prob.grid, 0.0)
+    grid = prob.grid
+    r = prob.exponents.r
+    sqrt_w = np.sqrt(grid.lumped)
+    x = np.zeros((2, grid.n_nodes))
+    dX: list[np.ndarray] = []
+    dF: list[np.ndarray] = []
+    x_last = lam_last = res_last = None  # last evaluated iterate
     rows: list[TraceRow] = []
     th = theta
     prev_delta = math.inf
     increases = 0
-    converged = False
+    restarts = 0
+    stop_reason = "max_iter"
     delta = math.nan
     for it in range(1, max_iter + 1):
-        phi_f, psi_f, state = apply_lambda(prob, f, g, solver_tol)
-        new_f = ScalarField(prob.grid, (1.0 - th) * f.values + th * phi_f.values)
-        new_g = ScalarField(prob.grid, (1.0 - th) * g.values + th * psi_f.values)
-        diff_f = ScalarField(prob.grid, new_f.values - f.values)
-        diff_g = ScalarField(prob.grid, new_g.values - g.values)
-        delta = pair_norm(diff_f, diff_g, ex.r)
-        rows.append(
-            TraceRow(it, lq_norm(f, ex.r), lq_norm(g, ex.r), delta,
-                     _max_residual(state, phi_f, psi_f, ex.p))
-        )
+        try:
+            lam, weak, _ = _lambda_pair(prob, x, solver_tol)
+        except SolverAbort:
+            if not dF:  # x is a damped step, not an extrapolation
+                raise
+            x = (1.0 - th) * x_last + th * lam_last
+            dX.clear()
+            dF.clear()
+            restarts += 1
+            lam, weak, _ = _lambda_pair(prob, x, solver_tol)
+        res = lam - x
+        delta = max(_lq_norms(grid, th * res, r))
+        rows.append(TraceRow(it, *_lq_norms(grid, x, r), delta, weak))
         if delta > prev_delta:
             increases += 1
             if increases >= 3 and th > 0.5:
                 th = 0.5
                 increases = 0
+            if dX:
+                restarts += 1
+            dX.clear()
+            dF.clear()
         else:
             increases = 0
+            if x_last is not None:
+                dX.append(x - x_last)
+                dF.append(res - res_last)
+                del dX[:-ANDERSON_WINDOW], dF[:-ANDERSON_WINDOW]
         prev_delta = delta
-        f, g = new_f, new_g
+        x_last, lam_last, res_last = x, lam, res
+        x = (1.0 - th) * x + th * lam
         if delta <= tol:
-            converged = True
+            stop_reason = "converged"
             break
+        if dF:
+            A = np.stack([(d * sqrt_w).ravel() for d in dF], axis=1)
+            gamma = np.linalg.lstsq(A, (res * sqrt_w).ravel(), rcond=None)[0]
+            for j, gj in enumerate(gamma):
+                x -= gj * (dX[j] + th * dF[j])
 
-    phi_f, psi_f, final = apply_lambda(prob, f, g, solver_tol)
-    rows.append(
-        TraceRow(rows[-1].index + 1, lq_norm(f, ex.r), lq_norm(g, ex.r), delta,
-                 _max_residual(final, phi_f, psi_f, ex.p))
-    )
-    return final.u_f, final.v_g, ConvergenceTrace(rows, converged, th)
+    lam, weak, final = _lambda_pair(prob, x, solver_tol)
+    rows.append(TraceRow(rows[-1].index + 1, *_lq_norms(grid, x, r), delta, weak))
+    trace = ConvergenceTrace(rows, stop_reason, th, restarts)
+    return final.u_f, final.v_g, trace

@@ -83,6 +83,33 @@ def test_solve_exhausted_iterations_exit_3(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
     # artifacts are still written for post-mortem inspection
     assert (out / "trace.csv").exists()
+    report = (out / "report.txt").read_text().splitlines()
+    assert "picard_stop_reason = max_iter" in report
+    assert "picard_restarts = 0" in report
+
+
+# the calibrated lambda of this problem at n = 16 is about 1 (1.002 at seed 0);
+# the iteration never reads the certificate, so the invalidity warning is noise
+@pytest.mark.filterwarnings("ignore:certificate is invalid")
+def test_solve_picard_problem_few_iterations(tmp_path):
+    """The perfbench solve-picard problem (power coupling a = 8 on the unit
+    box) at n = 16: the Anderson-accelerated loop needs at most 12 Picard
+    iterations, where plain Picard took 48."""
+    consts = dict.fromkeys(("coupling.a1", "coupling.a2", "coupling.b1", "coupling.b2"), "8")
+    cfg = cfg_file(
+        tmp_path,
+        {"grid.n": "16", "grid.box": "0, 1, 0, 1", "calibration.samples": "16", **consts},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = dict(
+        line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()
+        if " = " in line and not line.startswith("#")
+    )
+    assert report["verdict"] == "solution"
+    assert report["picard_stop_reason"] == "converged"
+    assert 1 <= int(report["iterations"]) <= 12
+    assert report["picard_restarts"] == "0"
 
 
 def test_inner_solver_failure_exit_3(tmp_path, capsys):
@@ -119,14 +146,32 @@ def test_picard_max_iter_zero_exit_2(tmp_path, capsys):
     assert "picard.max_iter" in err
 
 
-@pytest.mark.parametrize("key", ["solver.tol", "picard.tol"])
-@pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+TOLERANCE_CASES = [
+    (value, key)
+    for key in ("solver.tol", "picard.tol", "verify.tol")
+    for value in ("0", "-1e-8", "nan", "inf")
+] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("value, key", TOLERANCE_CASES)
 def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
     cfg = cfg_file(tmp_path, {key: value})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert key in err
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_power_constant_exit_2(tmp_path, capsys, name, value):
+    """The constants are checked before the power family turns them into an
+    expression, so `nan` is not parsed as an identifier."""
+    cfg = cfg_file(tmp_path, {f"coupling.{name}": value})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: coupling.{name}: must be finite, got '{value}'" in err
+    assert "Traceback" not in err
 
 
 def test_unexpected_exception_prints_traceback(tmp_path, capsys, monkeypatch):

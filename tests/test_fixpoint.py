@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
+import plapsys.fixpoint as fixpoint
 from plapsys.coupling import Coupling, power_family
 from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.fixpoint import (
@@ -29,7 +30,8 @@ from plapsys.fixpoint import (
     scale_to_norm,
     smallness_lambda,
 )
-from plapsys.plap import PPoissonProblem, solve_p_poisson
+from plapsys.plap import PPoissonProblem, SolveReport, solve_p_poisson
+from plapsys.verify import weak_residuals
 
 from p1_reference import stiffness_matrix
 
@@ -366,6 +368,7 @@ def test_picard_zero_coupling_single_iteration():
     cert = certify(prob, C=1.0)
     u, v, trace = picard_solve(prob, cert)
     assert trace.converged
+    assert (trace.stop_reason, trace.restarts) == ("converged", 0)
     assert trace.iterations == 1
     assert len(trace.rows) == 2
     direct = solve_p_poisson(
@@ -436,6 +439,7 @@ def test_picard_max_iter_exhaustion_is_reported():
     cert = certify(prob, C=0.02)
     u, v, trace = picard_solve(prob, cert, max_iter=1)
     assert not trace.converged
+    assert trace.stop_reason == "max_iter"
     assert trace.iterations == 1
     assert len(trace.rows) == 2
     assert u.values.shape == (prob.grid.n_nodes,)
@@ -481,3 +485,68 @@ def test_picard_fixed_point_property():
     state = apply_T(prob, phi_f, psi_f)
     assert np.abs(state.u_f.values - u.values).max() <= 1e-7
     assert np.abs(state.v_g.values - v.values).max() <= 1e-7
+
+
+UNIT_BOX = (0.0, 1.0, 0.0, 1.0)  # with const = 8: the perfbench solve-picard problem
+
+
+@pytest.mark.parametrize("a", [20.0, 40.0])
+def test_picard_large_coupling_converges(a):
+    """Beyond the smallness certificate (lambda > 1) the accelerated loop
+    still converges to a solution; plain Picard aborted at a = 40."""
+    prob = small_problem(n=16, box=UNIT_BOX, const=a)
+    with pytest.warns(UserWarning, match="smallness"):
+        u, v, trace = picard_solve(prob, None)
+    assert trace.converged
+    cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
+    assert cls.verdict == "solution"
+
+
+class _AbortOnExtrapolation:
+    """apply_lambda that raises SolverAbort on lifts of extrapolated pairs.
+
+    At theta = 1 the damped step from (f, g) is exactly Lambda(f, g), so a
+    pair that differs from the previous image is an Anderson extrapolation.
+    With `every`, every lift from the first extrapolated one on aborts.
+    """
+
+    def __init__(self, monkeypatch, every=False):
+        self.real = fixpoint.apply_lambda
+        self.every = every
+        self.armed = False
+        self.aborts = 0
+        self.previous = None
+        monkeypatch.setattr(fixpoint, "apply_lambda", self)
+
+    def __call__(self, prob, f, g, tol):
+        pair = np.stack([f.values, g.values])
+        if self.previous is not None and not np.array_equal(pair, self.previous):
+            self.armed = True
+        if self.armed and (self.every or self.aborts == 0):
+            self.aborts += 1
+            report = SolveReport(f, 0, 0, 0, 1.0, 1e-6, tol, False, "max_iter", [])
+            raise SolverAbort("u", prob.exponents.p, report)
+        phi_f, psi_f, state = self.real(prob, f, g, tol)
+        self.previous = np.stack([phi_f.values, psi_f.values])
+        return phi_f, psi_f, state
+
+
+def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
+    prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
+    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
+    patched = _AbortOnExtrapolation(monkeypatch)
+    u, v, trace = picard_solve(prob, cert)
+    assert patched.aborts == 1
+    assert trace.converged
+    assert trace.restarts >= 1
+    cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
+    assert cls.verdict == "solution"
+
+
+def test_picard_abort_on_damped_fallback_propagates(monkeypatch):
+    prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
+    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
+    patched = _AbortOnExtrapolation(monkeypatch, every=True)
+    with pytest.raises(SolverAbort):
+        picard_solve(prob, cert)
+    assert patched.aborts == 2  # the extrapolated lift and its damped fallback
