@@ -117,7 +117,7 @@ def cmd_certify(args) -> int:
 
     if not cert.valid:
         print(
-            f"certificate recorded invalid: lambda = {cert.lam:.6g} >= 1 "
+            f"certificate recorded invalid: lambda = {float(cert.lam)!r} >= 1 "
             f"(measurement, not a failure)"
         )
         return 0

@@ -4,7 +4,8 @@ The domain is an axis-aligned box discretized by a uniform lattice with n
 cells per axis.  In 2-D each cell is split into two triangles along the
 diagonal from its lower-left to its upper-right corner; in 1-D the elements
 are the cells themselves.  Nodes are ordered row-major from the (x0, y0)
-corner: node (i, j) has index j*(n+1) + i.
+corner: node (i, j) has index j*(n+1) + i, so the nodal values reshaped to
+(n+1, n+1) are indexed [j, i].
 
 Fields are piecewise-linear (P1): a ScalarField stores one value per node,
 and all integral quantities use the vertex-averaged elementwise quadrature
@@ -12,15 +13,17 @@ and all integral quantities use the vertex-averaged elementwise quadrature
     lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
 Gradients of the P1 interpolant are constant per element and exact for
-affine data; element_gradients is the one kernel that computes them, for
-the energy, the Newton system and the weak residual alike.
+affine data.  element_gradients is the one kernel that computes them, for
+the energy, the Newton system and the weak residual alike, straight from
+slices of the lattice array: the lower triangle of cell (i, j) has the
+gradient (Dx[j, i], Dy[j, i+1]) and the upper one (Dx[j+1, i], Dy[j, i]),
+with Dx and Dy the difference quotients of U along x and y.  Element
+arrays are kept on the lattice, shape (n,) in 1-D and (2, n, n) indexed
+[lower/upper, j, i] in 2-D; no element-to-node index array is gathered.
 
 Grid.laplace_solve is the one Laplace solve of the package: it inverts the
 interior block K_II of the P1 Laplace stiffness exactly in the sine basis,
-for the harmonic extension and the Newton-CG preconditioner.  Element
-values are summed into nodes (the lumped weights, the weak residual) or
-the slots of the Newton matrix's stencil diagonals by np.bincount, which
-adds the values in element order.
+for the harmonic extension and the Newton-CG preconditioner.
 """
 
 from __future__ import annotations
@@ -49,23 +52,17 @@ class Grid:
     n : cells per axis, >= 1.
 
     Derived arrays (all immutable): `coords` (n_nodes, d) node coordinates,
-    `elements` (n_elements, d+1) vertex indices in counterclockwise order,
-    `grad_phi` (n_elements, d+1, d) basis-function gradients, `interior`
-    and `boundary` node index arrays, `lumped` (n_nodes,) vertex-quadrature
-    node weights.
+    `elements` (n_elements, d+1) vertex indices in counterclockwise order
+    (in 2-D, element 2*(j*n + i) is the lower and 2*(j*n + i) + 1 the upper
+    triangle of cell (i, j)), `interior` and `boundary` node index arrays,
+    `lumped` (n_nodes,) vertex-quadrature node weights.  The element kernels
+    of `field` and `plap` work on lattice slices and never read `elements`.
 
     `laplace_solve` solves with the interior block K_II of the P1 Laplace
     stiffness.  On this lattice K_II is exactly the 5-point stencil with
     weights hy/hx and hx/hy (the hypotenuse edges couple with weight 0), so
     the orthonormal DST-I matrix S of order n - 1 diagonalizes it; S and
     the eigenvalues are computed on the first solve and kept (O(n^2)).
-
-    The Newton system of `plap` is assembled with two more structures,
-    built on the first assembly and kept: `_newton_slots`, the column
-    offsets of the interior block's stencil diagonals and the slot in
-    those diagonals of every element-local entry, and `_local_stiffness`,
-    the products grad phi_a . grad phi_b per element.  At n = 256 they
-    take 4.7 MB of int32 (the slots) and 9.4 MB of float64.
     """
 
     d: int
@@ -73,7 +70,6 @@ class Grid:
     n: int
     coords: np.ndarray = field(init=False, repr=False, compare=False)
     elements: np.ndarray = field(init=False, repr=False, compare=False)
-    grad_phi: np.ndarray = field(init=False, repr=False, compare=False)
     interior: np.ndarray = field(init=False, repr=False, compare=False)
     boundary: np.ndarray = field(init=False, repr=False, compare=False)
     lumped: np.ndarray = field(init=False, repr=False, compare=False)
@@ -102,13 +98,10 @@ class Grid:
         idx = np.arange(n)
         elements = np.stack([idx, idx + 1], axis=1)
         hx = (x1 - x0) / n
-        grad = np.empty((n, 2, 1))
-        grad[:, 0, 0] = -1.0 / hx
-        grad[:, 1, 0] = 1.0 / hx
         interior = np.arange(1, n)
         boundary = np.array([0, n])
         lumped = np.bincount(elements.ravel(), np.full(2 * n, hx / 2.0), n + 1)
-        self._stash(coords, elements, grad, interior, boundary, lumped)
+        self._stash(coords, elements, interior, boundary, lumped)
 
     def _build_2d(self):
         x0, x1, y0, y1 = self.box
@@ -128,16 +121,6 @@ class Grid:
         elements[0::2] = lower
         elements[1::2] = upper
 
-        glow = np.array(
-            [[-1.0 / hx, 0.0], [1.0 / hx, -1.0 / hy], [0.0, 1.0 / hy]]
-        )
-        gup = np.array(
-            [[0.0, -1.0 / hy], [1.0 / hx, 0.0], [-1.0 / hx, 1.0 / hy]]
-        )
-        grad = np.empty((2 * n * n, 3, 2))
-        grad[0::2] = glow
-        grad[1::2] = gup
-
         flat_i = np.tile(np.arange(n + 1), n + 1)
         flat_j = np.repeat(np.arange(n + 1), n + 1)
         on_boundary = (flat_i == 0) | (flat_i == n) | (flat_j == 0) | (flat_j == n)
@@ -145,12 +128,11 @@ class Grid:
         boundary = np.flatnonzero(on_boundary)
         third = hx * hy / 2.0 / 3.0
         lumped = np.bincount(elements.ravel(), np.full(elements.size, third), (n + 1) ** 2)
-        self._stash(coords, elements, grad, interior, boundary, lumped)
+        self._stash(coords, elements, interior, boundary, lumped)
 
-    def _stash(self, coords, elements, grad, interior, boundary, lumped):
+    def _stash(self, coords, elements, interior, boundary, lumped):
         object.__setattr__(self, "coords", _readonly(coords))
         object.__setattr__(self, "elements", _readonly(elements))
-        object.__setattr__(self, "grad_phi", _readonly(grad))
         object.__setattr__(self, "interior", _readonly(interior))
         object.__setattr__(self, "boundary", _readonly(boundary))
         object.__setattr__(self, "lumped", _readonly(lumped))
@@ -168,40 +150,6 @@ class Grid:
             return S, lam / self.spacing[0]
         hx, hy = self.spacing
         return S, (hy / hx) * lam[None, :] + (hx / hy) * lam[:, None]
-
-    @cached_property
-    def _newton_slots(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """(slot, offsets): the column offsets from the row (ascending, at
-        most 3 in 1-D and 7 in 2-D on this lattice) of the interior block of
-        any P1 element matrix, and the slot rank * N + row of every
-        element-local entry (e, a, b), raveled, where rank indexes `offsets`
-        and N = len(interior); an entry that touches a boundary node goes to
-        the dump slot K * N, K = len(offsets).
-
-        Built without sorting: each entry's rank is a table lookup on its
-        column offset.  int32 holds every slot of a grid that fits in memory.
-        """
-        N = len(self.interior)
-        pos = np.full(self.n_nodes, -1, dtype=np.int32)
-        pos[self.interior] = np.arange(N, dtype=np.int32)
-        el = pos[self.elements]  # interior index of each vertex, -1 on the boundary
-        row, col = el[:, :, None], el[:, None, :]
-        keep = (row >= 0) & (col >= 0)  # (E, m, m)
-        shift = col - row + N  # column offset from the row, moved into 0 .. 2N
-        occurs = np.zeros(2 * N + 1, dtype=bool)
-        occurs[shift[keep]] = True
-        K = int(occurs.sum())
-        rank = np.cumsum(occurs, dtype=np.int32) - 1
-        slot = np.where(keep, rank[shift] * N + row, K * N).ravel()  # int32
-        offsets = tuple((np.flatnonzero(occurs) - N).tolist())
-        return _readonly(slot), offsets
-
-    @cached_property
-    def _local_stiffness(self) -> np.ndarray:
-        """grad phi_a . grad phi_b of every element, shape (E, m*m)."""
-        gp = self.grad_phi
-        dots = sum(gp[:, :, None, k] * gp[:, None, :, k] for k in range(self.d))
-        return _readonly(dots.reshape(len(gp), -1))
 
     def laplace_solve(self, r: np.ndarray) -> np.ndarray:
         """x with K_II x = r, for r given at the interior nodes in the order
@@ -276,15 +224,41 @@ def from_callable(grid: Grid, fn) -> ScalarField:
 
 
 def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element gradient G (E, d) of the P1 interpolant of nodal `values`
-    and its squared norm |G|^2 (E,); exact for affine data."""
-    G = np.einsum("ev,evd->ed", values[grid.elements], grid.grad_phi)
-    return G, np.einsum("ed,ed->e", G, G)
+    """Per-element gradient G of the P1 interpolant of nodal `values` and its
+    squared norm |G|^2, on the lattice: G[k] is the k-th component, with
+    G shape (1, n) and |G|^2 shape (n,) in 1-D, and (2, 2, n, n) and
+    (2, n, n) in 2-D, element [t, j, i] the lower (t = 0) or upper (t = 1)
+    triangle of cell (i, j).  Exact for affine data."""
+    hx = grid.spacing[0]
+    if grid.d == 1:
+        G = np.subtract(values[1:], values[:-1])[None]
+        G /= hx
+        return G, G[0] * G[0]
+    n = grid.n
+    U = values.reshape(n + 1, n + 1)
+    G = np.empty((2, 2, n, n))
+    np.subtract(U[:-1, 1:], U[:-1, :-1], out=G[0, 0])  # lower x: Dx[j, i]
+    np.subtract(U[1:, 1:], U[1:, :-1], out=G[0, 1])  # upper x: Dx[j+1, i]
+    np.subtract(U[1:, 1:], U[:-1, 1:], out=G[1, 0])  # lower y: Dy[j, i+1]
+    np.subtract(U[1:, :-1], U[:-1, :-1], out=G[1, 1])  # upper y: Dy[j, i]
+    G[0] /= hx
+    G[1] /= grid.spacing[1]
+    G2 = G[0] * G[0]
+    G2 += G[1] * G[1]
+    return G, G2
 
 
 def element_means(w: ScalarField) -> np.ndarray:
-    """Vertex average of w on each element."""
-    return w.values[w.grid.elements].mean(axis=1)
+    """Vertex average of w on each element, in the order of `Grid.elements`."""
+    g = w.grid
+    if g.d == 1:
+        return (w.values[:-1] + w.values[1:]) / 2.0
+    U = w.values.reshape(g.n + 1, g.n + 1)
+    means = np.empty((g.n, g.n, 2))
+    np.add(U[:-1, :-1] + U[:-1, 1:], U[1:, 1:], out=means[:, :, 0])
+    np.add(U[:-1, :-1] + U[1:, 1:], U[1:, :-1], out=means[:, :, 1])
+    means /= 3.0
+    return means.ravel()
 
 
 def lq_norm(w: ScalarField, q: float) -> float:

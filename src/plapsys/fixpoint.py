@@ -499,7 +499,7 @@ def picard_solve(
         warnings.warn("no certificate supplied; iterating without a smallness guarantee")
     elif not cert.valid:
         warnings.warn(
-            f"certificate is invalid (lambda={cert.lam:.3g} >= 1); "
+            f"certificate is invalid (lambda={float(cert.lam)!r} >= 1); "
             f"iterating without a smallness guarantee"
         )
     grid = prob.grid

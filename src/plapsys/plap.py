@@ -12,10 +12,9 @@ The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
 system H (positive definite for p > 1) is only its interior block H_II,
 kept as its stencil diagonals, shape (K, N) with K = 3 in 1-D and 7 in 2-D
-(fewer when n <= 2): each step forms the element matrices from the grid's
-cached local stiffness and sums them with one np.bincount into the grid's
-cached slot map, so no index array or sparse format is built per step.  It
-is solved by cg, a numpy PCG that performs the operations of scipy's cg,
+(fewer when n <= 2): each step sums them from slices of the lattice-shaped
+element gradients, so no index array, per-grid cache or sparse format is
+built.  The energy and the residual are sliced alike.  H is solved by cg, a numpy PCG that performs the operations of scipy's cg,
 with the stencil product in the order of a CSR product, and preconditioned
 by the diagonally scaled Laplacian, M^-1 z = s^-1 K_II^-1 (s^-1 z) with
 s = sqrt(diag H), applied exactly by Grid.laplace_solve (Huang, Li and
@@ -99,14 +98,14 @@ def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
     """Element flux weights (|grad u|^2 + reg^2)^((p-2)/2), extended by 0
     where that base vanishes (only possible at reg = 0)."""
     base = G2 + reg * reg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        W = base ** ((p - 2.0) / 2.0)
-    return np.where(base > 0.0, W, 0.0)
+    positive = True if reg > 0.0 else base > 0.0
+    return np.power(base, (p - 2.0) / 2.0, out=np.zeros_like(base), where=positive)
 
 
 def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> float:
     _, G2 = element_gradients(grid, u)
-    grad_term = np.sum((G2 + reg * reg) ** (p / 2.0)) * grid.element_measure / p
+    G2 += reg * reg
+    grad_term = (G2 ** (p / 2.0)).sum() * grid.element_measure / p
     return float(grad_term + np.dot(grid.lumped * f, u))
 
 
@@ -118,12 +117,33 @@ def energy(u: ScalarField, p: float, f: ScalarField) -> float:
 def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
     """Weak residual t_i = sum_e area W_e (G_e . grad phi_i) + m_i f_i at every
     node: the gradient of the regularized energy for reg > 0, and at reg = 0
-    the unregularized weak form, with weight 0 where grad u = 0."""
+    the unregularized weak form, with weight 0 where grad u = 0.
+
+    On this lattice G_e . grad phi_i only takes the difference quotients
+    along the edges of e, so t is minus the divergence of the edge fluxes:
+    area W_e G_e[k] / h_k, summed over the two triangles at each edge, flows
+    out of its first node and into its second."""
     G, G2 = element_gradients(grid, u)
-    contrib = np.einsum("ed,evd->ev", G, grid.grad_phi) * _weights(G2, p, reg)[:, None]
-    contrib *= grid.element_measure
-    out = np.bincount(grid.elements.ravel(), contrib.ravel(), grid.n_nodes)
-    return out + grid.lumped * f
+    W = _weights(G2, p, reg)
+    W *= grid.element_measure
+    F = np.multiply(G, W, out=G)
+    n = grid.n
+    if grid.d == 1:
+        E = np.zeros(n + 2)  # the edge from node i to i+1 at [i+1]
+        np.divide(F[0], grid.spacing[0], out=E[1:-1])
+        return E[:-1] - E[1:] + grid.lumped * f
+    hx, hy = grid.spacing
+    F[0] /= hx
+    F[1] /= hy
+    Ex = np.zeros((n + 1, n + 2))  # the edge from (i, j) to (i+1, j) at [j, i+1]
+    Ex[:-1, 1:-1] = F[0, 0]  # lower triangle of cell (i, j)
+    Ex[1:, 1:-1] += F[0, 1]  # upper triangle of cell (i, j-1)
+    Ey = np.zeros((n + 2, n + 1))  # the edge from (i, j) to (i, j+1) at [j+1, i]
+    Ey[1:-1, 1:] = F[1, 0]  # lower triangle of cell (i-1, j)
+    Ey[1:-1, :-1] += F[1, 1]  # upper triangle of cell (i, j)
+    out = Ex[:, :-1] - Ex[:, 1:]
+    out += Ey[:-1] - Ey[1:]
+    return out.ravel() + grid.lumped * f
 
 
 def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
@@ -136,20 +156,78 @@ def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
     return ScalarField(grid, u)
 
 
+def _stencil_offsets(grid: Grid) -> tuple[int, ...]:
+    """Column offsets from the row of the diagonals of the interior block:
+    the neighbours (i, j) -> (i+1, j), (i, j+1) and (i+1, j+1) are 1, n-1
+    and n in the interior numbering.  An offset with |o| >= N = len(interior)
+    has no entry and is dropped, so only n <= 2 has fewer than 3 (1-D) or
+    7 (2-D)."""
+    steps = (1,) if grid.d == 1 else (1, grid.n - 1, grid.n)
+    N = len(grid.interior)
+    return tuple(o for o in sorted({0, *steps, *(-s for s in steps)}) if abs(o) < N)
+
+
 def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarray:
     """Interior block H_II of the Hessian of the regularized energy at u:
-    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], summed into its
+    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], as its
     diagonals, shape (K, N): row k holds H[i, i + offsets[k]] at column i,
-    with the grid's cached `offsets`, and 0 where that entry does not exist."""
-    G, G2 = element_gradients(grid, u)
-    W = _weights(G2, p, reg) * grid.element_measure
-    Wp = (p - 2.0) * W / (G2 + reg * reg)  # reg > 0, so the base is positive
-    t = np.einsum("ed,ead->ea", G, grid.grad_phi)
-    Ke = grid._local_stiffness * W[:, None]
-    Ke += np.einsum("ea,eb->eab", Wp[:, None] * t, t).reshape(Ke.shape)
-    slot, offsets = grid._newton_slots
+    with the offsets of _stencil_offsets, and 0 where that entry does not
+    exist.
+
+    Per element the Hessian is the quadratic form of the 2 x 2 matrix
+    A = area (W I + W' G G^T) in the element gradient, whose components are
+    the nodal differences along an x and a y edge over hx and hy.  With
+    P = A_xx / hx^2, Q = A_yy / hy^2 and R = A_xy / (hx hy), the x edge
+    couples its two nodes by R - P, the y edge by R - Q and the hypotenuse
+    by -R; on the diagonal, the corner off the y edge gets P, the corner
+    off the x edge Q and the corner on both P + Q - 2R.  The upper
+    diagonals sum these couplings over the (at most two) elements of an
+    edge, the centre sums the six elements at a node, and the lower
+    diagonals mirror the upper ones (1-D: P = A / h^2, no y edge)."""
+    offsets = _stencil_offsets(grid)
     K, N = len(offsets), len(grid.interior)
-    return np.bincount(slot, Ke.ravel(), K * N + 1)[: K * N].reshape(K, N)
+    G, G2 = element_gradients(grid, u)
+    base = G2 + reg * reg  # reg > 0, so the base is positive
+    W = base ** ((p - 2.0) / 2.0)
+    W *= grid.element_measure
+    Wp = np.divide(W, base, out=base)
+    Wp *= p - 2.0
+    h = np.reshape(grid.spacing, (grid.d,) + (1,) * (G.ndim - 1))
+    s = np.divide(G, h, out=G)
+    PQ = s * Wp
+    PQ *= s
+    PQ += W / (h * h)  # PQ[0] = P, PQ[1] = Q
+    if grid.d == 1:
+        P = PQ[0]
+        D = np.zeros((3, N))
+        np.add(P[1:], P[:-1], out=D[1])
+        np.negative(P[1:-1], out=D[2, :-1])
+        upper = ((1, 2),)
+    else:
+        m = grid.n - 1  # interior nodes per lattice row
+        R = s[0] * s[1]
+        R *= Wp
+        T = PQ[0] + PQ[1, ::-1]
+        Z = np.subtract(PQ, R, out=PQ)  # minus the x and y edge couplings
+        D = np.zeros((7, m, m))
+        # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
+        np.add(Z[0, 0, 1:, 1:-1], Z[0, 1, :-1, 1:-1], out=D[4, :, :-1])
+        np.add(Z[1, 1, 1:-1, 1:], Z[1, 0, 1:-1, :-1], out=D[5, :-1])
+        np.add(R[0, 1:-1, 1:-1], R[1, 1:-1, 1:-1], out=D[6, :-1, :-1])
+        np.negative(D[4:], out=D[4:])
+        # centre: P of the lower triangle of cell (i, j) and Q of the upper
+        # one, Q and P of those of cell (i-1, j-1), and P + Q - 2R of the
+        # lower triangle of cell (i-1, j) and the upper one of cell (i, j-1)
+        M = Z[0] + Z[1]
+        np.add(T[0, 1:, 1:], T[1, :-1, :-1], out=D[3])
+        D[3] += M[0, 1:, :-1]
+        D[3] += M[1, :-1, 1:]
+        D = D.reshape(7, N)
+        upper = ((1, 4), (m, 5), (m + 1, 6))
+    for o, k in upper:
+        D[len(D) - 1 - k, o:] = D[k, : N - o]
+    mid = len(D) // 2
+    return D[mid - K // 2 : mid + (K + 1) // 2]  # fewer diagonals for n <= 2
 
 
 def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> np.ndarray:
@@ -211,6 +289,7 @@ def solve_p_poisson(
     grid, p = prob.grid, prob.p
     fv = prob.f.values
     I = grid.interior
+    offsets = _stencil_offsets(grid)
 
     if (p >= 4.0 or p <= 1.3) and p != 2.0:
         base = solve_p_poisson(replace(prob, p=2.0), tol=tol, max_iter=max_iter, reg=reg)
@@ -237,7 +316,6 @@ def solve_p_poisson(
             break
 
         D = _newton_system(grid, u, p, reg)
-        offsets = grid._newton_slots[1]
         s = np.sqrt(D[len(D) // 2])  # offsets are symmetric: the middle one is 0
         delta, info = cg(
             lambda z: _stencil_matvec(D, offsets, z),

@@ -18,6 +18,8 @@ from plapsys.field import (
     save_field,
 )
 
+import p1_reference as ref
+
 
 def unit_square(n):
     return Grid(2, (0.0, 1.0, 0.0, 1.0), n)
@@ -70,7 +72,7 @@ def test_interior_boundary_partition():
 def test_basis_gradients_sum_to_zero_exactly():
     # partition of unity: the three hat gradients cancel bitwise
     g = unit_square(7)
-    assert np.all(g.grad_phi.sum(axis=1) == 0.0)
+    assert np.all(ref.grad_phi(g).sum(axis=1) == 0.0)
 
 
 def test_lumped_weights():
@@ -84,9 +86,9 @@ def test_affine_gradient_exact():
     g = unit_square(6)
     u = from_callable(g, lambda x, y: 2 * x + 3 * y)
     G, G2 = element_gradients(g, u.values)
-    assert G.shape == (g.n_elements, 2)
-    assert np.allclose(G[:, 0], 2.0, atol=1e-13)
-    assert np.allclose(G[:, 1], 3.0, atol=1e-13)
+    assert G.shape == (2, 2, 6, 6) and G2.shape == (2, 6, 6)
+    assert np.allclose(G[0], 2.0, atol=1e-13)
+    assert np.allclose(G[1], 3.0, atol=1e-13)
     assert np.allclose(G2, 13.0, atol=1e-12)
 
 
@@ -104,7 +106,7 @@ def test_1d_quadratic_gradient_is_midpoint_slope():
     n = 100
     g = Grid(1, (0.0, 1.0), n)
     u = from_callable(g, lambda x: x * x)
-    gv = element_gradients(g, u.values)[0][:, 0]
+    gv = element_gradients(g, u.values)[0][0]
     h = 1.0 / n
     mids = (np.arange(n) + 0.5) * h
     assert gv == pytest.approx(2 * mids, rel=1e-12)
@@ -114,6 +116,24 @@ def test_1d_quadratic_gradient_is_midpoint_slope():
     # first-order refinement: doubling n halves the distance
     n2 = 200
     assert (1.0 / n2) / math.sqrt(3) == pytest.approx(dist / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+@pytest.mark.parametrize("d", [1, 2])
+def test_element_gradients_match_gather(d, n, side):
+    """The lattice-slice gradients are those of the element-major gather
+    through Grid.elements, to rounding, on a box with hx != hy, and the
+    same bits on every call."""
+    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+    u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
+    G, G2 = element_gradients(g, u)
+    want, want2 = ref.gathered_gradients(g, u)
+    assert ref.element_order(g, G).T.shape == want.shape
+    assert np.abs(ref.element_order(g, G).T - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(ref.element_order(g, G2) - want2).max() <= 1e-12 * want2.max()
+    again = element_gradients(g, u)
+    assert np.array_equal(again[0], G) and np.array_equal(again[1], G2)
 
 
 def test_element_means_affine():

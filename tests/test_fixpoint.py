@@ -1,6 +1,7 @@
 """Exponent bookkeeping, calibration, certificates, and the Picard loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,6 +393,14 @@ def test_picard_warns_on_invalid_certificate():
     bad = certify(prob, C=1e9)
     with pytest.warns(UserWarning, match="invalid"):
         picard_solve(prob, bad, max_iter=3)
+
+
+def test_invalid_certificate_warning_shows_lambda_above_one():
+    """A lambda just above 1 is printed with the digits that show it."""
+    prob = small_problem(n=6)
+    near = replace(certify(prob, C=1e9), lam=1.0023)
+    with pytest.warns(UserWarning, match=r"lambda=1\.0023 >= 1"):
+        picard_solve(prob, near, max_iter=1)
 
 
 def test_picard_symmetric_problem():

@@ -8,20 +8,29 @@ from scipy.sparse.linalg import LinearOperator, spsolve
 from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
-from plapsys.field import Grid, ScalarField, constant_field, element_gradients, from_callable
+from plapsys.field import Grid, ScalarField, constant_field, from_callable
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
     _newton_system,
     _stencil_matvec,
-    _weights,
+    _stencil_offsets,
     energy,
     harmonic_extension,
     residual_vector,
     solve_p_poisson,
 )
 
+import p1_reference as ref
 from p1_reference import densify, newton_matrix, stiffness_matrix
+
+N_VALUES = [1, 2, 3, 7, 16, 33]
+P_VALUES = (1.2, 2.0, 2.2, 6.0)
+
+
+def box_grid(d, n, side):
+    """[0, side] in 1-D, [0, 1] x [0, side] in 2-D (hx != hy when side = 2)."""
+    return Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
 
 
 def unit_square(n):
@@ -91,32 +100,36 @@ def test_harmonic_extension_matches_direct_solve():
 
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
-@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("n", N_VALUES)
 @pytest.mark.parametrize("d", [1, 2])
 def test_newton_system_matches_coo_assembly(d, n, side):
-    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+    g = box_grid(d, n, side)
     u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
     N = len(g.interior)
-    offsets = g._newton_slots[1]
+    offsets = _stencil_offsets(g)
     assert offsets == tuple(-o for o in reversed(offsets))
-    assert len(offsets) <= (3 if d == 1 else 7)
-    for p in (1.2, 2.0, 2.2, 6.0):
+    assert len(offsets) == (0 if N == 0 else 1 if N == 1 else 3 if d == 1 else 7)
+    for p in P_VALUES:
         for reg in (1e-8, 1e-2):
             D = _newton_system(g, u, p, reg)
             want = newton_matrix(g, u, p, reg).toarray()
             assert D.shape == (len(offsets), N)
             scale = np.abs(want).max(initial=0.0)
             assert np.abs(densify(D, offsets) - want).max(initial=0.0) <= 1e-12 * scale
+            assert np.array_equal(_newton_system(g, u, p, reg), D)
 
 
-def test_newton_pattern_is_built_once_per_grid():
+def test_newton_system_needs_no_grid_cache():
+    """The diagonals come from lattice slices: the grid keeps no slot map or
+    local stiffness, the offsets follow from n and d, and each call returns
+    a fresh array."""
     g = unit_square(6)
     rng = np.random.default_rng(3)
-    slots = g._newton_slots
     D1 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 3.0, 1e-8)
     D2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
-    assert g._newton_slots is slots
-    assert not slots[0].flags.writeable
+    assert not hasattr(g, "_newton_slots") and not hasattr(g, "_local_stiffness")
+    assert _stencil_offsets(g) == (-6, -5, -1, 0, 1, 5, 6)
+    assert _stencil_offsets(Grid(1, (0.0, 1.0), 6)) == (-1, 0, 1)
     assert not np.shares_memory(D1, D2)
 
 
@@ -124,7 +137,7 @@ def _oracle_csr(g, u, p, reg):
     """The Newton matrix as CSR on the COO oracle's pattern, with the values
     of plap's diagonals, and those diagonals' offsets."""
     D = _newton_system(g, u, p, reg)
-    offsets = g._newton_slots[1]
+    offsets = _stencil_offsets(g)
     H = newton_matrix(g, u, p, reg)
     H.sort_indices()
     rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
@@ -207,9 +220,10 @@ def test_cg_matches_scipy_cg(n):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_node_sums_match_add_at(d):
-    """residual_vector and Grid.lumped sum element values into nodes in
-    element order, exactly as np.add.at does."""
-    g = Grid(d, (0.0, 2.0) if d == 1 else (0.0, 1.0, 0.0, 2.0), 9)
+    """Grid.lumped sums element values into nodes in element order, exactly
+    as np.add.at does; residual_vector, summed from lattice slices, matches
+    the np.add.at oracle to rounding."""
+    g = box_grid(d, 9, 2.0)
     rng = np.random.default_rng(d)
     u = rng.uniform(-1, 1, g.n_nodes)
     f = rng.uniform(-1, 1, g.n_nodes)
@@ -217,11 +231,33 @@ def test_node_sums_match_add_at(d):
     np.add.at(lumped, g.elements, g.element_measure / (d + 1))
     assert np.array_equal(g.lumped, lumped)
     for p, reg in ((1.5, 1e-8), (3.0, 0.0)):
-        G, G2 = element_gradients(g, u)
-        contrib = np.einsum("ed,evd->ev", G, g.grad_phi) * _weights(G2, p, reg)[:, None]
-        want = np.zeros(g.n_nodes)
-        np.add.at(want, g.elements, contrib * g.element_measure)
-        assert np.array_equal(residual_vector(g, u, p, f, reg), want + g.lumped * f)
+        want = ref.residual(g, u, p, f, reg)
+        scale = np.abs(want).max()
+        assert np.abs(residual_vector(g, u, p, f, reg) - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("side", [1.0, 2.0])
+@pytest.mark.parametrize("n", N_VALUES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_residual_and_energy_match_oracle(d, n, side):
+    """The sliced residual and energy against the element-major oracle, at
+    reg > 0 and at reg = 0 on a field with a flat patch (weight 0 there),
+    and bitwise repeatable."""
+    g = box_grid(d, n, side)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-1, 1, g.n_nodes)
+    u[: g.n_nodes // 3] = 0.5  # a flat patch, where grad u = 0
+    f = rng.uniform(-1, 1, g.n_nodes)
+    for p in P_VALUES:
+        for reg in (0.0, 1e-8, 1e-2):
+            res = residual_vector(g, u, p, f, reg)
+            want = ref.residual(g, u, p, f, reg)
+            assert np.abs(res - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(residual_vector(g, u, p, f, reg), res)
+            e = _energy_reg(g, u, p, f, reg)
+            scale = ref.energy(g, u, p, 0.0 * f, reg) + abs(np.dot(g.lumped * f, u))
+            assert abs(e - ref.energy(g, u, p, f, reg)) <= 1e-12 * scale
+            assert _energy_reg(g, u, p, f, reg) == e
 
 
 def test_residual_matches_matrix_form_at_p2():
