@@ -42,7 +42,7 @@ from .fixpoint import (
     make_exponents,
     picard_solve,
 )
-from .plap import PPoissonProblem, SolveReport, energy, solve_p_poisson
+from .plap import PPoissonProblem, SolveReport, energy, solve_p_poisson, solve_p_poisson_batch
 from .verify import convergence_study, shift_test, weak_residuals
 
 __version__ = "0.1.0"
@@ -79,6 +79,7 @@ __all__ = [
     "save_field",
     "shift_test",
     "solve_p_poisson",
+    "solve_p_poisson_batch",
     "to_text",
     "transform",
     "weak_residuals",

@@ -153,12 +153,15 @@ class Grid:
 
     def laplace_solve(self, r: np.ndarray) -> np.ndarray:
         """x with K_II x = r, for r given at the interior nodes in the order
-        of `interior`."""
+        of `interior`, shape (..., N): each row of a stack is solved alone,
+        with the same operations as a single right-hand side."""
         S, lam = self._sine_basis
         if self.d == 1:
-            return S @ ((S @ r) / lam)
-        R = r.reshape(lam.shape)
-        return (S @ ((S @ R @ S) / lam) @ S).ravel()
+            y = np.matmul(S, r[..., None])  # one S @ r_b per row
+            y /= lam[:, None]
+            return np.matmul(S, y)[..., 0]
+        R = r.reshape(r.shape[:-1] + lam.shape)
+        return (S @ ((S @ R @ S) / lam) @ S).reshape(r.shape)
 
     @property
     def n_nodes(self) -> int:
@@ -228,19 +231,22 @@ def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.nd
     squared norm |G|^2, on the lattice: G[k] is the k-th component, with
     G shape (1, n) and |G|^2 shape (n,) in 1-D, and (2, 2, n, n) and
     (2, n, n) in 2-D, element [t, j, i] the lower (t = 0) or upper (t = 1)
-    triangle of cell (i, j).  Exact for affine data."""
+    triangle of cell (i, j).  A stack of fields, `values` of shape
+    (..., n_nodes), keeps its leading axes after the component axis of G:
+    G (2, B, 2, n, n) and |G|^2 (B, 2, n, n) for B fields in 2-D.  Exact
+    for affine data."""
     hx = grid.spacing[0]
     if grid.d == 1:
-        G = np.subtract(values[1:], values[:-1])[None]
+        G = np.subtract(values[..., 1:], values[..., :-1])[None]
         G /= hx
         return G, G[0] * G[0]
     n = grid.n
-    U = values.reshape(n + 1, n + 1)
-    G = np.empty((2, 2, n, n))
-    np.subtract(U[:-1, 1:], U[:-1, :-1], out=G[0, 0])  # lower x: Dx[j, i]
-    np.subtract(U[1:, 1:], U[1:, :-1], out=G[0, 1])  # upper x: Dx[j+1, i]
-    np.subtract(U[1:, 1:], U[:-1, 1:], out=G[1, 0])  # lower y: Dy[j, i+1]
-    np.subtract(U[1:, :-1], U[:-1, :-1], out=G[1, 1])  # upper y: Dy[j, i]
+    U = values.reshape(values.shape[:-1] + (n + 1, n + 1))
+    G = np.empty((2,) + U.shape[:-2] + (2, n, n))
+    np.subtract(U[..., :-1, 1:], U[..., :-1, :-1], out=G[0, ..., 0, :, :])  # lower x: Dx[j, i]
+    np.subtract(U[..., 1:, 1:], U[..., 1:, :-1], out=G[0, ..., 1, :, :])  # upper x: Dx[j+1, i]
+    np.subtract(U[..., 1:, 1:], U[..., :-1, 1:], out=G[1, ..., 0, :, :])  # lower y: Dy[j, i+1]
+    np.subtract(U[..., 1:, :-1], U[..., :-1, :-1], out=G[1, ..., 1, :, :])  # upper y: Dy[j, i]
     G[0] /= hx
     G[1] /= grid.spacing[1]
     G2 = G[0] * G[0]

@@ -16,6 +16,13 @@ Numer. Anal. 2011), with two safeguards: a growing successive difference
 empties the window, and an aborted lift of an extrapolated pair is
 replaced by the damped step.
 
+Every lift goes through plap.solve_p_poisson_batch: apply_T lifts u and
+v as a batch of two, calibration_ratios lifts all its sources at once, and
+check_ball_invariance lifts all its 2 * trials sources in one batch, which
+draws each trial (f, g, t, in the order of the rng) as its chunk is read.
+A failed lift raises the SolverAbort of the first failure in source order,
+u before v, as lifting them one at a time would.
+
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
 coupling, lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
@@ -36,13 +43,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import Coupling, TransformedCoupling, nemytskii, transform
 from .field import Grid, ScalarField, constant_field, lq_norm, pair_norm
-from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, solve_p_poisson
+from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, solve_p_poisson_batch
 from .verify import system_residuals
 
 DEFAULT_PICARD_TOL = 1e-7
@@ -163,14 +171,30 @@ def apply_T(
     tol: float = DEFAULT_TOL,
 ) -> IterationState:
     """Lift a source pair: solve Delta_p u = f, u = h and Delta_p v = g, v = k."""
-    ex = prob.exponents
-    ru = solve_p_poisson(PPoissonProblem(prob.grid, ex.p, f, prob.h), tol=tol)
-    if not ru.converged:
-        raise SolverAbort("u", ex.p, ru)
-    rv = solve_p_poisson(PPoissonProblem(prob.grid, ex.p, g, prob.k), tol=tol)
-    if not rv.converged:
-        raise SolverAbort("v", ex.p, rv)
-    return IterationState(f, g, ru.solution, rv.solution)
+    u_f, v_g = next(_lift_pairs(prob, [(f, g)], tol))
+    return IterationState(f, g, u_f, v_g)
+
+
+def _lift_pairs(
+    prob: SystemProblem, pairs: Iterable[tuple[ScalarField, ScalarField]], tol: float
+) -> Iterator[tuple[ScalarField, ScalarField]]:
+    """The lifted pair (u_f, v_g) of each source pair (f, g), in order, from
+    one batch that reads the pairs as it goes.  The first failed lift, in
+    pair order and u before v, raises SolverAbort."""
+    p = prob.exponents.p
+    problems = (
+        PPoissonProblem(prob.grid, p, w, boundary)
+        for f, g in pairs
+        for w, boundary in ((f, prob.h), (g, prob.k))
+    )
+    reports = solve_p_poisson_batch(problems, tol=tol)
+    for ru in reports:
+        rv = next(reports)
+        if not ru.converged:
+            raise SolverAbort("u", p, ru)
+        if not rv.converged:
+            raise SolverAbort("v", p, rv)
+        yield ru.solution, rv.solution
 
 
 def apply_lambda(
@@ -226,16 +250,16 @@ def calibration_ratios(
     This ratio is what the Sobolev-embedding constant bounds; it is
     invariant under rescaling f because the lift is (p-1)-homogeneous.
     """
-    zero = constant_field(grid, 0.0)
     ex = exponents
+    denoms = [lq_norm(f, ex.r) for f in sources]
+    if 0.0 in denoms:
+        raise ValueError("calibration sources must be nonzero")
+    zero = constant_field(grid, 0.0)
+    problems = [PPoissonProblem(grid, ex.p, f, zero) for f in sources]
     out = []
-    for f in sources:
-        rep = solve_p_poisson(PPoissonProblem(grid, ex.p, f, zero), tol=tol)
+    for rep, denom in zip(solve_p_poisson_batch(problems, tol=tol), denoms):
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, rep)
-        denom = lq_norm(f, ex.r)
-        if denom == 0.0:
-            raise ValueError("calibration sources must be nonzero")
         out.append(lq_norm(rep.solution, ex.s) ** (ex.p - 1.0) / denom)
     return out
 
@@ -371,21 +395,26 @@ def check_ball_invariance(
         raise ValueError(f"trials must be >= 1, got {trials}")
     ex = prob.exponents
     rng = np.random.default_rng(seed)
+    radii = []
+
+    def draws():  # read one batch chunk at a time, in the rng order f, g, t
+        for _ in range(trials):
+            f = sample_smooth_field(prob.grid, rng)
+            g = sample_smooth_field(prob.grid, rng)
+            t = rng.uniform(0.0, 1.0)
+            cur = pair_norm(f, g, ex.r)
+            scale = (M * t / cur) if cur > 0.0 else 0.0
+            radii.append(M * t)
+            yield ScalarField(prob.grid, f.values * scale), ScalarField(prob.grid, g.values * scale)
+
     worst = 0.0
     violations = []
-    for trial in range(trials):
-        f = sample_smooth_field(prob.grid, rng)
-        g = sample_smooth_field(prob.grid, rng)
-        t = rng.uniform(0.0, 1.0)
-        cur = pair_norm(f, g, ex.r)
-        scale = (M * t / cur) if cur > 0.0 else 0.0
-        f = ScalarField(prob.grid, f.values * scale)
-        g = ScalarField(prob.grid, g.values * scale)
-        phi_f, psi_f, _ = apply_lambda(prob, f, g, tol)
+    for trial, (u_f, v_g) in enumerate(_lift_pairs(prob, draws(), tol)):
+        phi_f, psi_f = nemytskii(prob.coupling, u_f, v_g)
         out = pair_norm(phi_f, psi_f, ex.r)
         worst = max(worst, out)
         if out > M * (1.0 + BALL_SLACK):
-            violations.append((trial, M * t, out))
+            violations.append((trial, radii[trial], out))
     return BallReport(M, trials, worst, violations)
 
 

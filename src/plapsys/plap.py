@@ -14,8 +14,9 @@ system H (positive definite for p > 1) is only its interior block H_II,
 kept as its stencil diagonals, shape (K, N) with K = 3 in 1-D and 7 in 2-D
 (fewer when n <= 2): each step sums them from slices of the lattice-shaped
 element gradients, so no index array, per-grid cache or sparse format is
-built.  The energy and the residual are sliced alike.  H is solved by cg, a numpy PCG that performs the operations of scipy's cg,
-with the stencil product in the order of a CSR product, and preconditioned
+built.  The energy and the residual are sliced alike.  H is solved by cg,
+a numpy PCG that performs the operations of scipy's cg, with the stencil
+product in the order of a CSR product, and preconditioned
 by the diagonally scaled Laplacian, M^-1 z = s^-1 K_II^-1 (s^-1 z) with
 s = sqrt(diag H), applied exactly by Grid.laplace_solve (Huang, Li and
 Liu, J. Sci. Comput. 2007).  The scaling carries the local weight
@@ -27,8 +28,21 @@ are accepted by Armijo backtracking (sufficient decrease 1e-4, halving, at
 most 40 trials).  The initial iterate is the discrete 2-harmonic extension
 of h, one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first
 solved at p = 2 and continued from there.  The report counts the Newton
-steps, CG iterations and steepest-descent fallbacks of its own Newton loop
-(not those of the p = 2 warm start).
+steps, CG iterations, steepest-descent fallbacks and Armijo energy
+evaluations of its own Newton loop, and apart from them the Newton steps
+and CG iterations of the p = 2 warm start.
+
+One Newton loop serves a batch of lifts that share the grid and p
+(solve_p_poisson_batch; solve_p_poisson is a batch of one): the nodal
+values are stacked (B, n_nodes), so every numpy call serves the whole
+batch, and the kernels, cg and the Armijo search take that leading axis.
+Each member keeps its own stopping test, CG rows, step length, fallback,
+stop reason and counters, and leaves the active set when it stops; every
+reduction is taken per row, with the operations of a lone lift, so each
+member's report equals that of its problem lifted alone.  Batches hold
+max(1, BATCH_NODES // n_nodes) members, so every n >= 64 lifts one at a
+time; BATCH_NODES keeps the peak RSS of `plapsys certify` at n = 16
+(12 members) within about 1.2 MB of lifting one problem at a time.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
@@ -45,8 +59,10 @@ classifies, the weight |grad u|^(p-2) extended by 0 where grad u = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +75,7 @@ CG_RTOL = 1e-10
 DEFAULT_REG = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
+BATCH_NODES = 3500  # nodes lifted at once: 12 members at n = 16, 3 at n = 32, 1 from n = 64
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,9 @@ class SolveReport:
     converged: bool
     stop_reason: str  # "converged", "max_iter" or "stalled"
     energy_history: list[float]
+    line_search_evals: int = 0  # energy evaluations of the Armijo searches
+    warm_start_iterations: int = 0  # Newton steps of the p = 2 warm start
+    warm_start_cg_iterations: int = 0  # CG iterations of the p = 2 warm start
 
 
 def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
@@ -102,22 +122,26 @@ def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
     return np.power(base, (p - 2.0) / 2.0, out=np.zeros_like(base), where=positive)
 
 
-def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> float:
+def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
+    """Regularized energy of each field of the stack u (..., n_nodes) with
+    the sources f: shape u.shape[:-1], a 0-d array for a single field."""
     _, G2 = element_gradients(grid, u)
     G2 += reg * reg
-    grad_term = (G2 ** (p / 2.0)).sum() * grid.element_measure / p
-    return float(grad_term + np.dot(grid.lumped * f, u))
+    sums = (G2 ** (p / 2.0)).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
+    return sums * grid.element_measure / p + np.vecdot(grid.lumped * f, u)
 
 
 def energy(u: ScalarField, p: float, f: ScalarField) -> float:
     """Discrete energy (1/p) sum |grad u|^p area + sum mean(f u) area."""
-    return _energy_reg(u.grid, u.values, p, f.values, 0.0)
+    return float(_energy_reg(u.grid, u.values, p, f.values, 0.0))
 
 
 def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
     """Weak residual t_i = sum_e area W_e (G_e . grad phi_i) + m_i f_i at every
     node: the gradient of the regularized energy for reg > 0, and at reg = 0
-    the unregularized weak form, with weight 0 where grad u = 0.
+    the unregularized weak form, with weight 0 where grad u = 0.  A stack u
+    (..., n_nodes) gives the residual of each row, with the same operations
+    as a single field.
 
     On this lattice G_e . grad phi_i only takes the difference quotients
     along the edges of e, so t is minus the divergence of the edge fluxes:
@@ -128,32 +152,35 @@ def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: flo
     W *= grid.element_measure
     F = np.multiply(G, W, out=G)
     n = grid.n
+    batch = u.shape[:-1]
     if grid.d == 1:
-        E = np.zeros(n + 2)  # the edge from node i to i+1 at [i+1]
-        np.divide(F[0], grid.spacing[0], out=E[1:-1])
-        return E[:-1] - E[1:] + grid.lumped * f
+        E = np.zeros(batch + (n + 2,))  # the edge from node i to i+1 at [i+1]
+        np.divide(F[0], grid.spacing[0], out=E[..., 1:-1])
+        return E[..., :-1] - E[..., 1:] + grid.lumped * f
     hx, hy = grid.spacing
     F[0] /= hx
     F[1] /= hy
-    Ex = np.zeros((n + 1, n + 2))  # the edge from (i, j) to (i+1, j) at [j, i+1]
-    Ex[:-1, 1:-1] = F[0, 0]  # lower triangle of cell (i, j)
-    Ex[1:, 1:-1] += F[0, 1]  # upper triangle of cell (i, j-1)
-    Ey = np.zeros((n + 2, n + 1))  # the edge from (i, j) to (i, j+1) at [j+1, i]
-    Ey[1:-1, 1:] = F[1, 0]  # lower triangle of cell (i-1, j)
-    Ey[1:-1, :-1] += F[1, 1]  # upper triangle of cell (i, j)
-    out = Ex[:, :-1] - Ex[:, 1:]
-    out += Ey[:-1] - Ey[1:]
-    return out.ravel() + grid.lumped * f
+    Ex = np.zeros(batch + (n + 1, n + 2))  # the edge from (i, j) to (i+1, j) at [j, i+1]
+    Ex[..., :-1, 1:-1] = F[0, ..., 0, :, :]  # lower triangle of cell (i, j)
+    Ex[..., 1:, 1:-1] += F[0, ..., 1, :, :]  # upper triangle of cell (i, j-1)
+    Ey = np.zeros(batch + (n + 2, n + 1))  # the edge from (i, j) to (i, j+1) at [j+1, i]
+    Ey[..., 1:-1, 1:] = F[1, ..., 0, :, :]  # lower triangle of cell (i-1, j)
+    Ey[..., 1:-1, :-1] += F[1, ..., 1, :, :]  # upper triangle of cell (i, j)
+    out = Ex[..., :-1] - Ex[..., 1:]
+    out += Ey[..., :-1, :] - Ey[..., 1:, :]
+    return out.reshape(batch + (-1,)) + grid.lumped * f
 
 
-def harmonic_extension(grid: Grid, h: ScalarField) -> ScalarField:
-    """Discrete 2-harmonic extension of the boundary values of h."""
+def harmonic_extension(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """Discrete 2-harmonic extension of the boundary values of the nodal
+    values h, of each row of a stack h (..., n_nodes) alone."""
     I, B = grid.interior, grid.boundary
-    u = np.zeros(grid.n_nodes)
-    u[B] = h.values[B]
+    u = np.zeros(h.shape)
+    u[..., B] = h[..., B]
     # -(K u_B)_I: at p = 2 every flux weight is exactly 1, whatever reg
-    u[I] = grid.laplace_solve(-residual_vector(grid, u, 2.0, 0.0, reg=1.0)[I])
-    return ScalarField(grid, u)
+    r = residual_vector(grid, u, 2.0, 0.0, reg=1.0)
+    u[..., I] = grid.laplace_solve(-np.take(r, I, axis=-1))
+    return u
 
 
 def _stencil_offsets(grid: Grid) -> tuple[int, ...]:
@@ -172,7 +199,8 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], as its
     diagonals, shape (K, N): row k holds H[i, i + offsets[k]] at column i,
     with the offsets of _stencil_offsets, and 0 where that entry does not
-    exist.
+    exist.  A stack u (B, n_nodes) gives the diagonals of every member,
+    shape (K, B, N).
 
     Per element the Hessian is the quadratic form of the 2 x 2 matrix
     A = area (W I + W' G G^T) in the element gradient, whose components are
@@ -186,8 +214,11 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     diagonals mirror the upper ones (1-D: P = A / h^2, no y edge)."""
     offsets = _stencil_offsets(grid)
     K, N = len(offsets), len(grid.interior)
-    G, G2 = element_gradients(grid, u)
-    base = G2 + reg * reg  # reg > 0, so the base is positive
+    batch = u.shape[:-1]
+    # a batch's element arrays are large, so each buffer is reused once
+    # its value is spent
+    G, base = element_gradients(grid, u)
+    base += reg * reg  # reg > 0, so the base is positive
     W = base ** ((p - 2.0) / 2.0)
     W *= grid.element_measure
     Wp = np.divide(W, base, out=base)
@@ -196,84 +227,117 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     s = np.divide(G, h, out=G)
     PQ = s * Wp
     PQ *= s
-    PQ += W / (h * h)  # PQ[0] = P, PQ[1] = Q
+    for k, hk in enumerate(grid.spacing):
+        PQ[k] += W / (hk * hk)  # PQ[0] = P, PQ[1] = Q
     if grid.d == 1:
         P = PQ[0]
-        D = np.zeros((3, N))
-        np.add(P[1:], P[:-1], out=D[1])
-        np.negative(P[1:-1], out=D[2, :-1])
+        D = np.zeros((3,) + batch + (N,))
+        np.add(P[..., 1:], P[..., :-1], out=D[1])
+        np.negative(P[..., 1:-1], out=D[2, ..., :-1])
         upper = ((1, 2),)
     else:
         m = grid.n - 1  # interior nodes per lattice row
-        R = s[0] * s[1]
+        R = np.multiply(s[0], s[1], out=W)
         R *= Wp
-        T = PQ[0] + PQ[1, ::-1]
+        T = np.add(PQ[0], PQ[1, ..., ::-1, :, :], out=s[0])
         Z = np.subtract(PQ, R, out=PQ)  # minus the x and y edge couplings
-        D = np.zeros((7, m, m))
+        D = np.zeros((7,) + batch + (m, m))
         # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
-        np.add(Z[0, 0, 1:, 1:-1], Z[0, 1, :-1, 1:-1], out=D[4, :, :-1])
-        np.add(Z[1, 1, 1:-1, 1:], Z[1, 0, 1:-1, :-1], out=D[5, :-1])
-        np.add(R[0, 1:-1, 1:-1], R[1, 1:-1, 1:-1], out=D[6, :-1, :-1])
+        np.add(Z[0, ..., 0, 1:, 1:-1], Z[0, ..., 1, :-1, 1:-1], out=D[4, ..., :, :-1])
+        np.add(Z[1, ..., 1, 1:-1, 1:], Z[1, ..., 0, 1:-1, :-1], out=D[5, ..., :-1, :])
+        np.add(R[..., 0, 1:-1, 1:-1], R[..., 1, 1:-1, 1:-1], out=D[6, ..., :-1, :-1])
         np.negative(D[4:], out=D[4:])
         # centre: P of the lower triangle of cell (i, j) and Q of the upper
         # one, Q and P of those of cell (i-1, j-1), and P + Q - 2R of the
         # lower triangle of cell (i-1, j) and the upper one of cell (i, j-1)
-        M = Z[0] + Z[1]
-        np.add(T[0, 1:, 1:], T[1, :-1, :-1], out=D[3])
-        D[3] += M[0, 1:, :-1]
-        D[3] += M[1, :-1, 1:]
-        D = D.reshape(7, N)
+        M = np.add(Z[0], Z[1], out=s[1])
+        np.add(T[..., 0, 1:, 1:], T[..., 1, :-1, :-1], out=D[3])
+        D[3] += M[..., 0, 1:, :-1]
+        D[3] += M[..., 1, :-1, 1:]
+        D = D.reshape((7,) + batch + (N,))
         upper = ((1, 4), (m, 5), (m + 1, 6))
     for o, k in upper:
-        D[len(D) - 1 - k, o:] = D[k, : N - o]
+        D[len(D) - 1 - k, ..., o:] = D[k, ..., : N - o]
     mid = len(D) // 2
     return D[mid - K // 2 : mid + (K + 1) // 2]  # fewer diagonals for n <= 2
 
 
 def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     """H x for H given by its diagonals D at `offsets`: each row sums its
-    terms from 0 in increasing column order, as a CSR product does."""
-    N = len(x)
-    y = np.zeros(N)
+    terms from 0 in increasing column order, as a CSR product does.  A
+    stack x (B, N) with diagonals D (K, B, N) multiplies row by row."""
+    N = x.shape[-1]
+    y = np.zeros(x.shape)
     for d, o in zip(D, offsets):
         if o < 0:
-            y[-o:] += d[-o:] * x[: N + o]
+            y[..., -o:] += d[..., -o:] * x[..., : N + o]
         else:
-            y[: N - o] += d[: N - o] * x[o:]
+            y[..., : N - o] += d[..., : N - o] * x[..., o:]
     return y
 
 
 def cg(A, b, *, rtol, M, callback=None):
-    """Preconditioned conjugate gradients for A x = b from x = 0, with A and
-    M^-1 given as callables.  Stops when ||r|| < rtol ||b||; returns (x, 0),
-    or (x, maxiter) after maxiter = 10 N iterations without convergence.
-    callback(x) is called once per iteration.  The operations and their
-    order are those of scipy.sparse.linalg.cg with atol = 0."""
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return b, 0
-    atol = rtol * bnorm
-    maxiter = 10 * len(b)
+    """Preconditioned conjugate gradients for the systems A_k x_k = b_k of
+    the rows of b (B, N), each from x = 0.  A and M^-1 are callables
+    (z, rows) that apply the operators of the batch rows `rows` to the rows
+    of z.  Row k stops when ||r_k|| < rtol ||b_k|| and leaves the working
+    set, and a row with b_k = 0 returns 0 at once, so every row takes the
+    operations, in their order, of scipy.sparse.linalg.cg with atol = 0 on
+    that row alone.  callback(rows) is called once per iteration with the
+    rows that took it.  Returns (x, info): info is 0 when every row
+    converged, and otherwise maxiter = 10 N, the iterations taken by each
+    row that did not converge."""
+    maxiter = 10 * b.shape[-1]
     x = np.zeros_like(b)
-    r = b.copy()
+    bnorm = np.sqrt(np.vecdot(b, b))
+    rows = np.flatnonzero(bnorm)
+    if not len(rows):
+        return x, 0
+    atol = rtol * bnorm[rows]
+    r = b[rows]
+    xr = np.zeros_like(r)
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, 0
-        z = M(r)
-        rho = np.dot(r, z)
+        going = ~(np.sqrt(np.vecdot(r, r)) < atol)
+        if not going.all():
+            x[rows[~going]] = xr[~going]
+            if not going.any():
+                return x, 0
+            rows, atol, r, xr = rows[going], atol[going], r[going], xr[going]
+            if it > 0:
+                d, rho_prev = d[going], rho_prev[going]
+        z = M(r, rows)
+        rho = np.vecdot(r, z)
         if it == 0:
             d = z.copy()
         else:
-            d *= rho / rho_prev
+            d *= (rho / rho_prev)[:, None]
             d += z
-        q = A(d)
-        alpha = rho / np.dot(d, q)
-        x += alpha * d
+        q = A(d, rows)
+        alpha = (rho / np.vecdot(d, q))[:, None]
+        xr += alpha * d
         r -= alpha * q
         rho_prev = rho
         if callback is not None:
-            callback(x)
+            callback(rows)
+    x[rows] = xr
     return x, maxiter
+
+
+def _on_rows(apply, *arrays):
+    """The cg operator (z, rows) -> apply(z, *(a[..., rows, :] for a in
+    arrays)), which gathers the rows again only when cg's working set
+    changes."""
+    seen, picked = None, arrays
+
+    def op(z, rows):
+        nonlocal seen, picked
+        if rows is not seen:
+            seen = rows
+            full = len(rows) == arrays[0].shape[-2]  # rows ascend: all of them
+            picked = arrays if full else [a[..., rows, :] for a in arrays]
+        return apply(z, *picked)
+
+    return op
 
 
 def solve_p_poisson(
@@ -283,86 +347,171 @@ def solve_p_poisson(
     reg: float = DEFAULT_REG,
 ) -> SolveReport:
     """Minimize the regularized energy; see the module docstring for the scheme."""
+    return next(solve_p_poisson_batch([prob], tol, max_iter, reg))
+
+
+def solve_p_poisson_batch(
+    problems: Iterable[PPoissonProblem],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    reg: float = DEFAULT_REG,
+) -> Iterator[SolveReport]:
+    """The reports of solve_p_poisson on each problem, in order, from one
+    Newton loop over chunks of max(1, BATCH_NODES // n_nodes) members; each
+    equals the report of its problem lifted alone.  The problems are read,
+    and lifted, one chunk at a time as the reports are read, so a caller
+    that makes its problems as they are read and drops the reports it has
+    read holds one chunk of each.  Every problem must share the grid and p
+    of the first: a chunk that does not raises ValueError before it is
+    lifted."""
     for name, val in (("tol", tol), ("reg", reg)):
         if not (math.isfinite(val) and val > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
-    grid, p = prob.grid, prob.p
-    fv = prob.f.values
+    return _solve_chunks(iter(problems), tol, max_iter, reg)
+
+
+def _solve_chunks(problems, tol, max_iter, reg) -> Iterator[SolveReport]:
+    first = next(problems, None)
+    if first is None:
+        return
+    grid, p = first.grid, first.p
+    size = max(1, BATCH_NODES // grid.n_nodes)
+    chunk = [first, *itertools.islice(problems, size - 1)]
+    while chunk:
+        if any(prob.grid != grid or prob.p != p for prob in chunk):
+            raise ValueError("a batch of lifts must share the grid and p")
+        F = np.stack([prob.f.values for prob in chunk])
+        U = harmonic_extension(grid, np.stack([prob.h.values for prob in chunk]))
+        warm = []
+        if (p >= 4.0 or p <= 1.3) and p != 2.0:
+            warm = _newton(grid, 2.0, F, U, tol, max_iter, reg)
+            U = np.stack([rep.solution.values for rep in warm])
+        reports = _newton(grid, p, F, U, tol, max_iter, reg)
+        for rep, base in zip(reports, warm):
+            rep.warm_start_iterations = base.iterations
+            rep.warm_start_cg_iterations = base.cg_iterations
+        yield from reports
+        chunk = list(itertools.islice(problems, size))
+
+
+def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
+    """The damped Newton loop of every member of a batch at once, from the
+    iterates U (B, n_nodes), which attain the boundary data and are updated
+    in place, with the sources F (B, n_nodes).  A member leaves the active
+    set when it converges, reaches max_iter or stalls."""
     I = grid.interior
     offsets = _stencil_offsets(grid)
-
-    if (p >= 4.0 or p <= 1.3) and p != 2.0:
-        base = solve_p_poisson(replace(prob, p=2.0), tol=tol, max_iter=max_iter, reg=reg)
-        u = base.solution.values.copy()
-    else:
-        u = harmonic_extension(grid, prob.h).values.copy()
-    u[grid.boundary] = prob.h.values[grid.boundary]
-
-    history = [_energy_reg(grid, u, p, fv, reg)]
-    iterations = cg_iterations = fallbacks = 0
-
-    def count_cg(_):
-        nonlocal cg_iterations
-        cg_iterations += 1
-
-    while True:
-        g = residual_vector(grid, u, p, fv, reg)[I]
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            stop_reason = "converged"
-            break
-        if iterations >= max_iter:
-            stop_reason = "max_iter"
-            break
+    energies = _energy_reg(grid, U, p, F, reg)
+    history = [[e] for e in energies.tolist()]
+    iterations, cg_iterations, fallbacks, evals = np.zeros((4, len(U)), dtype=int)
+    gnorm = np.zeros(len(U))
+    stop_reason = [""] * len(U)
+    active = np.arange(len(U))
+    while len(active):
+        # with every member active, u and f are U and F themselves: the
+        # Armijo searches copy the rows they read, and U takes the accepted
+        # rows only once no search reads them again
+        u, f = (U, F) if len(active) == len(U) else (U[active], F[active])
+        # np.take keeps each row contiguous, so its norm is that of a lone lift
+        g = np.take(residual_vector(grid, u, p, f, reg), I, axis=-1)
+        gn = np.sqrt(np.vecdot(g, g))
+        gnorm[active] = gn
+        done = (gn <= tol) | (iterations[active] >= max_iter)
+        if done.any():
+            for k in np.flatnonzero(done):
+                stop_reason[active[k]] = "converged" if gn[k] <= tol else "max_iter"
+            going = ~done
+            active, u, f, g, gn = active[going], u[going], f[going], g[going], gn[going]
+            if not len(active):
+                break
 
         D = _newton_system(grid, u, p, reg)
         s = np.sqrt(D[len(D) // 2])  # offsets are symmetric: the middle one is 0
+        its = np.zeros(len(active), dtype=int)
+
+        def count_cg(rows):
+            its[rows] += 1
+
         delta, info = cg(
-            lambda z: _stencil_matvec(D, offsets, z),
+            _on_rows(lambda z, D: _stencil_matvec(D, offsets, z), D),
             -g,
             rtol=CG_RTOL,
-            M=lambda z: grid.laplace_solve(z / s) / s,
+            M=_on_rows(lambda z, s: grid.laplace_solve(z / s) / s, s),
             callback=count_cg,
         )
-        slope = float(g @ delta)
-        step = None
-        if info == 0 and slope < 0.0 and np.isfinite(delta).all():
-            step, new_u, new_energy = _armijo(
-                grid, u, p, fv, reg, I, delta, slope, history[-1]
-            )
-        if step is None:
-            fallbacks += 1
-            step, new_u, new_energy = _armijo(
-                grid, u, p, fv, reg, I, -g, -gnorm * gnorm, history[-1]
-            )
-        if step is None:
-            stop_reason = "stalled"  # no Armijo decrease in either direction
-            break
-        u = new_u
-        history.append(new_energy)
-        iterations += 1
+        cg_iterations[active] += its
+        slope = np.vecdot(g, delta)
+        newton = (slope < 0.0) & np.isfinite(delta).all(axis=1)
+        if info:
+            newton &= its != info  # rows that ran out of CG iterations
+        current = energies[active]
+        moved = np.zeros(len(active), dtype=bool)
 
-    return SolveReport(
-        solution=ScalarField(grid, u),
-        iterations=iterations,
-        cg_iterations=cg_iterations,
-        fallbacks=fallbacks,
-        gradient_norm=gnorm,
-        reg=reg,
-        tol=tol,
-        converged=stop_reason == "converged",
-        stop_reason=stop_reason,
-        energy_history=history,
-    )
+        def search(rows, direction, slopes):
+            """Armijo from u along direction on the working rows `rows`."""
+            if not len(rows):
+                return
+            ok, trial, val, n_evals = _armijo(
+                grid, u[rows], p, f[rows], reg, I, direction[rows], slopes[rows], current[rows]
+            )
+            evals[active[rows]] += n_evals
+            rows = rows[ok]
+            moved[rows] = True
+            U[active[rows]] = trial[ok]
+            energies[active[rows]] = val[ok]
+
+        search(np.flatnonzero(newton), delta, slope)
+        fallback = np.flatnonzero(~moved)
+        fallbacks[active[fallback]] += 1
+        search(fallback, -g, -gn * gn)
+        for k, m in enumerate(active):
+            if moved[k]:
+                history[m].append(float(energies[m]))
+                iterations[m] += 1
+            else:
+                stop_reason[m] = "stalled"  # no Armijo decrease in either direction
+        active = active[moved]
+
+    return [
+        SolveReport(
+            solution=ScalarField(grid, U[b]),
+            iterations=int(iterations[b]),
+            cg_iterations=int(cg_iterations[b]),
+            fallbacks=int(fallbacks[b]),
+            gradient_norm=float(gnorm[b]),
+            reg=reg,
+            tol=tol,
+            converged=stop_reason[b] == "converged",
+            stop_reason=stop_reason[b],
+            energy_history=history[b],
+            line_search_evals=int(evals[b]),
+        )
+        for b in range(len(U))
+    ]
 
 
 def _armijo(grid, u, p, fv, reg, I, delta, slope, current):
-    t = 1.0
+    """Armijo backtracking from each row of u (B, n_nodes) along its row of
+    delta (B, N), with its own step t from 1: sufficient decrease
+    ARMIJO_DECREASE, factor ARMIJO_FACTOR, at most ARMIJO_MAX_TRIALS
+    trials.  Returns (accepted, new u, new energy, energy evaluations) per
+    row; a row without an accepted step keeps u and its current energy."""
+    t = np.ones(len(u))
+    accepted = np.zeros(len(u), dtype=bool)
+    evals = np.zeros(len(u), dtype=int)
+    new_u, new_energy = u.copy(), current.copy()
+    rows = np.arange(len(u))
     for _ in range(ARMIJO_MAX_TRIALS):
-        trial = u.copy()
-        trial[I] += t * delta
-        val = _energy_reg(grid, trial, p, fv, reg)
-        if val <= current + ARMIJO_DECREASE * t * slope:
-            return t, trial, val
-        t *= ARMIJO_FACTOR
-    return None, None, None
+        trial = u[rows]
+        trial[:, I] += t[rows, None] * delta[rows]
+        val = _energy_reg(grid, trial, p, fv[rows], reg)
+        evals[rows] += 1
+        ok = val <= current[rows] + ARMIJO_DECREASE * t[rows] * slope[rows]
+        accepted[rows[ok]] = True
+        new_u[rows[ok]] = trial[ok]
+        new_energy[rows[ok]] = val[ok]
+        rows = rows[~ok]
+        if not len(rows):
+            break
+        t[rows] *= ARMIJO_FACTOR
+    return accepted, new_u, new_energy, evals

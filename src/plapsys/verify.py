@@ -46,9 +46,10 @@ def system_residuals(
     """Interior-hat weak residuals (R1, R2) of the coupled system at (u, v),
     given the reaction pair (phi, psi) evaluated at the nodes of (u, v)."""
     grid = u.grid
-    I = grid.interior
-    R1 = residual_vector(grid, u.values, p, phi_f.values, 0.0)[I]
-    R2 = residual_vector(grid, v.values, p, psi_f.values, 0.0)[I]
+    R = residual_vector(
+        grid, np.stack([u.values, v.values]), p, np.stack([phi_f.values, psi_f.values]), 0.0
+    )
+    R1, R2 = np.take(R, grid.interior, axis=-1)
     return R1, R2
 
 

@@ -31,7 +31,7 @@ from plapsys.fixpoint import (
     scale_to_norm,
     smallness_lambda,
 )
-from plapsys.plap import PPoissonProblem, SolveReport, solve_p_poisson
+from plapsys.plap import PPoissonProblem, SolveReport, solve_p_poisson, solve_p_poisson_batch
 from plapsys.verify import weak_residuals
 
 from p1_reference import stiffness_matrix
@@ -215,6 +215,35 @@ def test_calibration_rejects_zero_source():
         calibration_ratios(g, exps, [constant_field(g, 0.0)])
 
 
+def test_calibration_rejects_zero_source_before_any_lift(monkeypatch):
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
+    exps = make_exponents(3, 2.0, 1.3)
+    w = sample_smooth_field(g, np.random.default_rng(1))
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a lift ran")
+
+    monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", no_lift)
+    with pytest.raises(ValueError, match="nonzero"):
+        calibration_ratios(g, exps, [w, constant_field(g, 0.0)])
+
+
+def test_calibration_abort_names_first_failing_source():
+    """Every lift fails at tol = 1e-300; the SolverAbort is that of the first
+    source, as a one-at-a-time calibration would raise it."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
+    exps = make_exponents(3, 2.2, 1.25)
+    rng = np.random.default_rng(2)
+    sources = [sample_smooth_field(g, rng) for _ in range(3)]
+    with pytest.raises(SolverAbort) as err:
+        calibration_ratios(g, exps, sources, tol=1e-300)
+    zero = constant_field(g, 0.0)
+    lone = [solve_p_poisson(PPoissonProblem(g, 2.2, f, zero), tol=1e-300) for f in sources]
+    assert err.value.component == "calibration"
+    assert (err.value.stop_reason, err.value.n) == (lone[0].stop_reason, 3)
+    assert err.value.gradient_norm == lone[0].gradient_norm != lone[1].gradient_norm
+
+
 def test_calibrate_C_deterministic_and_positive():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.0, 1.3)
@@ -347,6 +376,39 @@ def test_ball_invariance_guards():
     bad = certify(prob, C=1e9)
     with pytest.raises(ValueError, match="valid certificate"):
         check_ball_invariance(prob, bad, M=1.0)
+
+
+def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
+    """At tol = 1e-300 every lift of a nonzero source fails.  Trial 0 draws
+    the zero pair and trial 1 a zero f, so the first failure is trial 1's v
+    lift, though trial 2's u and v lifts fail too: the SolverAbort is the
+    one a trial-by-trial check would raise, taking u before v."""
+    prob = small_problem(n=3)
+    cert = certify(prob, C=0.01)
+    w = sample_smooth_field(prob.grid, np.random.default_rng(3))
+    zero = constant_field(prob.grid, 0.0)
+    draws = iter([zero, zero, zero, w, w, w])
+    monkeypatch.setattr(fixpoint, "sample_smooth_field", lambda grid, rng: next(draws))
+    lifted = []
+    real = fixpoint.solve_p_poisson_batch
+
+    def spy(problems, **kwargs):
+        def record():
+            for q in problems:
+                lifted.append(q)
+                yield q
+
+        return real(record(), **kwargs)
+
+    monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", spy)
+    with pytest.raises(SolverAbort) as err:
+        check_ball_invariance(prob, cert, cert.M0, trials=3, tol=1e-300)
+    assert len(lifted) == 6
+    assert err.value.component == "v"
+    lone = [solve_p_poisson(q, tol=1e-300) for q in lifted]
+    assert [rep.converged for rep in lone] == [True, True, True, False, False, False]
+    assert err.value.gradient_norm == lone[3].gradient_norm != lone[4].gradient_norm
+    assert err.value.stop_reason == lone[3].stop_reason
 
 
 def test_ball_invariance_seeded():

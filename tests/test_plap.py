@@ -1,6 +1,7 @@
 """Energy, assembly, and the p-Poisson solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
 from plapsys.field import Grid, ScalarField, constant_field, from_callable
+from plapsys.fixpoint import sample_smooth_field, scale_to_norm
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
@@ -19,6 +21,7 @@ from plapsys.plap import (
     harmonic_extension,
     residual_vector,
     solve_p_poisson,
+    solve_p_poisson_batch,
 )
 
 import p1_reference as ref
@@ -94,7 +97,7 @@ def test_harmonic_extension_matches_direct_solve():
         A = stiffness_matrix(g).tocsr()
         I, B = g.interior, g.boundary
         want = spsolve(A[np.ix_(I, I)].tocsc(), -A[np.ix_(I, B)] @ hv[B])
-        ext = harmonic_extension(g, ScalarField(g, hv)).values
+        ext = harmonic_extension(g, hv)
         assert np.abs(ext[I] - want).max() <= 1e-12
         assert np.array_equal(ext[B], hv[B])
 
@@ -160,8 +163,8 @@ def test_stencil_matvec_matches_csr(d, n):
 
 
 def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
-    """(x, info, callbacks) of plap.cg on callables and of scipy's cg on
-    the same operators."""
+    """(x, info, callbacks) of plap.cg on callables, as a batch of one, and
+    of scipy's cg on the same operators."""
     counts = [0, 0]
 
     def counter(k):
@@ -169,7 +172,13 @@ def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
             counts[k] += 1
         return cb
 
-    x, info = plap.cg(ours_A, b, rtol=rtol, M=ours_M, callback=counter(0))
+    def rowwise(op):
+        return lambda z, rows: np.stack([op(row) for row in z])
+
+    x, info = plap.cg(
+        rowwise(ours_A), b[None], rtol=rtol, M=rowwise(ours_M), callback=counter(0)
+    )
+    x = x[0]
     want, want_info = scipy_cg(A, b, rtol=rtol, atol=0.0, M=M, callback=counter(1))
     return (x, info, counts[0]), (want, want_info, counts[1])
 
@@ -337,9 +346,9 @@ def test_constant_data_any_p():
 def test_harmonic_extension_matches_p2_solve():
     g = unit_square(8)
     h = from_callable(g, lambda x, y: np.sin(x) + y * y)
-    ext = harmonic_extension(g, h)
+    ext = harmonic_extension(g, h.values)
     rep = solve_p_poisson(PPoissonProblem(g, 2.0, constant_field(g, 0.0), h))
-    assert np.abs(ext.values - rep.solution.values).max() <= 1e-9
+    assert np.abs(ext - rep.solution.values).max() <= 1e-9
 
 
 def test_sinsin_manufactured_convergence():
@@ -439,7 +448,10 @@ def test_stop_reason_converged():
 
 def test_stop_reason_stalled(monkeypatch):
     # no Armijo decrease along the Newton direction nor along -g
-    monkeypatch.setattr(plap, "_armijo", lambda *args: (None, None, None))
+    def no_decrease(grid, u, p, fv, reg, I, delta, slope, current):
+        return np.zeros(len(u), dtype=bool), u, current, np.ones(len(u), dtype=int)
+
+    monkeypatch.setattr(plap, "_armijo", no_decrease)
     g = unit_square(8)
     f = constant_field(g, 1.0)
     rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)))
@@ -484,8 +496,8 @@ def test_cg_iterations_per_newton_step_flat_in_n(n):
 
 
 def test_failed_cg_falls_back_to_steepest_descent(monkeypatch):
-    def failing_cg(H, b, **kwargs):
-        return np.zeros_like(b), 1
+    def failing_cg(A, b, *, rtol, M, callback):
+        return np.zeros_like(b), 1  # no iteration taken, no descent direction
 
     monkeypatch.setattr(plap, "cg", failing_cg)
     g = unit_square(6)
@@ -510,3 +522,187 @@ def test_solution_attains_boundary_exactly():
     f = constant_field(g, 1.0)
     rep = solve_p_poisson(PPoissonProblem(g, 2.5, f, h))
     assert np.array_equal(rep.solution.values[g.boundary], h.values[g.boundary])
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+REPORT_COUNTERS = (
+    "iterations",
+    "cg_iterations",
+    "fallbacks",
+    "stop_reason",
+    "converged",
+    "energy_history",
+    "line_search_evals",
+    "warm_start_iterations",
+    "warm_start_cg_iterations",
+)
+
+
+def mixed_members(g, p):
+    """A zero source with zero data (converged at step 0), affine data
+    without a source, and smooth sources of L^1.25 norm 0.3, 3 and 30 with
+    the data 1 + x y."""
+    zero = constant_field(g, 0.0)
+    if g.d == 1:
+        affine = from_callable(g, lambda x: 2 * x + 1)
+        h = from_callable(g, lambda x: 1 + 0.5 * x)
+    else:
+        affine = from_callable(g, lambda x, y: 2 * x + 3 * y)
+        h = from_callable(g, lambda x, y: 1 + x * y)
+    w = sample_smooth_field(g, np.random.default_rng(g.n))  # 0 when n = 1
+    sources = [scale_to_norm(w, 1.25, a) for a in (0.3, 3.0, 30.0)]
+    return [PPoissonProblem(g, p, zero, zero), PPoissonProblem(g, p, zero, affine)] + [
+        PPoissonProblem(g, p, s, h) for s in sources
+    ]
+
+
+def assert_match_lone_lifts(problems, reports, **kwargs):
+    """Each report of a batch equals that of its problem lifted alone."""
+    assert len(reports) == len(problems)
+    for prob, rep in zip(problems, reports):
+        lone = solve_p_poisson(prob, **kwargs)
+        for name in REPORT_COUNTERS:
+            assert getattr(rep, name) == getattr(lone, name), name
+        scale = max(1.0, np.abs(lone.solution.values).max())
+        assert np.abs(rep.solution.values - lone.solution.values).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("p", [1.2, 2.2, 6.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_members_match_lone_lifts(d, n, p):
+    g = box_grid(d, n, 1.0)
+    problems = mixed_members(g, p)
+    reports = list(solve_p_poisson_batch(problems))
+    assert_match_lone_lifts(problems, reports)
+    assert reports[0].stop_reason == "converged" and reports[0].iterations == 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_max_iter_stops_members_beside_converged_ones(d):
+    g = box_grid(d, 7, 1.0)
+    problems = mixed_members(g, 2.2)
+    reports = list(solve_p_poisson_batch(problems, max_iter=1))
+    assert_match_lone_lifts(problems, reports, max_iter=1)
+    reasons = [rep.stop_reason for rep in reports]
+    assert reasons == ["converged", "converged", "max_iter", "max_iter", "max_iter"]
+    assert [rep.iterations for rep in reports] == [0, 0, 1, 1, 1]
+
+
+def test_batch_longer_than_a_chunk(monkeypatch):
+    """Five members at two per chunk run as chunks of 2, 2 and 1, each
+    member as it runs alone."""
+    g = unit_square(7)
+    monkeypatch.setattr(plap, "BATCH_NODES", 2 * g.n_nodes + 1)
+    chunks = []
+    real = plap.harmonic_extension
+
+    def spy(grid, h):
+        chunks.append(len(h))
+        return real(grid, h)
+
+    monkeypatch.setattr(plap, "harmonic_extension", spy)
+    problems = mixed_members(g, 2.2)
+    reports = list(solve_p_poisson_batch(problems))
+    assert chunks == [2, 2, 1]
+    assert_match_lone_lifts(problems, reports)
+
+
+def test_batch_requires_one_grid_and_p():
+    g = unit_square(4)
+    zero = constant_field(g, 0.0)
+    other = unit_square(5)
+    other_zero = constant_field(other, 0.0)
+    first = PPoissonProblem(g, 2.2, zero, zero)
+    for second in (
+        PPoissonProblem(g, 2.5, zero, zero),
+        PPoissonProblem(other, 2.2, other_zero, other_zero),
+    ):
+        with pytest.raises(ValueError, match="share the grid and p"):
+            list(solve_p_poisson_batch([first, second]))
+    with pytest.raises(ValueError, match="tol"):
+        solve_p_poisson_batch([PPoissonProblem(g, 2.2, zero, zero)], tol=0.0)
+    assert list(solve_p_poisson_batch([])) == []
+
+
+def test_cg_rows_run_as_lone_solves():
+    """Each row of a batched cg takes the operations and iterations of a
+    one-row solve: a zero row returns 0 without iterating, and a row that
+    exhausts maxiter beside converging rows is the one that took info
+    iterations."""
+    rng = np.random.default_rng(5)
+    N = 8
+    mats = []
+    for k in range(4):
+        A = np.diag(rng.uniform(1.0, 10.0 ** (2 * k), N))
+        A[0, 1] = A[1, 0] = 0.5
+        mats.append(A)
+    b = rng.standard_normal((4, N))
+    b[1] = 0.0
+    counts = np.zeros(4, dtype=int)
+
+    def count(rows):
+        counts[rows] += 1
+
+    def apply(z, rows):
+        return np.stack([mats[k] @ row for k, row in zip(rows, z)])
+
+    x, info = plap.cg(apply, b, rtol=1e-10, M=lambda z, rows: z.copy(), callback=count)
+    assert info == 0
+    for k in range(4):
+        lone_counts = [0]
+
+        def lone_count(rows):
+            lone_counts[0] += 1
+
+        lone, lone_info = plap.cg(
+            lambda z, rows: (mats[k] @ z[0])[None],
+            b[k : k + 1],
+            rtol=1e-10,
+            M=lambda z, rows: z.copy(),
+            callback=lone_count,
+        )
+        assert lone_info == 0
+        assert np.array_equal(x[k], lone[0])
+        assert counts[k] == lone_counts[0]
+    assert counts[1] == 0 and not x[1].any()
+
+    # the ill-conditioned row 3 cannot reach 1e-300; the others stop at 0
+    counts[:] = 0
+    b[1] = 0.0
+    x, info = plap.cg(apply, b, rtol=1e-300, M=lambda z, rows: z.copy(), callback=count)
+    assert info == 10 * N
+    assert counts[3] == info and counts[1] == 0
+
+
+@pytest.mark.parametrize("p", [6.0, 1.2, 2.2])
+def test_report_counts_warm_start_and_line_search(p, monkeypatch):
+    """The p = 2 warm start (p >= 4 or p <= 1.3) reports its own Newton steps
+    and CG iterations, and line_search_evals counts the energy evaluations
+    of the lift's own Armijo searches, not those of the warm start."""
+    g = unit_square(8)
+    f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+    h = from_callable(g, lambda x, y: x * y)
+    prob = PPoissonProblem(g, p, f, h)
+    warm = solve_p_poisson(replace(prob, p=2.0))
+    evaluated = [0]
+    real = plap._energy_reg
+
+    def spy(grid, u, *args):
+        evaluated[0] += 1 if u.ndim == 1 else len(u)
+        return real(grid, u, *args)
+
+    monkeypatch.setattr(plap, "_energy_reg", spy)
+    rep = solve_p_poisson(prob)
+    assert rep.converged
+    assert rep.line_search_evals >= rep.iterations > 0
+    if p == 2.2:
+        assert (rep.warm_start_iterations, rep.warm_start_cg_iterations) == (0, 0)
+        assert evaluated[0] == 1 + rep.line_search_evals  # one initial energy
+    else:
+        assert rep.warm_start_iterations == warm.iterations > 0
+        assert rep.warm_start_cg_iterations == warm.cg_iterations > 0
+        assert evaluated[0] == 2 + rep.line_search_evals + warm.line_search_evals
