@@ -22,27 +22,41 @@ s = sqrt(diag H), applied exactly by Grid.laplace_solve (Huang, Li and
 Liu, J. Sci. Comput. 2007).  The scaling carries the local weight
 |grad u|^(p-2) that the plain Laplacian lacks.  Near p = 2 the CG count
 per Newton step stays flat in n; for p far from 2 it still grows with n.
-If the linear solve fails or produces an ascent direction, or its step
-finds no Armijo decrease, the step falls back to steepest descent.  Steps
-are accepted by Armijo backtracking (sufficient decrease 1e-4, halving, at
-most 40 trials).  The initial iterate is the discrete 2-harmonic extension
-of h, one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first
+The Newton step is inexact: CG stops at the relative residual eta, the
+forcing term, which is ETA_MAX = 0.1 at a member's first step and then
+Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 1996), eta_k =
+0.9 (|g_k| / |g_k-1|)^2 clipped to [CG_RTOL, ETA_MAX], so a step solves
+only as accurately as the outer convergence rate can use (the choice's
+safeguard max(eta, 0.9 eta_k-1^2) never binds below ETA_MAX = 0.1, so it
+is left out).  If the linear solve fails or produces an ascent direction,
+or its step finds no Armijo decrease, the step falls back to steepest
+descent.  Steps are accepted by Armijo backtracking (sufficient decrease
+1e-4, halving, at most 40 trials).  Near the minimum the decrease that the
+test asks for can fall below the round-off of the energy's sums, which
+then stay put to the last digit while |g| is still above tol; so a trial
+that changes the energy by at most ROUNDOFF = 1e-13 times the magnitude of
+its gradient and source terms passes instead when its interior gradient
+norm falls by the factor 1 - 1e-4 t (one residual_vector call, on those
+rows only).  The initial iterate is the discrete 2-harmonic extension of
+h, one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first
 solved at p = 2 and continued from there.  The report counts the Newton
-steps, CG iterations, steepest-descent fallbacks and Armijo energy
-evaluations of its own Newton loop, and apart from them the Newton steps
-and CG iterations of the p = 2 warm start.
+steps, CG iterations, steepest-descent fallbacks, Armijo energy
+evaluations and steps accepted on the round-off floor of its own Newton
+loop, and apart from them the Newton steps and CG iterations of the p = 2
+warm start.
 
 One Newton loop serves a batch of lifts that share the grid and p
 (solve_p_poisson_batch; solve_p_poisson is a batch of one): the nodal
 values are stacked (B, n_nodes), so every numpy call serves the whole
 batch, and the kernels, cg and the Armijo search take that leading axis.
-Each member keeps its own stopping test, CG rows, step length, fallback,
-stop reason and counters, and leaves the active set when it stops; every
-reduction is taken per row, with the operations of a lone lift, so each
-member's report equals that of its problem lifted alone.  Batches hold
-max(1, BATCH_NODES // n_nodes) members, so every n >= 64 lifts one at a
-time; BATCH_NODES keeps the peak RSS of `plapsys certify` at n = 16
-(12 members) within about 1.2 MB of lifting one problem at a time.
+Each member keeps its own stopping test, forcing term, CG rows, step
+length, fallback, stop reason and counters, and leaves the active set when
+it stops; every reduction is taken per row, with the operations of a lone
+lift, so each member's report equals that of its problem lifted alone.
+Batches hold max(1, BATCH_NODES // n_nodes) members, so every n >= 64
+lifts one at a time; BATCH_NODES keeps the peak RSS of `plapsys certify`
+at n = 16 (12 members) within about 1.2 MB of lifting one problem at a
+time.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
@@ -71,7 +85,14 @@ from .field import Grid, ScalarField, element_gradients
 ARMIJO_DECREASE = 1e-4
 ARMIJO_FACTOR = 0.5
 ARMIJO_MAX_TRIALS = 40
-CG_RTOL = 1e-10
+CG_RTOL = 1e-10  # the tightest forcing term
+ETA_MAX = 0.1  # the forcing term of a member's first Newton step
+EW_GAMMA = 0.9  # Eisenstat-Walker choice 2: eta = gamma (|g_k| / |g_k-1|)^alpha
+EW_ALPHA = 2.0
+# an energy change at most this, relative to the energy's terms, is round-off;
+# any bound from 1e-15 to 1e-12 converges the regression matrix of the tests
+# in the same steps, 1e-11 already accepts steps that are not round-off
+ROUNDOFF = 1e-13
 DEFAULT_REG = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -110,6 +131,7 @@ class SolveReport:
     stop_reason: str  # "converged", "max_iter" or "stalled"
     energy_history: list[float]
     line_search_evals: int = 0  # energy evaluations of the Armijo searches
+    roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
     warm_start_iterations: int = 0  # Newton steps of the p = 2 warm start
     warm_start_cg_iterations: int = 0  # CG iterations of the p = 2 warm start
 
@@ -280,9 +302,10 @@ def cg(A, b, *, rtol, M, callback=None):
     """Preconditioned conjugate gradients for the systems A_k x_k = b_k of
     the rows of b (B, N), each from x = 0.  A and M^-1 are callables
     (z, rows) that apply the operators of the batch rows `rows` to the rows
-    of z.  Row k stops when ||r_k|| < rtol ||b_k|| and leaves the working
-    set, and a row with b_k = 0 returns 0 at once, so every row takes the
-    operations, in their order, of scipy.sparse.linalg.cg with atol = 0 on
+    of z.  rtol is a scalar or one tolerance per row, shape (B,).  Row k
+    stops when ||r_k|| < rtol_k ||b_k|| and leaves the working set, and a
+    row with b_k = 0 returns 0 at once, so every row takes the operations,
+    in their order, of scipy.sparse.linalg.cg with atol = 0 and its rtol on
     that row alone.  callback(rows) is called once per iteration with the
     rows that took it.  Returns (x, info): info is 0 when every row
     converged, and otherwise maxiter = 10 N, the iterations taken by each
@@ -293,7 +316,7 @@ def cg(A, b, *, rtol, M, callback=None):
     rows = np.flatnonzero(bnorm)
     if not len(rows):
         return x, 0
-    atol = rtol * bnorm[rows]
+    atol = (rtol * bnorm)[rows]
     r = b[rows]
     xr = np.zeros_like(r)
     for it in range(maxiter):
@@ -403,8 +426,9 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
     offsets = _stencil_offsets(grid)
     energies = _energy_reg(grid, U, p, F, reg)
     history = [[e] for e in energies.tolist()]
-    iterations, cg_iterations, fallbacks, evals = np.zeros((4, len(U)), dtype=int)
+    iterations, cg_iterations, fallbacks, evals, roundoff = np.zeros((5, len(U)), dtype=int)
     gnorm = np.zeros(len(U))
+    eta = np.full(len(U), ETA_MAX)  # each member's forcing term
     stop_reason = [""] * len(U)
     active = np.arange(len(U))
     while len(active):
@@ -415,6 +439,10 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
         # np.take keeps each row contiguous, so its norm is that of a lone lift
         g = np.take(residual_vector(grid, u, p, f, reg), I, axis=-1)
         gn = np.sqrt(np.vecdot(g, g))
+        # Eisenstat-Walker choice 2 once a member has a previous gradient
+        stepped = iterations[active] > 0
+        ratio = gn[stepped] / gnorm[active[stepped]]
+        eta[active[stepped]] = np.clip(EW_GAMMA * ratio**EW_ALPHA, CG_RTOL, ETA_MAX)
         gnorm[active] = gn
         done = (gn <= tol) | (iterations[active] >= max_iter)
         if done.any():
@@ -435,7 +463,7 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
         delta, info = cg(
             _on_rows(lambda z, D: _stencil_matvec(D, offsets, z), D),
             -g,
-            rtol=CG_RTOL,
+            rtol=eta[active],
             M=_on_rows(lambda z, s: grid.laplace_solve(z / s) / s, s),
             callback=count_cg,
         )
@@ -451,10 +479,12 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
             """Armijo from u along direction on the working rows `rows`."""
             if not len(rows):
                 return
-            ok, trial, val, n_evals = _armijo(
-                grid, u[rows], p, f[rows], reg, I, direction[rows], slopes[rows], current[rows]
+            ok, trial, val, n_evals, by_roundoff = _armijo(
+                grid, u[rows], p, f[rows], reg, I,
+                direction[rows], slopes[rows], current[rows], gn[rows],
             )
             evals[active[rows]] += n_evals
+            roundoff[active[rows[by_roundoff]]] += 1
             rows = rows[ok]
             moved[rows] = True
             U[active[rows]] = trial[ok]
@@ -485,21 +515,31 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
             stop_reason=stop_reason[b],
             energy_history=history[b],
             line_search_evals=int(evals[b]),
+            roundoff_steps=int(roundoff[b]),
         )
         for b in range(len(U))
     ]
 
 
-def _armijo(grid, u, p, fv, reg, I, delta, slope, current):
+def _armijo(grid, u, p, fv, reg, I, delta, slope, current, gnorm):
     """Armijo backtracking from each row of u (B, n_nodes) along its row of
     delta (B, N), with its own step t from 1: sufficient decrease
     ARMIJO_DECREASE, factor ARMIJO_FACTOR, at most ARMIJO_MAX_TRIALS
-    trials.  Returns (accepted, new u, new energy, energy evaluations) per
-    row; a row without an accepted step keeps u and its current energy."""
+    trials.  On the energy's round-off floor the decrease that the test asks
+    for is below what the energy's sums resolve, so a trial that fails it
+    but changes the energy by at most ROUNDOFF times the magnitude of its two
+    terms (gradient and source) is accepted when its interior gradient norm
+    is at most (1 - ARMIJO_DECREASE t) gnorm, the current one.  Returns
+    (accepted, new u, new energy, energy evaluations, round-off) per row,
+    round-off marking the steps accepted that way; a row without an
+    accepted step keeps u and its current energy."""
     t = np.ones(len(u))
     accepted = np.zeros(len(u), dtype=bool)
+    roundoff = np.zeros(len(u), dtype=bool)
     evals = np.zeros(len(u), dtype=int)
     new_u, new_energy = u.copy(), current.copy()
+    source = np.vecdot(grid.lumped * fv, u)
+    floor = ROUNDOFF * (np.abs(current - source) + np.abs(source))
     rows = np.arange(len(u))
     for _ in range(ARMIJO_MAX_TRIALS):
         trial = u[rows]
@@ -507,6 +547,12 @@ def _armijo(grid, u, p, fv, reg, I, delta, slope, current):
         val = _energy_reg(grid, trial, p, fv[rows], reg)
         evals[rows] += 1
         ok = val <= current[rows] + ARMIJO_DECREASE * t[rows] * slope[rows]
+        flat = np.flatnonzero(~ok & (np.abs(val - current[rows]) <= floor[rows]))
+        if len(flat):
+            k = rows[flat]
+            g = np.take(residual_vector(grid, trial[flat], p, fv[k], reg), I, axis=-1)
+            ok[flat] = np.sqrt(np.vecdot(g, g)) <= (1.0 - ARMIJO_DECREASE * t[k]) * gnorm[k]
+            roundoff[k] = ok[flat]
         accepted[rows[ok]] = True
         new_u[rows[ok]] = trial[ok]
         new_energy[rows[ok]] = val[ok]
@@ -514,4 +560,4 @@ def _armijo(grid, u, p, fv, reg, I, delta, slope, current):
         if not len(rows):
             break
         t[rows] *= ARMIJO_FACTOR
-    return accepted, new_u, new_energy, evals
+    return accepted, new_u, new_energy, evals, roundoff

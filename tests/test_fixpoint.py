@@ -229,8 +229,10 @@ def test_calibration_rejects_zero_source_before_any_lift(monkeypatch):
 
 
 def test_calibration_abort_names_first_failing_source():
-    """Every lift fails at tol = 1e-300; the SolverAbort is that of the first
-    source, as a one-at-a-time calibration would raise it."""
+    """At tol = 1e-300 the first source reaches a zero gradient and
+    converges, and the other two fail; the SolverAbort is that of the
+    second source, the first that fails in source order, as a one-at-a-time
+    calibration would raise it."""
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
     exps = make_exponents(3, 2.2, 1.25)
     rng = np.random.default_rng(2)
@@ -239,9 +241,11 @@ def test_calibration_abort_names_first_failing_source():
         calibration_ratios(g, exps, sources, tol=1e-300)
     zero = constant_field(g, 0.0)
     lone = [solve_p_poisson(PPoissonProblem(g, 2.2, f, zero), tol=1e-300) for f in sources]
+    assert lone[0].converged and lone[0].gradient_norm == 0.0
+    assert not lone[1].converged and not lone[2].converged
     assert err.value.component == "calibration"
-    assert (err.value.stop_reason, err.value.n) == (lone[0].stop_reason, 3)
-    assert err.value.gradient_norm == lone[0].gradient_norm != lone[1].gradient_norm
+    assert (err.value.stop_reason, err.value.n) == (lone[1].stop_reason, 3)
+    assert err.value.gradient_norm == lone[1].gradient_norm != lone[2].gradient_norm
 
 
 def test_calibrate_C_deterministic_and_positive():

@@ -448,8 +448,9 @@ def test_stop_reason_converged():
 
 def test_stop_reason_stalled(monkeypatch):
     # no Armijo decrease along the Newton direction nor along -g
-    def no_decrease(grid, u, p, fv, reg, I, delta, slope, current):
-        return np.zeros(len(u), dtype=bool), u, current, np.ones(len(u), dtype=int)
+    def no_decrease(grid, u, p, fv, reg, I, delta, slope, current, gnorm):
+        none = np.zeros(len(u), dtype=bool)
+        return none, u, current, np.ones(len(u), dtype=int), none
 
     monkeypatch.setattr(plap, "_armijo", no_decrease)
     g = unit_square(8)
@@ -460,6 +461,55 @@ def test_stop_reason_stalled(monkeypatch):
     assert rep.iterations == 0
     assert rep.fallbacks == 1
     assert rep.gradient_norm > 1e-8
+
+
+def test_armijo_roundoff_branch(monkeypatch):
+    """A trial that fails the decrease test with an energy within round-off
+    of the current one is accepted when its gradient norm falls to at most
+    (1 - 1e-4 t) of the current one: along the p = 2 Newton direction,
+    which zeroes the gradient at t = 1, but not along its reverse, which
+    multiplies it by 1 + t, nor once the energy rises above round-off."""
+    g = unit_square(8)
+    I = g.interior
+    f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y)).values
+    u = harmonic_extension(g, from_callable(g, lambda x, y: 1 + x * y).values)
+    grad = np.take(residual_vector(g, u, 2.0, f, 1e-8), I)
+    gnorm = np.sqrt(grad @ grad)
+    D = _newton_system(g, u, 2.0, 1e-8)
+    offsets = _stencil_offsets(g)
+    delta, info = plap.cg(
+        lambda z, rows: _stencil_matvec(D, offsets, z[0])[None],
+        -grad[None],
+        rtol=1e-14,
+        M=lambda z, rows: z.copy(),
+    )
+    assert info == 0
+    E = float(_energy_reg(g, u, 2.0, f, 1e-8))
+    S = float(np.dot(g.lumped * f, u))
+    scale = abs(E - S) + abs(S)  # the magnitude of the energy's two terms
+    rise = [0.0]
+
+    def flat(grid, trial, p, fv, reg):  # every trial's energy, E + rise
+        return np.full(len(trial), E + rise[0])
+
+    monkeypatch.setattr(plap, "_energy_reg", flat)
+    stack = np.stack([u, u])
+    directions = np.concatenate([delta, -delta])
+    slopes = np.full(2, delta[0] @ grad)  # the test asks both rows for a decrease
+    current = np.full(2, E)
+    for r, want in (
+        (0.5 * plap.ROUNDOFF * scale, [True, False]),
+        (2.0 * plap.ROUNDOFF * scale, [False, False]),
+    ):
+        rise[0] = r
+        ok, new_u, val, evals, roundoff = plap._armijo(
+            g, stack, 2.0, np.stack([f, f]), 1e-8, I, directions, slopes, current, np.full(2, gnorm)
+        )
+        assert ok.tolist() == roundoff.tolist() == want
+        assert evals.tolist() == [1 if want[0] else plap.ARMIJO_MAX_TRIALS, plap.ARMIJO_MAX_TRIALS]
+        assert np.array_equal(new_u[1], u) and val[1] == E
+        if want[0]:
+            assert val[0] == E + r and np.array_equal(new_u[0, I], u[I] + delta[0])
 
 
 def test_continuation_high_p():
@@ -536,6 +586,7 @@ REPORT_COUNTERS = (
     "converged",
     "energy_history",
     "line_search_evals",
+    "roundoff_steps",
     "warm_start_iterations",
     "warm_start_cg_iterations",
 )
@@ -579,6 +630,7 @@ def test_batch_members_match_lone_lifts(d, n, p):
     reports = list(solve_p_poisson_batch(problems))
     assert_match_lone_lifts(problems, reports)
     assert reports[0].stop_reason == "converged" and reports[0].iterations == 0
+    assert all(rep.converged for rep in reports)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -678,6 +730,46 @@ def test_cg_rows_run_as_lone_solves():
     assert counts[3] == info and counts[1] == 0
 
 
+def test_cg_per_row_rtol_matches_scipy_cg():
+    """With one rtol per row, each row of a batched cg is, bit for bit,
+    scipy's cg on that row's system alone with that row's rtol."""
+    g = unit_square(16)
+    rng = np.random.default_rng(7)
+    U = rng.uniform(-1, 1, (3, g.n_nodes))
+    rtols = np.array([1e-1, 1e-10, 1e-4])
+    D = _newton_system(g, U, 2.5, 1e-8)
+    offsets = _stencil_offsets(g)
+    s = np.sqrt(D[len(D) // 2])
+    b = rng.standard_normal((3, len(g.interior)))
+    counts = np.zeros(3, dtype=int)
+
+    def count(rows):
+        counts[rows] += 1
+
+    x, info = plap.cg(
+        lambda z, rows: _stencil_matvec(D[:, rows], offsets, z),
+        b,
+        rtol=rtols,
+        M=lambda z, rows: g.laplace_solve(z / s[rows]) / s[rows],
+        callback=count,
+    )
+    assert info == 0
+    for k in range(3):
+        H, _, _ = _oracle_csr(g, U[k], 2.5, 1e-8)
+        N = H.shape[0]
+        M = LinearOperator((N, N), matvec=lambda z: g.laplace_solve(z / s[k]) / s[k], dtype=float)
+        lone_count = [0]
+
+        def lone_cb(_):
+            lone_count[0] += 1
+
+        want, want_info = scipy_cg(H, b[k], rtol=rtols[k], atol=0.0, M=M, callback=lone_cb)
+        assert want_info == 0
+        assert np.array_equal(x[k], want)
+        assert counts[k] == lone_count[0]
+    assert counts[0] < counts[2] < counts[1]
+
+
 @pytest.mark.parametrize("p", [6.0, 1.2, 2.2])
 def test_report_counts_warm_start_and_line_search(p, monkeypatch):
     """The p = 2 warm start (p >= 4 or p <= 1.3) reports its own Newton steps
@@ -706,3 +798,51 @@ def test_report_counts_warm_start_and_line_search(p, monkeypatch):
         assert rep.warm_start_iterations == warm.iterations > 0
         assert rep.warm_start_cg_iterations == warm.cg_iterations > 0
         assert evaluated[0] == 2 + rep.line_search_evals + warm.line_search_evals
+
+
+# ---------------------------------------------------------------------------
+# regression matrix of the inexact Newton solve
+
+
+def matrix_problems(n, p, sizes):
+    """The unit box with the data 1 + x y and the seed-1 smooth source
+    scaled to each L^1.25 norm of `sizes`."""
+    g = unit_square(n)
+    h = from_callable(g, lambda x, y: 1 + x * y)
+    w = sample_smooth_field(g, np.random.default_rng(1))
+    return [PPoissonProblem(g, p, scale_to_norm(w, 1.25, a), h) for a in sizes]
+
+
+MATRIX = [
+    (p, n, (0.3, 3.0, 30.0)) for p in (1.2, 1.3, 1.5, 2.5, 4.0, 6.0) for n in (16, 32, 64)
+] + [(1.1, n, (0.3, 3.0)) for n in (16, 32)]
+
+
+@pytest.mark.parametrize("p, n, sizes", MATRIX)
+def test_regression_matrix_converges(p, n, sizes):
+    """Every case converges within 80 Newton steps, among them those where
+    a solve on the energy's round-off floor used to run to max_iter
+    ((1.2, 64, 30), (1.3, 64, 3) and (1.1, 32, 3)) or did with forcing but
+    without the round-off branch of the Armijo search ((1.2, 64, 3),
+    (1.3, 32, 3))."""
+    for rep in solve_p_poisson_batch(matrix_problems(n, p, sizes)):
+        assert rep.converged and rep.gradient_norm <= rep.tol
+        assert rep.iterations <= 80
+
+
+def test_roundoff_steps_counts_the_branch(monkeypatch):
+    """roundoff_steps counts the steps that the Armijo search accepted on
+    the energy's round-off floor: (1.3, 32, 3) takes one; its p = 2 warm
+    start takes none."""
+    steps = [0]
+    real = plap._armijo
+
+    def spy(*args):
+        out = real(*args)
+        steps[0] += int(out[-1].sum())
+        return out
+
+    monkeypatch.setattr(plap, "_armijo", spy)
+    (rep,) = solve_p_poisson_batch(matrix_problems(32, 1.3, (3.0,)))
+    assert rep.converged
+    assert rep.roundoff_steps == steps[0] >= 1
