@@ -24,26 +24,35 @@ Liu, J. Sci. Comput. 2007).  The scaling carries the local weight
 per Newton step stays flat in n; for p far from 2 it still grows with n.
 The Newton step is inexact: CG stops at the relative residual eta, the
 forcing term, which is ETA_MAX = 0.1 at a member's first step and then
-Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 1996), eta_k =
-0.9 (|g_k| / |g_k-1|)^2 clipped to [CG_RTOL, ETA_MAX], so a step solves
-only as accurately as the outer convergence rate can use (the choice's
-safeguard max(eta, 0.9 eta_k-1^2) never binds below ETA_MAX = 0.1, so it
-is left out).  If the linear solve fails or produces an ascent direction,
-or its step finds no Armijo decrease, the step falls back to steepest
-descent.  Steps are accepted by Armijo backtracking (sufficient decrease
-1e-4, halving, at most 40 trials).  Near the minimum the decrease that the
-test asks for can fall below the round-off of the energy's sums, which
-then stay put to the last digit while |g| is still above tol; so a trial
-that changes the energy by at most ROUNDOFF = 1e-13 times the magnitude of
-its gradient and source terms passes instead when its interior gradient
-norm falls by the factor 1 - 1e-4 t (one residual_vector call, on those
-rows only).  The initial iterate is the discrete 2-harmonic extension of
-h, one Grid.laplace_solve; for p >= 4 or p <= 1.3 the problem is first
-solved at p = 2 and continued from there.  The report counts the Newton
-steps, CG iterations, steepest-descent fallbacks, Armijo energy
-evaluations and steps accepted on the round-off floor of its own Newton
-loop, and apart from them the Newton steps and CG iterations of the p = 2
-warm start.
+Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 1996), 0.9 (|g_k| /
+|g_k-1|)^2, raised to at least Kelley's 0.5 tol / |g_k| (Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, eq. 6.20) and
+clipped to [CG_RTOL, ETA_MAX], so a step solves only as accurately as the
+outer convergence rate can use, and the last step no further than tol
+asks (the choice's safeguard max(eta, 0.9 eta_k-1^2) never binds below
+ETA_MAX = 0.1, so it is left out).  If the linear solve fails or produces
+an ascent direction, or its step finds no Armijo decrease, the step falls
+back to steepest descent.  Steps are accepted by Armijo backtracking
+(sufficient decrease 1e-4, halving, at most 40 trials).  Near the minimum
+the decrease that the test asks for can fall below the round-off of the
+energy's sums, which then stay put to the last digit while |g| is still
+above tol; so a trial that changes the energy by at most ROUNDOFF = 1e-13
+times the magnitude of its gradient and source terms passes instead when
+its interior gradient norm falls by the factor 1 - 1e-4 t (one
+residual_vector call, on those rows only).
+
+The initial iterate is the discrete p = 2 minimizer with the boundary data
+h and the lift's own source f, one Grid.laplace_solve (harmonic_extension).
+Where h is constant, as in every calibration lift, the 2-harmonic
+extension of h alone is flat, and there the weight reg^(p-2) makes the
+first Newton step about 40 times too long at p = 2.2; the p = 2 minimizer
+is not flat, and at p = 2 it is the solution.  For 1.3 < p < 2 the start
+is the 2-harmonic extension of h instead: there the p = 2 minimizer can be
+a far worse start (at p = 1.5, h = 1 and a source of L^1.25 norm 0.3 on
+the unit square it took 253 Newton steps at n = 16 and ran to max_iter at
+n = 64, against 8 and 7 steps from the extension).  The report counts the Newton steps, CG
+iterations, steepest-descent fallbacks, Armijo energy evaluations and
+steps accepted on the round-off floor.
 
 One Newton loop serves a batch of lifts that share the grid and p
 (solve_p_poisson_batch; solve_p_poisson is a batch of one): the nodal
@@ -132,8 +141,6 @@ class SolveReport:
     energy_history: list[float]
     line_search_evals: int = 0  # energy evaluations of the Armijo searches
     roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
-    warm_start_iterations: int = 0  # Newton steps of the p = 2 warm start
-    warm_start_cg_iterations: int = 0  # CG iterations of the p = 2 warm start
 
 
 def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
@@ -193,14 +200,16 @@ def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: flo
     return out.reshape(batch + (-1,)) + grid.lumped * f
 
 
-def harmonic_extension(grid: Grid, h: np.ndarray) -> np.ndarray:
-    """Discrete 2-harmonic extension of the boundary values of the nodal
-    values h, of each row of a stack h (..., n_nodes) alone."""
+def harmonic_extension(grid: Grid, h: np.ndarray, f: np.ndarray | float) -> np.ndarray:
+    """The discrete p = 2 minimizer with the boundary values of the nodal
+    values h and the nodal source f (a stack like h, or 0 for the
+    2-harmonic extension), of each row of a stack h (..., n_nodes) alone:
+    u_I = -K_II^-1 (K_IB h_B + (M f)_I), M the lumped node weights."""
     I, B = grid.interior, grid.boundary
     u = np.zeros(h.shape)
     u[..., B] = h[..., B]
-    # -(K u_B)_I: at p = 2 every flux weight is exactly 1, whatever reg
-    r = residual_vector(grid, u, 2.0, 0.0, reg=1.0)
+    # -(K u_B + M f)_I: at p = 2 every flux weight is exactly 1, whatever reg
+    r = residual_vector(grid, u, 2.0, f, reg=1.0)
     u[..., I] = grid.laplace_solve(-np.take(r, I, axis=-1))
     return u
 
@@ -404,16 +413,11 @@ def _solve_chunks(problems, tol, max_iter, reg) -> Iterator[SolveReport]:
         if any(prob.grid != grid or prob.p != p for prob in chunk):
             raise ValueError("a batch of lifts must share the grid and p")
         F = np.stack([prob.f.values for prob in chunk])
-        U = harmonic_extension(grid, np.stack([prob.h.values for prob in chunk]))
-        warm = []
-        if (p >= 4.0 or p <= 1.3) and p != 2.0:
-            warm = _newton(grid, 2.0, F, U, tol, max_iter, reg)
-            U = np.stack([rep.solution.values for rep in warm])
-        reports = _newton(grid, p, F, U, tol, max_iter, reg)
-        for rep, base in zip(reports, warm):
-            rep.warm_start_iterations = base.iterations
-            rep.warm_start_cg_iterations = base.cg_iterations
-        yield from reports
+        H = np.stack([prob.h.values for prob in chunk])
+        # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
+        # worse start than the source-free one (see the module docstring)
+        U = harmonic_extension(grid, H, 0.0 if 1.3 < p < 2.0 else F)
+        yield from _newton(grid, p, F, U, tol, max_iter, reg)
         chunk = list(itertools.islice(problems, size))
 
 
@@ -439,10 +443,7 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
         # np.take keeps each row contiguous, so its norm is that of a lone lift
         g = np.take(residual_vector(grid, u, p, f, reg), I, axis=-1)
         gn = np.sqrt(np.vecdot(g, g))
-        # Eisenstat-Walker choice 2 once a member has a previous gradient
-        stepped = iterations[active] > 0
-        ratio = gn[stepped] / gnorm[active[stepped]]
-        eta[active[stepped]] = np.clip(EW_GAMMA * ratio**EW_ALPHA, CG_RTOL, ETA_MAX)
+        previous = gnorm[active]
         gnorm[active] = gn
         done = (gn <= tol) | (iterations[active] >= max_iter)
         if done.any():
@@ -450,8 +451,15 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
                 stop_reason[active[k]] = "converged" if gn[k] <= tol else "max_iter"
             going = ~done
             active, u, f, g, gn = active[going], u[going], f[going], g[going], gn[going]
+            previous = previous[going]
             if not len(active):
                 break
+        # Eisenstat-Walker choice 2 once a member has a previous gradient, at
+        # least Kelley's 0.5 tol / |g_k| (gn > tol > 0 on the active rows)
+        stepped = iterations[active] > 0
+        gs = gn[stepped]
+        ew = EW_GAMMA * (gs / previous[stepped]) ** EW_ALPHA
+        eta[active[stepped]] = np.clip(np.maximum(ew, 0.5 * tol / gs), CG_RTOL, ETA_MAX)
 
         D = _newton_system(grid, u, p, reg)
         s = np.sqrt(D[len(D) // 2])  # offsets are symmetric: the middle one is 0

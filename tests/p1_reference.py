@@ -12,6 +12,7 @@ turns a lattice-shaped element array into the order of `Grid.elements`.
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 
 def grad_phi(grid):
@@ -82,6 +83,17 @@ def assemble_coo(grid, W, Wp=None, G=None):
 def stiffness_matrix(grid):
     """P1 Laplace stiffness over all nodes."""
     return assemble_coo(grid, np.ones(grid.n_elements))
+
+
+def p2_solve(grid, h, f):
+    """The p = 2 minimizer with the boundary values of the nodal values h
+    and the nodal source f: K_II u_I = -K_IB h_B - m_I f_I by spsolve."""
+    A = stiffness_matrix(grid)
+    I, B = grid.interior, grid.boundary
+    u = np.array(h, dtype=float)
+    rhs = -(A[np.ix_(I, B)] @ h[B]) - (grid.lumped * f)[I]
+    u[I] = spsolve(A[np.ix_(I, I)].tocsc(), rhs)
+    return u
 
 
 def newton_matrix(grid, u, p, reg):

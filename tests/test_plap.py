@@ -1,11 +1,10 @@
 """Energy, assembly, and the p-Poisson solver."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import LinearOperator, spsolve
+from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
@@ -91,15 +90,22 @@ def test_laplace_solve_inverts_interior_stiffness(d, n, side):
 
 
 def test_harmonic_extension_matches_direct_solve():
+    """The p = 2 minimizer with boundary values h and source f matches the
+    assembled system solved by spsolve, for f = 0 (the 2-harmonic extension)
+    and for a source, each row of a stack alone."""
     for d, box in ((1, (0.0, 2.0)), (2, (0.0, 1.0, 0.0, 2.0))):
         g = Grid(d, box, 9)
-        hv = np.random.default_rng(d).uniform(-1, 1, g.n_nodes)
-        A = stiffness_matrix(g).tocsr()
-        I, B = g.interior, g.boundary
-        want = spsolve(A[np.ix_(I, I)].tocsc(), -A[np.ix_(I, B)] @ hv[B])
-        ext = harmonic_extension(g, hv)
-        assert np.abs(ext[I] - want).max() <= 1e-12
-        assert np.array_equal(ext[B], hv[B])
+        rng = np.random.default_rng(d)
+        hv = rng.uniform(-1, 1, g.n_nodes)
+        fv = rng.uniform(-5, 5, g.n_nodes)
+        want = ref.p2_solve(g, hv, 0.0)
+        ext = harmonic_extension(g, hv, 0.0)
+        assert np.abs(ext - want).max() <= 1e-12
+        assert np.array_equal(ext[g.boundary], hv[g.boundary])
+        stack = harmonic_extension(g, np.stack([hv, hv]), np.stack([np.zeros_like(fv), fv]))
+        assert np.array_equal(stack[0], ext)
+        assert np.abs(stack[1] - ref.p2_solve(g, hv, fv)).max() <= 1e-12
+        assert np.array_equal(stack[1], harmonic_extension(g, hv, fv))
 
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
@@ -344,11 +350,17 @@ def test_constant_data_any_p():
 
 
 def test_harmonic_extension_matches_p2_solve():
-    g = unit_square(8)
-    h = from_callable(g, lambda x, y: np.sin(x) + y * y)
-    ext = harmonic_extension(g, h.values)
-    rep = solve_p_poisson(PPoissonProblem(g, 2.0, constant_field(g, 0.0), h))
-    assert np.abs(ext - rep.solution.values).max() <= 1e-9
+    """A p = 2 lift starts at its minimizer, so it converges in 0 Newton
+    steps, with or without a source."""
+    for d, data in ((1, lambda x: np.sin(x)), (2, lambda x, y: np.sin(x) + y * y)):
+        g = box_grid(d, 16, 1.0)
+        h = from_callable(g, data)
+        w = sample_smooth_field(g, np.random.default_rng(1))
+        for a in (0.0, 3.0):
+            f = scale_to_norm(w, 1.25, a)
+            rep = solve_p_poisson(PPoissonProblem(g, 2.0, f, h))
+            assert rep.converged and rep.iterations == rep.cg_iterations == 0
+            assert np.array_equal(rep.solution.values, harmonic_extension(g, h.values, f.values))
 
 
 def test_sinsin_manufactured_convergence():
@@ -472,7 +484,7 @@ def test_armijo_roundoff_branch(monkeypatch):
     g = unit_square(8)
     I = g.interior
     f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y)).values
-    u = harmonic_extension(g, from_callable(g, lambda x, y: 1 + x * y).values)
+    u = harmonic_extension(g, from_callable(g, lambda x, y: 1 + x * y).values, 0.0)
     grad = np.take(residual_vector(g, u, 2.0, f, 1e-8), I)
     gnorm = np.sqrt(grad @ grad)
     D = _newton_system(g, u, 2.0, 1e-8)
@@ -513,7 +525,7 @@ def test_armijo_roundoff_branch(monkeypatch):
 
 
 def test_continuation_high_p():
-    # p = 4.5 goes through the p = 2 warm start; still converges
+    # p = 4.5 starts from the p = 2 minimizer with its source; still converges
     g = unit_square(8)
     f = from_callable(g, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y))
     rep = solve_p_poisson(PPoissonProblem(g, 4.5, f, constant_field(g, 0.0)))
@@ -587,8 +599,6 @@ REPORT_COUNTERS = (
     "energy_history",
     "line_search_evals",
     "roundoff_steps",
-    "warm_start_iterations",
-    "warm_start_cg_iterations",
 )
 
 
@@ -652,9 +662,9 @@ def test_batch_longer_than_a_chunk(monkeypatch):
     chunks = []
     real = plap.harmonic_extension
 
-    def spy(grid, h):
+    def spy(grid, h, f):
         chunks.append(len(h))
-        return real(grid, h)
+        return real(grid, h, f)
 
     monkeypatch.setattr(plap, "harmonic_extension", spy)
     problems = mixed_members(g, 2.2)
@@ -770,34 +780,55 @@ def test_cg_per_row_rtol_matches_scipy_cg():
     assert counts[0] < counts[2] < counts[1]
 
 
-@pytest.mark.parametrize("p", [6.0, 1.2, 2.2])
-def test_report_counts_warm_start_and_line_search(p, monkeypatch):
-    """The p = 2 warm start (p >= 4 or p <= 1.3) reports its own Newton steps
-    and CG iterations, and line_search_evals counts the energy evaluations
-    of the lift's own Armijo searches, not those of the warm start."""
+@pytest.mark.parametrize("p", [6.0, 1.2, 1.5, 2.2])
+def test_report_counts_line_search_evals(p, monkeypatch):
+    """A lift starts at the p = 2 minimizer with its own source, except for
+    1.3 < p < 2, where it starts at the 2-harmonic extension of h; no
+    Newton step precedes its own, and line_search_evals counts every
+    energy evaluation but the initial one."""
     g = unit_square(8)
     f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y))
     h = from_callable(g, lambda x, y: x * y)
-    prob = PPoissonProblem(g, p, f, h)
-    warm = solve_p_poisson(replace(prob, p=2.0))
-    evaluated = [0]
+    evaluated = []
     real = plap._energy_reg
 
     def spy(grid, u, *args):
-        evaluated[0] += 1 if u.ndim == 1 else len(u)
+        evaluated.extend(u.reshape(-1, u.shape[-1]).copy())
         return real(grid, u, *args)
 
     monkeypatch.setattr(plap, "_energy_reg", spy)
-    rep = solve_p_poisson(prob)
+    rep = solve_p_poisson(PPoissonProblem(g, p, f, h))
     assert rep.converged
     assert rep.line_search_evals >= rep.iterations > 0
-    if p == 2.2:
-        assert (rep.warm_start_iterations, rep.warm_start_cg_iterations) == (0, 0)
-        assert evaluated[0] == 1 + rep.line_search_evals  # one initial energy
-    else:
-        assert rep.warm_start_iterations == warm.iterations > 0
-        assert rep.warm_start_cg_iterations == warm.cg_iterations > 0
-        assert evaluated[0] == 2 + rep.line_search_evals + warm.line_search_evals
+    assert len(evaluated) == 1 + rep.line_search_evals
+    start = harmonic_extension(g, h.values, 0.0 if p == 1.5 else f.values)
+    assert np.array_equal(evaluated[0], start)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_flat_data_start_takes_full_newton_steps(n):
+    """With h = 1 the 2-harmonic extension is flat, where the regularized
+    weight reg^(p-2) makes the first Newton step far too long; the p = 2
+    start with the source is not flat, so every Armijo search accepts its
+    first trial, t = 1."""
+    g = unit_square(n)
+    w = sample_smooth_field(g, np.random.default_rng(1))
+    h = constant_field(g, 1.0)
+    problems = [PPoissonProblem(g, 2.2, scale_to_norm(w, 1.25, a), h) for a in (0.3, 3.0)]
+    for rep in solve_p_poisson_batch(problems):
+        assert rep.converged
+        assert rep.line_search_evals == rep.iterations <= 4
+
+
+def test_start_ignores_the_source_for_p_between_13_and_2():
+    """At p = 1.5 the p = 2 minimizer with the source is a far worse start
+    than the 2-harmonic extension (it ran to max_iter here), so the lift
+    starts from the extension and converges within 10 Newton steps."""
+    g = unit_square(64)
+    f = scale_to_norm(sample_smooth_field(g, np.random.default_rng(1)), 1.25, 0.3)
+    rep = solve_p_poisson(PPoissonProblem(g, 1.5, f, constant_field(g, 1.0)))
+    assert rep.converged
+    assert rep.iterations <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +863,7 @@ def test_regression_matrix_converges(p, n, sizes):
 
 def test_roundoff_steps_counts_the_branch(monkeypatch):
     """roundoff_steps counts the steps that the Armijo search accepted on
-    the energy's round-off floor: (1.3, 32, 3) takes one; its p = 2 warm
-    start takes none."""
+    the energy's round-off floor: (1.3, 32, 3) takes one."""
     steps = [0]
     real = plap._armijo
 
