@@ -10,6 +10,12 @@ check_growth probes this bound and check_monotone probes coordinatewise
 monotonicity of both functions on a bounded sample lattice; both report
 violations instead of trusting declared constants.
 
+eval_on_nodes is the one node evaluator: it binds x (and y) to the node
+coordinates and the states to nodal arrays or to stacks of them
+(k, n_nodes), such as the lifted pairs of a block of ball trials
+(coupling_values); nemytskii evaluates one pair of fields.  A domain error
+names the node, its coordinates and, in a stack, the row.
+
 The homogeneous transform shifts the arguments by boundary lifts h, k:
 phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is nemytskii at the
 shifted fields.  Splitting the shifted growth bound with the elementary
@@ -68,36 +74,53 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
     return Coupling(phi, psi, a1, a2, b1, b2, p)
 
 
-def eval_on_nodes(e: ex.Expr, grid: Grid, **fields: np.ndarray) -> np.ndarray:
+def eval_on_nodes(
+    e: ex.Expr, grid: Grid, first_row: int = 0, **fields: np.ndarray
+) -> np.ndarray:
     """Values of e at every node, with x (and y) bound to the node
-    coordinates and each keyword to a nodal array.
+    coordinates and each keyword to a nodal array (n_nodes,) or a stack of
+    them (k, n_nodes); the values take the broadcast shape.
 
     Evaluation-domain errors are reported with the offending node's index
-    and coordinates.
+    and coordinates, and for a stack also with its row, numbered from
+    first_row.
     """
+    shape = np.broadcast_shapes((grid.n_nodes,), *(np.shape(a) for a in fields.values()))
     b = {"x": grid.coords[:, 0], **fields}
     if grid.d == 2:
         b["y"] = grid.coords[:, 1]
     try:
         vals = ex.evaluate_arrays(e, b)
     except ex._IndexedDomainError as err:
-        where = ", ".join(f"{c:.17g}" for c in grid.coords[err.index])
-        raise ex.EvaluationDomainError(
-            f"{err} at node {err.index} ({where})"
-        ) from err
-    return np.broadcast_to(vals, (grid.n_nodes,)).astype(float, copy=True)
+        # the failing subexpression broadcasts to at most (k, n_nodes)
+        row, node = divmod(err.index, grid.n_nodes)
+        where = ", ".join(f"{c:.17g}" for c in grid.coords[node])
+        at = f"row {first_row + row}, node {node}" if len(shape) > 1 else f"node {node}"
+        raise ex.EvaluationDomainError(f"{err} at {at} ({where})") from err
+    return np.broadcast_to(vals, shape).astype(float, copy=True)
+
+
+def coupling_values(
+    c: Coupling, grid: Grid, u: np.ndarray, v: np.ndarray, first_row: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodewise phi(x, u(x), v(x)) and psi(x, u(x), v(x)) of every row of
+    the stacks u and v (k, n_nodes), or of one pair of nodal arrays, by
+    eval_on_nodes; a domain error in a stack names the row, numbered from
+    first_row, and the node."""
+    return (
+        eval_on_nodes(c.phi, grid, first_row, u=u, v=v),
+        eval_on_nodes(c.psi, grid, first_row, u=u, v=v),
+    )
 
 
 def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Nodewise (phi(x, u(x), v(x)), psi(x, u(x), v(x))), evaluated by
-    eval_on_nodes."""
+    """Nodewise (phi(x, u(x), v(x)), psi(x, u(x), v(x))): coupling_values
+    of one pair of fields."""
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("u and v must share a grid")
-    return (
-        ScalarField(grid, eval_on_nodes(c.phi, grid, u=u.values, v=v.values)),
-        ScalarField(grid, eval_on_nodes(c.psi, grid, u=u.values, v=v.values)),
-    )
+    phi, psi = coupling_values(c, grid, u.values, v.values)
+    return ScalarField(grid, phi), ScalarField(grid, psi)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ and all integral quantities use the vertex-averaged elementwise quadrature
 
     lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
+lq_norms is the one kernel that computes it, for every row of a stack of
+nodal values (k, n_nodes) at once; lq_norm is a stack of one, and
+pair_norm the larger lq_norm of two fields.
+
 Gradients of the P1 interpolant are constant per element and exact for
 affine data.  element_gradients is the one kernel that computes them, for
 the energy, the Newton system and the weak residual alike, straight from
@@ -254,25 +258,34 @@ def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return G, G2
 
 
-def element_means(w: ScalarField) -> np.ndarray:
-    """Vertex average of w on each element, in the order of `Grid.elements`."""
-    g = w.grid
-    if g.d == 1:
-        return (w.values[:-1] + w.values[1:]) / 2.0
-    U = w.values.reshape(g.n + 1, g.n + 1)
-    means = np.empty((g.n, g.n, 2))
-    np.add(U[:-1, :-1] + U[:-1, 1:], U[1:, 1:], out=means[:, :, 0])
-    np.add(U[:-1, :-1] + U[1:, 1:], U[1:, :-1], out=means[:, :, 1])
-    means /= 3.0
-    return means.ravel()
+def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
+    """lq_norm of each row of a stack of nodal values (k, n_nodes), shape
+    (k,).  Each row sums the powers of its vertex averages, in the order
+    of `Grid.elements`, with the operations of a lone field."""
+    if q < 1.0:
+        raise ValueError(f"q must be >= 1, got {q}")
+    k = values.shape[0]
+    if grid.d == 1:
+        m = values[:, :-1] + values[:, 1:]
+        m /= 2.0
+    else:
+        n = grid.n
+        U = values.reshape(k, n + 1, n + 1)
+        m = np.empty((k, n, n, 2))  # [row, j, i, lower/upper]
+        np.add(U[:, :-1, :-1] + U[:, :-1, 1:], U[:, 1:, 1:], out=m[..., 0])
+        np.add(U[:, :-1, :-1] + U[:, 1:, 1:], U[:, 1:, :-1], out=m[..., 1])
+        m /= 3.0
+    np.abs(m, out=m)
+    np.power(m, q, out=m)
+    sums = m.reshape(k, -1).sum(axis=1) * grid.element_measure
+    # each root is the scalar pow of a python float, as a lone norm has
+    # always taken it; numpy's vectorized pow differs in the last bit
+    return np.array([s ** (1.0 / q) for s in sums.tolist()])
 
 
 def lq_norm(w: ScalarField, q: float) -> float:
     """Vertex-averaged elementwise quadrature norm of order q >= 1."""
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
-    m = np.abs(element_means(w))
-    return float((np.sum(m**q) * w.grid.element_measure) ** (1.0 / q))
+    return float(lq_norms(w.grid, w.values[None], q)[0])
 
 
 def pair_norm(f: ScalarField, g: ScalarField, r: float) -> float:
@@ -283,11 +296,10 @@ def pair_norm(f: ScalarField, g: ScalarField, r: float) -> float:
 def save_field(path, w: ScalarField) -> None:
     """Write the field as CSV (header x[,y],value), 17 significant digits, LF."""
     g = w.grid
-    cols = ["x", "y"][: g.d] + ["value"]
-    lines = [",".join(cols)]
-    for row, v in zip(g.coords, w.values):
-        parts = [f"{c:.17g}" for c in row] + [f"{v:.17g}"]
-        lines.append(",".join(parts))
+    columns = [g.coords[:, a].tolist() for a in range(g.d)] + [w.values.tolist()]
+    row = ",".join(["{:.17g}"] * len(columns))
+    lines = [",".join(["x", "y"][: g.d] + ["value"])]
+    lines += [row.format(*vals) for vals in zip(*columns)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,10 +18,15 @@ replaced by the damped step.
 
 Every lift goes through plap.solve_p_poisson_batch: apply_T lifts u and
 v as a batch of two, calibration_ratios lifts all its sources at once, and
-check_ball_invariance lifts all its 2 * trials sources in one batch, which
-draws each trial (f, g, t, in the order of the rng) as its chunk is read.
-A failed lift raises the SolverAbort of the first failure in source order,
-u before v, as lifting them one at a time would.
+check_ball_invariance runs its trials in blocks of the pairs of one lift
+chunk.  A block draws each trial's f, g and t in the order of the rng,
+samples its sources as one stack, takes their pair norms on the stack,
+scales them, lifts them as one chunk and takes the coupling values and
+output pair norms on the stacks, so it holds no more than the chunk it
+lifts.  smooth_fields is the one sampler of random smooth sources; the
+calibration sources are one draw of it.  A failed lift raises the
+SolverAbort of the first failure in source order, u before v, as lifting
+them one at a time would.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
@@ -48,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Coupling, TransformedCoupling, nemytskii, transform
-from .field import Grid, ScalarField, constant_field, lq_norm, pair_norm
-from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, solve_p_poisson_batch
+from .coupling import Coupling, TransformedCoupling, coupling_values, nemytskii, transform
+from .field import Grid, ScalarField, constant_field, lq_norm, lq_norms
+from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
 
 DEFAULT_PICARD_TOL = 1e-7
@@ -216,19 +221,35 @@ def apply_lambda(
 # calibration
 
 
+def smooth_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The fields of k blocks of coefficients (k, 8, 8) for the first 8x8
+    sine modes on the box, shape (k, n_nodes): coeffs[m, a, b] weighs
+    sin((a+1) pi x^) sin((b+1) pi y^), with x^ and y^ the coordinates
+    scaled to [0, 1].  Each row is the separable lattice product
+    S_y^T C^T S_x on the (n+1, n+1) lattice, with S_x, S_y the mode sines
+    (8, n+1) along each axis; in 1-D it is C[:, 0] @ S_x.  Every row is a
+    matrix product of its own, so a row equals its block sampled alone.
+    Vanishes on the boundary."""
+    b = grid.box
+    n1 = grid.n + 1
+    modes = np.arange(1, SAMPLER_MODES + 1)
+    sx = np.sin(np.pi * np.outer(modes, (grid.coords[:n1, 0] - b[0]) / (b[1] - b[0])))
+    if grid.d == 1:
+        return (coeffs[:, None, :, 0] @ sx)[:, 0]
+    sy = np.sin(np.pi * np.outer(modes, (grid.coords[::n1, 1] - b[2]) / (b[3] - b[2])))
+    return (sy.T @ coeffs.transpose(0, 2, 1) @ sx).reshape(len(coeffs), grid.n_nodes)
+
+
+def _draw_coeffs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k coefficient blocks for smooth_fields, uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(k, SAMPLER_MODES, SAMPLER_MODES))
+
+
 def sample_smooth_field(grid: Grid, rng: np.random.Generator) -> ScalarField:
     """Random smooth field: the first 8x8 sine modes on the box with
-    coefficients uniform in [-1, 1].  Vanishes on the boundary."""
-    coeffs = rng.uniform(-1.0, 1.0, size=(SAMPLER_MODES, SAMPLER_MODES))
-    b = grid.box
-    modes = np.arange(1, SAMPLER_MODES + 1)
-    xh = (grid.coords[:, 0] - b[0]) / (b[1] - b[0])
-    sx = np.sin(np.pi * np.outer(modes, xh))
-    if grid.d == 1:
-        return ScalarField(grid, coeffs[:, 0] @ sx)
-    yh = (grid.coords[:, 1] - b[2]) / (b[3] - b[2])
-    sy = np.sin(np.pi * np.outer(modes, yh))
-    return ScalarField(grid, np.einsum("ij,in,jn->n", coeffs, sx, sy))
+    coefficients uniform in [-1, 1] (smooth_fields of one block).
+    Vanishes on the boundary."""
+    return ScalarField(grid, smooth_fields(grid, _draw_coeffs(rng, 1))[0])
 
 
 def scale_to_norm(w: ScalarField, q: float, target: float) -> ScalarField:
@@ -251,7 +272,7 @@ def calibration_ratios(
     invariant under rescaling f because the lift is (p-1)-homogeneous.
     """
     ex = exponents
-    denoms = [lq_norm(f, ex.r) for f in sources]
+    denoms = lq_norms(grid, np.stack([f.values for f in sources]), ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
     zero = constant_field(grid, 0.0)
@@ -283,11 +304,12 @@ def calibrate_C(
             f"got {samples}"
         )
     rng = np.random.default_rng(seed)
-    sources = [
-        scale_to_norm(sample_smooth_field(grid, rng), exponents.r, 1.0)
-        for _ in range(samples)
-    ]
-    return 2.0 * max(calibration_ratios(grid, exponents, sources, tol))
+    sources = smooth_fields(grid, _draw_coeffs(rng, samples))
+    # scale_to_norm on each row: to unit L^r norm, a zero row stays zero
+    norms = lq_norms(grid, sources, exponents.r)
+    sources *= np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)[:, None]
+    fields = [ScalarField(grid, w) for w in sources]
+    return 2.0 * max(calibration_ratios(grid, exponents, fields, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +415,39 @@ def check_ball_invariance(
         raise ValueError(f"M={M} is below the certified radius M0={cert.M0}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    ex = prob.exponents
+    grid, r = prob.grid, prob.exponents.r
     rng = np.random.default_rng(seed)
-    radii = []
-
-    def draws():  # read one batch chunk at a time, in the rng order f, g, t
-        for _ in range(trials):
-            f = sample_smooth_field(prob.grid, rng)
-            g = sample_smooth_field(prob.grid, rng)
-            t = rng.uniform(0.0, 1.0)
-            cur = pair_norm(f, g, ex.r)
-            scale = (M * t / cur) if cur > 0.0 else 0.0
-            radii.append(M * t)
-            yield ScalarField(prob.grid, f.values * scale), ScalarField(prob.grid, g.values * scale)
-
+    block = max(1, chunk_size(grid) // 2)  # the pairs of one lift chunk
     worst = 0.0
     violations = []
-    for trial, (u_f, v_g) in enumerate(_lift_pairs(prob, draws(), tol)):
-        phi_f, psi_f = nemytskii(prob.coupling, u_f, v_g)
-        out = pair_norm(phi_f, psi_f, ex.r)
-        worst = max(worst, out)
-        if out > M * (1.0 + BALL_SLACK):
-            violations.append((trial, radii[trial], out))
+    for start in range(0, trials, block):
+        k = min(block, trials - start)
+        coeffs = np.empty((2 * k, SAMPLER_MODES, SAMPLER_MODES))
+        t = np.empty(k)
+        for i in range(k):  # the rng order of a trial: f, g, t
+            coeffs[2 * i : 2 * i + 2] = _draw_coeffs(rng, 2)
+            t[i] = rng.uniform(0.0, 1.0)
+        sources = smooth_fields(grid, coeffs)  # rows f, g of each trial
+        cur = lq_norms(grid, sources, r).reshape(k, 2).max(axis=1)
+        radii = M * t
+        scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
+        sources *= np.repeat(scale, 2)[:, None]
+        pairs = [
+            (ScalarField(grid, f), ScalarField(grid, g))
+            for f, g in zip(sources[0::2], sources[1::2])
+        ]
+        lifted = list(_lift_pairs(prob, pairs, tol))
+        phi, psi = coupling_values(
+            prob.coupling,
+            grid,
+            np.stack([u.values for u, _ in lifted]),
+            np.stack([v.values for _, v in lifted]),
+            first_row=start,
+        )
+        out = lq_norms(grid, np.concatenate([phi, psi]), r).reshape(2, k).max(axis=0)
+        worst = max(worst, float(out.max()))
+        for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
+            violations.append((start + int(i), float(radii[i]), float(out[i])))
     return BallReport(M, trials, worst, violations)
 
 

@@ -389,7 +389,7 @@ def solve_p_poisson_batch(
     reg: float = DEFAULT_REG,
 ) -> Iterator[SolveReport]:
     """The reports of solve_p_poisson on each problem, in order, from one
-    Newton loop over chunks of max(1, BATCH_NODES // n_nodes) members; each
+    Newton loop over chunks of chunk_size(grid) members; each
     equals the report of its problem lifted alone.  The problems are read,
     and lifted, one chunk at a time as the reports are read, so a caller
     that makes its problems as they are read and drops the reports it has
@@ -402,12 +402,17 @@ def solve_p_poisson_batch(
     return _solve_chunks(iter(problems), tol, max_iter, reg)
 
 
+def chunk_size(grid: Grid) -> int:
+    """Members of each chunk that solve_p_poisson_batch lifts at once on grid."""
+    return max(1, BATCH_NODES // grid.n_nodes)
+
+
 def _solve_chunks(problems, tol, max_iter, reg) -> Iterator[SolveReport]:
     first = next(problems, None)
     if first is None:
         return
     grid, p = first.grid, first.p
-    size = max(1, BATCH_NODES // grid.n_nodes)
+    size = chunk_size(grid)
     chunk = [first, *itertools.islice(problems, size - 1)]
     while chunk:
         if any(prob.grid != grid or prob.p != p for prob in chunk):

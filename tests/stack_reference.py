@@ -1,0 +1,65 @@
+"""Oracles for the stacked sampler, ball check and CSV writer: each does
+one field, one trial or one row at a time, the way the package did before
+it worked on stacks."""
+
+import numpy as np
+
+from plapsys.coupling import nemytskii
+from plapsys.field import ScalarField, pair_norm
+from plapsys.fixpoint import BALL_SLACK, SAMPLER_MODES, sample_smooth_field
+from plapsys.plap import PPoissonProblem, solve_p_poisson
+
+
+def smooth_field_einsum(grid, coeffs):
+    """The field of one coefficient block (8, 8) by a sum over every node
+    of all 8 x 8 mode products."""
+    b = grid.box
+    modes = np.arange(1, SAMPLER_MODES + 1)
+    xh = (grid.coords[:, 0] - b[0]) / (b[1] - b[0])
+    sx = np.sin(np.pi * np.outer(modes, xh))
+    if grid.d == 1:
+        return coeffs[:, 0] @ sx
+    yh = (grid.coords[:, 1] - b[2]) / (b[3] - b[2])
+    sy = np.sin(np.pi * np.outer(modes, yh))
+    return np.einsum("ij,in,jn->n", coeffs, sx, sy)
+
+
+def ball_check_trialwise(prob, M, trials, seed, tol):
+    """check_ball_invariance one trial and one lift at a time: the drawn
+    fields f, g of every trial in turn, the radius of every trial, the
+    largest output pair norm and the violations."""
+    grid, r = prob.grid, prob.exponents.r
+    rng = np.random.default_rng(seed)
+    draws, radii, worst, violations = [], [], 0.0, []
+    for trial in range(trials):
+        f = sample_smooth_field(grid, rng)
+        g = sample_smooth_field(grid, rng)
+        t = rng.uniform(0.0, 1.0)
+        draws += [f.values, g.values]
+        cur = pair_norm(f, g, r)
+        scale = (M * t / cur) if cur > 0.0 else 0.0
+        radii.append(M * t)
+        u, v = (
+            solve_p_poisson(
+                PPoissonProblem(grid, prob.exponents.p, ScalarField(grid, w.values * scale), h),
+                tol=tol,
+            ).solution
+            for w, h in ((f, prob.h), (g, prob.k))
+        )
+        out = pair_norm(*nemytskii(prob.coupling, u, v), r)
+        worst = max(worst, out)
+        if out > M * (1.0 + BALL_SLACK):
+            violations.append((trial, M * t, out))
+    return draws, radii, worst, violations
+
+
+def save_field_rowwise(path, w):
+    """save_field formatting each coordinate and value alone."""
+    g = w.grid
+    cols = ["x", "y"][: g.d] + ["value"]
+    lines = [",".join(cols)]
+    for row, v in zip(g.coords, w.values):
+        parts = [f"{c:.17g}" for c in row] + [f"{v:.17g}"]
+        lines.append(",".join(parts))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

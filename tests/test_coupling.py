@@ -9,6 +9,7 @@ from plapsys.coupling import (
     SampleSpec,
     check_growth,
     check_monotone,
+    coupling_values,
     nemytskii,
     power_family,
     transform,
@@ -81,7 +82,35 @@ def test_domain_error_names_node():
     u = constant_field(g, 0.0)
     with pytest.raises(ex.EvaluationDomainError) as err:
         nemytskii(c, u, u)
-    assert "node" in str(err.value)
+    assert "node" in str(err.value) and "row" not in str(err.value)
+
+
+def test_stacked_domain_error_names_row_and_node():
+    """A domain error in a stack of trials names the row, numbered from
+    first_row, and the node with its coordinates."""
+    g = unit_square(3)
+    c = Coupling(ex.parse("u"), ex.parse("1/v"), 1, 0, 0, 1, 2.0)
+    u = np.ones((4, g.n_nodes))
+    v = np.ones((4, g.n_nodes))
+    v[2, 5] = 0.0
+    for first, row in ((0, 2), (10, 12)):
+        with pytest.raises(ex.EvaluationDomainError) as err:
+            coupling_values(c, g, u, v, first_row=first)
+        x, y = g.coords[5]
+        assert f"at row {row}, node 5 ({x:.17g}, {y:.17g})" in str(err.value)
+
+
+def test_coupling_values_rows_match_nemytskii():
+    g = unit_square(5)
+    c = Coupling(ex.parse("x*odd_pow(u,1.2)+v"), ex.parse("u*v-y"), 1, 1, 1, 1, 2.2)
+    rng = np.random.default_rng(2)
+    U = rng.uniform(-1, 1, (3, g.n_nodes))
+    V = rng.uniform(-1, 1, (3, g.n_nodes))
+    phi, psi = coupling_values(c, g, U, V)
+    assert phi.shape == psi.shape == (3, g.n_nodes)
+    for k in range(3):
+        a, b = nemytskii(c, ScalarField(g, U[k]), ScalarField(g, V[k]))
+        assert np.array_equal(a.values, phi[k]) and np.array_equal(b.values, psi[k])
 
 
 def test_transform_prime_constants():

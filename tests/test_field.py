@@ -9,16 +9,17 @@ from plapsys.field import (
     Grid,
     ScalarField,
     constant_field,
-    element_means,
     element_gradients,
     from_callable,
     load_field,
     lq_norm,
+    lq_norms,
     pair_norm,
     save_field,
 )
 
 import p1_reference as ref
+from stack_reference import save_field_rowwise
 
 
 def unit_square(n):
@@ -137,13 +138,39 @@ def test_element_gradients_match_gather(d, n, side):
 
 
 def test_element_means_affine():
+    """The quadrature averages each element's vertex values, and the mean
+    of an affine function over a triangle is its centroid value: so for a
+    positive affine field the L^1 norm is the exact integral, and every
+    row of a stack sums the centroid values' powers."""
     g = unit_square(4)
-    u = from_callable(g, lambda x, y: x + y)
-    means = element_means(u)
-    # mean of an affine function over a triangle is its centroid value
     cx = g.coords[g.elements, 0].mean(axis=1)
     cy = g.coords[g.elements, 1].mean(axis=1)
-    assert means == pytest.approx(cx + cy, rel=1e-13)
+    for a in (1.0, 2.0, 0.5):
+        u = from_callable(g, lambda x, y: a * (x + y) + 0.25)
+        assert lq_norm(u, 1.0) == pytest.approx(a + 0.25, rel=1e-13)
+    stack = np.stack([g.coords[:, 0] + g.coords[:, 1], 2.0 * g.coords[:, 0] - g.coords[:, 1]])
+    for q in (1.0, 1.5, 3.0):
+        want = [
+            (np.sum(np.abs(c) ** q) * g.element_measure) ** (1.0 / q)
+            for c in (cx + cy, 2.0 * cx - cy)
+        ]
+        assert lq_norms(g, stack, q) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, n", [(1, 7), (1, 16), (2, 3), (2, 7), (2, 16), (2, 33), (2, 64)])
+def test_lq_norms_match_lq_norm_row_by_row(d, n):
+    """The stacked kernel agrees with lq_norm of each row alone within
+    1e-14 (rows of a stacked reduction need not agree bit for bit)."""
+    g = Grid(d, (0.0, 1.0) if d == 1 else (0.0, 0.3, 0.0, 0.7), n)
+    rng = np.random.default_rng(n)
+    stack = rng.uniform(-1.0, 1.0, (13, g.n_nodes))
+    for q in (1.0, 1.25, 2.0, 3.3):
+        got = lq_norms(g, stack, q)
+        want = np.array([lq_norm(ScalarField(g, w), q) for w in stack])
+        assert got.shape == (13,)
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+    with pytest.raises(ValueError):
+        lq_norms(g, stack, 0.9)
 
 
 def test_lq_norm_constants():
@@ -251,3 +278,20 @@ def test_csv_column_mismatch(tmp_path):
     save_field(path, w)
     with pytest.raises(ValueError):
         load_field(path, unit_square(2))  # 2-D grid, 1-D file
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_save_field_matches_rowwise_formatting(tmp_path, d):
+    """save_field writes the bytes of formatting each coordinate and value
+    alone with `{:.17g}`, -0.0, huge, tiny and subnormal values included."""
+    g = Grid(1, (-1.0, 2.5), 9) if d == 1 else Grid(2, (-1.0, 1e-3, 0.0, 3e5), 5)
+    rng = np.random.default_rng(d)
+    vals = rng.uniform(-1.0, 1.0, g.n_nodes) * 10.0 ** rng.integers(-300, 300, g.n_nodes)
+    vals[:6] = [-0.0, 0.0, 1.7976931348623157e308, -5e-324, 2.2250738585072014e-308, 1.0 / 3.0]
+    w = ScalarField(g, vals)
+    save_field(tmp_path / "fast.csv", w)
+    save_field_rowwise(tmp_path / "rowwise.csv", w)
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "rowwise.csv").read_bytes()
+    assert b"\n-0," in text or b",-0\n" in text
+    assert np.array_equal(load_field(tmp_path / "fast.csv", g).values, vals)

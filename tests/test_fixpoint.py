@@ -30,11 +30,19 @@ from plapsys.fixpoint import (
     sample_smooth_field,
     scale_to_norm,
     smallness_lambda,
+    smooth_fields,
 )
-from plapsys.plap import PPoissonProblem, SolveReport, solve_p_poisson, solve_p_poisson_batch
+from plapsys.plap import (
+    DEFAULT_TOL,
+    PPoissonProblem,
+    SolveReport,
+    solve_p_poisson,
+    solve_p_poisson_batch,
+)
 from plapsys.verify import weak_residuals
 
 from p1_reference import stiffness_matrix
+from stack_reference import ball_check_trialwise, smooth_field_einsum
 
 
 def zero_coupling(p=2.0):
@@ -186,6 +194,92 @@ def test_sample_smooth_field_seeded_and_boundary():
     assert np.array_equal(a.values, b.values)
     assert np.abs(a.values[g.boundary]).max() <= 1e-12
     assert np.abs(a.values).max() > 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_smooth_fields_rows_match_einsum(d):
+    """Each row of the separable sampler is the all-modes sum over every
+    node within 1e-14, equals its block sampled alone bit for bit, and
+    vanishes on the boundary."""
+    g = Grid(1, (-0.5, 2.0), 19) if d == 1 else Grid(2, (0.0, 0.3, -1.0, 0.7), 13)
+    coeffs = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 8, 8))
+    stack = smooth_fields(g, coeffs)
+    assert stack.shape == (5, g.n_nodes)
+    for row, c in zip(stack, coeffs):
+        want = smooth_field_einsum(g, c)
+        scale = np.abs(want).max()
+        assert np.abs(row - want).max() <= 1e-14 * scale
+        assert np.array_equal(row, smooth_fields(g, c[None])[0])
+        assert np.abs(row[g.boundary]).max() <= 1e-14 * scale
+
+
+def test_calibration_sources_match_draw_by_draw(monkeypatch):
+    """calibrate_C draws its sources as one block of the rng stream: the
+    same fields as drawing them one at a time, scaled to unit L^r norm."""
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), 7)
+    exps = make_exponents(3, 2.2, 1.25)
+    stacks, lifted = [], []
+    real_fields, real_batch = fixpoint.smooth_fields, fixpoint.solve_p_poisson_batch
+
+    def fields_spy(grid, coeffs):
+        out = real_fields(grid, coeffs)
+        stacks.append(out.copy())
+        return out
+
+    def batch_spy(problems, **kwargs):
+        problems = list(problems)
+        lifted.extend(q.f.values for q in problems)
+        return real_batch(problems, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "smooth_fields", fields_spy)
+    monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", batch_spy)
+    calibrate_C(g, exps, samples=11, seed=8)
+    monkeypatch.undo()
+    rng = np.random.default_rng(8)
+    lone = [sample_smooth_field(g, rng) for _ in range(11)]
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], np.stack([w.values for w in lone]))
+    for got, w in zip(lifted, lone, strict=True):
+        want = scale_to_norm(w, exps.r, 1.0).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def ball_problem(n):
+    """A coupling 100 times stronger than it declares, with zero boundary
+    data, so M0 = 0 and at M = 1 some trials leave the ball."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+    c = Coupling(ex.parse("100*u"), ex.parse("100*v"), 0.01, 0.01, 0.01, 0.01, 2.2)
+    z = constant_field(g, 0.0)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, z, z, 1.0)
+
+
+@pytest.mark.parametrize("n, trials, blocks", [(7, 30, [54, 6]), (16, 13, [12, 12, 2])])
+def test_ball_check_matches_trialwise(monkeypatch, n, trials, blocks):
+    """Blocks of one lift chunk's pairs, the last only partly filled, give
+    the trial-by-trial check: the same draws f, g in the rng order, the
+    same radii and violation indices, and output norms within 1e-14."""
+    prob = ball_problem(n)
+    cert = certify(prob, C=0.1)
+    assert cert.valid and cert.M0 == 0.0
+    stacks = []
+    real = fixpoint.smooth_fields
+
+    def spy(grid, coeffs):
+        out = real(grid, coeffs)
+        stacks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(fixpoint, "smooth_fields", spy)
+    rep = check_ball_invariance(prob, cert, 1.0, trials=trials, seed=4)
+    monkeypatch.undo()
+    draws, radii, worst, violations = ball_check_trialwise(prob, 1.0, trials, 4, DEFAULT_TOL)
+    assert [len(s) for s in stacks] == blocks
+    assert np.array_equal(np.concatenate(stacks), np.stack(draws))
+    assert 0 < len(violations) < trials
+    assert [(i, radii[i]) for i, _, _ in rep.violations] == [v[:2] for v in violations]
+    for got, want in zip(rep.violations, violations, strict=True):
+        assert abs(got[2] - want[2]) <= 1e-14 * want[2]
+    assert abs(rep.max_output_norm - worst) <= 1e-14 * worst
 
 
 def test_scale_to_norm():
@@ -389,10 +483,12 @@ def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
     one a trial-by-trial check would raise, taking u before v."""
     prob = small_problem(n=3)
     cert = certify(prob, C=0.01)
-    w = sample_smooth_field(prob.grid, np.random.default_rng(3))
-    zero = constant_field(prob.grid, 0.0)
-    draws = iter([zero, zero, zero, w, w, w])
-    monkeypatch.setattr(fixpoint, "sample_smooth_field", lambda grid, rng: next(draws))
+    w = sample_smooth_field(prob.grid, np.random.default_rng(3)).values
+    zero = np.zeros(prob.grid.n_nodes)
+    draws = iter([zero, zero, zero, w, w, w])  # f and g of each trial in turn
+    monkeypatch.setattr(
+        fixpoint, "smooth_fields", lambda grid, coeffs: np.stack([next(draws) for _ in coeffs])
+    )
     lifted = []
     real = fixpoint.solve_p_poisson_batch
 

@@ -863,7 +863,7 @@ def test_regression_matrix_converges(p, n, sizes):
 
 def test_roundoff_steps_counts_the_branch(monkeypatch):
     """roundoff_steps counts the steps that the Armijo search accepted on
-    the energy's round-off floor: (1.3, 32, 3) takes one."""
+    the energy's round-off floor: (1.5, 16, 3) takes one."""
     steps = [0]
     real = plap._armijo
 
@@ -873,6 +873,6 @@ def test_roundoff_steps_counts_the_branch(monkeypatch):
         return out
 
     monkeypatch.setattr(plap, "_armijo", spy)
-    (rep,) = solve_p_poisson_batch(matrix_problems(32, 1.3, (3.0,)))
+    (rep,) = solve_p_poisson_batch(matrix_problems(16, 1.5, (3.0,)))
     assert rep.converged
     assert rep.roundoff_steps == steps[0] >= 1
