@@ -34,7 +34,6 @@ from .fixpoint import (
     Certificate,
     Exponents,
     SystemProblem,
-    apply_T,
     apply_lambda,
     calibrate_C,
     certify,
@@ -57,7 +56,6 @@ __all__ = [
     "ScalarField",
     "SolveReport",
     "SystemProblem",
-    "apply_T",
     "apply_lambda",
     "calibrate_C",
     "certify",

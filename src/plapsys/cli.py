@@ -2,8 +2,9 @@
 
 Every command reads one flat key-value config (see config module), writes
 its artifacts into the output directory, prints a one-line outcome, and
-exits with 0 (success), 2 (config or input error), 3 (a solver failed to
-converge), or 4 (a verification check failed).  Any other exception is a
+exits with 0 (success), 2 (config or input error, such as a coupling that
+is undefined on an iterate), 3 (a solver failed to converge), or 4 (a
+verification check failed).  Any other exception is a
 bug: its traceback goes to stderr before the `error:` line, and it exits 2.
 All CSV output uses `,` separators, `.` decimals, LF line endings, and 17
 significant digits, so identical config and seed reproduce files byte for
@@ -20,6 +21,7 @@ import traceback
 import numpy as np
 
 from .config import ConfigError, Setup, load_setup
+from .expr import EvaluationError
 from .field import load_field, save_field
 from .fixpoint import (
     calibrate_C,
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (ValueError, EvaluationError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:  # SolverAbort included

@@ -96,7 +96,7 @@ def eval_on_nodes(
         row, node = divmod(err.index, grid.n_nodes)
         where = ", ".join(f"{c:.17g}" for c in grid.coords[node])
         at = f"row {first_row + row}, node {node}" if len(shape) > 1 else f"node {node}"
-        raise ex.EvaluationDomainError(f"{err} at {at} ({where})") from err
+        raise ex.EvaluationDomainError(f"{err.message} at {at} ({where})") from err
     return np.broadcast_to(vals, shape).astype(float, copy=True)
 
 

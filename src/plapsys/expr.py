@@ -356,4 +356,5 @@ class _IndexedDomainError(EvaluationDomainError):
 
     def __init__(self, message: str, index: int):
         super().__init__(f"{message} (entry {index})")
+        self.message = message
         self.index = index

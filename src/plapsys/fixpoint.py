@@ -16,17 +16,17 @@ Numer. Anal. 2011), with two safeguards: a growing successive difference
 empties the window, and an aborted lift of an extrapolated pair is
 replaced by the damped step.
 
-Every lift goes through plap.solve_p_poisson_batch: apply_T lifts u and
-v as a batch of two, calibration_ratios lifts all its sources at once, and
-check_ball_invariance runs its trials in blocks of the pairs of one lift
-chunk.  A block draws each trial's f, g and t in the order of the rng,
-samples its sources as one stack, takes their pair norms on the stack,
-scales them, lifts them as one chunk and takes the coupling values and
-output pair norms on the stacks, so it holds no more than the chunk it
-lifts.  smooth_fields is the one sampler of random smooth sources; the
-calibration sources are one draw of it.  A failed lift raises the
-SolverAbort of the first failure in source order, u before v, as lifting
-them one at a time would.
+apply_lambda is the one Lambda: it lifts a stack of source pairs
+(k, 2, n_nodes) in one plap.solve_p_poisson_batch and evaluates the
+coupling on the lifted stack.  picard_solve applies it to a stack of one
+pair; check_ball_invariance to blocks of the pairs of one lift chunk, each
+trial's f, g and t drawn in the order of the rng and its sources sampled
+as one stack, so a block holds no more than the chunk it lifts.
+calibration_ratios lifts a stack of sources with zero boundary data.
+smooth_fields is the one sampler of random smooth sources; the calibration
+sources are one draw of it.  A failed lift raises the SolverAbort of the
+first failure in source order, u before v, as lifting them one at a time
+would.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Coupling, TransformedCoupling, coupling_values, nemytskii, transform
+from .coupling import Coupling, TransformedCoupling, coupling_values, transform
 from .field import Grid, ScalarField, constant_field, lq_norm, lq_norms
 from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
@@ -159,62 +158,32 @@ class SystemProblem:
         return transform(self.coupling, self.h, self.k, self.eps)
 
 
-@dataclass(frozen=True)
-class IterationState:
-    """One Picard state: the source pair and its lifted solution pair."""
-
-    f: ScalarField
-    g: ScalarField
-    u_f: ScalarField
-    v_g: ScalarField
-
-
-def apply_T(
-    prob: SystemProblem,
-    f: ScalarField,
-    g: ScalarField,
-    tol: float = DEFAULT_TOL,
-) -> IterationState:
-    """Lift a source pair: solve Delta_p u = f, u = h and Delta_p v = g, v = k."""
-    u_f, v_g = next(_lift_pairs(prob, [(f, g)], tol))
-    return IterationState(f, g, u_f, v_g)
-
-
-def _lift_pairs(
-    prob: SystemProblem, pairs: Iterable[tuple[ScalarField, ScalarField]], tol: float
-) -> Iterator[tuple[ScalarField, ScalarField]]:
-    """The lifted pair (u_f, v_g) of each source pair (f, g), in order, from
-    one batch that reads the pairs as it goes.  The first failed lift, in
-    pair order and u before v, raises SolverAbort."""
-    p = prob.exponents.p
-    problems = (
-        PPoissonProblem(prob.grid, p, w, boundary)
-        for f, g in pairs
-        for w, boundary in ((f, prob.h), (g, prob.k))
-    )
-    reports = solve_p_poisson_batch(problems, tol=tol)
-    for ru in reports:
-        rv = next(reports)
-        if not ru.converged:
-            raise SolverAbort("u", p, ru)
-        if not rv.converged:
-            raise SolverAbort("v", p, rv)
-        yield ru.solution, rv.solution
-
-
 def apply_lambda(
-    prob: SystemProblem,
-    f: ScalarField,
-    g: ScalarField,
-    tol: float = DEFAULT_TOL,
-) -> tuple[ScalarField, ScalarField, IterationState]:
-    """One application of Lambda: lift, then substitute into the coupling.
+    prob: SystemProblem, X: np.ndarray, tol: float = DEFAULT_TOL, first_row: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda on a stack of source pairs X (k, 2, n_nodes): lift every f
+    with the boundary data h and every g with k, in order, in one batch,
+    then substitute the lifted pairs into the coupling.
 
-    Returns (phi(., u_f, v_g), psi(., u_f, v_g), state of the lift).
+    Returns the lifted pairs L and their images Y = (phi(., L), psi(., L)),
+    both (k, 2, n_nodes).  The first failed lift, in pair order and u
+    before v, raises SolverAbort; a coupling domain error names the row,
+    numbered from first_row, and the node.
     """
-    state = apply_T(prob, f, g, tol)
-    phi_f, psi_f = nemytskii(prob.coupling, state.u_f, state.v_g)
-    return phi_f, psi_f, state
+    grid, p = prob.grid, prob.exponents.p
+    problems = (
+        PPoissonProblem(grid, p, ScalarField(grid, w), boundary)
+        for pair in X
+        for w, boundary in zip(pair, (prob.h, prob.k))
+    )
+    L = np.empty(X.shape)
+    rows = L.reshape(-1, grid.n_nodes)
+    for i, rep in enumerate(solve_p_poisson_batch(problems, tol=tol)):
+        if not rep.converged:
+            raise SolverAbort("uv"[i % 2], p, rep)
+        rows[i] = rep.solution.values
+    Y = np.stack(coupling_values(prob.coupling, grid, L[:, 0], L[:, 1], first_row), axis=1)
+    return L, Y
 
 
 # ---------------------------------------------------------------------------
@@ -245,44 +214,31 @@ def _draw_coeffs(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(k, SAMPLER_MODES, SAMPLER_MODES))
 
 
-def sample_smooth_field(grid: Grid, rng: np.random.Generator) -> ScalarField:
-    """Random smooth field: the first 8x8 sine modes on the box with
-    coefficients uniform in [-1, 1] (smooth_fields of one block).
-    Vanishes on the boundary."""
-    return ScalarField(grid, smooth_fields(grid, _draw_coeffs(rng, 1))[0])
-
-
-def scale_to_norm(w: ScalarField, q: float, target: float) -> ScalarField:
-    """Rescale w so lq_norm(w, q) == target (zero field stays zero)."""
-    cur = lq_norm(w, q)
-    if cur == 0.0:
-        return w
-    return ScalarField(w.grid, w.values * (target / cur))
-
-
 def calibration_ratios(
     grid: Grid,
     exponents: Exponents,
-    sources: list[ScalarField],
+    sources: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> list[float]:
-    """||u_f||_s^(p-1) / ||f||_r for each source, with zero boundary data.
+    """||u_f||_s^(p-1) / ||f||_r for each row f of the source stack
+    (k, n_nodes), with zero boundary data.
 
     This ratio is what the Sobolev-embedding constant bounds; it is
     invariant under rescaling f because the lift is (p-1)-homogeneous.
     """
     ex = exponents
-    denoms = lq_norms(grid, np.stack([f.values for f in sources]), ex.r).tolist()
+    denoms = lq_norms(grid, sources, ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
     zero = constant_field(grid, 0.0)
-    problems = [PPoissonProblem(grid, ex.p, f, zero) for f in sources]
-    out = []
-    for rep, denom in zip(solve_p_poisson_batch(problems, tol=tol), denoms):
+    problems = (PPoissonProblem(grid, ex.p, ScalarField(grid, f), zero) for f in sources)
+    lifted = np.empty(sources.shape)
+    for i, rep in enumerate(solve_p_poisson_batch(problems, tol=tol)):
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, rep)
-        out.append(lq_norm(rep.solution, ex.s) ** (ex.p - 1.0) / denom)
-    return out
+        lifted[i] = rep.solution.values
+    nums = lq_norms(grid, lifted, ex.s).tolist()
+    return [num ** (ex.p - 1.0) / denom for num, denom in zip(nums, denoms)]
 
 
 def calibrate_C(
@@ -305,11 +261,10 @@ def calibrate_C(
         )
     rng = np.random.default_rng(seed)
     sources = smooth_fields(grid, _draw_coeffs(rng, samples))
-    # scale_to_norm on each row: to unit L^r norm, a zero row stays zero
+    # each row to unit L^r norm; a zero row stays zero
     norms = lq_norms(grid, sources, exponents.r)
     sources *= np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)[:, None]
-    fields = [ScalarField(grid, w) for w in sources]
-    return 2.0 * max(calibration_ratios(grid, exponents, fields, tol))
+    return 2.0 * max(calibration_ratios(grid, exponents, sources, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +387,8 @@ def check_ball_invariance(
         radii = M * t
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
         sources *= np.repeat(scale, 2)[:, None]
-        pairs = [
-            (ScalarField(grid, f), ScalarField(grid, g))
-            for f, g in zip(sources[0::2], sources[1::2])
-        ]
-        lifted = list(_lift_pairs(prob, pairs, tol))
-        phi, psi = coupling_values(
-            prob.coupling,
-            grid,
-            np.stack([u.values for u, _ in lifted]),
-            np.stack([v.values for _, v in lifted]),
-            first_row=start,
-        )
-        out = lq_norms(grid, np.concatenate([phi, psi]), r).reshape(2, k).max(axis=0)
+        _, Y = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)
+        out = lq_norms(grid, Y.reshape(2 * k, -1), r).reshape(k, 2).max(axis=1)
         worst = max(worst, float(out.max()))
         for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
             violations.append((start + int(i), float(radii[i]), float(out[i])))
@@ -496,29 +440,14 @@ class ConvergenceTrace:
         return lines
 
 
-def _max_residual(
-    state: IterationState, phi_f: ScalarField, psi_f: ScalarField, p: float
-) -> float:
-    R1, R2 = system_residuals(state.u_f, state.v_g, phi_f, psi_f, p)
-    return float(max(np.abs(R1).max(), np.abs(R2).max(), 0.0))
-
-
 def _lambda_pair(
     prob: SystemProblem, x: np.ndarray, solver_tol: float
-) -> tuple[np.ndarray, float, IterationState]:
-    """Lambda on the stacked source pair x (2, n_nodes): the stacked image,
-    the largest weak residual of the lifted state, and that state."""
-    grid = prob.grid
-    phi_f, psi_f, state = apply_lambda(
-        prob, ScalarField(grid, x[0]), ScalarField(grid, x[1]), solver_tol
-    )
-    residual = _max_residual(state, phi_f, psi_f, prob.exponents.p)
-    return np.stack([phi_f.values, psi_f.values]), residual, state
-
-
-def _lq_norms(grid: Grid, x: np.ndarray, r: float) -> tuple[float, float]:
-    """L^r norms of both components of a stacked pair."""
-    return lq_norm(ScalarField(grid, x[0]), r), lq_norm(ScalarField(grid, x[1]), r)
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lambda on the stacked source pair x (2, n_nodes): the lifted pair,
+    its image and the largest weak residual of the lifted pair."""
+    L, Y = apply_lambda(prob, x[None], solver_tol)
+    R = system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
+    return L[0], Y[0], float(np.abs(R).max(initial=0.0))
 
 
 def picard_solve(
@@ -580,7 +509,7 @@ def picard_solve(
     delta = math.nan
     for it in range(1, max_iter + 1):
         try:
-            lam, weak, _ = _lambda_pair(prob, x, solver_tol)
+            _, lam, weak = _lambda_pair(prob, x, solver_tol)
         except SolverAbort:
             if not dF:  # x is a damped step, not an extrapolation
                 raise
@@ -588,10 +517,10 @@ def picard_solve(
             dX.clear()
             dF.clear()
             restarts += 1
-            lam, weak, _ = _lambda_pair(prob, x, solver_tol)
+            _, lam, weak = _lambda_pair(prob, x, solver_tol)
         res = lam - x
-        delta = max(_lq_norms(grid, th * res, r))
-        rows.append(TraceRow(it, *_lq_norms(grid, x, r), delta, weak))
+        delta = max(lq_norms(grid, th * res, r).tolist())
+        rows.append(TraceRow(it, *lq_norms(grid, x, r).tolist(), delta, weak))
         if delta > prev_delta:
             increases += 1
             if increases >= 3 and th > 0.5:
@@ -619,7 +548,7 @@ def picard_solve(
             for j, gj in enumerate(gamma):
                 x -= gj * (dX[j] + th * dF[j])
 
-    lam, weak, final = _lambda_pair(prob, x, solver_tol)
-    rows.append(TraceRow(rows[-1].index + 1, *_lq_norms(grid, x, r), delta, weak))
+    uv, _, weak = _lambda_pair(prob, x, solver_tol)
+    rows.append(TraceRow(rows[-1].index + 1, *lq_norms(grid, x, r).tolist(), delta, weak))
     trace = ConvergenceTrace(rows, stop_reason, th, restarts)
-    return final.u_f, final.v_g, trace
+    return ScalarField(grid, uv[0]), ScalarField(grid, uv[1]), trace

@@ -40,17 +40,12 @@ from .plap import PPoissonProblem, residual_vector, solve_p_poisson
 DEFAULT_CLASS_TOL = 1e-6
 
 
-def system_residuals(
-    u: ScalarField, v: ScalarField, phi_f: ScalarField, psi_f: ScalarField, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-hat weak residuals (R1, R2) of the coupled system at (u, v),
-    given the reaction pair (phi, psi) evaluated at the nodes of (u, v)."""
-    grid = u.grid
-    R = residual_vector(
-        grid, np.stack([u.values, v.values]), p, np.stack([phi_f.values, psi_f.values]), 0.0
-    )
-    R1, R2 = np.take(R, grid.interior, axis=-1)
-    return R1, R2
+def system_residuals(grid: Grid, w: np.ndarray, reactions: np.ndarray, p: float) -> np.ndarray:
+    """Interior-hat weak residuals (R1, R2), shape (2, N), of the coupled
+    system at the stacked pair w = (u, v), given the stacked reaction pair
+    (phi, psi) evaluated at the nodes of (u, v), both (2, n_nodes)."""
+    R = residual_vector(grid, w, p, reactions, 0.0)
+    return np.take(R, grid.interior, axis=-1)
 
 
 @dataclass
@@ -89,7 +84,10 @@ def weak_residuals(
     """Classify (u, v) as solution / supersolution / subsolution / neither."""
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    R1, R2 = system_residuals(u, v, *nemytskii(c, u, v), p)
+    phi, psi = nemytskii(c, u, v)
+    R1, R2 = system_residuals(
+        u.grid, np.stack([u.values, v.values]), np.stack([phi.values, psi.values]), p
+    )
     lo = min(R1.min(), R2.min())
     hi = max(R1.max(), R2.max())
     if max(abs(lo), abs(hi)) <= tol:

@@ -1,13 +1,29 @@
 """Oracles for the stacked sampler, ball check and CSV writer: each does
 one field, one trial or one row at a time, the way the package did before
-it worked on stacks."""
+it worked on stacks.  Also the single-field source helpers of the tests."""
 
 import numpy as np
 
 from plapsys.coupling import nemytskii
-from plapsys.field import ScalarField, pair_norm
-from plapsys.fixpoint import BALL_SLACK, SAMPLER_MODES, sample_smooth_field
+from plapsys.field import ScalarField, lq_norm, pair_norm
+from plapsys.fixpoint import BALL_SLACK, SAMPLER_MODES, smooth_fields
 from plapsys.plap import PPoissonProblem, solve_p_poisson
+
+
+def sample_smooth_field(grid, rng):
+    """One random smooth source: smooth_fields of one coefficient block
+    drawn uniform in [-1, 1], the draw calibrate_C and the ball check make
+    per field.  Vanishes on the boundary."""
+    coeffs = rng.uniform(-1.0, 1.0, size=(1, SAMPLER_MODES, SAMPLER_MODES))
+    return ScalarField(grid, smooth_fields(grid, coeffs)[0])
+
+
+def scale_to_norm(w, q, target):
+    """w rescaled so that lq_norm(w, q) == target; a zero field stays zero."""
+    cur = lq_norm(w, q)
+    if cur == 0.0:
+        return w
+    return ScalarField(w.grid, w.values * (target / cur))
 
 
 def smooth_field_einsum(grid, coeffs):

@@ -121,6 +121,22 @@ def test_inner_solver_failure_exit_3(tmp_path, capsys):
     assert "(max_iter at p = 2.2, n = 4, gradient norm" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_coupling_undefined_on_iterate_exit_2(tmp_path, capsys, command):
+    """phi = 1/(u-1) is undefined wherever u = h = 1, so Picard's first
+    lift and every ball trial's lift hit a domain error: an input error
+    naming the row and node, not a bug with a traceback."""
+    cfg = cfg_file(
+        tmp_path,
+        {"coupling.phi": "1/(u-1)", "coupling.psi": "0.5*v", "grid.n": "7"},
+        drop=("coupling.family",),
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: quotient is not finite at row 0, node 0 (0, 0)\n"
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # config errors
 

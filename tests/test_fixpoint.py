@@ -1,5 +1,6 @@
 """Exponent bookkeeping, calibration, certificates, and the Picard loop."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
 import plapsys.fixpoint as fixpoint
-from plapsys.coupling import Coupling, power_family
+from plapsys.coupling import Coupling, nemytskii, power_family
 from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.fixpoint import (
     BallReport,
@@ -18,7 +19,6 @@ from plapsys.fixpoint import (
     SolverAbort,
     SystemProblem,
     admissible_r_range,
-    apply_T,
     apply_lambda,
     ball_radius,
     calibrate_C,
@@ -27,8 +27,6 @@ from plapsys.fixpoint import (
     check_ball_invariance,
     make_exponents,
     picard_solve,
-    sample_smooth_field,
-    scale_to_norm,
     smallness_lambda,
     smooth_fields,
 )
@@ -42,7 +40,12 @@ from plapsys.plap import (
 from plapsys.verify import weak_residuals
 
 from p1_reference import stiffness_matrix
-from stack_reference import ball_check_trialwise, smooth_field_einsum
+from stack_reference import (
+    ball_check_trialwise,
+    sample_smooth_field,
+    scale_to_norm,
+    smooth_field_einsum,
+)
 
 
 def zero_coupling(p=2.0):
@@ -121,38 +124,85 @@ def test_duality_identity_random_triples():
 # lift and composed map
 
 
-def test_apply_T_affine_boundary():
+def pairs(*fields):
+    """The stack (k, 2, n_nodes) of the source pairs (f, g) of fields f, g, ..."""
+    return np.stack([w.values for w in fields]).reshape(len(fields) // 2, 2, -1)
+
+
+def test_apply_lambda_affine_boundary():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.5, 1.15)
     h = from_callable(g, lambda x, y: 2 * x + 3 * y)
     prob = SystemProblem(g, exps, zero_coupling(2.5), h, h, 1.0)
     z = constant_field(g, 0.0)
-    state = apply_T(prob, z, z)
-    assert np.abs(state.u_f.values - h.values).max() <= 1e-8
+    L, Y = apply_lambda(prob, pairs(z, z))
+    assert L.shape == Y.shape == (1, 2, g.n_nodes)
+    assert np.abs(L[0] - h.values).max() <= 1e-8
 
 
-def test_apply_T_symmetry():
+def test_apply_lambda_symmetry():
     prob = small_problem()
     f = from_callable(prob.grid, lambda x, y: np.sin(x) * y)
-    state = apply_T(prob, f, f)
-    assert np.array_equal(state.u_f.values, state.v_g.values)
+    L, Y = apply_lambda(prob, pairs(f, f))
+    assert np.array_equal(L[0, 0], L[0, 1])
+    assert np.array_equal(Y[0, 0], Y[0, 1])
 
 
-def test_apply_T_abort_names_component():
+def abort_problem():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
-    exps = make_exponents(3, 2.2, 1.25)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(2.2), z, z, 1.0)
     f = from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, 1.0), f, z
+
+
+def test_apply_lambda_abort_names_component():
+    prob, f, z = abort_problem()
     # tol = 1e-300 is unreachable for a nonzero source, so the named side aborts
     with pytest.raises(SolverAbort) as err:
-        apply_T(prob, f, z, tol=1e-300)
+        apply_lambda(prob, pairs(f, z), tol=1e-300)
     assert err.value.component == "u"
     assert (err.value.p, err.value.n, err.value.stop_reason) == (2.2, 3, "max_iter")
     assert "u component did not converge (max_iter at p = 2.2, n = 3, gradient norm" in str(err.value)
     with pytest.raises(SolverAbort) as err:
-        apply_T(prob, z, f, tol=1e-300)
+        apply_lambda(prob, pairs(z, f), tol=1e-300)
     assert err.value.component == "v"
+
+
+def test_apply_lambda_abort_names_first_failing_lift_of_a_stack():
+    """Pair 0 is zero and converges at tol = 1e-300; pair 1's f is zero and
+    its g fails, and pair 2's f and g fail too: the SolverAbort is that of
+    pair 1's g, the first failure in pair order, u before v."""
+    prob, f, z = abort_problem()
+    f2 = ScalarField(prob.grid, 2.0 * f.values)
+    with pytest.raises(SolverAbort) as err:
+        apply_lambda(prob, pairs(z, z, z, f, f2, f2), tol=1e-300)
+    lone = [solve_p_poisson(PPoissonProblem(prob.grid, 2.2, w, z), tol=1e-300) for w in (f, f2)]
+    assert not lone[0].converged and not lone[1].converged
+    assert err.value.component == "v"
+    assert err.value.gradient_norm == lone[0].gradient_norm != lone[1].gradient_norm
+
+
+def test_apply_lambda_rows_match_lone_pairs():
+    """On a stack of three pairs, the lifted pairs and their coupling
+    images are, bit for bit, each pair lifted alone and substituted into
+    the coupling alone; phi and psi differ, and so do h and k."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
+    c = Coupling(ex.parse("0.3*odd_pow(u,1.2)+0.1*v"), ex.parse("0.2*u*v-x"), 1, 1, 1, 1, 2.2)
+    h = from_callable(g, lambda x, y: 1.0 + x * y)
+    k = from_callable(g, lambda x, y: 0.5 - x)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
+    rng = np.random.default_rng(6)
+    fields = [scale_to_norm(sample_smooth_field(g, rng), 1.25, a) for a in (1, 3, 10, 30, 100, 3)]
+    L, Y = apply_lambda(prob, pairs(*fields))
+    assert L.shape == Y.shape == (3, 2, g.n_nodes)
+    for i, (f, w) in enumerate(zip(fields[0::2], fields[1::2])):
+        u, v = (
+            solve_p_poisson(PPoissonProblem(g, 2.2, src, bc)).solution
+            for src, bc in ((f, h), (w, k))
+        )
+        assert np.array_equal(L[i], np.stack([u.values, v.values]))
+        phi, psi = nemytskii(c, u, v)
+        assert np.array_equal(Y[i], np.stack([phi.values, psi.values]))
 
 
 def test_apply_lambda_zero_coupling():
@@ -161,9 +211,8 @@ def test_apply_lambda_zero_coupling():
         prob.grid, prob.exponents, zero_coupling(2.2), prob.h, prob.k, 1.0
     )
     f = from_callable(prob.grid, lambda x, y: x * y)
-    phi_f, psi_f, _ = apply_lambda(probz, f, f)
-    assert np.all(phi_f.values == 0.0)
-    assert np.all(psi_f.values == 0.0)
+    _, Y = apply_lambda(probz, pairs(f, f))
+    assert np.all(Y == 0.0)
 
 
 def test_problem_validation():
@@ -297,29 +346,46 @@ def test_calibration_ratio_scale_invariant():
     exps = make_exponents(3, 2.0, 1.3)
     f = sample_smooth_field(g, np.random.default_rng(7))
     f2 = ScalarField(g, 2.0 * f.values)
-    r1 = calibration_ratios(g, exps, [f])[0]
-    r2 = calibration_ratios(g, exps, [f2])[0]
+    r1 = calibration_ratios(g, exps, f.values[None])[0]
+    r2 = calibration_ratios(g, exps, f2.values[None])[0]
     assert r2 == pytest.approx(r1, rel=1e-9)
+
+
+def test_calibration_ratios_match_lone_lifts():
+    """Each ratio of a source stack is ||u_f||_s^(p-1) / ||f||_r of its
+    row lifted alone with zero boundary data, bit for bit."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
+    exps = make_exponents(3, 2.2, 1.25)
+    rng = np.random.default_rng(9)
+    sources = [scale_to_norm(sample_smooth_field(g, rng), exps.r, a) for a in (0.5, 1.0, 4.0)]
+    got = calibration_ratios(g, exps, np.stack([f.values for f in sources]))
+    zero = constant_field(g, 0.0)
+    want = [
+        lq_norm(solve_p_poisson(PPoissonProblem(g, 2.2, f, zero)).solution, exps.s) ** (exps.p - 1.0)
+        / lq_norm(f, exps.r)
+        for f in sources
+    ]
+    assert got == want
 
 
 def test_calibration_rejects_zero_source():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     exps = make_exponents(3, 2.0, 1.3)
     with pytest.raises(ValueError, match="nonzero"):
-        calibration_ratios(g, exps, [constant_field(g, 0.0)])
+        calibration_ratios(g, exps, np.zeros((1, g.n_nodes)))
 
 
 def test_calibration_rejects_zero_source_before_any_lift(monkeypatch):
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     exps = make_exponents(3, 2.0, 1.3)
-    w = sample_smooth_field(g, np.random.default_rng(1))
+    w = sample_smooth_field(g, np.random.default_rng(1)).values
 
     def no_lift(*args, **kwargs):
         raise AssertionError("a lift ran")
 
     monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", no_lift)
     with pytest.raises(ValueError, match="nonzero"):
-        calibration_ratios(g, exps, [w, constant_field(g, 0.0)])
+        calibration_ratios(g, exps, np.stack([w, np.zeros_like(w)]))
 
 
 def test_calibration_abort_names_first_failing_source():
@@ -332,7 +398,7 @@ def test_calibration_abort_names_first_failing_source():
     rng = np.random.default_rng(2)
     sources = [sample_smooth_field(g, rng) for _ in range(3)]
     with pytest.raises(SolverAbort) as err:
-        calibration_ratios(g, exps, sources, tol=1e-300)
+        calibration_ratios(g, exps, np.stack([f.values for f in sources]), tol=1e-300)
     zero = constant_field(g, 0.0)
     lone = [solve_p_poisson(PPoissonProblem(g, 2.2, f, zero), tol=1e-300) for f in sources]
     assert lone[0].converged and lone[0].gradient_norm == 0.0
@@ -363,9 +429,9 @@ def test_calibrate_C_is_twice_worst_ratio():
     exps = make_exponents(3, 2.0, 1.3)
     rng = np.random.default_rng(0)
     sources = [
-        scale_to_norm(sample_smooth_field(g, rng), exps.r, 1.0) for _ in range(10)
+        scale_to_norm(sample_smooth_field(g, rng), exps.r, 1.0).values for _ in range(10)
     ]
-    worst = max(calibration_ratios(g, exps, sources))
+    worst = max(calibration_ratios(g, exps, np.stack(sources)))
     assert calibrate_C(g, exps, samples=10, seed=0) == pytest.approx(
         2.0 * worst, rel=1e-12
     )
@@ -511,6 +577,25 @@ def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
     assert err.value.stop_reason == lone[3].stop_reason
 
 
+def test_ball_invariance_domain_error_names_global_trial(monkeypatch):
+    """psi = 1/(1 - |sgn v|) is undefined wherever v != 0.  With zero
+    boundary data only trial 7 draws a nonzero g, in the second block of
+    6 pairs at n = 16: the domain error names row 7, its trial index."""
+    base = ball_problem(16)
+    c = Coupling(ex.parse("u"), ex.parse("1/(1-abs(sgn(v)))"), 0.01, 0.01, 0.01, 0.01, 2.2)
+    prob = SystemProblem(base.grid, base.exponents, c, base.h, base.k, 1.0)
+    cert = certify(prob, C=0.1)
+    w = sample_smooth_field(prob.grid, np.random.default_rng(3)).values
+    drawn = itertools.count()  # f and g of each trial in turn; trial 7's g is 15
+    monkeypatch.setattr(
+        fixpoint,
+        "smooth_fields",
+        lambda grid, coeffs: np.stack([w if next(drawn) == 15 else 0.0 * w for _ in coeffs]),
+    )
+    with pytest.raises(ex.EvaluationDomainError, match=r"quotient is not finite at row 7, node 18 "):
+        check_ball_invariance(prob, cert, 1.0, trials=13)
+
+
 def test_ball_invariance_seeded():
     prob = small_problem(n=6)
     cert = certify(prob, C=0.02)
@@ -650,12 +735,30 @@ def test_picard_fixed_point_property():
     cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
     u, v, trace = picard_solve(prob, cert, tol=1e-10)
     assert trace.converged
-    from plapsys.coupling import nemytskii
-
     phi_f, psi_f = nemytskii(prob.coupling, u, v)
-    state = apply_T(prob, phi_f, psi_f)
-    assert np.abs(state.u_f.values - u.values).max() <= 1e-7
-    assert np.abs(state.v_g.values - v.values).max() <= 1e-7
+    L, _ = apply_lambda(prob, pairs(phi_f, psi_f))
+    assert np.abs(L[0, 0] - u.values).max() <= 1e-7
+    assert np.abs(L[0, 1] - v.values).max() <= 1e-7
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
+    """The final trace row carries the largest weak residual of the
+    returned pair, bit for bit the classification of that pair; R1 holds
+    it on one problem and R2 on its mirror image (u and v swapped)."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
+    phi, psi = "0.3*odd_pow(u,1.2)+0.1*v", "0.2*u*v-x"
+    h = from_callable(g, lambda x, y: 1.0 + x * y)
+    k = from_callable(g, lambda x, y: 0.5 - x)
+    if mirrored:
+        swap = str.maketrans("uv", "vu")
+        phi, psi, h, k = psi.translate(swap), phi.translate(swap), k, h
+    c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1, 2.2)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
+    u, v, trace = picard_solve(prob, certify(prob, C=0.02))
+    cls = weak_residuals(u, v, c, 2.2, 1e-6)
+    assert trace.rows[-1].weak_residual == cls.max_abs_residual
+    assert (np.abs(cls.R2).max() > np.abs(cls.R1).max()) == mirrored
 
 
 UNIT_BOX = (0.0, 1.0, 0.0, 1.0)  # with const = 8: the perfbench solve-picard problem
@@ -689,17 +792,17 @@ class _AbortOnExtrapolation:
         self.previous = None
         monkeypatch.setattr(fixpoint, "apply_lambda", self)
 
-    def __call__(self, prob, f, g, tol):
-        pair = np.stack([f.values, g.values])
-        if self.previous is not None and not np.array_equal(pair, self.previous):
+    def __call__(self, prob, X, tol, first_row=0):
+        if self.previous is not None and not np.array_equal(X[0], self.previous):
             self.armed = True
         if self.armed and (self.every or self.aborts == 0):
             self.aborts += 1
+            f = ScalarField(prob.grid, X[0, 0])
             report = SolveReport(f, 0, 0, 0, 1.0, 1e-6, tol, False, "max_iter", [])
             raise SolverAbort("u", prob.exponents.p, report)
-        phi_f, psi_f, state = self.real(prob, f, g, tol)
-        self.previous = np.stack([phi_f.values, psi_f.values])
-        return phi_f, psi_f, state
+        L, Y = self.real(prob, X, tol, first_row)
+        self.previous = Y[0].copy()
+        return L, Y
 
 
 def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):

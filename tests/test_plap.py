@@ -9,7 +9,6 @@ from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
 from plapsys.field import Grid, ScalarField, constant_field, from_callable
-from plapsys.fixpoint import sample_smooth_field, scale_to_norm
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
@@ -25,6 +24,7 @@ from plapsys.plap import (
 
 import p1_reference as ref
 from p1_reference import densify, newton_matrix, stiffness_matrix
+from stack_reference import sample_smooth_field, scale_to_norm
 
 N_VALUES = [1, 2, 3, 7, 16, 33]
 P_VALUES = (1.2, 2.0, 2.2, 6.0)

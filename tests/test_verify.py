@@ -7,7 +7,7 @@ import pytest
 
 import plapsys.expr as ex
 from plapsys.coupling import Coupling
-from plapsys.field import Grid, ScalarField, constant_field, from_callable
+from plapsys.field import Grid, constant_field, from_callable
 from plapsys.plap import residual_vector
 from plapsys.verify import (
     STUDY_CASES,
@@ -243,15 +243,15 @@ def test_study_case_registry():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
 def test_system_residuals_equal_single_row_calls(n):
-    """R1 and R2 come from one residual_vector call on the stacked pair,
-    bit for bit the two single-row calls, with a flat patch (weight 0) and
-    p below and above 2."""
+    """The rows (R1, R2) come from one residual_vector call on the stacked
+    pair, bit for bit the two single-row calls, with a flat patch (weight 0)
+    and p below and above 2."""
     g = Grid(2, (0.0, 1.0, 0.0, 2.0), n)
     rng = np.random.default_rng(n)
-    u, v, phi, psi = (ScalarField(g, rng.uniform(-1, 1, g.n_nodes)) for _ in range(4))
-    u = ScalarField(g, np.where(np.arange(g.n_nodes) < g.n_nodes // 3, 0.5, u.values))
+    w, reactions = rng.uniform(-1, 1, (2, 2, g.n_nodes))
+    w[0, : g.n_nodes // 3] = 0.5
     for p in (1.5, 2.2, 4.0):
-        R1, R2 = system_residuals(u, v, phi, psi, p)
-        I = g.interior
-        assert np.array_equal(R1, residual_vector(g, u.values, p, phi.values, 0.0)[I])
-        assert np.array_equal(R2, residual_vector(g, v.values, p, psi.values, 0.0)[I])
+        R = system_residuals(g, w, reactions, p)
+        assert R.shape == (2, len(g.interior))
+        for row, u, f in zip(R, w, reactions, strict=True):
+            assert np.array_equal(row, residual_vector(g, u, p, f, 0.0)[g.interior])
