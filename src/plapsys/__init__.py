@@ -27,7 +27,6 @@ from .field import (
     from_callable,
     load_field,
     lq_norm,
-    pair_norm,
     save_field,
 )
 from .fixpoint import (
@@ -70,7 +69,6 @@ __all__ = [
     "lq_norm",
     "make_exponents",
     "nemytskii",
-    "pair_norm",
     "parse",
     "picard_solve",
     "power_family",

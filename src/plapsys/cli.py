@@ -29,7 +29,7 @@ from .fixpoint import (
     check_ball_invariance,
     picard_solve,
 )
-from .verify import convergence_study, shift_test, weak_residuals
+from .verify import classify, convergence_study, shift_test, weak_residuals
 
 
 def _write_text(path: str, lines: list[str]) -> None:
@@ -61,7 +61,7 @@ def cmd_solve(args) -> int:
         max_iter=setup.picard_max_iter,
         solver_tol=setup.solver_tol,
     )
-    cls = weak_residuals(u, v, setup.coupling, setup.exponents.p, setup.verify_tol)
+    cls = classify(setup.grid, trace.residuals, setup.verify_tol)
 
     save_field(_out_path(setup, "u.csv"), u)
     save_field(_out_path(setup, "v.csv"), v)

@@ -182,7 +182,6 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
 class Setup:
     """Fully validated run setup built from one config file."""
 
-    cfg: dict[str, str]
     grid: Grid
     exponents: Exponents
     coupling: Coupling
@@ -237,7 +236,6 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     trials = _as_int(cfg, "certificate.trials")
     cfg_seed = _as_int(cfg, "calibration.seed")
     return Setup(
-        cfg=cfg,
         grid=grid,
         exponents=exponents,
         coupling=coupling,

@@ -13,8 +13,7 @@ and all integral quantities use the vertex-averaged elementwise quadrature
     lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
 lq_norms is the one kernel that computes it, for every row of a stack of
-nodal values (k, n_nodes) at once; lq_norm is a stack of one, and
-pair_norm the larger lq_norm of two fields.
+nodal values (k, n_nodes) at once; lq_norm is a stack of one.
 
 Gradients of the P1 interpolant are constant per element and exact for
 affine data.  element_gradients is the one kernel that computes them, for
@@ -286,11 +285,6 @@ def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
 def lq_norm(w: ScalarField, q: float) -> float:
     """Vertex-averaged elementwise quadrature norm of order q >= 1."""
     return float(lq_norms(w.grid, w.values[None], q)[0])
-
-
-def pair_norm(f: ScalarField, g: ScalarField, r: float) -> float:
-    """max of the two lq norms; the product-space norm for source pairs."""
-    return max(lq_norm(f, r), lq_norm(g, r))
 
 
 def save_field(path, w: ScalarField) -> None:

@@ -17,16 +17,16 @@ empties the window, and an aborted lift of an extrapolated pair is
 replaced by the damped step.
 
 apply_lambda is the one Lambda: it lifts a stack of source pairs
-(k, 2, n_nodes) in one plap.solve_p_poisson_batch and evaluates the
-coupling on the lifted stack.  picard_solve applies it to a stack of one
-pair; check_ball_invariance to blocks of the pairs of one lift chunk, each
-trial's f, g and t drawn in the order of the rng and its sources sampled
-as one stack, so a block holds no more than the chunk it lifts.
-calibration_ratios lifts a stack of sources with zero boundary data.
-smooth_fields is the one sampler of random smooth sources; the calibration
-sources are one draw of it.  A failed lift raises the SolverAbort of the
-first failure in source order, u before v, as lifting them one at a time
-would.
+(k, 2, n_nodes) as the rows f, g, f, g, ... beside h, k, h, k, ... in one
+plap.solve_p_poisson_batch and evaluates the coupling on the lifted stack.
+picard_solve applies it to a stack of one pair; check_ball_invariance to
+blocks of the pairs of one lift chunk, each trial's f, g and t drawn in
+the order of the rng and its sources sampled as one stack, so a block
+holds no more than the chunk it lifts.  calibration_ratios lifts a stack
+of sources with zero boundary data.  smooth_fields is the one sampler of
+random smooth sources; the calibration sources are one draw of it.  Once
+a stack is lifted, a failed lift raises the SolverAbort of the first
+failure in source order, u before v, as lifting them one at a time would.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-transformed
@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import Coupling, TransformedCoupling, coupling_values, transform
-from .field import Grid, ScalarField, constant_field, lq_norm, lq_norms
-from .plap import DEFAULT_TOL, PPoissonProblem, SolveReport, chunk_size, solve_p_poisson_batch
+from .field import Grid, ScalarField, lq_norm, lq_norms
+from .plap import DEFAULT_TOL, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
 
 DEFAULT_PICARD_TOL = 1e-7
@@ -165,23 +165,19 @@ def apply_lambda(
     with the boundary data h and every g with k, in order, in one batch,
     then substitute the lifted pairs into the coupling.
 
-    Returns the lifted pairs L and their images Y = (phi(., L), psi(., L)),
-    both (k, 2, n_nodes).  The first failed lift, in pair order and u
-    before v, raises SolverAbort; a coupling domain error names the row,
-    numbered from first_row, and the node.
+    Returns the lifted pairs L, read-only, and their images
+    Y = (phi(., L), psi(., L)), both (k, 2, n_nodes).  The first failed
+    lift, in pair order and u before v, raises SolverAbort; a coupling
+    domain error names the row, numbered from first_row, and the node.
     """
     grid, p = prob.grid, prob.exponents.p
-    problems = (
-        PPoissonProblem(grid, p, ScalarField(grid, w), boundary)
-        for pair in X
-        for w, boundary in zip(pair, (prob.h, prob.k))
-    )
-    L = np.empty(X.shape)
-    rows = L.reshape(-1, grid.n_nodes)
-    for i, rep in enumerate(solve_p_poisson_batch(problems, tol=tol)):
+    k = len(X)
+    H = np.tile(np.stack([prob.h.values, prob.k.values]), (k, 1))
+    U, reports = solve_p_poisson_batch(grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol)
+    for i, rep in enumerate(reports):
         if not rep.converged:
             raise SolverAbort("uv"[i % 2], p, rep)
-        rows[i] = rep.solution.values
+    L = U.reshape(X.shape)
     Y = np.stack(coupling_values(prob.coupling, grid, L[:, 0], L[:, 1], first_row), axis=1)
     return L, Y
 
@@ -230,13 +226,10 @@ def calibration_ratios(
     denoms = lq_norms(grid, sources, ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
-    zero = constant_field(grid, 0.0)
-    problems = (PPoissonProblem(grid, ex.p, ScalarField(grid, f), zero) for f in sources)
-    lifted = np.empty(sources.shape)
-    for i, rep in enumerate(solve_p_poisson_batch(problems, tol=tol)):
+    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, np.zeros(sources.shape), tol=tol)
+    for rep in reports:
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, rep)
-        lifted[i] = rep.solution.values
     nums = lq_norms(grid, lifted, ex.s).tolist()
     return [num ** (ex.p - 1.0) / denom for num, denom in zip(nums, denoms)]
 
@@ -414,13 +407,16 @@ class ConvergenceTrace:
     returned state.
 
     `stop_reason` is "converged" or "max_iter"; `restarts` counts the
-    Anderson history restarts, abort fallbacks included.
+    Anderson history restarts, abort fallbacks included; `residuals` holds
+    the weak residual rows (R1, R2), shape (2, N), of the returned pair,
+    which verify.classify turns into its verdict.
     """
 
     rows: list[TraceRow]
     stop_reason: str
     theta_final: float
     restarts: int
+    residuals: np.ndarray = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -442,12 +438,11 @@ class ConvergenceTrace:
 
 def _lambda_pair(
     prob: SystemProblem, x: np.ndarray, solver_tol: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lambda on the stacked source pair x (2, n_nodes): the lifted pair,
-    its image and the largest weak residual of the lifted pair."""
+    its image and the weak residual rows (R1, R2) of the lifted pair."""
     L, Y = apply_lambda(prob, x[None], solver_tol)
-    R = system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
-    return L[0], Y[0], float(np.abs(R).max(initial=0.0))
+    return L[0], Y[0], system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
 
 
 def picard_solve(
@@ -476,8 +471,9 @@ def picard_solve(
     iteration takes the damped step from the last evaluated iterate
     instead and empties the window (an abort there propagates).  The run
     stops once delta <= tol, with a damped step, and returns the lifted
-    pair (u, v) of the final source pair and the trace; exhaustion of
-    max_iter is reported in the trace, not raised.
+    pair (u, v) of the final source pair and the trace, which also holds
+    the weak residual rows of (u, v); exhaustion of max_iter is reported
+    in the trace, not raised.
 
     The certificate's lambda and M0 describe Lambda itself, not this
     accelerated iteration.
@@ -509,7 +505,7 @@ def picard_solve(
     delta = math.nan
     for it in range(1, max_iter + 1):
         try:
-            _, lam, weak = _lambda_pair(prob, x, solver_tol)
+            _, lam, R = _lambda_pair(prob, x, solver_tol)
         except SolverAbort:
             if not dF:  # x is a damped step, not an extrapolation
                 raise
@@ -517,9 +513,10 @@ def picard_solve(
             dX.clear()
             dF.clear()
             restarts += 1
-            _, lam, weak = _lambda_pair(prob, x, solver_tol)
+            _, lam, R = _lambda_pair(prob, x, solver_tol)
         res = lam - x
         delta = max(lq_norms(grid, th * res, r).tolist())
+        weak = float(np.abs(R).max(initial=0.0))
         rows.append(TraceRow(it, *lq_norms(grid, x, r).tolist(), delta, weak))
         if delta > prev_delta:
             increases += 1
@@ -548,7 +545,8 @@ def picard_solve(
             for j, gj in enumerate(gamma):
                 x -= gj * (dX[j] + th * dF[j])
 
-    uv, _, weak = _lambda_pair(prob, x, solver_tol)
+    uv, _, R = _lambda_pair(prob, x, solver_tol)
+    weak = float(np.abs(R).max(initial=0.0))
     rows.append(TraceRow(rows[-1].index + 1, *lq_norms(grid, x, r).tolist(), delta, weak))
-    trace = ConvergenceTrace(rows, stop_reason, th, restarts)
+    trace = ConvergenceTrace(rows, stop_reason, th, restarts, R)
     return ScalarField(grid, uv[0]), ScalarField(grid, uv[1]), trace

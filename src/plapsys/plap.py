@@ -54,18 +54,17 @@ n = 64, against 8 and 7 steps from the extension).  The report counts the Newton
 iterations, steepest-descent fallbacks, Armijo energy evaluations and
 steps accepted on the round-off floor.
 
-One Newton loop serves a batch of lifts that share the grid and p
-(solve_p_poisson_batch; solve_p_poisson is a batch of one): the nodal
-values are stacked (B, n_nodes), so every numpy call serves the whole
-batch, and the kernels, cg and the Armijo search take that leading axis.
-Each member keeps its own stopping test, forcing term, CG rows, step
-length, fallback, stop reason and counters, and leaves the active set when
-it stops; every reduction is taken per row, with the operations of a lone
-lift, so each member's report equals that of its problem lifted alone.
-Batches hold max(1, BATCH_NODES // n_nodes) members, so every n >= 64
-lifts one at a time; BATCH_NODES keeps the peak RSS of `plapsys certify`
-at n = 16 (12 members) within about 1.2 MB of lifting one problem at a
-time.
+One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
+data H into one stack U (solve_p_poisson_batch; solve_p_poisson is a stack
+of one), so every numpy call, the kernels, cg and the Armijo search serve
+all rows.  Each row keeps its own stopping test, forcing term, CG rows,
+step length, fallback, stop reason and counters, and leaves the active set
+when it stops; every reduction is taken per row, with the operations of a
+lone lift, so each row's report equals that of the row lifted alone.
+Chunks of max(1, BATCH_NODES // n_nodes) rows run at once, so every
+n >= 64 lifts one row at a time; BATCH_NODES keeps the peak RSS of
+`plapsys certify` at n = 16 (12 rows) within about 1.2 MB of lifting one
+row at a time.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol.  Non-convergence is reported, never papered over:
@@ -82,9 +81,7 @@ classifies, the weight |grad u|^(p-2) extended by 0 where grad u = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,51 +376,55 @@ def solve_p_poisson(
     reg: float = DEFAULT_REG,
 ) -> SolveReport:
     """Minimize the regularized energy; see the module docstring for the scheme."""
-    return next(solve_p_poisson_batch([prob], tol, max_iter, reg))
+    _, (report,) = solve_p_poisson_batch(
+        prob.grid, prob.p, prob.f.values[None], prob.h.values[None], tol, max_iter, reg
+    )
+    return report
 
 
 def solve_p_poisson_batch(
-    problems: Iterable[PPoissonProblem],
+    grid: Grid,
+    p: float,
+    F: np.ndarray,
+    H: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     reg: float = DEFAULT_REG,
-) -> Iterator[SolveReport]:
-    """The reports of solve_p_poisson on each problem, in order, from one
-    Newton loop over chunks of chunk_size(grid) members; each
-    equals the report of its problem lifted alone.  The problems are read,
-    and lifted, one chunk at a time as the reports are read, so a caller
-    that makes its problems as they are read and drops the reports it has
-    read holds one chunk of each.  Every problem must share the grid and p
-    of the first: a chunk that does not raises ValueError before it is
-    lifted."""
+) -> tuple[np.ndarray, list[SolveReport]]:
+    """Lift every row of the stack of sources F with the boundary values
+    of its row of H, both (B, n_nodes), on grid at exponent p > 1: one
+    Newton loop over chunks of chunk_size(grid) rows.  Returns the
+    read-only stack of solutions U (B, n_nodes) and one report per row,
+    whose solution is that row of U; each equals the report of its row
+    lifted alone.  Every chunk is lifted, whether or not an earlier one
+    converged.  Raises ValueError before any lift unless p > 1, tol and
+    reg are positive and finite, F and H have the shape (B, n_nodes) and
+    every value of F and H is finite."""
     for name, val in (("tol", tol), ("reg", reg)):
         if not (math.isfinite(val) and val > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {val}")
-    return _solve_chunks(iter(problems), tol, max_iter, reg)
+    if not p > 1.0:
+        raise ValueError(f"p must be > 1, got {p}")
+    if F.shape != H.shape or F.ndim != 2 or F.shape[1] != grid.n_nodes:
+        raise ValueError(f"F and H must be (B, {grid.n_nodes}), got {F.shape} and {H.shape}")
+    if not (np.isfinite(F).all() and np.isfinite(H).all()):
+        raise ValueError("sources and boundary data must be finite")
+    U = np.empty(F.shape)
+    reports: list[SolveReport] = []
+    size = chunk_size(grid)
+    for start in range(0, len(F), size):
+        rows = slice(start, start + size)
+        # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
+        # worse start than the source-free one (see the module docstring)
+        U[rows] = harmonic_extension(grid, H[rows], 0.0 if 1.3 < p < 2.0 else F[rows])
+        reports += _newton(grid, p, F[rows], U[rows], tol, max_iter, reg)
+    U.flags.writeable = False
+    return U, reports
 
 
 def chunk_size(grid: Grid) -> int:
-    """Members of each chunk that solve_p_poisson_batch lifts at once on grid."""
+    """Rows of each chunk that solve_p_poisson_batch lifts at once on grid."""
     return max(1, BATCH_NODES // grid.n_nodes)
-
-
-def _solve_chunks(problems, tol, max_iter, reg) -> Iterator[SolveReport]:
-    first = next(problems, None)
-    if first is None:
-        return
-    grid, p = first.grid, first.p
-    size = chunk_size(grid)
-    chunk = [first, *itertools.islice(problems, size - 1)]
-    while chunk:
-        if any(prob.grid != grid or prob.p != p for prob in chunk):
-            raise ValueError("a batch of lifts must share the grid and p")
-        F = np.stack([prob.f.values for prob in chunk])
-        H = np.stack([prob.h.values for prob in chunk])
-        # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
-        # worse start than the source-free one (see the module docstring)
-        U = harmonic_extension(grid, H, 0.0 if 1.3 < p < 2.0 else F)
-        yield from _newton(grid, p, F, U, tol, max_iter, reg)
-        chunk = list(itertools.islice(problems, size))
 
 
 def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:

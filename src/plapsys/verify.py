@@ -15,7 +15,10 @@ neither otherwise.  The test functions are exactly the interior hat basis
 (nonnegative, spanning the discrete zero-boundary space).  The residual
 rows come from plap.residual_vector at reg = 0, the same weighted-flux
 kernel the scalar solver minimizes with; the caller supplies the reaction
-pair, so a Picard state evaluates its coupling once.
+pair, so a Picard state evaluates its coupling once.  classify takes the
+verdict from residual rows already computed: `plapsys solve` classifies
+the rows of the last lift of picard_solve, and weak_residuals computes
+the rows of a given pair first.
 
 The shift test realizes the comparison statement that adding a constant
 alpha > 0 to u and beta >= 0 to v preserves supersolutions when the
@@ -82,12 +85,19 @@ def weak_residuals(
     tol: float = DEFAULT_CLASS_TOL,
 ) -> Classification:
     """Classify (u, v) as solution / supersolution / subsolution / neither."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     phi, psi = nemytskii(c, u, v)
-    R1, R2 = system_residuals(
+    R = system_residuals(
         u.grid, np.stack([u.values, v.values]), np.stack([phi.values, psi.values]), p
     )
+    return classify(u.grid, R, tol)
+
+
+def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
+    """The verdict of a pair on grid from its interior-hat weak residual
+    rows R = (R1, R2), shape (2, N), as system_residuals returns them."""
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    R1, R2 = R
     lo = min(R1.min(), R2.min())
     hi = max(R1.max(), R2.max())
     if max(abs(lo), abs(hi)) <= tol:
@@ -98,7 +108,7 @@ def weak_residuals(
         verdict = "subsolution"
     else:
         verdict = "neither"
-    return Classification(verdict, tol, u.grid.interior.copy(), R1, R2)
+    return Classification(verdict, tol, grid.interior.copy(), R1, R2)
 
 
 @dataclass

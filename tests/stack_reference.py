@@ -1,11 +1,12 @@
 """Oracles for the stacked sampler, ball check and CSV writer: each does
 one field, one trial or one row at a time, the way the package did before
-it worked on stacks.  Also the single-field source helpers of the tests."""
+it worked on stacks.  Also the single-field source and norm helpers of the
+tests."""
 
 import numpy as np
 
 from plapsys.coupling import nemytskii
-from plapsys.field import ScalarField, lq_norm, pair_norm
+from plapsys.field import ScalarField, lq_norm
 from plapsys.fixpoint import BALL_SLACK, SAMPLER_MODES, smooth_fields
 from plapsys.plap import PPoissonProblem, solve_p_poisson
 
@@ -16,6 +17,11 @@ def sample_smooth_field(grid, rng):
     per field.  Vanishes on the boundary."""
     coeffs = rng.uniform(-1.0, 1.0, size=(1, SAMPLER_MODES, SAMPLER_MODES))
     return ScalarField(grid, smooth_fields(grid, coeffs)[0])
+
+
+def pair_norm(f, g, r):
+    """max of the two lq norms; the product-space norm for source pairs."""
+    return max(lq_norm(f, r), lq_norm(g, r))
 
 
 def scale_to_norm(w, q, target):

@@ -9,7 +9,9 @@ import pytest
 
 import plapsys
 from plapsys.cli import main
+from plapsys.config import load_setup
 from plapsys.field import Grid, ScalarField, from_callable, load_field, save_field
+from plapsys.verify import weak_residuals
 
 BASE = {
     "grid.n": "8",
@@ -110,6 +112,24 @@ def test_solve_picard_problem_few_iterations(tmp_path):
     assert report["picard_stop_reason"] == "converged"
     assert 1 <= int(report["iterations"]) <= 12
     assert report["picard_restarts"] == "0"
+
+
+def test_solve_classification_is_that_of_the_written_pair(tmp_path):
+    """solve classifies the weak residual rows of its last Picard lift: the
+    verdict and the largest residual it writes are, bit for bit, those of
+    weak_residuals on the u and v it writes."""
+    cfg = cfg_file(tmp_path, {"boundary.h": "1 + x*y", "boundary.k": "0.5 - x"})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    setup = load_setup(cfg)
+    u, v = (load_field(str(out / name), setup.grid) for name in ("u.csv", "v.csv"))
+    cls = weak_residuals(u, v, setup.coupling, setup.exponents.p, setup.verify_tol)
+    report = dict(
+        line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()
+        if " = " in line and not line.startswith("#")
+    )
+    assert report["verdict"] == cls.verdict
+    assert report["max_abs_residual"] == f"{cls.max_abs_residual:.17g}"
 
 
 def test_inner_solver_failure_exit_3(tmp_path, capsys):

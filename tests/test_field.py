@@ -14,12 +14,11 @@ from plapsys.field import (
     load_field,
     lq_norm,
     lq_norms,
-    pair_norm,
     save_field,
 )
 
 import p1_reference as ref
-from stack_reference import save_field_rowwise
+from stack_reference import pair_norm, save_field_rowwise
 
 
 def unit_square(n):

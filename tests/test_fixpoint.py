@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
 import plapsys.fixpoint as fixpoint
+import plapsys.plap as plap
 from plapsys.coupling import Coupling, nemytskii, power_family
 from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
 from plapsys.fixpoint import (
@@ -35,7 +36,6 @@ from plapsys.plap import (
     PPoissonProblem,
     SolveReport,
     solve_p_poisson,
-    solve_p_poisson_batch,
 )
 from plapsys.verify import weak_residuals
 
@@ -182,6 +182,20 @@ def test_apply_lambda_abort_names_first_failing_lift_of_a_stack():
     assert err.value.gradient_norm == lone[0].gradient_norm != lone[1].gradient_norm
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_apply_lambda_rejects_nonfinite_source_before_any_lift(monkeypatch, bad):
+    """A non-finite value in the second pair's g raises ValueError before
+    the first pair is lifted."""
+    prob, f, z = abort_problem()
+    X = pairs(f, f, f, f)
+    X[1, 1, 5] = bad
+    lifts = []
+    monkeypatch.setattr(plap, "_newton", lambda *args: lifts.append(args))
+    with pytest.raises(ValueError, match="finite"):
+        apply_lambda(prob, X)
+    assert lifts == []
+
+
 def test_apply_lambda_rows_match_lone_pairs():
     """On a stack of three pairs, the lifted pairs and their coupling
     images are, bit for bit, each pair lifted alone and substituted into
@@ -275,10 +289,9 @@ def test_calibration_sources_match_draw_by_draw(monkeypatch):
         stacks.append(out.copy())
         return out
 
-    def batch_spy(problems, **kwargs):
-        problems = list(problems)
-        lifted.extend(q.f.values for q in problems)
-        return real_batch(problems, **kwargs)
+    def batch_spy(grid, p, F, H, **kwargs):
+        lifted.extend(F.copy())
+        return real_batch(grid, p, F, H, **kwargs)
 
     monkeypatch.setattr(fixpoint, "smooth_fields", fields_spy)
     monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", batch_spy)
@@ -558,13 +571,12 @@ def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
     lifted = []
     real = fixpoint.solve_p_poisson_batch
 
-    def spy(problems, **kwargs):
-        def record():
-            for q in problems:
-                lifted.append(q)
-                yield q
-
-        return real(record(), **kwargs)
+    def spy(grid, p, F, H, **kwargs):
+        lifted.extend(
+            PPoissonProblem(grid, p, ScalarField(grid, f), ScalarField(grid, h))
+            for f, h in zip(F, H)
+        )
+        return real(grid, p, F, H, **kwargs)
 
     monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", spy)
     with pytest.raises(SolverAbort) as err:
@@ -744,7 +756,8 @@ def test_picard_fixed_point_property():
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
     """The final trace row carries the largest weak residual of the
-    returned pair, bit for bit the classification of that pair; R1 holds
+    returned pair, and the trace its residual rows, bit for bit those of
+    the classification of that pair; R1 holds
     it on one problem and R2 on its mirror image (u and v swapped)."""
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     phi, psi = "0.3*odd_pow(u,1.2)+0.1*v", "0.2*u*v-x"
@@ -758,6 +771,7 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
     u, v, trace = picard_solve(prob, certify(prob, C=0.02))
     cls = weak_residuals(u, v, c, 2.2, 1e-6)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
+    assert np.array_equal(trace.residuals, np.stack([cls.R1, cls.R2]))
     assert (np.abs(cls.R2).max() > np.abs(cls.R1).max()) == mirrored
 
 

@@ -620,6 +620,16 @@ def mixed_members(g, p):
     ]
 
 
+def batch_reports(problems, **kwargs):
+    """The reports of solve_p_poisson_batch on the stacked sources and
+    boundary data of problems on one grid at one p."""
+    first = problems[0]
+    F = np.stack([prob.f.values for prob in problems])
+    H = np.stack([prob.h.values for prob in problems])
+    _, reports = solve_p_poisson_batch(first.grid, first.p, F, H, **kwargs)
+    return reports
+
+
 def assert_match_lone_lifts(problems, reports, **kwargs):
     """Each report of a batch equals that of its problem lifted alone."""
     assert len(reports) == len(problems)
@@ -637,7 +647,7 @@ def assert_match_lone_lifts(problems, reports, **kwargs):
 def test_batch_members_match_lone_lifts(d, n, p):
     g = box_grid(d, n, 1.0)
     problems = mixed_members(g, p)
-    reports = list(solve_p_poisson_batch(problems))
+    reports = batch_reports(problems)
     assert_match_lone_lifts(problems, reports)
     assert reports[0].stop_reason == "converged" and reports[0].iterations == 0
     assert all(rep.converged for rep in reports)
@@ -647,7 +657,7 @@ def test_batch_members_match_lone_lifts(d, n, p):
 def test_batch_max_iter_stops_members_beside_converged_ones(d):
     g = box_grid(d, 7, 1.0)
     problems = mixed_members(g, 2.2)
-    reports = list(solve_p_poisson_batch(problems, max_iter=1))
+    reports = batch_reports(problems, max_iter=1)
     assert_match_lone_lifts(problems, reports, max_iter=1)
     reasons = [rep.stop_reason for rep in reports]
     assert reasons == ["converged", "converged", "max_iter", "max_iter", "max_iter"]
@@ -668,26 +678,62 @@ def test_batch_longer_than_a_chunk(monkeypatch):
 
     monkeypatch.setattr(plap, "harmonic_extension", spy)
     problems = mixed_members(g, 2.2)
-    reports = list(solve_p_poisson_batch(problems))
+    reports = batch_reports(problems)
     assert chunks == [2, 2, 1]
     assert_match_lone_lifts(problems, reports)
 
 
-def test_batch_requires_one_grid_and_p():
+@pytest.mark.parametrize(
+    "p, F_shape, H_shape, bad, match",
+    [
+        (1.0, (3, 25), (3, 25), None, "p must be > 1"),
+        (0.5, (3, 25), (3, 25), None, "p must be > 1"),
+        (2.2, (3, 25), (2, 25), None, "must be \\(B, 25\\)"),
+        (2.2, (3, 24), (3, 24), None, "must be \\(B, 25\\)"),
+        (2.2, (25,), (25,), None, "must be \\(B, 25\\)"),
+        (2.2, (3, 25), (3, 25), ("F", math.nan), "finite"),
+        (2.2, (3, 25), (3, 25), ("F", math.inf), "finite"),
+        (2.2, (3, 25), (3, 25), ("H", math.nan), "finite"),
+        (2.2, (3, 25), (3, 25), ("H", -math.inf), "finite"),
+    ],
+)
+def test_batch_rejects_bad_stacks_before_any_lift(monkeypatch, p, F_shape, H_shape, bad, match):
+    """p <= 1, F and H of different shapes or of the wrong node count, and
+    a non-finite value in F or in H each raise ValueError before any lift."""
+    g = unit_square(4)  # 25 nodes
+    F, H = np.ones(F_shape), np.ones(H_shape)
+    if bad is not None:
+        {"F": F, "H": H}[bad[0]][1, 7] = bad[1]
+
+    def no_lift(*args):
+        raise AssertionError("a lift ran")
+
+    monkeypatch.setattr(plap, "harmonic_extension", no_lift)
+    monkeypatch.setattr(plap, "_newton", no_lift)
+    with pytest.raises(ValueError, match=match):
+        solve_p_poisson_batch(g, p, F, H)
+
+
+def test_batch_stack_contract():
+    """tol must be positive; an empty stack gives an empty U and no
+    reports; U is read-only and each report's solution is its row of U."""
     g = unit_square(4)
-    zero = constant_field(g, 0.0)
-    other = unit_square(5)
-    other_zero = constant_field(other, 0.0)
-    first = PPoissonProblem(g, 2.2, zero, zero)
-    for second in (
-        PPoissonProblem(g, 2.5, zero, zero),
-        PPoissonProblem(other, 2.2, other_zero, other_zero),
-    ):
-        with pytest.raises(ValueError, match="share the grid and p"):
-            list(solve_p_poisson_batch([first, second]))
+    zero = np.zeros((1, g.n_nodes))
     with pytest.raises(ValueError, match="tol"):
-        solve_p_poisson_batch([PPoissonProblem(g, 2.2, zero, zero)], tol=0.0)
-    assert list(solve_p_poisson_batch([])) == []
+        solve_p_poisson_batch(g, 2.2, zero, zero, tol=0.0)
+    U, reports = solve_p_poisson_batch(g, 2.2, np.zeros((0, g.n_nodes)), np.zeros((0, g.n_nodes)))
+    assert U.shape == (0, g.n_nodes) and reports == []
+    problems = mixed_members(g, 2.2)
+    F = np.stack([prob.f.values for prob in problems])
+    H = np.stack([prob.h.values for prob in problems])
+    U, reports = solve_p_poisson_batch(g, 2.2, F, H)
+    assert U.shape == F.shape and len(reports) == len(F)
+    assert not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 1.0
+    for row, rep in zip(U, reports):
+        assert np.shares_memory(rep.solution.values, U)
+        assert np.array_equal(rep.solution.values, row)
 
 
 def test_cg_rows_run_as_lone_solves():
@@ -815,7 +861,7 @@ def test_flat_data_start_takes_full_newton_steps(n):
     w = sample_smooth_field(g, np.random.default_rng(1))
     h = constant_field(g, 1.0)
     problems = [PPoissonProblem(g, 2.2, scale_to_norm(w, 1.25, a), h) for a in (0.3, 3.0)]
-    for rep in solve_p_poisson_batch(problems):
+    for rep in batch_reports(problems):
         assert rep.converged
         assert rep.line_search_evals == rep.iterations <= 4
 
@@ -856,7 +902,7 @@ def test_regression_matrix_converges(p, n, sizes):
     ((1.2, 64, 30), (1.3, 64, 3) and (1.1, 32, 3)) or did with forcing but
     without the round-off branch of the Armijo search ((1.2, 64, 3),
     (1.3, 32, 3))."""
-    for rep in solve_p_poisson_batch(matrix_problems(n, p, sizes)):
+    for rep in batch_reports(matrix_problems(n, p, sizes)):
         assert rep.converged and rep.gradient_norm <= rep.tol
         assert rep.iterations <= 80
 
@@ -873,6 +919,6 @@ def test_roundoff_steps_counts_the_branch(monkeypatch):
         return out
 
     monkeypatch.setattr(plap, "_armijo", spy)
-    (rep,) = solve_p_poisson_batch(matrix_problems(16, 1.5, (3.0,)))
+    (rep,) = batch_reports(matrix_problems(16, 1.5, (3.0,)))
     assert rep.converged
     assert rep.roundoff_steps == steps[0] >= 1
