@@ -19,7 +19,7 @@ from .coupling import (
     power_family,
     transform,
 )
-from .expr import parse, to_text
+from .expr import parse
 from .field import (
     Grid,
     ScalarField,
@@ -40,7 +40,7 @@ from .fixpoint import (
     make_exponents,
     picard_solve,
 )
-from .plap import PPoissonProblem, SolveReport, energy, solve_p_poisson, solve_p_poisson_batch
+from .plap import PPoissonProblem, SolveReport, solve_p_poisson, solve_p_poisson_batch
 from .verify import convergence_study, shift_test, weak_residuals
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "check_monotone",
     "constant_field",
     "convergence_study",
-    "energy",
     "from_callable",
     "load_field",
     "lq_norm",
@@ -76,7 +75,6 @@ __all__ = [
     "shift_test",
     "solve_p_poisson",
     "solve_p_poisson_batch",
-    "to_text",
     "transform",
     "weak_residuals",
 ]

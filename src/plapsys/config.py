@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as ex
 from .coupling import Coupling, eval_on_nodes, power_family
 from .field import Grid, ScalarField
-from .fixpoint import Exponents, SystemProblem, make_exponents
+from .fixpoint import MIN_CALIBRATION_SAMPLES, Exponents, SystemProblem, make_exponents
 
 
 class ConfigError(Exception):
@@ -233,7 +233,13 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     if max_iter < 1:
         raise ConfigError(f"picard.max_iter: must be >= 1, got {max_iter}")
     samples = _as_int(cfg, "calibration.samples")
+    if samples < MIN_CALIBRATION_SAMPLES:
+        raise ConfigError(
+            f"calibration.samples: must be >= {MIN_CALIBRATION_SAMPLES}, got {samples}"
+        )
     trials = _as_int(cfg, "certificate.trials")
+    if trials < 1:
+        raise ConfigError(f"certificate.trials: must be >= 1, got {trials}")
     cfg_seed = _as_int(cfg, "calibration.seed")
     return Setup(
         grid=grid,

@@ -181,14 +181,14 @@ class SampleSpec:
         return SampleSpec.for_box((0.0, 1.0, 0.0, 1.0))
 
     @staticmethod
-    def for_box(box: tuple[float, ...], m_per_axis: int = 8) -> "SampleSpec":
-        """8 x 8 spatial lattice over the box (64 points)."""
+    def for_box(box: tuple[float, ...]) -> "SampleSpec":
+        """8 x 8 spatial lattice over the box (64 points; 64 along a 1-D box)."""
         if len(box) == 2:
-            x = np.linspace(box[0], box[1], m_per_axis * m_per_axis)
+            x = np.linspace(box[0], box[1], 64)
             pts = np.stack([x, np.zeros_like(x)], axis=1)
         else:
-            x = np.linspace(box[0], box[1], m_per_axis)
-            y = np.linspace(box[2], box[3], m_per_axis)
+            x = np.linspace(box[0], box[1], 8)
+            y = np.linspace(box[2], box[3], 8)
             X, Y = np.meshgrid(x, y)
             pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         return SampleSpec(points=pts)

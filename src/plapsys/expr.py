@@ -13,7 +13,9 @@ Parsing reports syntax errors with the byte offset of the offending token
 and names unknown identifiers.  Evaluation, vectorized over numpy arrays,
 either produces finite values or raises EvaluationDomainError (division by
 zero, log of a non-positive number, a negative base under a non-integer
-power, overflow); it never returns NaN or infinity silently.
+power, overflow); it never returns NaN or infinity silently.  The
+package only reads formulas (parse, then evaluate_arrays); it never
+prints a tree back to text.
 """
 
 from __future__ import annotations
@@ -242,42 +244,6 @@ def parse(text: str) -> Expr:
     if tok.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
     return node
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Num, Var, Call)):
-        return 5
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            return 4
-        if e.op in "*/":
-            return 2
-        return 1
-    return 3  # Neg
-
-
-def to_text(e: Expr) -> str:
-    """Render the tree as parseable text; parse(to_text(e)) == e."""
-
-    def wrap(sub: Expr, minimum: int) -> str:
-        s = to_text(sub)
-        return f"({s})" if _prec(sub) < minimum else s
-
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.operand, 3)
-    if isinstance(e, Call):
-        return e.func + "(" + ", ".join(to_text(a) for a in e.args) + ")"
-    if isinstance(e, BinOp):
-        level = _prec(e)
-        if e.op == "^":
-            # right-associative: parenthesize a compound left operand
-            return wrap(e.left, 5) + "^" + wrap(e.right, 4)
-        return wrap(e.left, level) + e.op + wrap(e.right, level + 1)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate_arrays(e: Expr, bindings: dict[str, np.ndarray]) -> np.ndarray:

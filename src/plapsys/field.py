@@ -52,10 +52,11 @@ class Grid:
     d : dimension, 1 or 2.
     box : (x0, x1) for d=1, (x0, x1, y0, y1) for d=2; strictly increasing
         per axis.
-    n : cells per axis, >= 1.
+    n : cells per axis, an integer >= 1 (an integral float is stored as
+        its int).
 
     Derived arrays (all immutable): `coords` (n_nodes, d) node coordinates,
-    `elements` (n_elements, d+1) vertex indices in counterclockwise order
+    `elements` (n or 2 n^2, d+1) vertex indices in counterclockwise order
     (in 2-D, element 2*(j*n + i) is the lower and 2*(j*n + i) + 1 the upper
     triangle of cell (i, j)), `interior` and `boundary` node index arrays,
     `lumped` (n_nodes,) vertex-quadrature node weights.  The element kernels
@@ -80,8 +81,9 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError(f"d must be 1 or 2, got {self.d}")
-        if self.n < 1 or self.n != int(self.n):
+        if not (self.n >= 1 and self.n % 1 == 0):  # nan and inf fail too
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         box = tuple(float(b) for b in self.box)
         object.__setattr__(self, "box", box)
         if len(box) != 2 * self.d:
@@ -169,10 +171,6 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return (self.n + 1) ** self.d
-
-    @property
-    def n_elements(self) -> int:
-        return self.n if self.d == 1 else 2 * self.n * self.n
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -299,15 +297,19 @@ def save_field(path, w: ScalarField) -> None:
 
 
 def load_field(path, grid: Grid) -> ScalarField:
-    """Read a field CSV written by save_field, validating the row count."""
+    """Read a field CSV written by save_field.  The header, the row count,
+    every number and the node coordinates are checked: each row's x (and y)
+    must be that of its node of grid to within 1e-6 of a cell, and its
+    value finite.  A ValueError names the file and the line of the first
+    bad row; blank lines are skipped but counted."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as err:
         raise ValueError(f"cannot read field file {path}: {err.strerror}") from None
     if not lines:
         raise ValueError(f"{path}: empty field file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     want_cols = grid.d + 1
     if len(header) != want_cols:
         raise ValueError(
@@ -319,10 +321,27 @@ def load_field(path, grid: Grid) -> ScalarField:
             f"{path}: row count {len(rows)} does not match grid with "
             f"{grid.n_nodes} nodes"
         )
-    values = np.empty(grid.n_nodes)
-    for i, ln in enumerate(rows):
+    table = []
+    for k, ln in rows:
         parts = ln.split(",")
         if len(parts) != want_cols:
-            raise ValueError(f"{path}: malformed row {i + 2}")
-        values[i] = float(parts[-1])
-    return ScalarField(grid, values)
+            raise ValueError(f"{path}: line {k}: malformed row")
+        try:
+            table.append([float(s) for s in parts])
+        except ValueError:
+            raise ValueError(f"{path}: line {k}: not a number in {ln!r}") from None
+    table = np.array(table)
+    bad = ~np.isfinite(table[:, -1])
+    bad |= ~(np.abs(table[:, :-1] - grid.coords) <= 1e-6 * np.array(grid.spacing)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        k, ln = rows[i]
+        *xy, value = (s.strip() for s in ln.split(","))
+        if not np.isfinite(table[i, -1]):
+            raise ValueError(f"{path}: line {k}: value {value} is not finite")
+        node = ", ".join(repr(float(c)) for c in grid.coords[i])
+        raise ValueError(
+            f"{path}: line {k}: coordinates ({', '.join(xy)}) are not those of "
+            f"grid node {i} ({node})"
+        )
+    return ScalarField(grid, table[:, -1])

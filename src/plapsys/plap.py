@@ -67,11 +67,13 @@ n >= 64 lifts one row at a time; BATCH_NODES keeps the peak RSS of
 row at a time.
 
 Convergence means the euclidean norm of the energy gradient restricted to
-interior nodes is <= tol.  Non-convergence is reported, never papered over:
-the report carries converged=False, the last iterate and its stop_reason,
-"max_iter" (max_iter Newton steps taken) or "stalled" (no Armijo decrease
-along the Newton direction nor along steepest descent).  tol and reg must
-be positive and finite.
+interior nodes is <= tol, the lift's one argument besides its data; tol
+must be positive and finite.  The regularization REG = 1e-8 and the step
+limit MAX_ITER = 500 are module constants, read when a lift starts.
+Non-convergence is reported, never papered over: the report carries
+converged=False, the last iterate and its stop_reason, "max_iter"
+(MAX_ITER Newton steps taken) or "stalled" (no Armijo decrease along the
+Newton direction nor along steepest descent).
 
 residual_vector is the one weighted-flux residual of the package: with
 reg > 0 it is the gradient of the regularized energy that Newton drives to
@@ -99,9 +101,9 @@ EW_ALPHA = 2.0
 # any bound from 1e-15 to 1e-12 converges the regression matrix of the tests
 # in the same steps, 1e-11 already accepts steps that are not round-off
 ROUNDOFF = 1e-13
-DEFAULT_REG = 1e-8
+REG = 1e-8  # reg of the regularized energy that every lift minimizes
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 500
+MAX_ITER = 500  # Newton steps before a lift stops with "max_iter"
 BATCH_NODES = 3500  # nodes lifted at once: 12 members at n = 16, 3 at n = 32, 1 from n = 64
 
 
@@ -131,13 +133,15 @@ class SolveReport:
     cg_iterations: int
     fallbacks: int
     gradient_norm: float
-    reg: float
     tol: float
-    converged: bool
     stop_reason: str  # "converged", "max_iter" or "stalled"
     energy_history: list[float]
     line_search_evals: int = 0  # energy evaluations of the Armijo searches
     roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
@@ -155,11 +159,6 @@ def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) 
     G2 += reg * reg
     sums = (G2 ** (p / 2.0)).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
     return sums * grid.element_measure / p + np.vecdot(grid.lumped * f, u)
-
-
-def energy(u: ScalarField, p: float, f: ScalarField) -> float:
-    """Discrete energy (1/p) sum |grad u|^p area + sum mean(f u) area."""
-    return float(_energy_reg(u.grid, u.values, p, f.values, 0.0))
 
 
 def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
@@ -369,27 +368,16 @@ def _on_rows(apply, *arrays):
     return op
 
 
-def solve_p_poisson(
-    prob: PPoissonProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    reg: float = DEFAULT_REG,
-) -> SolveReport:
+def solve_p_poisson(prob: PPoissonProblem, tol: float = DEFAULT_TOL) -> SolveReport:
     """Minimize the regularized energy; see the module docstring for the scheme."""
     _, (report,) = solve_p_poisson_batch(
-        prob.grid, prob.p, prob.f.values[None], prob.h.values[None], tol, max_iter, reg
+        prob.grid, prob.p, prob.f.values[None], prob.h.values[None], tol
     )
     return report
 
 
 def solve_p_poisson_batch(
-    grid: Grid,
-    p: float,
-    F: np.ndarray,
-    H: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    reg: float = DEFAULT_REG,
+    grid: Grid, p: float, F: np.ndarray, H: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """Lift every row of the stack of sources F with the boundary values
     of its row of H, both (B, n_nodes), on grid at exponent p > 1: one
@@ -397,12 +385,11 @@ def solve_p_poisson_batch(
     read-only stack of solutions U (B, n_nodes) and one report per row,
     whose solution is that row of U; each equals the report of its row
     lifted alone.  Every chunk is lifted, whether or not an earlier one
-    converged.  Raises ValueError before any lift unless p > 1, tol and
-    reg are positive and finite, F and H have the shape (B, n_nodes) and
-    every value of F and H is finite."""
-    for name, val in (("tol", tol), ("reg", reg)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {val}")
+    converged.  Raises ValueError before any lift unless p > 1, tol is
+    positive and finite, F and H have the shape (B, n_nodes) and every
+    value of F and H is finite."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
     if F.shape != H.shape or F.ndim != 2 or F.shape[1] != grid.n_nodes:
@@ -417,7 +404,7 @@ def solve_p_poisson_batch(
         # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
         # worse start than the source-free one (see the module docstring)
         U[rows] = harmonic_extension(grid, H[rows], 0.0 if 1.3 < p < 2.0 else F[rows])
-        reports += _newton(grid, p, F[rows], U[rows], tol, max_iter, reg)
+        reports += _newton(grid, p, F[rows], U[rows], tol)
     U.flags.writeable = False
     return U, reports
 
@@ -427,11 +414,13 @@ def chunk_size(grid: Grid) -> int:
     return max(1, BATCH_NODES // grid.n_nodes)
 
 
-def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
+def _newton(grid, p, F, U, tol) -> list[SolveReport]:
     """The damped Newton loop of every member of a batch at once, from the
     iterates U (B, n_nodes), which attain the boundary data and are updated
-    in place, with the sources F (B, n_nodes).  A member leaves the active
-    set when it converges, reaches max_iter or stalls."""
+    in place, with the sources F (B, n_nodes), on the energy regularized by
+    REG.  A member leaves the active set when it converges, reaches
+    MAX_ITER steps or stalls."""
+    reg, max_iter = REG, MAX_ITER
     I = grid.interior
     offsets = _stencil_offsets(grid)
     energies = _energy_reg(grid, U, p, F, reg)
@@ -523,9 +512,7 @@ def _newton(grid, p, F, U, tol, max_iter, reg) -> list[SolveReport]:
             cg_iterations=int(cg_iterations[b]),
             fallbacks=int(fallbacks[b]),
             gradient_norm=float(gnorm[b]),
-            reg=reg,
             tol=tol,
-            converged=stop_reason[b] == "converged",
             stop_reason=stop_reason[b],
             energy_history=history[b],
             line_search_evals=int(evals[b]),

@@ -141,11 +141,12 @@ def shift_test(
     alpha: float,
     beta: float,
     tol: float = DEFAULT_CLASS_TOL,
-    nu: int = 41,
 ) -> ShiftReport:
     """Check that (u + alpha, v + beta) stays a supersolution (alpha > 0,
     beta >= 0, both finite), or (u - alpha, v - beta) a subsolution for
-    subsolution input."""
+    subsolution input.  The monotonicity gate samples the points of
+    SampleSpec.for_box and SampleSpec's 41 u and 41 v values over the
+    ranges the shift visits."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -171,8 +172,6 @@ def shift_test(
         points=SampleSpec.for_box(u.grid.box).points,
         u_range=(umin - alpha, umax + alpha),
         v_range=(vmin - beta, vmax + beta),
-        nu=nu,
-        nv=nu,
     )
     mono = check_monotone(c, spec)
     if not mono.monotone_pass:

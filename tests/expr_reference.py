@@ -1,9 +1,11 @@
-"""Scalar reference evaluator of the expression language, for the tests.
+"""Scalar reference evaluator and printer of the expression language, for
+the tests.
 
 `evaluate` walks a parsed tree with Python floats and the math module, one
 point at a time.  The package evaluates with numpy arrays
 (`plapsys.expr.evaluate_arrays`); the tests check that it agrees with this
-evaluator pointwise, domain errors included.
+evaluator pointwise, domain errors included.  `to_text` renders a tree as
+text that `plapsys.expr.parse` reads back to the same tree.
 """
 
 import math
@@ -100,4 +102,40 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
             s = 1.0 if t > 0.0 else -1.0
             return _check_finite(s * math.pow(abs(t), q), "odd_pow")
         raise TypeError(f"unknown function {name!r}")
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _prec(e: Expr) -> int:
+    if isinstance(e, (Num, Var, Call)):
+        return 5
+    if isinstance(e, BinOp):
+        if e.op == "^":
+            return 4
+        if e.op in "*/":
+            return 2
+        return 1
+    return 3  # Neg
+
+
+def to_text(e: Expr) -> str:
+    """Render the tree as parseable text; parse(to_text(e)) == e."""
+
+    def wrap(sub: Expr, minimum: int) -> str:
+        s = to_text(sub)
+        return f"({s})" if _prec(sub) < minimum else s
+
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return "-" + wrap(e.operand, 3)
+    if isinstance(e, Call):
+        return e.func + "(" + ", ".join(to_text(a) for a in e.args) + ")"
+    if isinstance(e, BinOp):
+        level = _prec(e)
+        if e.op == "^":
+            # right-associative: parenthesize a compound left operand
+            return wrap(e.left, 5) + "^" + wrap(e.right, 4)
+        return wrap(e.left, level) + e.op + wrap(e.right, level + 1)
     raise TypeError(f"not an expression node: {e!r}")

@@ -82,7 +82,7 @@ def assemble_coo(grid, W, Wp=None, G=None):
 
 def stiffness_matrix(grid):
     """P1 Laplace stiffness over all nodes."""
-    return assemble_coo(grid, np.ones(grid.n_elements))
+    return assemble_coo(grid, np.ones(len(grid.elements)))
 
 
 def p2_solve(grid, h, f):

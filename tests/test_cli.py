@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, reproducibility."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -180,6 +181,28 @@ def test_picard_max_iter_zero_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "picard.max_iter" in err
+
+
+@pytest.mark.parametrize("value", ["9", "0"])
+def test_calibration_samples_below_minimum_exit_2(tmp_path, capsys, value):
+    cfg = cfg_file(tmp_path, {"calibration.samples": value})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: calibration.samples: must be >= 10, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_certificate_trials_nonpositive_exit_2(tmp_path, capsys, value):
+    """Rejected with the config, before calibration runs, whatever the
+    certificate would be: `valid = false` on the unit box with a = 8."""
+    strong = {f"coupling.{k}": "8" for k in ("a1", "a2", "b1", "b2")}
+    for overrides in ({}, {"grid.box": "0, 1, 0, 1", **strong}):
+        cfg = cfg_file(tmp_path, {"certificate.trials": value, **overrides})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: certificate.trials: must be >= 1, got {value}" in err
+        assert not (tmp_path / "out").exists()
 
 
 TOLERANCE_CASES = [
@@ -429,11 +452,43 @@ def test_shift_test_nonfinite_alpha_beta_exit_2(tmp_path, capsys, flag, value):
 
 
 def test_verify_malformed_field_exit_2(tmp_path, capsys):
+    """A short file, an unparsable value and a nan value: each error names
+    the file, and a bad value its line."""
     cfg = cfg_file(tmp_path)
     bad = tmp_path / "short.csv"
     bad.write_text("x,y,value\n0,0,1\n")
     assert main(["verify", "--config", cfg, str(bad), str(bad)]) == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert str(bad) in err
+    good = tmp_path / "good.csv"
+    save_field(good, from_callable(Grid(2, (0.0, 0.3, 0.0, 0.3), 8), lambda x, y: 1 + x * y))
+    lines = good.read_text().splitlines()
+    for cell, message in (
+        ("abc", r"line 5: not a number in '0\.11249999999999999,0,abc'"),
+        ("nan", r"line 5: value nan is not finite"),
+    ):
+        bad = tmp_path / f"{cell}.csv"
+        bad.write_text("\n".join(lines[:4] + [lines[4].rsplit(",", 1)[0] + "," + cell] + lines[5:]))
+        assert main(["verify", "--config", cfg, str(bad), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"input error: {re.escape(str(bad))}: {message}\n", err)
+
+
+def test_verify_pair_from_another_box_exit_2(tmp_path, capsys):
+    """u.csv and v.csv written on the 0.3 box do not verify against a config
+    on the unit box with the same n; the error names u.csv and its line 3."""
+    out = tmp_path / "out"
+    small = cfg_file(tmp_path, {"grid.n": "6"}, name="small.cfg")
+    assert main(["solve", "--config", small, "--out", str(out)]) == 0
+    unit = cfg_file(tmp_path, {"grid.n": "6", "grid.box": "0, 1, 0, 1"}, name="unit.cfg")
+    code = main(["verify", "--config", unit, "--out", str(tmp_path / "v"),
+                 str(out / "u.csv"), str(out / "v.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"input error: {out / 'u.csv'}: line 3: coordinates (0.04999" in err
+    assert "are not those of grid node 1 (0.16666666666666666, 0.0)" in err
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_missing_field_file_exit_2(tmp_path, capsys):

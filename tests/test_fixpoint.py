@@ -812,7 +812,7 @@ class _AbortOnExtrapolation:
         if self.armed and (self.every or self.aborts == 0):
             self.aborts += 1
             f = ScalarField(prob.grid, X[0, 0])
-            report = SolveReport(f, 0, 0, 0, 1.0, 1e-6, tol, False, "max_iter", [])
+            report = SolveReport(f, 0, 0, 0, 1.0, tol, "max_iter", [])
             raise SolverAbort("u", prob.exponents.p, report)
         L, Y = self.real(prob, X, tol, first_row)
         self.previous = Y[0].copy()

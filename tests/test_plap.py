@@ -15,7 +15,6 @@ from plapsys.plap import (
     _newton_system,
     _stencil_matvec,
     _stencil_offsets,
-    energy,
     harmonic_extension,
     residual_vector,
     solve_p_poisson,
@@ -42,7 +41,7 @@ def unit_square(n):
 def test_energy_zero():
     g = unit_square(4)
     zero = constant_field(g, 0.0)
-    assert energy(zero, 2.0, zero) == 0.0
+    assert _energy_reg(g, zero.values, 2.0, zero.values, 0.0) == 0.0
 
 
 def test_energy_linear_1d():
@@ -50,7 +49,7 @@ def test_energy_linear_1d():
     g = Grid(1, (0.0, 1.0), 10)
     u = from_callable(g, lambda x: x)
     f = constant_field(g, 0.0)
-    assert energy(u, 2.0, f) == pytest.approx(0.5, rel=1e-14)
+    assert _energy_reg(g, u.values, 2.0, f.values, 0.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_energy_constant_with_source():
@@ -58,7 +57,7 @@ def test_energy_constant_with_source():
     c = 3.7
     u = constant_field(g, c)
     f = constant_field(g, 1.0)
-    assert energy(u, 2.6, f) == pytest.approx(c, rel=1e-14)
+    assert _energy_reg(g, u.values, 2.6, f.values, 0.0) == pytest.approx(c, rel=1e-14)
 
 
 def test_problem_validation():
@@ -313,15 +312,6 @@ def test_residual_is_energy_gradient():
         assert res @ eta == pytest.approx((up - down) / (2 * t), rel=1e-6)
 
 
-def test_solver_rejects_nonpositive_reg():
-    g = unit_square(4)
-    h = constant_field(g, 1.0)
-    prob = PPoissonProblem(g, 1.5, constant_field(g, 0.0), h)
-    for reg in (0.0, -1e-8, math.nan, math.inf):
-        with pytest.raises(ValueError, match="reg"):
-            solve_p_poisson(prob, reg=reg)
-
-
 def test_solver_rejects_nonpositive_tol():
     g = unit_square(4)
     prob = PPoissonProblem(g, 2.0, constant_field(g, 1.0), constant_field(g, 0.0))
@@ -433,17 +423,16 @@ def test_converged_means_small_gradient():
     rep = solve_p_poisson(PPoissonProblem(g, 2.0, f, constant_field(g, 0.0)), tol=1e-8)
     assert rep.converged
     assert rep.gradient_norm <= 1e-8
-    res = residual_vector(g, rep.solution.values, 2.0, f.values, rep.reg)
+    res = residual_vector(g, rep.solution.values, 2.0, f.values, plap.REG)
     assert np.linalg.norm(res[g.interior]) <= 1e-8
 
 
-def test_honest_non_convergence():
+def test_honest_non_convergence(monkeypatch):
     # a p = 3 solve cannot finish in one Newton step; no exception, flag down
+    monkeypatch.setattr(plap, "MAX_ITER", 1)
     g = unit_square(8)
     f = constant_field(g, 1.0)
-    rep = solve_p_poisson(
-        PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)), max_iter=1
-    )
+    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)))
     assert not rep.converged
     assert rep.stop_reason == "max_iter"
     assert rep.gradient_norm > 1e-8
@@ -562,9 +551,10 @@ def test_failed_cg_falls_back_to_steepest_descent(monkeypatch):
         return np.zeros_like(b), 1  # no iteration taken, no descent direction
 
     monkeypatch.setattr(plap, "cg", failing_cg)
+    monkeypatch.setattr(plap, "MAX_ITER", 3)
     g = unit_square(6)
     f = constant_field(g, 1.0)
-    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)), max_iter=3)
+    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)))
     assert rep.iterations == 3
     assert rep.fallbacks == 3
     assert rep.cg_iterations == 0
@@ -620,21 +610,21 @@ def mixed_members(g, p):
     ]
 
 
-def batch_reports(problems, **kwargs):
+def batch_reports(problems):
     """The reports of solve_p_poisson_batch on the stacked sources and
     boundary data of problems on one grid at one p."""
     first = problems[0]
     F = np.stack([prob.f.values for prob in problems])
     H = np.stack([prob.h.values for prob in problems])
-    _, reports = solve_p_poisson_batch(first.grid, first.p, F, H, **kwargs)
+    _, reports = solve_p_poisson_batch(first.grid, first.p, F, H)
     return reports
 
 
-def assert_match_lone_lifts(problems, reports, **kwargs):
+def assert_match_lone_lifts(problems, reports):
     """Each report of a batch equals that of its problem lifted alone."""
     assert len(reports) == len(problems)
     for prob, rep in zip(problems, reports):
-        lone = solve_p_poisson(prob, **kwargs)
+        lone = solve_p_poisson(prob)
         for name in REPORT_COUNTERS:
             assert getattr(rep, name) == getattr(lone, name), name
         scale = max(1.0, np.abs(lone.solution.values).max())
@@ -654,11 +644,12 @@ def test_batch_members_match_lone_lifts(d, n, p):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_batch_max_iter_stops_members_beside_converged_ones(d):
+def test_batch_max_iter_stops_members_beside_converged_ones(d, monkeypatch):
+    monkeypatch.setattr(plap, "MAX_ITER", 1)
     g = box_grid(d, 7, 1.0)
     problems = mixed_members(g, 2.2)
-    reports = batch_reports(problems, max_iter=1)
-    assert_match_lone_lifts(problems, reports, max_iter=1)
+    reports = batch_reports(problems)
+    assert_match_lone_lifts(problems, reports)
     reasons = [rep.stop_reason for rep in reports]
     assert reasons == ["converged", "converged", "max_iter", "max_iter", "max_iter"]
     assert [rep.iterations for rep in reports] == [0, 0, 1, 1, 1]
