@@ -17,7 +17,6 @@ from .coupling import (
     check_monotone,
     nemytskii,
     power_family,
-    transform,
 )
 from .expr import parse
 from .field import (
@@ -75,6 +74,5 @@ __all__ = [
     "shift_test",
     "solve_p_poisson",
     "solve_p_poisson_batch",
-    "transform",
     "weak_residuals",
 ]

@@ -7,8 +7,10 @@ A Coupling bundles the two reaction expressions with the growth constants
     |psi(x, u, v)| <= b1 |v|^(p-1) + b2 |u|^(p-1)
 
 check_growth probes this bound and check_monotone probes coordinatewise
-monotonicity of both functions on a bounded sample lattice; both report
-violations instead of trusting declared constants.
+monotonicity of both functions on a bounded sample lattice (SampleSpec:
+spatial points times STATE_SAMPLES values of u and of v); both report
+violations instead of trusting declared constants, and a domain error
+names the sample point (x, y, u, v).
 
 eval_on_nodes is the one node evaluator: it binds x (and y) to the node
 coordinates and the states to nodal arrays or to stacks of them
@@ -20,9 +22,10 @@ The homogeneous transform shifts the arguments by boundary lifts h, k:
 phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is nemytskii at the
 shifted fields.  Splitting the shifted growth bound with the elementary
 inequality |a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives,
-for any eps > 0 and with q = p - 1, the stored data
+for any eps > 0 and with q = p - 1, the data that split_bound returns
+from the nodal values of h and k:
 
-    a_i' = a_i (1 + eps)^q,   b_i' = b_i (1 + eps)^q   (growth_factor)
+    a_i' = a_i (1 + eps)^q,   b_i' = b_i (1 + eps)^q   (the growth factor)
     c(x)  = (1 + 1/eps)^q (a1 |h(x)|^q + a2 |k(x)|^q)
     c'(x) = (1 + 1/eps)^q (b1 |k(x)|^q + b2 |h(x)|^q)
 
@@ -68,7 +71,7 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
     phi = a1 odd_pow(u, p-1) + a2 odd_pow(v, p-1)
     psi = b1 odd_pow(v, p-1) + b2 odd_pow(u, p-1)
     """
-    q = p - 1.0
+    a1, a2, b1, b2, q = (float(t) for t in (a1, a2, b1, b2, p - 1.0))
     phi = ex.parse(f"{a1!r}*odd_pow(u,{q!r})+{a2!r}*odd_pow(v,{q!r})")
     psi = ex.parse(f"{b1!r}*odd_pow(v,{q!r})+{b2!r}*odd_pow(u,{q!r})")
     return Coupling(phi, psi, a1, a2, b1, b2, p)
@@ -123,42 +126,20 @@ def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField,
     return ScalarField(grid, phi), ScalarField(grid, psi)
 
 
-@dataclass(frozen=True)
-class TransformedCoupling:
-    """Coupling shifted by boundary lifts h, k, with the split-bound data."""
-
-    base: Coupling
-    h: ScalarField
-    k: ScalarField
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0.0 or not np.isfinite(self.eps):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.h.grid is not self.k.grid:
-            raise ValueError("h and k must share a grid")
-
-    @property
-    def growth_factor(self) -> float:
-        """(1 + eps)^(p-1): every primed growth constant is this times its base."""
-        return (1.0 + self.eps) ** (self.base.p - 1.0)
-
-    def _split_field(self, s_h: float, s_k: float) -> ScalarField:
-        """(1 + 1/eps)^(p-1) (s_h |h|^(p-1) + s_k |k|^(p-1))."""
-        q = self.base.p - 1.0
-        factor = (1.0 + 1.0 / self.eps) ** q
-        vals = factor * (s_h * np.abs(self.h.values) ** q + s_k * np.abs(self.k.values) ** q)
-        return ScalarField(self.h.grid, vals)
-
-    def c_field(self) -> ScalarField:
-        return self._split_field(self.base.a1, self.base.a2)
-
-    def c_prime_field(self) -> ScalarField:
-        return self._split_field(self.base.b2, self.base.b1)
+def split_bound(
+    c: Coupling, h: np.ndarray, k: np.ndarray, eps: float
+) -> tuple[float, np.ndarray]:
+    """The eps-split of the growth bound of the coupling shifted by the
+    nodal boundary values h and k: the growth factor (1 + eps)^(p-1) of
+    every primed constant and the stacked pair (c, c'), shape
+    (2, n_nodes), of the module docstring."""
+    q = c.p - 1.0
+    hq, kq = np.abs(h) ** q, np.abs(k) ** q
+    split = (1.0 + 1.0 / eps) ** q * np.stack([c.a1 * hq + c.a2 * kq, c.b2 * hq + c.b1 * kq])
+    return (1.0 + eps) ** q, split
 
 
-def transform(c: Coupling, h: ScalarField, k: ScalarField, eps: float) -> TransformedCoupling:
-    return TransformedCoupling(c, h, k, eps)
+STATE_SAMPLES = 41  # values of each state lattice of a SampleSpec
 
 
 @dataclass(frozen=True)
@@ -166,19 +147,13 @@ class SampleSpec:
     """Bounded lattice on which the hypothesis checks probe the coupling.
 
     `points` is an (m, 2) array of spatial sample coordinates (the second
-    column is ignored on 1-D domains); the state lattices are nu and nv
-    evenly spaced values spanning u_range and v_range.
+    column is ignored on 1-D domains); the state lattices are
+    STATE_SAMPLES evenly spaced values spanning u_range and v_range.
     """
 
     points: np.ndarray
     u_range: tuple[float, float] = (-10.0, 10.0)
     v_range: tuple[float, float] = (-10.0, 10.0)
-    nu: int = 41
-    nv: int = 41
-
-    @staticmethod
-    def default() -> "SampleSpec":
-        return SampleSpec.for_box((0.0, 1.0, 0.0, 1.0))
 
     @staticmethod
     def for_box(box: tuple[float, ...]) -> "SampleSpec":
@@ -194,8 +169,8 @@ class SampleSpec:
         return SampleSpec(points=pts)
 
     def lattices(self):
-        uu = np.linspace(self.u_range[0], self.u_range[1], self.nu)
-        vv = np.linspace(self.v_range[0], self.v_range[1], self.nv)
+        uu = np.linspace(self.u_range[0], self.u_range[1], STATE_SAMPLES)
+        vv = np.linspace(self.v_range[0], self.v_range[1], STATE_SAMPLES)
         return uu, vv
 
 
@@ -218,7 +193,9 @@ GROWTH_TOL = 1e-12
 
 
 def _sample_eval(e: ex.Expr, spec: SampleSpec):
-    """Evaluate e on the (points, u-lattice, v-lattice) product, shape (m, nu, nv)."""
+    """Evaluate e on the (points, u-lattice, v-lattice) product, shape
+    (m, STATE_SAMPLES, STATE_SAMPLES).  A domain error names the sample
+    point (x, y, u, v)."""
     uu, vv = spec.lattices()
     b = {
         "x": spec.points[:, 0][:, None, None],
@@ -226,16 +203,26 @@ def _sample_eval(e: ex.Expr, spec: SampleSpec):
         "u": uu[None, :, None],
         "v": vv[None, None, :],
     }
-    vals = ex.evaluate_arrays(e, b)
-    return np.broadcast_to(vals, (len(spec.points), spec.nu, spec.nv))
+    try:
+        vals = ex.evaluate_arrays(e, b)
+    except ex._IndexedDomainError as err:
+        # the failing subexpression has the shape of the product with some
+        # axes of length 1, or is a scalar; such an axis stands at its first sample
+        shape = (1,) * (3 - len(err.shape)) + err.shape
+        m, i, j = (int(t) for t in np.unravel_index(err.index, shape))
+        x, y = spec.points[m]
+        raise ex.EvaluationDomainError(
+            f"{err.message} at sample point (x, y, u, v) = "
+            f"({x:.17g}, {y:.17g}, {uu[i]:.17g}, {vv[j]:.17g})"
+        ) from err
+    return np.broadcast_to(vals, (len(spec.points), STATE_SAMPLES, STATE_SAMPLES))
 
 
-def check_growth(c: Coupling, spec: SampleSpec | None = None) -> HypothesisReport:
-    """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue.
+def check_growth(c: Coupling, spec: SampleSpec) -> HypothesisReport:
+    """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue on spec.
 
     Pass iff the worst excess over the declared bound is <= 1e-12.
     """
-    spec = spec or SampleSpec.default()
     uu, vv = spec.lattices()
     q = c.p - 1.0
     pu = np.abs(uu) ** q
@@ -252,12 +239,12 @@ def check_growth(c: Coupling, spec: SampleSpec | None = None) -> HypothesisRepor
     )
 
 
-def check_monotone(c: Coupling, spec: SampleSpec | None = None) -> HypothesisReport:
-    """Probe that phi and psi are non-decreasing in u and in v separately.
+def check_monotone(c: Coupling, spec: SampleSpec) -> HypothesisReport:
+    """Probe that phi and psi are non-decreasing in u and in v separately on
+    spec.
 
     Every adjacent sample pair that decreases is recorded.
     """
-    spec = spec or SampleSpec.default()
     uu, vv = spec.lattices()
     violations = []
     for name, e in (("phi", c.phi), ("psi", c.psi)):
@@ -271,7 +258,7 @@ def check_monotone(c: Coupling, spec: SampleSpec | None = None) -> HypothesisRep
                     (name, var, float(x), float(y), float(other[o]), float(sweep[t]),
                      float(sweep[t + 1]), float(vals[m, i, j]), float(vals[nxt]))
                 )
-    n = 2 * len(spec.points) * spec.nu * spec.nv
+    n = 2 * len(spec.points) * STATE_SAMPLES * STATE_SAMPLES
     return HypothesisReport(
         n_samples=n,
         monotone_violations=violations,

@@ -10,16 +10,22 @@ odd_pow(t, e) = sgn(t) * |t|^e is the signed power used by the p-Laplacian
 coupling families; unlike t^e it is defined for negative t and odd in t.
 
 Parsing reports syntax errors with the byte offset of the offending token
-and names unknown identifiers.  Evaluation, vectorized over numpy arrays,
-either produces finite values or raises EvaluationDomainError (division by
-zero, log of a non-positive number, a negative base under a non-integer
-power, overflow); it never returns NaN or infinity silently.  The
-package only reads formulas (parse, then evaluate_arrays); it never
-prints a tree back to text.
+and names unknown identifiers; a literal that overflows to infinity, such
+as 1e999, is a syntax error at its offset.  Evaluation, vectorized over
+numpy arrays, either produces finite values or raises EvaluationDomainError
+(division by zero, log of a non-positive number, a negative base under a
+non-integer power, overflow); it never returns NaN or infinity silently.
+FUNCTIONS is the one table of the function set, name -> (arity, numpy
+function): the parser reads the arity, the evaluator the function.
+OPERATORS maps each binary operator to its numpy function and the word for
+its result in a domain error.  The evaluator checks every operator and
+function result.  The package only reads formulas (parse, then
+evaluate_arrays); it never prints a tree back to text.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -93,18 +99,33 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 
 VARIABLES = ("x", "y", "u", "v")
 
-# function name -> arity
+
+def _odd_pow(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.sign(t) * np.power(np.abs(t), q)
+
+
+# function name -> (arity, numpy function); the parser checks the arity,
+# evaluate_arrays applies the function and names it in a domain error
 FUNCTIONS = {
-    "abs": 1,
-    "sgn": 1,
-    "min": 2,
-    "max": 2,
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "pow": 2,
-    "odd_pow": 2,
+    "abs": (1, np.abs),
+    "sgn": (1, np.sign),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "log": (1, np.log),
+    "pow": (2, np.power),
+    "odd_pow": (2, _odd_pow),
+}
+
+# binary operator -> (numpy function, the word for its result in a domain error)
+OPERATORS = {
+    "+": (np.add, "sum"),
+    "-": (np.subtract, "difference"),
+    "*": (np.multiply, "product"),
+    "/": (np.divide, "quotient"),
+    "^": (np.power, "power"),
 }
 
 _NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -204,7 +225,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text} is not finite", tok.offset)
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -218,7 +242,7 @@ class _Parser:
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect_op(")")
-                arity = FUNCTIONS[name]
+                arity = FUNCTIONS[name][0]
                 if len(args) != arity:
                     raise ExprSyntaxError(
                         f"{name} expects {arity} argument(s), got {len(args)}",
@@ -255,13 +279,6 @@ def evaluate_arrays(e: Expr, bindings: dict[str, np.ndarray]) -> np.ndarray:
     UnboundVariableError.
     """
 
-    def check(arr: np.ndarray, what: str) -> np.ndarray:
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            idx = int(np.flatnonzero(np.ravel(bad))[0])
-            raise _IndexedDomainError(f"{what} is not finite", idx)
-        return arr
-
     def rec(node: Expr) -> np.ndarray:
         if isinstance(node, Num):
             return np.float64(node.value)
@@ -272,55 +289,28 @@ def evaluate_arrays(e: Expr, bindings: dict[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, Neg):
             return -rec(node.operand)
         if isinstance(node, BinOp):
-            a = rec(node.left)
-            b = rec(node.right)
-            with np.errstate(all="ignore"):
-                if node.op == "+":
-                    return check(a + b, "sum")
-                if node.op == "-":
-                    return check(a - b, "difference")
-                if node.op == "*":
-                    return check(a * b, "product")
-                if node.op == "/":
-                    return check(np.divide(a, b), "quotient")
-                if node.op == "^":
-                    return check(np.power(a, b), "power")
-            raise TypeError(f"unknown operator {node.op!r}")
-        if isinstance(node, Call):
+            func, what = OPERATORS[node.op]
+            args = (rec(node.left), rec(node.right))
+        else:
+            func, what = FUNCTIONS[node.func][1], node.func
             args = [rec(a) for a in node.args]
-            name = node.func
-            with np.errstate(all="ignore"):
-                if name == "abs":
-                    return np.abs(args[0])
-                if name == "sgn":
-                    return np.sign(args[0])
-                if name == "min":
-                    return np.minimum(args[0], args[1])
-                if name == "max":
-                    return np.maximum(args[0], args[1])
-                if name == "sin":
-                    return np.sin(args[0])
-                if name == "cos":
-                    return np.cos(args[0])
-                if name == "exp":
-                    return check(np.exp(args[0]), "exp")
-                if name == "log":
-                    return check(np.log(args[0]), "log")
-                if name == "pow":
-                    return check(np.power(args[0], args[1]), "pow")
-                if name == "odd_pow":
-                    t, q = args
-                    return check(np.sign(t) * np.power(np.abs(t), q), "odd_pow")
-            raise TypeError(f"unknown function {name!r}")
-        raise TypeError(f"not an expression node: {node!r}")
+        with np.errstate(all="ignore"):
+            vals = func(*args)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            idx = int(np.flatnonzero(np.ravel(bad))[0])
+            raise _IndexedDomainError(f"{what} is not finite", idx, np.shape(vals))
+        return vals
 
     return rec(e)
 
 
 class _IndexedDomainError(EvaluationDomainError):
-    """Domain error from vectorized evaluation, with the flat entry index."""
+    """Domain error from vectorized evaluation, with the flat entry index in
+    the shape of the failing subexpression's result."""
 
-    def __init__(self, message: str, index: int):
+    def __init__(self, message: str, index: int, shape: tuple[int, ...]):
         super().__init__(f"{message} (entry {index})")
         self.message = message
         self.index = index
+        self.shape = shape

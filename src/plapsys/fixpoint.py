@@ -29,11 +29,14 @@ a stack is lifted, a failed lift raises the SolverAbort of the first
 failure in source order, u before v, as lifting them one at a time would.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
-pairs into itself: with the growth constants of the epsilon-transformed
-coupling, lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
+pairs into itself: with the growth constants of the epsilon-split bound of
+the shifted coupling (coupling.split_bound),
+lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
 max is (1 + eps)^(p-1) max{a1, a2, b1, b2}, gives the
 ball radius M0 = max{||c||_r, ||c'||_r} / (1 - lambda), invariant for every
-M >= M0.  The constant C (source norm to lifted-state norm, power p-1) is
+M >= M0; certify computes both from split_bound's growth factor and its
+stacked pair (c, c'), whose two L^r norms it takes in one lq_norms call.
+The constant C (source norm to lifted-state norm, power p-1) is
 calibrated empirically on the grid from random smooth sources and is an
 estimate, not a proven bound; every certificate records that provenance.
 lambda and M0 describe Lambda itself, not the accelerated iteration.
@@ -52,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import Coupling, TransformedCoupling, coupling_values, transform
-from .field import Grid, ScalarField, lq_norm, lq_norms
+from .coupling import Coupling, coupling_values, split_bound
+from .field import Grid, ScalarField, lq_norms
 from .plap import DEFAULT_TOL, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
 
@@ -132,7 +135,7 @@ def make_exponents(d: int, p: float, r: float) -> Exponents:
 @dataclass(frozen=True)
 class SystemProblem:
     """Coupled system on a 2-D grid: boundary pair (h, k), coupling, and the
-    epsilon used by the growth transform."""
+    epsilon of the split growth bound (coupling.split_bound)."""
 
     grid: Grid
     exponents: Exponents
@@ -153,9 +156,6 @@ class SystemProblem:
             )
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-
-    def transformed(self) -> TransformedCoupling:
-        return transform(self.coupling, self.h, self.k, self.eps)
 
 
 def apply_lambda(
@@ -264,18 +264,6 @@ def calibrate_C(
 # certificate
 
 
-def smallness_lambda(max_const: float, C: float, measure: float, p: float, d: int) -> float:
-    """lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d)."""
-    return max_const * C * measure ** (p / d)
-
-
-def ball_radius(c_norm: float, c_prime_norm: float, lam: float) -> float:
-    """M0 = max{||c||_r, ||c'||_r} / (1 - lambda); requires lambda < 1."""
-    if lam >= 1.0:
-        raise ValueError(f"ball radius undefined for lambda={lam} >= 1")
-    return max(c_norm, c_prime_norm) / (1.0 - lam)
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Smallness certificate: lambda < 1 yields the invariant-ball radius M0.
@@ -313,18 +301,17 @@ class Certificate:
 
 
 def certify(prob: SystemProblem, C: float, C_samples: int = 0) -> Certificate:
-    """Build the certificate for a problem from a calibrated constant C."""
+    """Build the certificate for a problem from a calibrated constant C:
+    lambda = ((growth * max{a1, a2, b1, b2}) * C) * |Omega|^(p/d) and, when
+    lambda < 1, M0 = max{||c||_r, ||c'||_r} / (1 - lambda), with the growth
+    factor and (c, c') of coupling.split_bound."""
     if not (math.isfinite(C) and C > 0.0):
         raise ValueError(f"C must be positive and finite, got {C}")
-    ex = prob.exponents
-    tc = prob.transformed()
-    c = prob.coupling
-    amax = tc.growth_factor * max(c.a1, c.a2, c.b1, c.b2)
-    lam = smallness_lambda(amax, C, prob.grid.measure, ex.p, ex.d)
+    ex, c = prob.exponents, prob.coupling
+    growth, split = split_bound(c, prob.h.values, prob.k.values, prob.eps)
+    lam = growth * max(c.a1, c.a2, c.b1, c.b2) * C * prob.grid.measure ** (ex.p / ex.d)
     if lam < 1.0:
-        m0 = ball_radius(
-            lq_norm(tc.c_field(), ex.r), lq_norm(tc.c_prime_field(), ex.r), lam
-        )
+        m0 = max(lq_norms(prob.grid, split, ex.r).tolist()) / (1.0 - lam)
         return Certificate(ex, prob.eps, C, C_samples, lam, m0, True)
     return Certificate(ex, prob.eps, C, C_samples, lam, math.nan, False)
 

@@ -133,9 +133,7 @@ class SolveReport:
     cg_iterations: int
     fallbacks: int
     gradient_norm: float
-    tol: float
     stop_reason: str  # "converged", "max_iter" or "stalled"
-    energy_history: list[float]
     line_search_evals: int = 0  # energy evaluations of the Armijo searches
     roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
 
@@ -424,7 +422,6 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
     I = grid.interior
     offsets = _stencil_offsets(grid)
     energies = _energy_reg(grid, U, p, F, reg)
-    history = [[e] for e in energies.tolist()]
     iterations, cg_iterations, fallbacks, evals, roundoff = np.zeros((5, len(U)), dtype=int)
     gnorm = np.zeros(len(U))
     eta = np.full(len(U), ETA_MAX)  # each member's forcing term
@@ -497,12 +494,9 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
         fallback = np.flatnonzero(~moved)
         fallbacks[active[fallback]] += 1
         search(fallback, -g, -gn * gn)
-        for k, m in enumerate(active):
-            if moved[k]:
-                history[m].append(float(energies[m]))
-                iterations[m] += 1
-            else:
-                stop_reason[m] = "stalled"  # no Armijo decrease in either direction
+        iterations[active[moved]] += 1
+        for m in active[~moved]:
+            stop_reason[m] = "stalled"  # no Armijo decrease in either direction
         active = active[moved]
 
     return [
@@ -512,9 +506,7 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
             cg_iterations=int(cg_iterations[b]),
             fallbacks=int(fallbacks[b]),
             gradient_norm=float(gnorm[b]),
-            tol=tol,
             stop_reason=stop_reason[b],
-            energy_history=history[b],
             line_search_evals=int(evals[b]),
             roundoff_steps=int(roundoff[b]),
         )

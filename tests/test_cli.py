@@ -259,6 +259,20 @@ def test_boundary_domain_error_names_node_exit_2(tmp_path, capsys):
     assert "at node 0 (0, 0)" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"boundary.h": "1e999"}, "boundary.h"),
+        ({"coupling.family": "", "coupling.phi": "u+1e999", "coupling.psi": "v"}, "coupling.phi"),
+    ],
+)
+def test_nonfinite_literal_names_key_exit_2(tmp_path, capsys, overrides, key):
+    cfg = cfg_file(tmp_path, overrides)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: number 1e999 is not finite" in err
+
+
 def test_inadmissible_exponents_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path, {"exponents.p": "2.0", "exponents.r": "1.5"})
     assert main(["solve", "--config", cfg]) == 2

@@ -1,10 +1,11 @@
-"""Coupling terms, the homogeneous-shift transform, and hypothesis checks."""
+"""Coupling terms, the split bound of the homogeneous shift, and hypothesis checks."""
 
 import numpy as np
 import pytest
 
 import plapsys.expr as ex
 from plapsys.coupling import (
+    STATE_SAMPLES,
     Coupling,
     SampleSpec,
     check_growth,
@@ -12,13 +13,16 @@ from plapsys.coupling import (
     coupling_values,
     nemytskii,
     power_family,
-    transform,
+    split_bound,
 )
 from plapsys.field import Grid, ScalarField, constant_field, from_callable
 
 
 def unit_square(n):
     return Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+
+
+UNIT = SampleSpec.for_box((0.0, 1.0, 0.0, 1.0))
 
 
 def zero_coupling(p=2.0):
@@ -121,19 +125,19 @@ def test_transform_prime_constants():
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
             c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 2.0, 3.0, 4.0, p)
-            tc = transform(c, h, k, eps)
+            growth, (cf, cpf) = split_bound(c, h.values, k.values, eps)
             factor = (1 + eps) ** (p - 1)
             for base in (c.a1, c.a2, c.b1, c.b2):
-                assert tc.growth_factor * base == pytest.approx(base * factor, abs=1e-14)
-            assert np.all(tc.c_field().values == 0.0)
-            assert np.all(tc.c_prime_field().values == 0.0)
+                assert growth * base == pytest.approx(base * factor, abs=1e-14)
+            assert np.all(cf == 0.0)
+            assert np.all(cpf == 0.0)
 
 
 def test_transform_example_value():
     g = unit_square(3)
     c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 0.0, 0.0, 3.0)
-    tc = transform(c, constant_field(g, 0.0), constant_field(g, 0.0), 1.0)
-    assert tc.growth_factor * c.a1 == 4.0  # (1+1)^2
+    growth, _ = split_bound(c, np.zeros(g.n_nodes), np.zeros(g.n_nodes), 1.0)
+    assert growth * c.a1 == 4.0  # (1+1)^2
 
 
 def test_transform_c_fields_formula():
@@ -145,22 +149,24 @@ def test_transform_c_fields_formula():
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
             c = Coupling(ex.parse("u"), ex.parse("v"), a1, a2, b1, b2, p)
-            tc = transform(c, h, k, eps)
+            _, (cf, cpf) = split_bound(c, h.values, k.values, eps)
             q = p - 1
             lead = (1 + 1 / eps) ** q
             want_c = lead * (a1 * np.abs(h.values) ** q + a2 * np.abs(k.values) ** q)
             want_cp = lead * (b1 * np.abs(k.values) ** q + b2 * np.abs(h.values) ** q)
-            assert np.abs(tc.c_field().values - want_c).max() <= 1e-14
-            assert np.abs(tc.c_prime_field().values - want_cp).max() <= 1e-14
+            assert np.abs(cf - want_c).max() <= 1e-14
+            assert np.abs(cpf - want_cp).max() <= 1e-14
 
 
 def test_transform_all_zero():
     g = unit_square(3)
     c = zero_coupling(2.5)
-    tc = transform(c, constant_field(g, 1.0), constant_field(g, 2.0), 1.0)
-    assert tc.growth_factor * max(c.a1, c.a2, c.b1, c.b2) == 0.0
-    assert np.all(tc.c_field().values == 0.0)
-    assert np.all(tc.c_prime_field().values == 0.0)
+    growth, (cf, cpf) = split_bound(
+        c, constant_field(g, 1.0).values, constant_field(g, 2.0).values, 1.0
+    )
+    assert growth * max(c.a1, c.a2, c.b1, c.b2) == 0.0
+    assert np.all(cf == 0.0)
+    assert np.all(cpf == 0.0)
 
 
 def test_transform_split_bounds_hold():
@@ -175,12 +181,12 @@ def test_transform_split_bounds_hold():
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
             q = p - 1
-            tc = transform(power_family(a1, a2, b1, b2, p), h, k, eps)
-            gf, c, cp = tc.growth_factor, tc.c_field().values, tc.c_prime_field().values
+            base = power_family(a1, a2, b1, b2, p)
+            gf, (c, cp) = split_bound(base, h.values, k.values, eps)
             for s in lattice:
                 for t in lattice:
                     phit, psit = nemytskii(
-                        tc.base, ScalarField(g, s + h.values), ScalarField(g, t + k.values)
+                        base, ScalarField(g, s + h.values), ScalarField(g, t + k.values)
                     )
                     bound_phi = gf * (a1 * abs(s) ** q + a2 * abs(t) ** q) + c
                     bound_psi = gf * (b1 * abs(t) ** q + b2 * abs(s) ** q) + cp
@@ -198,17 +204,17 @@ def test_transformed_at_zero_recovers_boundary_values():
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("odd_pow(v,1.5)"), 1.0, 0.0, 1.0, 0.0, 2.5)
     h, k = constant_field(g, 0.0), constant_field(g, 2.0)
     phit, psit = nemytskii(c, h, k)
-    tc = transform(c, h, k, 1.0)
+    _, (cf, cpf) = split_bound(c, h.values, k.values, 1.0)
     assert np.all(phit.values == 0.0)
     assert np.allclose(psit.values, 2.0**1.5, rtol=1e-14)
-    assert np.allclose(tc.c_prime_field().values, 8.0, rtol=1e-14)
-    assert np.all(np.abs(phit.values) <= tc.c_field().values)
-    assert np.all(np.abs(psit.values) <= tc.c_prime_field().values)
+    assert np.allclose(cpf, 8.0, rtol=1e-14)
+    assert np.all(np.abs(phit.values) <= cf)
+    assert np.all(np.abs(psit.values) <= cpf)
 
 
 def test_growth_equality_case_passes():
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    rep = check_growth(c)
+    rep = check_growth(c, UNIT)
     assert rep.growth_pass
     assert rep.growth_max_violation <= 1e-12
 
@@ -216,14 +222,14 @@ def test_growth_equality_case_passes():
 def test_growth_rejects_cubic():
     """phi = u^3 claimed linear: worst violation 1000 - 10 at u = 10."""
     c = Coupling(ex.parse("u*u*u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    rep = check_growth(c)
+    rep = check_growth(c, UNIT)
     assert not rep.growth_pass
     assert rep.growth_max_violation == pytest.approx(990.0, rel=1e-12)
 
 
 def test_growth_zero_passes_any_constants():
     c = Coupling(ex.parse("0"), ex.parse("0"), 5.0, 1.0, 2.0, 3.0, 3.0)
-    rep = check_growth(c)
+    rep = check_growth(c, UNIT)
     assert rep.growth_pass
     assert rep.growth_max_violation == 0.0
 
@@ -232,7 +238,7 @@ def test_monotone_passes_odd_powers():
     c = Coupling(
         ex.parse("odd_pow(u,2)+odd_pow(v,2)"), ex.parse("odd_pow(v,2)"), 1, 1, 1, 1, 3.0
     )
-    rep = check_monotone(c)
+    rep = check_monotone(c, UNIT)
     assert rep.monotone_pass
     assert rep.monotone_violations == []
 
@@ -240,10 +246,9 @@ def test_monotone_passes_odd_powers():
 def test_monotone_rejects_decreasing():
     """phi = -u decreases on every adjacent u-pair of the lattice."""
     c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    spec = SampleSpec.default()
-    rep = check_monotone(c, spec)
+    rep = check_monotone(c, UNIT)
     assert not rep.monotone_pass
-    expected = len(spec.points) * (spec.nu - 1) * spec.nv
+    expected = len(UNIT.points) * (STATE_SAMPLES - 1) * STATE_SAMPLES
     assert len(rep.monotone_violations) == expected
     name, var, *_ = rep.monotone_violations[0]
     assert (name, var) == ("phi", "u")
@@ -251,7 +256,7 @@ def test_monotone_rejects_decreasing():
 
 def test_monotone_rejects_sine():
     c = Coupling(ex.parse("sin(u)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    rep = check_monotone(c)
+    rep = check_monotone(c, UNIT)
     assert not rep.monotone_pass
     assert len(rep.monotone_violations) > 0
 
@@ -259,8 +264,34 @@ def test_monotone_rejects_sine():
 def test_power_family_satisfies_own_hypotheses():
     for p in (1.5, 2.0, 3.0, 4.0):
         c = power_family(0.5, 0.25, 1.0, 0.75, p)
-        assert check_growth(c).growth_pass
-        assert check_monotone(c).monotone_pass
+        assert check_growth(c, UNIT).growth_pass
+        assert check_monotone(c, UNIT).monotone_pass
+
+
+def test_power_family_accepts_numpy_scalars():
+    """Constants and p given as numpy scalars build the same coupling as
+    python floats (numpy 2 writes np.float64(0.5) for their repr)."""
+    want = power_family(0.5, 0.5, 0.5, 0.5, 2.2)
+    got = power_family(*(np.float64(t) for t in (0.5, 0.5, 0.5, 0.5, 2.2)))
+    assert (got.phi, got.psi) == (want.phi, want.psi)
+
+
+@pytest.mark.parametrize(
+    "phi, point",
+    [
+        ("1/u", "(0, 0, 0, -10)"),  # u = 0 is the 21st of 41 values in [-10, 10]
+        ("1/(u-v)", "(0, 0, -10, -10)"),
+        ("log(1-x)+u", "(1, 0, -10, -10)"),  # the 8th point of the 8 x 8 lattice
+    ],
+    ids=["u", "u-v", "x"],
+)
+def test_probe_domain_error_names_sample_point(phi, point):
+    c = Coupling(ex.parse(phi), ex.parse("0"), 1, 0, 0, 0, 2.0)
+    for check in (check_growth, check_monotone):
+        with pytest.raises(ex.EvaluationDomainError) as err:
+            check(c, UNIT)
+        assert str(err.value).endswith(f"at sample point (x, y, u, v) = {point}")
+        assert "entry" not in str(err.value)
 
 
 def test_power_family_values():

@@ -113,6 +113,25 @@ def test_domain_errors():
         ev("exp(1000)")  # overflow is an error, not inf
 
 
+@pytest.mark.parametrize("text, offset", [("1e999", 0), ("2*1e999", 2), ("u-1.5e400", 2)])
+def test_nonfinite_literal_is_a_syntax_error(text, offset):
+    """A literal that overflows to infinity fails at parse time, at its
+    offset; it used to evaluate to inf silently."""
+    with pytest.raises(ex.ExprSyntaxError, match="is not finite") as err:
+        ex.parse(text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("name", sorted(ex.FUNCTIONS))
+def test_every_function_result_is_checked(name):
+    """Each function of the table is checked and named in its domain
+    error: u = nan makes every result nan."""
+    arity = ex.FUNCTIONS[name][0]
+    tree = ex.Call(name, (ex.Var("u"),) * arity)
+    with pytest.raises(ex.EvaluationDomainError, match=f"^{name} is not finite"):
+        ex.evaluate_arrays(tree, {"u": np.array([1.0, math.nan])})
+
+
 def test_negative_base_integer_exponent_ok():
     assert ev("x^2", x=-3.0) == 9.0
     assert ev("x^3", x=-2.0) == -8.0
@@ -153,7 +172,7 @@ def _random_tree(rng, depth):
         return ex.BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
     if kind == 2:
         name = str(rng.choice(_SAFE_FUNCS))
-        if ex.FUNCTIONS[name] == 1:
+        if ex.FUNCTIONS[name][0] == 1:  # the arity
             return ex.Call(name, (_random_tree(rng, depth - 1),))
         return ex.Call(name, (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
     return ex.Call("odd_pow", (_random_tree(rng, depth - 1), ex.Num(float(rng.integers(1, 4)))))

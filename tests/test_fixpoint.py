@@ -21,14 +21,12 @@ from plapsys.fixpoint import (
     SystemProblem,
     admissible_r_range,
     apply_lambda,
-    ball_radius,
     calibrate_C,
     calibration_ratios,
     certify,
     check_ball_invariance,
     make_exponents,
     picard_solve,
-    smallness_lambda,
     smooth_fields,
 )
 from plapsys.plap import (
@@ -454,14 +452,30 @@ def test_calibrate_C_is_twice_worst_ratio():
 # certificate algebra
 
 
+def split_problem(box, h, k):
+    """p = 2, eps = 1: growth factor 2 and (c, c') = 2 (2 |h|, 1.2 |h|) for
+    k = 0, so lambda = 4 C |Omega|^(2/3)."""
+    g = Grid(2, box, 4)
+    c = Coupling(ex.parse("0"), ex.parse("0"), 2.0, 0.0, 0.0, 1.2, 2.0)
+    return SystemProblem(
+        g, make_exponents(3, 2.0, 1.3), c, constant_field(g, h), constant_field(g, k), 1.0
+    )
+
+
 def test_smallness_lambda_value():
-    assert smallness_lambda(4.0, 0.1, 0.01, 2.0, 2) == pytest.approx(0.004, rel=1e-15)
+    """max a' = 4, C = 0.1 and |Omega|^(p/d) = 0.001^(2/3) = 0.01."""
+    cert = certify(split_problem((0.0, 0.1, 0.0, 0.01), 0.0, 0.0), C=0.1)
+    assert cert.lam == pytest.approx(0.004, rel=1e-15)
 
 
 def test_ball_radius_value_and_guard():
-    assert ball_radius(0.5, 0.3, 0.004) == pytest.approx(0.5 / 0.996, rel=1e-15)
-    with pytest.raises(ValueError, match="lambda"):
-        ball_radius(0.5, 0.3, 1.0)
+    """On the unit square h = 0.125 gives ||c||_r = 0.5 and ||c'||_r = 0.3;
+    C = 0.001 gives lambda = 0.004, and C = 0.25 gives lambda = 1, where
+    no radius exists."""
+    prob = split_problem(UNIT_BOX, 0.125, 0.0)
+    assert certify(prob, C=0.001).M0 == pytest.approx(0.5 / 0.996, rel=1e-15)
+    guard = certify(prob, C=0.25)
+    assert guard.lam == 1.0 and not guard.valid and math.isnan(guard.M0)
 
 
 def test_certify_zero_coupling():
@@ -812,7 +826,7 @@ class _AbortOnExtrapolation:
         if self.armed and (self.every or self.aborts == 0):
             self.aborts += 1
             f = ScalarField(prob.grid, X[0, 0])
-            report = SolveReport(f, 0, 0, 0, 1.0, tol, "max_iter", [])
+            report = SolveReport(f, 0, 0, 0, 1.0, "max_iter")
             raise SolverAbort("u", prob.exponents.p, report)
         L, Y = self.real(prob, X, tol, first_row)
         self.previous = Y[0].copy()
