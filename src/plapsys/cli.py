@@ -3,7 +3,8 @@
 Every command reads one flat key-value config (see config module), writes
 its artifacts into the output directory, prints a one-line outcome, and
 exits with 0 (success), 2 (config or input error, such as a coupling that
-is undefined on an iterate), 3 (a solver failed to converge), or 4 (a
+is undefined on an iterate), 3 (a solver failed to converge, or the Picard
+iteration diverged), or 4 (a
 verification check failed).  Any other exception is a
 bug: its traceback goes to stderr before the `error:` line, and it exits 2.
 All CSV output uses `,` separators, `.` decimals, LF line endings, and 17
@@ -78,6 +79,14 @@ def cmd_solve(args) -> int:
     ]
     _write_text(_out_path(setup, "report.txt"), report + cert.to_text().splitlines())
 
+    if trace.stop_reason == "diverged":
+        first, last = trace.rows[0], trace.rows[-2]
+        print(
+            f"picard iteration diverged at iteration {last.index}: delta grew to "
+            f"{last.delta:.3e} from {first.delta:.3e} at iteration {first.index}",
+            file=sys.stderr,
+        )
+        return 3
     if not trace.converged:
         print(
             f"picard iteration did not converge in {setup.picard_max_iter} iterations "

@@ -142,7 +142,7 @@ def _parse_expr(cfg: dict[str, str], key: str) -> ex.Expr:
     try:
         return ex.parse(cfg[key])
     except ex.ExprSyntaxError as err:
-        raise ConfigError(f"{key}: {err} (byte {err.offset})") from None
+        raise ConfigError(f"{key}: {err}") from None
 
 
 def _boundary_field(grid: Grid, cfg: dict[str, str], key: str) -> ScalarField:

@@ -148,8 +148,9 @@ class Grid:
         interior: (n-1,) in 1-D, (n-1, n-1) indexed [j, i] in 2-D."""
         n = self.n
         k = np.arange(1, n)
-        # reduce k*l mod 2n first so the sine argument stays below 2 pi
-        S = np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n)
+        # sin(pi k l / n) depends on k l mod 2n only: 2n sines, not (n-1)^2
+        table = np.sqrt(2.0 / n) * np.sin(np.pi * np.arange(2 * n) / n)
+        S = table[np.outer(k, k) % (2 * n)]
         lam = 4.0 * np.sin(np.pi * k / (2.0 * n)) ** 2  # of tridiag(-1, 2, -1)
         if self.d == 1:
             return S, lam / self.spacing[0]

@@ -19,7 +19,8 @@ replaced by the damped step.
 apply_lambda is the one Lambda: it lifts a stack of source pairs
 (k, 2, n_nodes) as the rows f, g, f, g, ... beside h, k, h, k, ... in one
 plap.solve_p_poisson_batch and evaluates the coupling on the lifted stack.
-picard_solve applies it to a stack of one pair; check_ball_invariance to
+picard_solve applies it to a stack of one pair, started from the pair it
+lifted last (apply_lambda's L0); check_ball_invariance to
 blocks of the pairs of one lift chunk, each trial's f, g and t drawn in
 the order of the rng and its sources sampled as one stack, so a block
 holds no more than the chunk it lifts.  calibration_ratios lifts a stack
@@ -66,6 +67,11 @@ BALL_SLACK = 1e-6
 MIN_CALIBRATION_SAMPLES = 10
 SAMPLER_MODES = 8
 ANDERSON_WINDOW = 3  # differences kept by the Anderson step of picard_solve
+# a Picard lift's inner tolerance: INNER_TOL_FACTOR times the last successive
+# difference, at most INNER_TOL_MAX (also that of the first lift) and at
+# least the solver tolerance
+INNER_TOL_MAX = 1e-4
+INNER_TOL_FACTOR = 1e-3
 
 
 class SolverAbort(RuntimeError):
@@ -159,27 +165,37 @@ class SystemProblem:
 
 
 def apply_lambda(
-    prob: SystemProblem, X: np.ndarray, tol: float = DEFAULT_TOL, first_row: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+    prob: SystemProblem,
+    X: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    first_row: int = 0,
+    L0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[SolveReport]]:
     """Lambda on a stack of source pairs X (k, 2, n_nodes): lift every f
     with the boundary data h and every g with k, in order, in one batch,
-    then substitute the lifted pairs into the coupling.
+    then substitute the lifted pairs into the coupling.  A stack of pairs
+    L0 shaped like X starts the lifts from its interior values (plap's
+    start stack U0); without it each lift starts cold.
 
-    Returns the lifted pairs L, read-only, and their images
-    Y = (phi(., L), psi(., L)), both (k, 2, n_nodes).  The first failed
-    lift, in pair order and u before v, raises SolverAbort; a coupling
-    domain error names the row, numbered from first_row, and the node.
+    Returns the lifted pairs L, read-only, their images
+    Y = (phi(., L), psi(., L)), both (k, 2, n_nodes), and the reports of
+    the lifts, u before v in each pair.  The first failed lift, in pair
+    order and u before v, raises SolverAbort; a coupling domain error
+    names the row, numbered from first_row, and the node.
     """
     grid, p = prob.grid, prob.exponents.p
     k = len(X)
     H = np.tile(np.stack([prob.h.values, prob.k.values]), (k, 1))
-    U, reports = solve_p_poisson_batch(grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol)
+    U0 = None if L0 is None else L0.reshape(2 * k, grid.n_nodes)
+    U, reports = solve_p_poisson_batch(
+        grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol, U0=U0
+    )
     for i, rep in enumerate(reports):
         if not rep.converged:
             raise SolverAbort("uv"[i % 2], p, rep)
     L = U.reshape(X.shape)
     Y = np.stack(coupling_values(prob.coupling, grid, L[:, 0], L[:, 1], first_row), axis=1)
-    return L, Y
+    return L, Y, reports
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +383,7 @@ def check_ball_invariance(
         radii = M * t
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
         sources *= np.repeat(scale, 2)[:, None]
-        _, Y = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)
+        _, Y, _ = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)
         out = lq_norms(grid, Y.reshape(2 * k, -1), r).reshape(k, 2).max(axis=1)
         worst = max(worst, float(out.max()))
         for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
@@ -381,11 +397,21 @@ def check_ball_invariance(
 
 @dataclass
 class TraceRow:
+    """One Lambda evaluation of picard_solve: the iterate's pair norms, the
+    successive difference, the largest weak residual of the lifted pair,
+    the Newton steps and CG iterations of its u and v lifts, and the inner
+    tolerance of both lifts."""
+
     index: int
     norm_f: float
     norm_g: float
     delta: float
     weak_residual: float
+    newton_u: int
+    newton_v: int
+    cg_u: int
+    cg_v: int
+    inner_tol: float
 
 
 @dataclass
@@ -393,10 +419,10 @@ class ConvergenceTrace:
     """Per-iteration record of the Picard run plus a final row for the
     returned state.
 
-    `stop_reason` is "converged" or "max_iter"; `restarts` counts the
-    Anderson history restarts, abort fallbacks included; `residuals` holds
-    the weak residual rows (R1, R2), shape (2, N), of the returned pair,
-    which verify.classify turns into its verdict.
+    `stop_reason` is "converged", "max_iter" or "diverged"; `restarts`
+    counts the Anderson history restarts, abort fallbacks included;
+    `residuals` holds the weak residual rows (R1, R2), shape (2, N), of the
+    returned pair, which verify.classify turns into its verdict.
     """
 
     rows: list[TraceRow]
@@ -414,22 +440,27 @@ class ConvergenceTrace:
         return len(self.rows) - 1
 
     def csv_lines(self) -> list[str]:
-        lines = ["iter,norm_f,norm_g,delta,weak_residual"]
+        lines = ["iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"]
         for row in self.rows:
             lines.append(
                 f"{row.index},{row.norm_f:.17g},{row.norm_g:.17g},"
-                f"{row.delta:.17g},{row.weak_residual:.17g}"
+                f"{row.delta:.17g},{row.weak_residual:.17g},"
+                f"{row.newton_u},{row.newton_v},{row.cg_u},{row.cg_v},{row.inner_tol:.17g}"
             )
         return lines
 
 
 def _lambda_pair(
-    prob: SystemProblem, x: np.ndarray, solver_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lambda on the stacked source pair x (2, n_nodes): the lifted pair,
-    its image and the weak residual rows (R1, R2) of the lifted pair."""
-    L, Y = apply_lambda(prob, x[None], solver_tol)
-    return L[0], Y[0], system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
+    prob: SystemProblem, x: np.ndarray, tol: float, start: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
+    """Lambda on the stacked source pair x (2, n_nodes), lifted at the
+    inner tolerance tol from the lifted pair `start` (None: a cold start):
+    the lifted pair, its image, the weak residual rows (R1, R2) of the
+    lifted pair, and the Newton steps and CG iterations of the u and v
+    lifts."""
+    L, Y, (ru, rv) = apply_lambda(prob, x[None], tol, L0=None if start is None else start[None])
+    R = system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
+    return L[0], Y[0], R, (ru.iterations, rv.iterations, ru.cg_iterations, rv.cg_iterations)
 
 
 def picard_solve(
@@ -454,13 +485,22 @@ def picard_solve(
     window the step is the damped Picard step.  Safeguards: when the
     successive difference delta = |theta F(x)| (L^r pair norm) grows, the
     window is emptied, and after three growths in a row theta falls back
-    to 0.5; when the lift of an extrapolated pair raises SolverAbort, the
-    iteration takes the damped step from the last evaluated iterate
-    instead and empties the window (an abort there propagates).  The run
-    stops once delta <= tol, with a damped step, and returns the lifted
-    pair (u, v) of the final source pair and the trace, which also holds
-    the weak residual rows of (u, v); exhaustion of max_iter is reported
-    in the trace, not raised.
+    to 0.5; three more growths in a row at theta <= 0.5 stop the run as
+    "diverged".  When the lift of an extrapolated pair raises SolverAbort,
+    the iteration takes the damped step from the last evaluated iterate
+    instead and empties the window (an abort there propagates).
+
+    Lambda's lifts are warm and inexact: every lift starts from the pair
+    lifted last, and the lifts of iteration k stop at the inner tolerance
+    max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR delta_k-1)), so
+    the first ones at INNER_TOL_MAX (Toth et al., SIAM J. Sci. Comput.
+    2017, on inexact evaluations in Anderson acceleration).  The run stops
+    once delta <= tol, with a damped step, and returns the pair (u, v)
+    lifted from the final source pair at solver_tol, and the trace, which
+    also holds the weak residual rows of (u, v); a run that diverged
+    returns the inexact lift of its last iterate, without a final lift.
+    Exhaustion of max_iter and divergence are reported in the trace, not
+    raised.
 
     The certificate's lambda and M0 describe Lambda itself, not this
     accelerated iteration.
@@ -483,6 +523,7 @@ def picard_solve(
     dX: list[np.ndarray] = []
     dF: list[np.ndarray] = []
     x_last = lam_last = res_last = None  # last evaluated iterate
+    L = None  # the pair lifted last, the start of the next lifts
     rows: list[TraceRow] = []
     th = theta
     prev_delta = math.inf
@@ -491,8 +532,9 @@ def picard_solve(
     stop_reason = "max_iter"
     delta = math.nan
     for it in range(1, max_iter + 1):
+        inner_tol = max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR * prev_delta))
         try:
-            _, lam, R = _lambda_pair(prob, x, solver_tol)
+            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L)
         except SolverAbort:
             if not dF:  # x is a damped step, not an extrapolation
                 raise
@@ -500,14 +542,17 @@ def picard_solve(
             dX.clear()
             dF.clear()
             restarts += 1
-            _, lam, R = _lambda_pair(prob, x, solver_tol)
+            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L)
         res = lam - x
         delta = max(lq_norms(grid, th * res, r).tolist())
         weak = float(np.abs(R).max(initial=0.0))
-        rows.append(TraceRow(it, *lq_norms(grid, x, r).tolist(), delta, weak))
+        rows.append(TraceRow(it, *lq_norms(grid, x, r).tolist(), delta, weak, *counts, inner_tol))
         if delta > prev_delta:
             increases += 1
-            if increases >= 3 and th > 0.5:
+            if increases >= 3:
+                if th <= 0.5:
+                    stop_reason = "diverged"
+                    break
                 th = 0.5
                 increases = 0
             if dX:
@@ -532,8 +577,15 @@ def picard_solve(
             for j, gj in enumerate(gamma):
                 x -= gj * (dX[j] + th * dF[j])
 
-    uv, _, R = _lambda_pair(prob, x, solver_tol)
+    if stop_reason == "diverged":
+        # the lift of the last iterate, whose sources can be too large for
+        # a lift at solver_tol to converge: the final row took no lift
+        counts = (0, 0, 0, 0)
+    else:
+        inner_tol = solver_tol
+        L, _, R, counts = _lambda_pair(prob, x, solver_tol, L)
     weak = float(np.abs(R).max(initial=0.0))
-    rows.append(TraceRow(rows[-1].index + 1, *lq_norms(grid, x, r).tolist(), delta, weak))
+    norms = lq_norms(grid, x, r).tolist()
+    rows.append(TraceRow(rows[-1].index + 1, *norms, delta, weak, *counts, inner_tol))
     trace = ConvergenceTrace(rows, stop_reason, th, restarts, R)
-    return ScalarField(grid, uv[0]), ScalarField(grid, uv[1]), trace
+    return ScalarField(grid, L[0]), ScalarField(grid, L[1]), trace

@@ -50,7 +50,11 @@ is not flat, and at p = 2 it is the solution.  For 1.3 < p < 2 the start
 is the 2-harmonic extension of h instead: there the p = 2 minimizer can be
 a far worse start (at p = 1.5, h = 1 and a source of L^1.25 norm 0.3 on
 the unit square it took 253 Newton steps at n = 16 and ran to max_iter at
-n = 64, against 8 and 7 steps from the extension).  The report counts the Newton steps, CG
+n = 64, against 8 and 7 steps from the extension).  A caller that holds a
+better start, such as the Picard loop of fixpoint with the pair it lifted
+last, passes it as the start stack U0: each row then starts from the
+interior values of its row of U0 and the boundary values of H, and no
+harmonic extension is computed.  The report counts the Newton steps, CG
 iterations, steepest-descent fallbacks, Armijo energy evaluations and
 steps accepted on the round-off floor.
 
@@ -375,17 +379,24 @@ def solve_p_poisson(prob: PPoissonProblem, tol: float = DEFAULT_TOL) -> SolveRep
 
 
 def solve_p_poisson_batch(
-    grid: Grid, p: float, F: np.ndarray, H: np.ndarray, tol: float = DEFAULT_TOL
+    grid: Grid,
+    p: float,
+    F: np.ndarray,
+    H: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    U0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """Lift every row of the stack of sources F with the boundary values
     of its row of H, both (B, n_nodes), on grid at exponent p > 1: one
-    Newton loop over chunks of chunk_size(grid) rows.  Returns the
-    read-only stack of solutions U (B, n_nodes) and one report per row,
-    whose solution is that row of U; each equals the report of its row
-    lifted alone.  Every chunk is lifted, whether or not an earlier one
-    converged.  Raises ValueError before any lift unless p > 1, tol is
-    positive and finite, F and H have the shape (B, n_nodes) and every
-    value of F and H is finite."""
+    Newton loop over chunks of chunk_size(grid) rows.  Each row starts from
+    the interior values of its row of the start stack U0 (B, n_nodes) and
+    the boundary values of H, or, without U0, from the start of the module
+    docstring.  Returns the read-only stack of solutions U (B, n_nodes) and
+    one report per row, whose solution is that row of U; each equals the
+    report of its row lifted alone.  Every chunk is lifted, whether or not
+    an earlier one converged.  Raises ValueError before any lift unless
+    p > 1, tol is positive and finite, F, H and U0 have the shape
+    (B, n_nodes) and every value of F, H and U0 is finite."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not p > 1.0:
@@ -394,6 +405,10 @@ def solve_p_poisson_batch(
         raise ValueError(f"F and H must be (B, {grid.n_nodes}), got {F.shape} and {H.shape}")
     if not (np.isfinite(F).all() and np.isfinite(H).all()):
         raise ValueError("sources and boundary data must be finite")
+    if U0 is not None and U0.shape != F.shape:
+        raise ValueError(f"U0 must have the shape {F.shape} of F, got {U0.shape}")
+    if U0 is not None and not np.isfinite(U0).all():
+        raise ValueError("start values U0 must be finite")
     U = np.empty(F.shape)
     reports: list[SolveReport] = []
     size = chunk_size(grid)
@@ -401,7 +416,12 @@ def solve_p_poisson_batch(
         rows = slice(start, start + size)
         # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
         # worse start than the source-free one (see the module docstring)
-        U[rows] = harmonic_extension(grid, H[rows], 0.0 if 1.3 < p < 2.0 else F[rows])
+        U[rows] = (
+            harmonic_extension(grid, H[rows], 0.0 if 1.3 < p < 2.0 else F[rows])
+            if U0 is None
+            else U0[rows]
+        )
+        U[rows, grid.boundary] = H[rows, grid.boundary]
         reports += _newton(grid, p, F[rows], U[rows], tol)
     U.flags.writeable = False
     return U, reports

@@ -59,7 +59,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert "verdict = solution" in report
     assert "valid = true" in report
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,norm_f,norm_g,delta,weak_residual"
+    assert trace[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
     assert len(trace) >= 3
 
 
@@ -89,6 +89,25 @@ def test_solve_exhausted_iterations_exit_3(tmp_path, capsys):
     report = (out / "report.txt").read_text().splitlines()
     assert "picard_stop_reason = max_iter" in report
     assert "picard_restarts = 0" in report
+
+
+@pytest.mark.filterwarnings("ignore:certificate is invalid")
+def test_solve_diverging_coupling_exit_3(tmp_path, capsys):
+    """The perfbench solve-picard problem with a = 80: the Picard iteration
+    diverges, and solve says so, with the iteration and delta, instead of
+    blaming an inner lift."""
+    consts = dict.fromkeys(("coupling.a1", "coupling.a2", "coupling.b1", "coupling.b2"), "80")
+    cfg = cfg_file(
+        tmp_path,
+        {"grid.n": "32", "grid.box": "0, 1, 0, 1", "calibration.samples": "16", **consts},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"picard iteration diverged at iteration 7: delta grew to \S+ from ", err)
+    assert "solver failure" not in err
+    report = (out / "report.txt").read_text().splitlines()
+    assert "picard_stop_reason = diverged" in report
 
 
 # the calibrated lambda of this problem at n = 16 is about 1 (1.002 at seed 0);
@@ -271,6 +290,13 @@ def test_nonfinite_literal_names_key_exit_2(tmp_path, capsys, overrides, key):
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}: number 1e999 is not finite" in err
+
+
+def test_syntax_error_prints_its_position_once(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, {"boundary.h": "1e999"})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: boundary.h: number 1e999 is not finite (offset 0)"
 
 
 def test_inadmissible_exponents_exit_2(tmp_path, capsys):

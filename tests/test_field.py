@@ -74,6 +74,16 @@ def test_grid_integral_float_n_is_stored_as_int(d):
                           Grid(d, box, 4).laplace_solve(np.ones(len(g.interior))))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 32, 33, 64, 128, 255, 256, 512])
+def test_sine_basis_equals_direct_sines(n):
+    """The sine basis read from a table of 2n sines is, bit for bit, the
+    one from (n-1)^2 sines of the reduced arguments k l mod 2n."""
+    k = np.arange(1, n)
+    direct = np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n)
+    S, _ = Grid(2, (0.0, 1.0, 0.0, 1.0), n)._sine_basis
+    assert np.array_equal(S, direct)
+
+
 def test_interior_boundary_partition():
     g = unit_square(5)
     both = np.concatenate([g.interior, g.boundary])

@@ -133,7 +133,7 @@ def test_apply_lambda_affine_boundary():
     h = from_callable(g, lambda x, y: 2 * x + 3 * y)
     prob = SystemProblem(g, exps, zero_coupling(2.5), h, h, 1.0)
     z = constant_field(g, 0.0)
-    L, Y = apply_lambda(prob, pairs(z, z))
+    L, Y, _ = apply_lambda(prob, pairs(z, z))
     assert L.shape == Y.shape == (1, 2, g.n_nodes)
     assert np.abs(L[0] - h.values).max() <= 1e-8
 
@@ -141,7 +141,7 @@ def test_apply_lambda_affine_boundary():
 def test_apply_lambda_symmetry():
     prob = small_problem()
     f = from_callable(prob.grid, lambda x, y: np.sin(x) * y)
-    L, Y = apply_lambda(prob, pairs(f, f))
+    L, Y, _ = apply_lambda(prob, pairs(f, f))
     assert np.array_equal(L[0, 0], L[0, 1])
     assert np.array_equal(Y[0, 0], Y[0, 1])
 
@@ -205,7 +205,7 @@ def test_apply_lambda_rows_match_lone_pairs():
     prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
     rng = np.random.default_rng(6)
     fields = [scale_to_norm(sample_smooth_field(g, rng), 1.25, a) for a in (1, 3, 10, 30, 100, 3)]
-    L, Y = apply_lambda(prob, pairs(*fields))
+    L, Y, _ = apply_lambda(prob, pairs(*fields))
     assert L.shape == Y.shape == (3, 2, g.n_nodes)
     for i, (f, w) in enumerate(zip(fields[0::2], fields[1::2])):
         u, v = (
@@ -223,7 +223,7 @@ def test_apply_lambda_zero_coupling():
         prob.grid, prob.exponents, zero_coupling(2.2), prob.h, prob.k, 1.0
     )
     f = from_callable(prob.grid, lambda x, y: x * y)
-    _, Y = apply_lambda(probz, pairs(f, f))
+    _, Y, _ = apply_lambda(probz, pairs(f, f))
     assert np.all(Y == 0.0)
 
 
@@ -749,10 +749,10 @@ def test_trace_csv_shape():
     prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
     _, _, trace = picard_solve(prob, certify(prob, C=1.0))
     lines = trace.csv_lines()
-    assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual"
+    assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
     assert len(lines) == len(trace.rows) + 1
     for ln in lines[1:]:
-        assert len(ln.split(",")) == 5
+        assert len(ln.split(",")) == 10
 
 
 def test_picard_fixed_point_property():
@@ -762,7 +762,7 @@ def test_picard_fixed_point_property():
     u, v, trace = picard_solve(prob, cert, tol=1e-10)
     assert trace.converged
     phi_f, psi_f = nemytskii(prob.coupling, u, v)
-    L, _ = apply_lambda(prob, pairs(phi_f, psi_f))
+    L, _, _ = apply_lambda(prob, pairs(phi_f, psi_f))
     assert np.abs(L[0, 0] - u.values).max() <= 1e-7
     assert np.abs(L[0, 1] - v.values).max() <= 1e-7
 
@@ -804,6 +804,76 @@ def test_picard_large_coupling_converges(a):
     assert cls.verdict == "solution"
 
 
+def unit_box_problem(consts, n=32):
+    """The perfbench solve-picard problem with the power coupling constants
+    (a1, a2, b1, b2)."""
+    g = Grid(2, UNIT_BOX, n)
+    h = constant_field(g, 1.0)
+    c = power_family(*consts, 2.2)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, h, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:no certificate")
+@pytest.mark.parametrize(
+    "consts, stop_reason, iterations",
+    [
+        ((8.0,) * 4, "converged", 8),
+        ((20.0,) * 4, "converged", 17),
+        ((40.0,) * 4, "converged", 21),
+        ((40.0, 20.0, 40.0, 10.0), "converged", 19),
+        ((80.0,) * 4, "diverged", 7),
+        ((320.0,) * 4, "diverged", 7),
+    ],
+)
+def test_picard_stops_a_diverging_iteration_only(consts, stop_reason, iterations):
+    """At a = 80 delta grows on every iteration after the first: three
+    growths drop theta to 0.5 and three more stop the run as "diverged",
+    where an inner lift of a far larger source used to run into max_iter.
+    A diverged run returns the lift of its last iterate: at a = 320 a final
+    lift of its sources (up to 1.3e9) at the solver tolerance runs into
+    max_iter.  The couplings that converge grow on at most three iterations
+    in a row and keep their iteration counts."""
+    _, _, trace = picard_solve(unit_box_problem(consts))
+    assert (trace.stop_reason, trace.iterations) == (stop_reason, iterations)
+    if stop_reason == "diverged":
+        deltas = [row.delta for row in trace.rows[:-1]]
+        assert all(b > a for a, b in zip(deltas, deltas[1:]))
+        assert trace.theta_final == 0.5
+        last = trace.rows[-1]
+        assert (last.newton_u, last.newton_v, last.cg_u, last.cg_v) == (0, 0, 0, 0)
+
+
+@pytest.mark.filterwarnings("ignore:no certificate")
+@pytest.mark.parametrize("a", [8.0, 40.0])
+def test_picard_warm_inexact_lifts_agree_with_cold_exact_ones(monkeypatch, a):
+    """Warm-started lifts at the inner tolerance of the trace (1e-4 first,
+    then 1e-3 delta, down to the solver tolerance, which the final lift
+    uses) reach the pair of cold lifts at the solver tolerance to 1e-6, in
+    fewer Newton steps."""
+    prob = unit_box_problem((a,) * 4)
+    u, v, warm = picard_solve(prob)
+    tols = [row.inner_tol for row in warm.rows]
+    deltas = [math.inf] + [row.delta for row in warm.rows[:-2]]
+    assert tols[:-1] == [max(DEFAULT_TOL, min(1e-4, 1e-3 * d)) for d in deltas]
+    assert tols[-1] == DEFAULT_TOL
+
+    real = fixpoint.apply_lambda
+    monkeypatch.setattr(fixpoint, "INNER_TOL_MAX", DEFAULT_TOL)
+    monkeypatch.setattr(
+        fixpoint, "apply_lambda", lambda prob, X, tol, L0=None: real(prob, X, tol)
+    )
+    uc, vc, cold = picard_solve(prob)
+    assert {row.inner_tol for row in cold.rows} == {DEFAULT_TOL}
+    assert warm.iterations == cold.iterations
+    assert np.abs(u.values - uc.values).max() <= 1e-6
+    assert np.abs(v.values - vc.values).max() <= 1e-6
+
+    def newton(trace):
+        return sum(row.newton_u + row.newton_v for row in trace.rows)
+
+    assert newton(warm) < newton(cold)
+
+
 class _AbortOnExtrapolation:
     """apply_lambda that raises SolverAbort on lifts of extrapolated pairs.
 
@@ -820,7 +890,7 @@ class _AbortOnExtrapolation:
         self.previous = None
         monkeypatch.setattr(fixpoint, "apply_lambda", self)
 
-    def __call__(self, prob, X, tol, first_row=0):
+    def __call__(self, prob, X, tol, first_row=0, L0=None):
         if self.previous is not None and not np.array_equal(X[0], self.previous):
             self.armed = True
         if self.armed and (self.every or self.aborts == 0):
@@ -828,9 +898,9 @@ class _AbortOnExtrapolation:
             f = ScalarField(prob.grid, X[0, 0])
             report = SolveReport(f, 0, 0, 0, 1.0, "max_iter")
             raise SolverAbort("u", prob.exponents.p, report)
-        L, Y = self.real(prob, X, tol, first_row)
+        L, Y, reports = self.real(prob, X, tol, first_row, L0)
         self.previous = Y[0].copy()
-        return L, Y
+        return L, Y, reports
 
 
 def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):

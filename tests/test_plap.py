@@ -726,6 +726,54 @@ def test_batch_rejects_bad_stacks_before_any_lift(monkeypatch, p, F_shape, H_sha
         solve_p_poisson_batch(g, p, F, H)
 
 
+@pytest.mark.parametrize(
+    "U0_shape, bad",
+    [((2, 25), None), ((3, 24), None), ((25,), None), ((3, 25), math.nan), ((3, 25), -math.inf)],
+)
+def test_batch_rejects_bad_start_before_any_lift(monkeypatch, U0_shape, bad):
+    """A start stack U0 of another shape than F, or with a non-finite value,
+    raises ValueError before any lift."""
+    g = unit_square(4)  # 25 nodes
+    F = H = np.ones((3, 25))
+    U0 = np.ones(U0_shape)
+    if bad is not None:
+        U0[1, 7] = bad
+
+    def no_lift(*args):
+        raise AssertionError("a lift ran")
+
+    monkeypatch.setattr(plap, "harmonic_extension", no_lift)
+    monkeypatch.setattr(plap, "_newton", no_lift)
+    with pytest.raises(ValueError, match="U0"):
+        solve_p_poisson_batch(g, 2.2, F, H, U0=U0)
+
+
+@pytest.mark.parametrize("boundary_shift", [0.0, 5.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_started_at_its_solution_takes_no_step(monkeypatch, d, boundary_shift):
+    """A stack started from its own converged solution stops after 0 Newton
+    steps, with that solution and no harmonic extension: U0 gives the
+    interior values only, so boundary values shifted in U0 are replaced by
+    those of H."""
+    g = box_grid(d, 7, 1.0)
+    problems = mixed_members(g, 2.2)
+    F = np.stack([prob.f.values for prob in problems])
+    H = np.stack([prob.h.values for prob in problems])
+    U, _ = solve_p_poisson_batch(g, 2.2, F, H)
+    U0 = U.copy()
+    U0[:, g.boundary] += boundary_shift
+
+    def no_extension(*args):
+        raise AssertionError("a harmonic extension ran")
+
+    monkeypatch.setattr(plap, "harmonic_extension", no_extension)
+    warm, reports = solve_p_poisson_batch(g, 2.2, F, H, U0=U0)
+    assert [(rep.stop_reason, rep.iterations, rep.cg_iterations) for rep in reports] == [
+        ("converged", 0, 0)
+    ] * len(F)
+    assert np.array_equal(warm, U)
+
+
 def test_batch_stack_contract():
     """tol must be positive; an empty stack gives an empty U and no
     reports; U is read-only and each report's solution is its row of U."""
