@@ -15,6 +15,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -56,7 +57,6 @@ def cmd_solve(args) -> int:
     cert, _ = _calibrated_certificate(setup)
     u, v, trace = picard_solve(
         setup.problem,
-        cert,
         theta=setup.picard_theta,
         tol=setup.picard_tol,
         max_iter=setup.picard_max_iter,
@@ -79,18 +79,21 @@ def cmd_solve(args) -> int:
     ]
     _write_text(_out_path(setup, "report.txt"), report + cert.to_text().splitlines())
 
+    # the iteration runs without a smallness guarantee when the certificate
+    # is invalid; every outcome line says so
+    invalid = "" if cert.valid else f"; certificate invalid (lambda = {float(cert.lam)!r} >= 1)"
     if trace.stop_reason == "diverged":
         first, last = trace.rows[0], trace.rows[-2]
         print(
             f"picard iteration diverged at iteration {last.index}: delta grew to "
-            f"{last.delta:.3e} from {first.delta:.3e} at iteration {first.index}",
+            f"{last.delta:.3e} from {first.delta:.3e} at iteration {first.index}{invalid}",
             file=sys.stderr,
         )
         return 3
     if not trace.converged:
         print(
             f"picard iteration did not converge in {setup.picard_max_iter} iterations "
-            f"(last delta {trace.rows[-1].delta:.3e})",
+            f"(last delta {trace.rows[-1].delta:.3e}){invalid}",
             file=sys.stderr,
         )
         return 3
@@ -99,13 +102,13 @@ def cmd_solve(args) -> int:
         print(
             f"result classified {cls.verdict!r}, not a solution at tol "
             f"{setup.verify_tol:g}; offending hats {bad[:10]}"
-            + ("..." if len(bad) > 10 else ""),
+            + ("..." if len(bad) > 10 else "") + invalid,
             file=sys.stderr,
         )
         return 4
     print(
-        f"solution in {trace.iterations} iterations; "
-        f"max residual {cls.max_abs_residual:.3e}; lambda = {cert.lam:.6g}"
+        f"solution in {trace.iterations} iterations; max residual {cls.max_abs_residual:.3e}"
+        + (invalid or f"; lambda = {cert.lam:.6g}")
     )
     return 0
 
@@ -197,6 +200,7 @@ def cmd_study(args) -> int:
     return 0
 
 
+@functools.cache  # built at the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plapsys",

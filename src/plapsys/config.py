@@ -205,6 +205,8 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     `seed` and `out_dir` override the config when given (command-line flags).
     """
     n = _as_int(cfg, "grid.n")
+    if n < 2:
+        raise ConfigError(f"grid.n: must be >= 2 (fewer cells leave no interior node), got {n}")
     box = _as_floats(cfg, "grid.box", 4)
     try:
         grid = Grid(2, box, n)

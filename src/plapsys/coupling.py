@@ -12,7 +12,7 @@ spatial points times STATE_SAMPLES values of u and of v); both report
 violations instead of trusting declared constants, and a domain error
 names the sample point (x, y, u, v).
 
-eval_on_nodes is the one node evaluator: it binds x (and y) to the node
+eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
 (k, n_nodes), such as the lifted pairs of a block of ball trials
 (coupling_values); nemytskii evaluates one pair of fields.  A domain error
@@ -80,7 +80,7 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
 def eval_on_nodes(
     e: ex.Expr, grid: Grid, first_row: int = 0, **fields: np.ndarray
 ) -> np.ndarray:
-    """Values of e at every node, with x (and y) bound to the node
+    """Values of e at every node, with x and y bound to the node
     coordinates and each keyword to a nodal array (n_nodes,) or a stack of
     them (k, n_nodes); the values take the broadcast shape.
 
@@ -89,9 +89,7 @@ def eval_on_nodes(
     first_row.
     """
     shape = np.broadcast_shapes((grid.n_nodes,), *(np.shape(a) for a in fields.values()))
-    b = {"x": grid.coords[:, 0], **fields}
-    if grid.d == 2:
-        b["y"] = grid.coords[:, 1]
+    b = {"x": grid.coords[:, 0], "y": grid.coords[:, 1], **fields}
     try:
         vals = ex.evaluate_arrays(e, b)
     except ex._IndexedDomainError as err:
@@ -146,8 +144,8 @@ STATE_SAMPLES = 41  # values of each state lattice of a SampleSpec
 class SampleSpec:
     """Bounded lattice on which the hypothesis checks probe the coupling.
 
-    `points` is an (m, 2) array of spatial sample coordinates (the second
-    column is ignored on 1-D domains); the state lattices are
+    `points` is an (m, 2) array of spatial sample coordinates; the state
+    lattices are
     STATE_SAMPLES evenly spaced values spanning u_range and v_range.
     """
 
@@ -157,16 +155,9 @@ class SampleSpec:
 
     @staticmethod
     def for_box(box: tuple[float, ...]) -> "SampleSpec":
-        """8 x 8 spatial lattice over the box (64 points; 64 along a 1-D box)."""
-        if len(box) == 2:
-            x = np.linspace(box[0], box[1], 64)
-            pts = np.stack([x, np.zeros_like(x)], axis=1)
-        else:
-            x = np.linspace(box[0], box[1], 8)
-            y = np.linspace(box[2], box[3], 8)
-            X, Y = np.meshgrid(x, y)
-            pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        return SampleSpec(points=pts)
+        """8 x 8 spatial lattice over the box (64 points)."""
+        X, Y = np.meshgrid(np.linspace(box[0], box[1], 8), np.linspace(box[2], box[3], 8))
+        return SampleSpec(points=np.stack([X.ravel(), Y.ravel()], axis=1))
 
     def lattices(self):
         uu = np.linspace(self.u_range[0], self.u_range[1], STATE_SAMPLES)

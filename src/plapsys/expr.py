@@ -277,32 +277,32 @@ def evaluate_arrays(e: Expr, bindings: dict[str, np.ndarray]) -> np.ndarray:
     EvaluationDomainError carrying `index`, the flat index of the first
     offending entry in the broadcast result; a missing variable raises
     UnboundVariableError.
+
+    It recurses into itself, not into a nested function: a recursive
+    closure is a reference cycle, which keeps the bindings' arrays alive
+    until the cycle collector runs.
     """
-
-    def rec(node: Expr) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.float64(node.value)
-        if isinstance(node, Var):
-            if node.name not in bindings:
-                raise UnboundVariableError(node.name)
-            return np.asarray(bindings[node.name], dtype=float)
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, BinOp):
-            func, what = OPERATORS[node.op]
-            args = (rec(node.left), rec(node.right))
-        else:
-            func, what = FUNCTIONS[node.func][1], node.func
-            args = [rec(a) for a in node.args]
-        with np.errstate(all="ignore"):
-            vals = func(*args)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            idx = int(np.flatnonzero(np.ravel(bad))[0])
-            raise _IndexedDomainError(f"{what} is not finite", idx, np.shape(vals))
-        return vals
-
-    return rec(e)
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        if e.name not in bindings:
+            raise UnboundVariableError(e.name)
+        return np.asarray(bindings[e.name], dtype=float)
+    if isinstance(e, Neg):
+        return -evaluate_arrays(e.operand, bindings)
+    if isinstance(e, BinOp):
+        func, what = OPERATORS[e.op]
+        args = (evaluate_arrays(e.left, bindings), evaluate_arrays(e.right, bindings))
+    else:
+        func, what = FUNCTIONS[e.func][1], e.func
+        args = [evaluate_arrays(a, bindings) for a in e.args]
+    with np.errstate(all="ignore"):
+        vals = func(*args)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        idx = int(np.flatnonzero(np.ravel(bad))[0])
+        raise _IndexedDomainError(f"{what} is not finite", idx, np.shape(vals))
+    return vals
 
 
 class _IndexedDomainError(EvaluationDomainError):

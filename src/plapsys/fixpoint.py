@@ -51,7 +51,6 @@ parameter of the exponent budget rather than tied to the grid dimension.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +139,7 @@ def make_exponents(d: int, p: float, r: float) -> Exponents:
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """Coupled system on a 2-D grid: boundary pair (h, k), coupling, and the
+    """Coupled system on a grid: boundary pair (h, k), coupling, and the
     epsilon of the split growth bound (coupling.split_bound)."""
 
     grid: Grid
@@ -151,8 +150,6 @@ class SystemProblem:
     eps: float
 
     def __post_init__(self):
-        if self.grid.d != 2:
-            raise ValueError("system problems are posed on 2-D grids only")
         if self.h.grid is not self.grid or self.k.grid is not self.grid:
             raise ValueError("boundary fields must live on the problem grid")
         if self.coupling.p != self.exponents.p:
@@ -208,15 +205,12 @@ def smooth_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     sin((a+1) pi x^) sin((b+1) pi y^), with x^ and y^ the coordinates
     scaled to [0, 1].  Each row is the separable lattice product
     S_y^T C^T S_x on the (n+1, n+1) lattice, with S_x, S_y the mode sines
-    (8, n+1) along each axis; in 1-D it is C[:, 0] @ S_x.  Every row is a
-    matrix product of its own, so a row equals its block sampled alone.
-    Vanishes on the boundary."""
+    (8, n+1) along each axis.  Every row is a matrix product of its own, so
+    a row equals its block sampled alone.  Vanishes on the boundary."""
     b = grid.box
     n1 = grid.n + 1
     modes = np.arange(1, SAMPLER_MODES + 1)
     sx = np.sin(np.pi * np.outer(modes, (grid.coords[:n1, 0] - b[0]) / (b[1] - b[0])))
-    if grid.d == 1:
-        return (coeffs[:, None, :, 0] @ sx)[:, 0]
     sy = np.sin(np.pi * np.outer(modes, (grid.coords[::n1, 1] - b[2]) / (b[3] - b[2])))
     return (sy.T @ coeffs.transpose(0, 2, 1) @ sx).reshape(len(coeffs), grid.n_nodes)
 
@@ -465,7 +459,6 @@ def _lambda_pair(
 
 def picard_solve(
     prob: SystemProblem,
-    cert: Certificate | None = None,
     theta: float = 1.0,
     tol: float = DEFAULT_PICARD_TOL,
     max_iter: int = DEFAULT_PICARD_MAX_ITER,
@@ -500,22 +493,13 @@ def picard_solve(
     also holds the weak residual rows of (u, v); a run that diverged
     returns the inexact lift of its last iterate, without a final lift.
     Exhaustion of max_iter and divergence are reported in the trace, not
-    raised.
-
-    The certificate's lambda and M0 describe Lambda itself, not this
-    accelerated iteration.
+    raised.  The iteration takes no certificate: lambda and M0 describe
+    Lambda itself, not this accelerated iteration.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if cert is None:
-        warnings.warn("no certificate supplied; iterating without a smallness guarantee")
-    elif not cert.valid:
-        warnings.warn(
-            f"certificate is invalid (lambda={float(cert.lam)!r} >= 1); "
-            f"iterating without a smallness guarantee"
-        )
     grid = prob.grid
     r = prob.exponents.r
     sqrt_w = np.sqrt(grid.lumped)

@@ -11,8 +11,8 @@ f = Delta_p u, so f = Delta u when p = 2).
 The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
 system H (positive definite for p > 1) is only its interior block H_II,
-kept as its stencil diagonals, shape (K, N) with K = 3 in 1-D and 7 in 2-D
-(fewer when n <= 2): each step sums them from slices of the lattice-shaped
+kept as its stencil diagonals, shape (K, N) with K = 7 (fewer when
+n <= 2): each step sums them from slices of the lattice-shaped
 element gradients, so no index array, per-grid cache or sparse format is
 built.  The energy and the residual are sliced alike.  H is solved by cg,
 a numpy PCG that performs the operations of scipy's cg, with the stencil
@@ -180,10 +180,6 @@ def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: flo
     F = np.multiply(G, W, out=G)
     n = grid.n
     batch = u.shape[:-1]
-    if grid.d == 1:
-        E = np.zeros(batch + (n + 2,))  # the edge from node i to i+1 at [i+1]
-        np.divide(F[0], grid.spacing[0], out=E[..., 1:-1])
-        return E[..., :-1] - E[..., 1:] + grid.lumped * f
     hx, hy = grid.spacing
     F[0] /= hx
     F[1] /= hy
@@ -216,9 +212,8 @@ def _stencil_offsets(grid: Grid) -> tuple[int, ...]:
     """Column offsets from the row of the diagonals of the interior block:
     the neighbours (i, j) -> (i+1, j), (i, j+1) and (i+1, j+1) are 1, n-1
     and n in the interior numbering.  An offset with |o| >= N = len(interior)
-    has no entry and is dropped, so only n <= 2 has fewer than 3 (1-D) or
-    7 (2-D)."""
-    steps = (1,) if grid.d == 1 else (1, grid.n - 1, grid.n)
+    has no entry and is dropped, so only n <= 2 has fewer than 7."""
+    steps = (1, grid.n - 1, grid.n)
     N = len(grid.interior)
     return tuple(o for o in sorted({0, *steps, *(-s for s in steps)}) if abs(o) < N)
 
@@ -240,7 +235,7 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     off the x edge Q and the corner on both P + Q - 2R.  The upper
     diagonals sum these couplings over the (at most two) elements of an
     edge, the centre sums the six elements at a node, and the lower
-    diagonals mirror the upper ones (1-D: P = A / h^2, no y edge)."""
+    diagonals mirror the upper ones."""
     offsets = _stencil_offsets(grid)
     K, N = len(offsets), len(grid.interior)
     batch = u.shape[:-1]
@@ -252,43 +247,34 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     W *= grid.element_measure
     Wp = np.divide(W, base, out=base)
     Wp *= p - 2.0
-    h = np.reshape(grid.spacing, (grid.d,) + (1,) * (G.ndim - 1))
+    h = np.reshape(grid.spacing, (2,) + (1,) * (G.ndim - 1))
     s = np.divide(G, h, out=G)
     PQ = s * Wp
     PQ *= s
     for k, hk in enumerate(grid.spacing):
         PQ[k] += W / (hk * hk)  # PQ[0] = P, PQ[1] = Q
-    if grid.d == 1:
-        P = PQ[0]
-        D = np.zeros((3,) + batch + (N,))
-        np.add(P[..., 1:], P[..., :-1], out=D[1])
-        np.negative(P[..., 1:-1], out=D[2, ..., :-1])
-        upper = ((1, 2),)
-    else:
-        m = grid.n - 1  # interior nodes per lattice row
-        R = np.multiply(s[0], s[1], out=W)
-        R *= Wp
-        T = np.add(PQ[0], PQ[1, ..., ::-1, :, :], out=s[0])
-        Z = np.subtract(PQ, R, out=PQ)  # minus the x and y edge couplings
-        D = np.zeros((7,) + batch + (m, m))
-        # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
-        np.add(Z[0, ..., 0, 1:, 1:-1], Z[0, ..., 1, :-1, 1:-1], out=D[4, ..., :, :-1])
-        np.add(Z[1, ..., 1, 1:-1, 1:], Z[1, ..., 0, 1:-1, :-1], out=D[5, ..., :-1, :])
-        np.add(R[..., 0, 1:-1, 1:-1], R[..., 1, 1:-1, 1:-1], out=D[6, ..., :-1, :-1])
-        np.negative(D[4:], out=D[4:])
-        # centre: P of the lower triangle of cell (i, j) and Q of the upper
-        # one, Q and P of those of cell (i-1, j-1), and P + Q - 2R of the
-        # lower triangle of cell (i-1, j) and the upper one of cell (i, j-1)
-        M = np.add(Z[0], Z[1], out=s[1])
-        np.add(T[..., 0, 1:, 1:], T[..., 1, :-1, :-1], out=D[3])
-        D[3] += M[..., 0, 1:, :-1]
-        D[3] += M[..., 1, :-1, 1:]
-        D = D.reshape((7,) + batch + (N,))
-        upper = ((1, 4), (m, 5), (m + 1, 6))
-    for o, k in upper:
-        D[len(D) - 1 - k, ..., o:] = D[k, ..., : N - o]
-    mid = len(D) // 2
-    return D[mid - K // 2 : mid + (K + 1) // 2]  # fewer diagonals for n <= 2
+    m = grid.n - 1  # interior nodes per lattice row
+    R = np.multiply(s[0], s[1], out=W)
+    R *= Wp
+    T = np.add(PQ[0], PQ[1, ..., ::-1, :, :], out=s[0])
+    Z = np.subtract(PQ, R, out=PQ)  # minus the x and y edge couplings
+    D = np.zeros((7,) + batch + (m, m))
+    # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
+    np.add(Z[0, ..., 0, 1:, 1:-1], Z[0, ..., 1, :-1, 1:-1], out=D[4, ..., :, :-1])
+    np.add(Z[1, ..., 1, 1:-1, 1:], Z[1, ..., 0, 1:-1, :-1], out=D[5, ..., :-1, :])
+    np.add(R[..., 0, 1:-1, 1:-1], R[..., 1, 1:-1, 1:-1], out=D[6, ..., :-1, :-1])
+    np.negative(D[4:], out=D[4:])
+    # centre: P of the lower triangle of cell (i, j) and Q of the upper
+    # one, Q and P of those of cell (i-1, j-1), and P + Q - 2R of the
+    # lower triangle of cell (i-1, j) and the upper one of cell (i, j-1)
+    M = np.add(Z[0], Z[1], out=s[1])
+    np.add(T[..., 0, 1:, 1:], T[..., 1, :-1, :-1], out=D[3])
+    D[3] += M[..., 0, 1:, :-1]
+    D[3] += M[..., 1, :-1, 1:]
+    D = D.reshape((7,) + batch + (N,))
+    for o, k in ((1, 4), (m, 5), (m + 1, 6)):  # the lower diagonals mirror them
+        D[6 - k, ..., o:] = D[k, ..., : N - o]
+    return D[3 - K // 2 : 3 + (K + 1) // 2]  # fewer diagonals for n <= 2
 
 
 def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> np.ndarray:

@@ -243,15 +243,16 @@ def _case_affine(n: int):
 
 
 def _case_p3_1d(n: int):
-    grid = Grid(1, (0.0, 1.0), n)
-    f = from_callable(grid, lambda x: np.ones_like(x))
-    h = from_callable(grid, lambda x: np.zeros_like(x))
-    # |u'|^(p-2) u' = x - 1/2 integrated with zero boundary values, p = 3
+    """p = 3 and f = 1 on the unit square, with a solution of x alone:
+    |u'|^(p-2) u' = x - 1/2, zero at x = 0 and 1, and h = u on the whole
+    boundary."""
+    grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+    f = from_callable(grid, lambda x, y: np.ones_like(x))
     pp = 1.5  # p/(p-1)
     exact = from_callable(
-        grid, lambda x: (1.0 / pp) * (np.abs(x - 0.5) ** pp - 0.5**pp)
+        grid, lambda x, y: (1.0 / pp) * (np.abs(x - 0.5) ** pp - 0.5**pp)
     )
-    return PPoissonProblem(grid, 3.0, f, h), exact
+    return PPoissonProblem(grid, 3.0, f, exact), exact
 
 
 STUDY_CASES = {
@@ -270,6 +271,11 @@ def convergence_study(
         raise ValueError(f"unknown study case {case!r}; have {sorted(STUDY_CASES)}")
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
+    if min(resolutions) < 2:
+        raise ValueError(
+            f"resolutions must be >= 2 (fewer cells leave no interior node), "
+            f"got {min(resolutions)}"
+        )
     if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly increasing")
     build = STUDY_CASES[case]

@@ -16,11 +16,8 @@ from scipy.sparse.linalg import spsolve
 
 
 def grad_phi(grid):
-    """Basis-function gradients (E, d+1, d) of every element, its vertices
+    """Basis-function gradients (E, 3, 2) of every element, its vertices
     in the order of `Grid.elements`."""
-    if grid.d == 1:
-        (hx,) = grid.spacing
-        return np.broadcast_to([[-1.0 / hx], [1.0 / hx]], (grid.n, 2, 1))
     hx, hy = grid.spacing
     lower = [[-1.0 / hx, 0.0], [1.0 / hx, -1.0 / hy], [0.0, 1.0 / hy]]
     upper = [[0.0, -1.0 / hy], [1.0 / hx, 0.0], [-1.0 / hx, 1.0 / hy]]
@@ -28,16 +25,14 @@ def grad_phi(grid):
 
 
 def gathered_gradients(grid, values):
-    """Element gradients G (E, d) gathered through `Grid.elements`, and |G|^2."""
+    """Element gradients G (E, 2) gathered through `Grid.elements`, and |G|^2."""
     G = np.einsum("ev,evd->ed", values[grid.elements], grad_phi(grid))
     return G, np.einsum("ed,ed->e", G, G)
 
 
 def element_order(grid, A):
-    """An array (..., n) in 1-D or (..., 2, n, n) in 2-D of per-element
-    values on the lattice, as (..., E) in the order of `Grid.elements`."""
-    if grid.d == 1:
-        return A
+    """An array (..., 2, n, n) of per-element values on the lattice, as
+    (..., E) in the order of `Grid.elements`."""
     return np.moveaxis(A, -3, -1).reshape(A.shape[:-3] + (-1,))
 
 

@@ -39,8 +39,6 @@ def smooth_field_einsum(grid, coeffs):
     modes = np.arange(1, SAMPLER_MODES + 1)
     xh = (grid.coords[:, 0] - b[0]) / (b[1] - b[0])
     sx = np.sin(np.pi * np.outer(modes, xh))
-    if grid.d == 1:
-        return coeffs[:, 0] @ sx
     yh = (grid.coords[:, 1] - b[2]) / (b[3] - b[2])
     sy = np.sin(np.pi * np.outer(modes, yh))
     return np.einsum("ij,in,jn->n", coeffs, sx, sy)
@@ -78,8 +76,7 @@ def ball_check_trialwise(prob, M, trials, seed, tol):
 def save_field_rowwise(path, w):
     """save_field formatting each coordinate and value alone."""
     g = w.grid
-    cols = ["x", "y"][: g.d] + ["value"]
-    lines = [",".join(cols)]
+    lines = ["x,y,value"]
     for row, v in zip(g.coords, w.values):
         parts = [f"{c:.17g}" for c in row] + [f"{v:.17g}"]
         lines.append(",".join(parts))

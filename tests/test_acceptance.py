@@ -65,7 +65,7 @@ def test_criterion_2_p3_closed_form():
     peak = (1.0 / 1.5) * 0.5**1.5
     rel = rep.rows[-1].error_max / peak
     ok = rel <= 1e-2 and rep.fitted_order >= 0.9 and elapsed <= 10.0
-    report(2, "1-D p=3 closed form", ok,
+    report(2, "p=3 closed form (solution depends on x alone)", ok,
            f"rel error {rel:.2e} at n=256, fitted order {rep.fitted_order:.3f}, "
            f"{elapsed:.1f}s")
 
@@ -158,7 +158,7 @@ def test_criterion_5_ball_invariance(certified_problem):
 
 def test_criterion_6_picard_end_to_end(certified_problem):
     prob, cert, _ = certified_problem
-    u, v, trace = picard_solve(prob, cert, tol=1e-7, max_iter=200)
+    u, v, trace = picard_solve(prob, tol=1e-7, max_iter=200)
     cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
 
     n = 12
@@ -167,8 +167,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
     lin = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
     h = constant_field(g, 1.0)
     lp = SystemProblem(g, exps, lin, h, h, 1.0)
-    lc = certify(lp, calibrate_C(g, exps, samples=10, seed=0))
-    lu, lv, ltrace = picard_solve(lp, lc, tol=1e-7, max_iter=200)
+    lu, lv, ltrace = picard_solve(lp, tol=1e-7, max_iter=200)
     A = stiffness_matrix(g).tocsr()
     I, B = g.interior, g.boundary
     M = sp.diags(g.lumped[I])
@@ -207,7 +206,6 @@ def test_criterion_7_constant_shift_comparison():
     exps = make_exponents(3, 2.0, 1.3)
     mono = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
     h = constant_field(g2, 1.0)
-    C = calibrate_C(g2, exps, samples=10, seed=0)
     pairs = {}
     for sign, label in ((-2.0, "sup"), (2.0, "sub")):
         shifted = Coupling(
@@ -216,7 +214,7 @@ def test_criterion_7_constant_shift_comparison():
             1.0, 0.0, 1.0, 0.0, 2.0,
         )
         sp_prob = SystemProblem(g2, exps, shifted, h, h, 1.0)
-        u, v, trace = picard_solve(sp_prob, certify(sp_prob, C), tol=1e-9)
+        u, v, trace = picard_solve(sp_prob, tol=1e-9)
         assert trace.converged
         pairs[label] = (u, v)
 

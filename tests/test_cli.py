@@ -91,7 +91,6 @@ def test_solve_exhausted_iterations_exit_3(tmp_path, capsys):
     assert "picard_restarts = 0" in report
 
 
-@pytest.mark.filterwarnings("ignore:certificate is invalid")
 def test_solve_diverging_coupling_exit_3(tmp_path, capsys):
     """The perfbench solve-picard problem with a = 80: the Picard iteration
     diverges, and solve says so, with the iteration and delta, instead of
@@ -105,18 +104,18 @@ def test_solve_diverging_coupling_exit_3(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert re.search(r"picard iteration diverged at iteration 7: delta grew to \S+ from ", err)
-    assert "solver failure" not in err
+    assert re.search(r"; certificate invalid \(lambda = \S+ >= 1\)\n$", err)
+    assert "solver failure" not in err and "Warning" not in err
     report = (out / "report.txt").read_text().splitlines()
     assert "picard_stop_reason = diverged" in report
 
 
-# the calibrated lambda of this problem at n = 16 is about 1 (1.002 at seed 0);
-# the iteration never reads the certificate, so the invalidity warning is noise
-@pytest.mark.filterwarnings("ignore:certificate is invalid")
-def test_solve_picard_problem_few_iterations(tmp_path):
+# the calibrated lambda of this problem at n = 16 is about 1 (1.002 at seed 0)
+def test_solve_picard_problem_few_iterations(tmp_path, capsys):
     """The perfbench solve-picard problem (power coupling a = 8 on the unit
     box) at n = 16: the Anderson-accelerated loop needs at most 12 Picard
-    iterations, where plain Picard took 48."""
+    iterations, where plain Picard took 48.  With an invalid certificate
+    the outcome line says so, and nothing goes to stderr."""
     consts = dict.fromkeys(("coupling.a1", "coupling.a2", "coupling.b1", "coupling.b2"), "8")
     cfg = cfg_file(
         tmp_path,
@@ -132,6 +131,11 @@ def test_solve_picard_problem_few_iterations(tmp_path):
     assert report["picard_stop_reason"] == "converged"
     assert 1 <= int(report["iterations"]) <= 12
     assert report["picard_restarts"] == "0"
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if report["valid"] == "false":
+        shown = re.search(r"; certificate invalid \(lambda = (\S+) >= 1\)\n$", captured.out)
+        assert float(shown[1]) == float(report["lambda"])
 
 
 def test_solve_classification_is_that_of_the_written_pair(tmp_path):
@@ -224,11 +228,12 @@ def test_certificate_trials_nonpositive_exit_2(tmp_path, capsys, value):
         assert not (tmp_path / "out").exists()
 
 
+# values outside their key's range; a grid with n = 1 has no interior node
 TOLERANCE_CASES = [
     (value, key)
     for key in ("solver.tol", "picard.tol", "verify.tol")
     for value in ("0", "-1e-8", "nan", "inf")
-] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")]
+] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")] + [("1", "grid.n")]
 
 
 @pytest.mark.parametrize("value, key", TOLERANCE_CASES)
@@ -236,8 +241,7 @@ def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
     cfg = cfg_file(tmp_path, {key: value})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err
-    assert key in err
+    assert f"config error: {key}" in err
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2"])
@@ -582,6 +586,9 @@ def test_study_bad_resolutions_exit_2(tmp_path, capsys):
     code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "8,x"])
     assert code == 2
     assert "comma-separated integers" in capsys.readouterr().err
+    code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "1,2,4"])
+    assert code == 2
+    assert "input error: resolutions must be >= 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,6 @@ def test_counts_2d():
     assert g.measure == 1.0
 
 
-def test_counts_1d():
-    g = Grid(1, (0.0, 1.0), 10)
-    assert g.n_nodes == 11
-    assert len(g.interior) == 9
-    assert len(g.elements) == 10
-    assert g.measure == 1.0
-
-
 def test_measure_rectangle():
     g = Grid(2, (0.0, 1.0, 0.0, 2.0), 8)
     assert g.measure == 2.0
@@ -50,8 +42,9 @@ def test_measure_rectangle():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(3, (0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 4)
+    for d, box in ((1, (0.0, 1.0)), (3, (0.0, 1.0, 0.0, 1.0, 0.0, 1.0))):
+        with pytest.raises(ValueError, match=f"grids are planar: d must be 2, got {d}"):
+            Grid(d, box, 4)
     with pytest.raises(ValueError):
         Grid(2, (0.0, 1.0), 4)  # box length mismatch
     with pytest.raises(ValueError):
@@ -63,15 +56,14 @@ def test_grid_validation():
             Grid(2, (0.0, 1.0, 0.0, 1.0), n)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_grid_integral_float_n_is_stored_as_int(d):
-    box = (0.0, 1.0) if d == 1 else (0.0, 1.0, 0.0, 2.0)
-    g = Grid(d, box, 4.0)
-    assert g == Grid(d, box, 4)
+def test_grid_integral_float_n_is_stored_as_int():
+    box = (0.0, 1.0, 0.0, 2.0)
+    g = Grid(2, box, 4.0)
+    assert g == Grid(2, box, 4)
     assert type(g.n) is int
-    assert np.array_equal(g.coords, Grid(d, box, 4).coords)
+    assert np.array_equal(g.coords, Grid(2, box, 4).coords)
     assert np.array_equal(g.laplace_solve(np.ones(len(g.interior))),
-                          Grid(d, box, 4).laplace_solve(np.ones(len(g.interior))))
+                          Grid(2, box, 4).laplace_solve(np.ones(len(g.interior))))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 32, 33, 64, 128, 255, 256, 512])
@@ -125,32 +117,25 @@ def test_constant_gradient_zero():
     assert np.all(G2 == 0.0)
 
 
-def test_1d_quadratic_gradient_is_midpoint_slope():
-    """For u = x^2 each element gradient is the chord slope 2*midpoint,
-    and the L2 distance to the exact 2x is h/sqrt(3)."""
+def test_quadratic_gradient_is_midpoint_slope():
+    """For u = x^2 the x component of each element gradient is the chord
+    slope 2*midpoint of its cell, and the y component is 0."""
     n = 100
-    g = Grid(1, (0.0, 1.0), n)
-    u = from_callable(g, lambda x: x * x)
-    gv = element_gradients(g, u.values)[0][0]
-    h = 1.0 / n
-    mids = (np.arange(n) + 0.5) * h
-    assert gv == pytest.approx(2 * mids, rel=1e-12)
-    # exact elementwise integral of (2*mid - 2x)^2 is h^3/3 per element
-    dist = math.sqrt(n * h**3 / 3)
-    assert dist == pytest.approx(h / math.sqrt(3), rel=1e-12)
-    # first-order refinement: doubling n halves the distance
-    n2 = 200
-    assert (1.0 / n2) / math.sqrt(3) == pytest.approx(dist / 2, rel=1e-12)
+    g = unit_square(n)
+    u = from_callable(g, lambda x, y: x * x)
+    G, _ = element_gradients(g, u.values)
+    mids = (np.arange(n) + 0.5) / n
+    assert G[0] == pytest.approx(np.broadcast_to(2 * mids, G[0].shape), rel=1e-12)
+    assert np.all(G[1] == 0.0)
 
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
-@pytest.mark.parametrize("d", [1, 2])
-def test_element_gradients_match_gather(d, n, side):
+def test_element_gradients_match_gather(n, side):
     """The lattice-slice gradients are those of the element-major gather
     through Grid.elements, to rounding, on a box with hx != hy, and the
     same bits on every call."""
-    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+    g = Grid(2, (0.0, 1.0, 0.0, side), n)
     u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
     G, G2 = element_gradients(g, u)
     want, want2 = ref.gathered_gradients(g, u)
@@ -181,11 +166,11 @@ def test_element_means_affine():
         assert lq_norms(g, stack, q) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("d, n", [(1, 7), (1, 16), (2, 3), (2, 7), (2, 16), (2, 33), (2, 64)])
-def test_lq_norms_match_lq_norm_row_by_row(d, n):
+@pytest.mark.parametrize("n", [3, 7, 16, 33, 64])
+def test_lq_norms_match_lq_norm_row_by_row(n):
     """The stacked kernel agrees with lq_norm of each row alone within
     1e-14 (rows of a stacked reduction need not agree bit for bit)."""
-    g = Grid(d, (0.0, 1.0) if d == 1 else (0.0, 0.3, 0.0, 0.7), n)
+    g = Grid(2, (0.0, 0.3, 0.0, 0.7), n)
     rng = np.random.default_rng(n)
     stack = rng.uniform(-1.0, 1.0, (13, g.n_nodes))
     for q in (1.0, 1.25, 2.0, 3.3):
@@ -203,15 +188,15 @@ def test_lq_norm_constants():
     assert lq_norm(constant_field(g, 0.0), 3.7) == 0.0
 
 
-def test_lq_norm_1d_linear_closed_form():
-    """w = x on [0,1]: sum of squared element midpoints gives 1/3 - h^2/12."""
+def test_lq_norm_linear_closed_form():
+    """w = x on the unit square: the squared centroid values x_i + h/3 and
+    x_i + 2h/3 of the two triangles of each cell sum to 1/3 - h^2/18."""
     for n in (16, 64):
-        g = Grid(1, (0.0, 1.0), n)
-        w = from_callable(g, lambda x: x)
+        w = from_callable(unit_square(n), lambda x, y: x)
         h = 1.0 / n
-        assert lq_norm(w, 2.0) == pytest.approx(math.sqrt(1 / 3 - h * h / 12), rel=1e-14)
-    g = Grid(1, (0.0, 1.0), 256)
-    assert abs(lq_norm(from_callable(g, lambda x: x), 2.0) - math.sqrt(1 / 3)) <= 1e-3
+        assert lq_norm(w, 2.0) == pytest.approx(math.sqrt(1 / 3 - h * h / 18), rel=1e-14)
+    w = from_callable(unit_square(256), lambda x, y: x)
+    assert abs(lq_norm(w, 2.0) - math.sqrt(1 / 3)) <= 1e-3
 
 
 def test_lq_norm_rejects_q_below_one():
@@ -277,15 +262,6 @@ def test_csv_round_trip_2d(tmp_path):
     assert text.startswith(b"x,y,value\n")
 
 
-def test_csv_round_trip_1d(tmp_path):
-    g = Grid(1, (0.0, 2.0), 7)
-    w = from_callable(g, lambda x: x**3 - 1)
-    path = tmp_path / "w.csv"
-    save_field(path, w)
-    assert np.array_equal(load_field(path, g).values, w.values)
-    assert path.read_bytes().startswith(b"x,value\n")
-
-
 def test_csv_row_count_mismatch(tmp_path):
     g = unit_square(4)
     w = constant_field(g, 1.0)
@@ -296,12 +272,10 @@ def test_csv_row_count_mismatch(tmp_path):
 
 
 def test_csv_column_mismatch(tmp_path):
-    g = Grid(1, (0.0, 1.0), 4)
-    w = constant_field(g, 1.0)
     path = tmp_path / "w.csv"
-    save_field(path, w)
-    with pytest.raises(ValueError):
-        load_field(path, unit_square(2))  # 2-D grid, 1-D file
+    path.write_text("x,value\n" + "".join(f"{i / 2},1\n" for i in range(9)))
+    with pytest.raises(ValueError, match="expected 3 columns"):
+        load_field(path, unit_square(2))  # 9 nodes, but no y column
 
 
 def test_csv_on_another_box_names_file_and_first_bad_row(tmp_path):
@@ -325,19 +299,22 @@ def test_csv_y_column_is_checked(tmp_path):
 
 def test_csv_coordinates_match_within_a_millionth_of_a_cell(tmp_path):
     """Coordinates written with 6 digits load; off by 1e-5 of a cell they do not."""
-    g = Grid(1, (0.0, 0.3), 3)  # nodes 0, 0.1, 0.2, 0.3 (not exact in binary)
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), 3)  # nodes at 0, 0.1, 0.2, 0.3 (not exact in binary)
+    ticks = ["0", "0.1", "0.2", "0.3"]
+    rows = [f"{x},{y},{j * 4 + i}" for j, y in enumerate(ticks) for i, x in enumerate(ticks)]
     path = tmp_path / "w.csv"
-    path.write_text("x,value\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
-    assert np.array_equal(load_field(path, g).values, [1.0, 2.0, 3.0, 4.0])
-    path.write_text("x,value\n0,1\n0.100001,2\n0.2,3\n0.3,4\n")
-    with pytest.raises(ValueError, match=r"line 3: coordinates \(0\.100001\) "):
+    path.write_text("\n".join(["x,y,value"] + rows) + "\n")
+    assert np.array_equal(load_field(path, g).values, np.arange(16.0))
+    rows[1] = "0.100001,0,1"
+    path.write_text("\n".join(["x,y,value"] + rows) + "\n")
+    with pytest.raises(ValueError, match=r"line 3: coordinates \(0\.100001, 0\) "):
         load_field(path, g)
 
 
 @pytest.mark.parametrize(
     "cell, message",
     [
-        ("abc", r"line 5: not a number in '1,abc'"),
+        ("abc", r"line 5: not a number in '0,1,abc'"),
         ("nan", r"line 5: value nan is not finite"),
         ("-inf", r"line 5: value -inf is not finite"),
     ],
@@ -346,17 +323,16 @@ def test_csv_coordinates_match_within_a_millionth_of_a_cell(tmp_path):
 def test_csv_bad_value_names_file_and_line(tmp_path, cell, message):
     """The blank line 3 is skipped, and counted."""
     path = tmp_path / "w.csv"
-    path.write_text(f"x,value\n0,1\n\n0.5,2\n1,{cell}\n")
+    path.write_text(f"x,y,value\n0,0,1\n\n1,0,2\n0,1,{cell}\n1,1,3\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
-        load_field(path, Grid(1, (0.0, 1.0), 2))
+        load_field(path, unit_square(1))
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_save_field_matches_rowwise_formatting(tmp_path, d):
+def test_save_field_matches_rowwise_formatting(tmp_path):
     """save_field writes the bytes of formatting each coordinate and value
     alone with `{:.17g}`, -0.0, huge, tiny and subnormal values included."""
-    g = Grid(1, (-1.0, 2.5), 9) if d == 1 else Grid(2, (-1.0, 1e-3, 0.0, 3e5), 5)
-    rng = np.random.default_rng(d)
+    g = Grid(2, (-1.0, 1e-3, 0.0, 3e5), 5)
+    rng = np.random.default_rng(2)
     vals = rng.uniform(-1.0, 1.0, g.n_nodes) * 10.0 ** rng.integers(-300, 300, g.n_nodes)
     vals[:6] = [-0.0, 0.0, 1.7976931348623157e308, -5e-324, 2.2250738585072014e-308, 1.0 / 3.0]
     w = ScalarField(g, vals)

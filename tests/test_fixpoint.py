@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,10 +237,6 @@ def test_problem_validation():
         SystemProblem(g, exps, zero_coupling(2.5), z, z, 1.0)
     with pytest.raises(ValueError, match="eps"):
         SystemProblem(g, exps, zero_coupling(), z, z, 0.0)
-    with pytest.raises(ValueError, match="1-D|2-D"):
-        g1 = Grid(1, (0.0, 1.0), 4)
-        z1 = constant_field(g1, 0.0)
-        SystemProblem(g1, exps, zero_coupling(), z1, z1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +252,11 @@ def test_sample_smooth_field_seeded_and_boundary():
     assert np.abs(a.values).max() > 0.0
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_smooth_fields_rows_match_einsum(d):
+def test_smooth_fields_rows_match_einsum():
     """Each row of the separable sampler is the all-modes sum over every
     node within 1e-14, equals its block sampled alone bit for bit, and
     vanishes on the boundary."""
-    g = Grid(1, (-0.5, 2.0), 19) if d == 1 else Grid(2, (0.0, 0.3, -1.0, 0.7), 13)
+    g = Grid(2, (0.0, 0.3, -1.0, 0.7), 13)
     coeffs = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 8, 8))
     stack = smooth_fields(g, coeffs)
     assert stack.shape == (5, g.n_nodes)
@@ -639,8 +633,7 @@ def test_picard_zero_coupling_single_iteration():
     exps = make_exponents(3, 2.0, 1.3)
     h = from_callable(g, lambda x, y: x + y)
     prob = SystemProblem(g, exps, zero_coupling(), h, h, 1.0)
-    cert = certify(prob, C=1.0)
-    u, v, trace = picard_solve(prob, cert)
+    u, v, trace = picard_solve(prob)
     assert trace.converged
     assert (trace.stop_reason, trace.restarts) == ("converged", 0)
     assert trace.iterations == 1
@@ -652,38 +645,9 @@ def test_picard_zero_coupling_single_iteration():
     assert np.array_equal(v.values, direct.values)
 
 
-def test_picard_warns_without_certificate():
-    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
-    exps = make_exponents(3, 2.0, 1.3)
-    z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
-    with pytest.warns(UserWarning, match="smallness"):
-        picard_solve(prob, None)
-
-
-def test_picard_warns_on_invalid_certificate():
-    prob = small_problem(n=6)
-    bad = certify(prob, C=1e9)
-    with pytest.warns(UserWarning, match="invalid"):
-        picard_solve(prob, bad, max_iter=3)
-
-
-def test_invalid_certificate_warning_shows_lambda_above_one():
-    """A lambda just above 1 is printed with the digits that show it."""
-    prob = small_problem(n=6)
-    near = replace(certify(prob, C=1e9), lam=1.0023)
-    with pytest.warns(UserWarning, match=r"lambda=1\.0023 >= 1"):
-        picard_solve(prob, near, max_iter=1)
-
-
 def test_picard_symmetric_problem():
-    import warnings
-
     prob = small_problem(n=8)
-    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a valid certificate must not warn
-        u, v, trace = picard_solve(prob, cert)
+    u, v, trace = picard_solve(prob)
     assert trace.converged
     assert np.array_equal(u.values, v.values)
 
@@ -702,7 +666,7 @@ def test_picard_decoupled_linear_matches_monolithic():
     prob = SystemProblem(g, exps, c, h, h, 1.0)
     cert = certify(prob, C=calibrate_C(g, exps, samples=10, seed=0))
     assert cert.valid
-    u, v, trace = picard_solve(prob, cert, tol=1e-10)
+    u, v, trace = picard_solve(prob, tol=1e-10)
     assert trace.converged
 
     A = stiffness_matrix(g).tocsr()
@@ -718,8 +682,7 @@ def test_picard_decoupled_linear_matches_monolithic():
 
 def test_picard_max_iter_exhaustion_is_reported():
     prob = small_problem(n=6)
-    cert = certify(prob, C=0.02)
-    u, v, trace = picard_solve(prob, cert, max_iter=1)
+    u, v, trace = picard_solve(prob, max_iter=1)
     assert not trace.converged
     assert trace.stop_reason == "max_iter"
     assert trace.iterations == 1
@@ -731,15 +694,15 @@ def test_picard_max_iter_validation():
     prob = small_problem(n=6)
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
-            picard_solve(prob, None, max_iter=bad)
+            picard_solve(prob, max_iter=bad)
 
 
 def test_picard_theta_validation():
     prob = small_problem(n=6)
     with pytest.raises(ValueError, match="theta"):
-        picard_solve(prob, None, theta=0.0)
+        picard_solve(prob, theta=0.0)
     with pytest.raises(ValueError, match="theta"):
-        picard_solve(prob, None, theta=1.5)
+        picard_solve(prob, theta=1.5)
 
 
 def test_trace_csv_shape():
@@ -747,7 +710,7 @@ def test_trace_csv_shape():
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
     prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
-    _, _, trace = picard_solve(prob, certify(prob, C=1.0))
+    _, _, trace = picard_solve(prob)
     lines = trace.csv_lines()
     assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
     assert len(lines) == len(trace.rows) + 1
@@ -758,8 +721,7 @@ def test_trace_csv_shape():
 def test_picard_fixed_point_property():
     """At convergence the source pair reproduces itself through Lambda."""
     prob = small_problem(n=8)
-    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
-    u, v, trace = picard_solve(prob, cert, tol=1e-10)
+    u, v, trace = picard_solve(prob, tol=1e-10)
     assert trace.converged
     phi_f, psi_f = nemytskii(prob.coupling, u, v)
     L, _, _ = apply_lambda(prob, pairs(phi_f, psi_f))
@@ -782,7 +744,7 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
         phi, psi, h, k = psi.translate(swap), phi.translate(swap), k, h
     c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1, 2.2)
     prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
-    u, v, trace = picard_solve(prob, certify(prob, C=0.02))
+    u, v, trace = picard_solve(prob)
     cls = weak_residuals(u, v, c, 2.2, 1e-6)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
     assert np.array_equal(trace.residuals, np.stack([cls.R1, cls.R2]))
@@ -797,8 +759,7 @@ def test_picard_large_coupling_converges(a):
     """Beyond the smallness certificate (lambda > 1) the accelerated loop
     still converges to a solution; plain Picard aborted at a = 40."""
     prob = small_problem(n=16, box=UNIT_BOX, const=a)
-    with pytest.warns(UserWarning, match="smallness"):
-        u, v, trace = picard_solve(prob, None)
+    u, v, trace = picard_solve(prob)
     assert trace.converged
     cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
     assert cls.verdict == "solution"
@@ -813,7 +774,6 @@ def unit_box_problem(consts, n=32):
     return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, h, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:no certificate")
 @pytest.mark.parametrize(
     "consts, stop_reason, iterations",
     [
@@ -843,7 +803,6 @@ def test_picard_stops_a_diverging_iteration_only(consts, stop_reason, iterations
         assert (last.newton_u, last.newton_v, last.cg_u, last.cg_v) == (0, 0, 0, 0)
 
 
-@pytest.mark.filterwarnings("ignore:no certificate")
 @pytest.mark.parametrize("a", [8.0, 40.0])
 def test_picard_warm_inexact_lifts_agree_with_cold_exact_ones(monkeypatch, a):
     """Warm-started lifts at the inner tolerance of the trace (1e-4 first,
@@ -905,9 +864,8 @@ class _AbortOnExtrapolation:
 
 def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
     prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
-    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
     patched = _AbortOnExtrapolation(monkeypatch)
-    u, v, trace = picard_solve(prob, cert)
+    u, v, trace = picard_solve(prob)
     assert patched.aborts == 1
     assert trace.converged
     assert trace.restarts >= 1
@@ -917,8 +875,7 @@ def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
 
 def test_picard_abort_on_damped_fallback_propagates(monkeypatch):
     prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
-    cert = certify(prob, C=calibrate_C(prob.grid, prob.exponents, samples=10, seed=0))
     patched = _AbortOnExtrapolation(monkeypatch, every=True)
     with pytest.raises(SolverAbort):
-        picard_solve(prob, cert)
+        picard_solve(prob)
     assert patched.aborts == 2  # the extrapolated lift and its damped fallback

@@ -29,9 +29,9 @@ N_VALUES = [1, 2, 3, 7, 16, 33]
 P_VALUES = (1.2, 2.0, 2.2, 6.0)
 
 
-def box_grid(d, n, side):
-    """[0, side] in 1-D, [0, 1] x [0, side] in 2-D (hx != hy when side = 2)."""
-    return Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+def box_grid(n, side):
+    """[0, 1] x [0, side] (hx != hy when side = 2)."""
+    return Grid(2, (0.0, 1.0, 0.0, side), n)
 
 
 def unit_square(n):
@@ -44,10 +44,10 @@ def test_energy_zero():
     assert _energy_reg(g, zero.values, 2.0, zero.values, 0.0) == 0.0
 
 
-def test_energy_linear_1d():
-    # (1/2) * integral of |u'|^2 for u = x on [0,1]
-    g = Grid(1, (0.0, 1.0), 10)
-    u = from_callable(g, lambda x: x)
+def test_energy_linear_in_x():
+    # (1/2) * integral of |grad u|^2 for u = x on the unit square
+    g = unit_square(10)
+    u = from_callable(g, lambda x, y: x)
     f = constant_field(g, 0.0)
     assert _energy_reg(g, u.values, 2.0, f.values, 0.0) == pytest.approx(0.5, rel=1e-14)
 
@@ -78,10 +78,8 @@ def test_stiffness_is_symmetric():
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
-@pytest.mark.parametrize("d", [1, 2])
-def test_laplace_solve_inverts_interior_stiffness(d, n, side):
-    # 1-D: [0, side]; 2-D: [0, 1] x [0, side], so hx != hy when side = 2
-    g = Grid(d, (0.0, side) if d == 1 else (0.0, 1.0, 0.0, side), n)
+def test_laplace_solve_inverts_interior_stiffness(n, side):
+    g = box_grid(n, side)
     I = g.interior
     K = stiffness_matrix(g).tocsr()[np.ix_(I, I)]
     x = np.random.default_rng(n).uniform(-1, 1, len(I))
@@ -92,31 +90,29 @@ def test_harmonic_extension_matches_direct_solve():
     """The p = 2 minimizer with boundary values h and source f matches the
     assembled system solved by spsolve, for f = 0 (the 2-harmonic extension)
     and for a source, each row of a stack alone."""
-    for d, box in ((1, (0.0, 2.0)), (2, (0.0, 1.0, 0.0, 2.0))):
-        g = Grid(d, box, 9)
-        rng = np.random.default_rng(d)
-        hv = rng.uniform(-1, 1, g.n_nodes)
-        fv = rng.uniform(-5, 5, g.n_nodes)
-        want = ref.p2_solve(g, hv, 0.0)
-        ext = harmonic_extension(g, hv, 0.0)
-        assert np.abs(ext - want).max() <= 1e-12
-        assert np.array_equal(ext[g.boundary], hv[g.boundary])
-        stack = harmonic_extension(g, np.stack([hv, hv]), np.stack([np.zeros_like(fv), fv]))
-        assert np.array_equal(stack[0], ext)
-        assert np.abs(stack[1] - ref.p2_solve(g, hv, fv)).max() <= 1e-12
-        assert np.array_equal(stack[1], harmonic_extension(g, hv, fv))
+    g = box_grid(9, 2.0)
+    rng = np.random.default_rng(2)
+    hv = rng.uniform(-1, 1, g.n_nodes)
+    fv = rng.uniform(-5, 5, g.n_nodes)
+    want = ref.p2_solve(g, hv, 0.0)
+    ext = harmonic_extension(g, hv, 0.0)
+    assert np.abs(ext - want).max() <= 1e-12
+    assert np.array_equal(ext[g.boundary], hv[g.boundary])
+    stack = harmonic_extension(g, np.stack([hv, hv]), np.stack([np.zeros_like(fv), fv]))
+    assert np.array_equal(stack[0], ext)
+    assert np.abs(stack[1] - ref.p2_solve(g, hv, fv)).max() <= 1e-12
+    assert np.array_equal(stack[1], harmonic_extension(g, hv, fv))
 
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", N_VALUES)
-@pytest.mark.parametrize("d", [1, 2])
-def test_newton_system_matches_coo_assembly(d, n, side):
-    g = box_grid(d, n, side)
+def test_newton_system_matches_coo_assembly(n, side):
+    g = box_grid(n, side)
     u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
     N = len(g.interior)
     offsets = _stencil_offsets(g)
     assert offsets == tuple(-o for o in reversed(offsets))
-    assert len(offsets) == (0 if N == 0 else 1 if N == 1 else 3 if d == 1 else 7)
+    assert len(offsets) == (0 if N == 0 else 1 if N == 1 else 7)
     for p in P_VALUES:
         for reg in (1e-8, 1e-2):
             D = _newton_system(g, u, p, reg)
@@ -129,7 +125,7 @@ def test_newton_system_matches_coo_assembly(d, n, side):
 
 def test_newton_system_needs_no_grid_cache():
     """The diagonals come from lattice slices: the grid keeps no slot map or
-    local stiffness, the offsets follow from n and d, and each call returns
+    local stiffness, the offsets follow from n, and each call returns
     a fresh array."""
     g = unit_square(6)
     rng = np.random.default_rng(3)
@@ -137,7 +133,6 @@ def test_newton_system_needs_no_grid_cache():
     D2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
     assert not hasattr(g, "_newton_slots") and not hasattr(g, "_local_stiffness")
     assert _stencil_offsets(g) == (-6, -5, -1, 0, 1, 5, 6)
-    assert _stencil_offsets(Grid(1, (0.0, 1.0), 6)) == (-1, 0, 1)
     assert not np.shares_memory(D1, D2)
 
 
@@ -154,11 +149,10 @@ def _oracle_csr(g, u, p, reg):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
-@pytest.mark.parametrize("d", [1, 2])
-def test_stencil_matvec_matches_csr(d, n):
+def test_stencil_matvec_matches_csr(n):
     """The stencil product equals, bit for bit, the CSR product of the COO
     oracle's pattern filled with the same values."""
-    g = Grid(d, (0.0, 1.0) if d == 1 else (0.0, 1.0, 0.0, 2.0), n)
+    g = box_grid(n, 2.0)
     rng = np.random.default_rng(n)
     u = rng.uniform(-1, 1, g.n_nodes)
     for p in (1.5, 2.0, 4.0):
@@ -232,17 +226,16 @@ def test_cg_matches_scipy_cg(n):
     assert ours[2] == theirs[2] == 0
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_node_sums_match_add_at(d):
+def test_node_sums_match_add_at():
     """Grid.lumped sums element values into nodes in element order, exactly
     as np.add.at does; residual_vector, summed from lattice slices, matches
     the np.add.at oracle to rounding."""
-    g = box_grid(d, 9, 2.0)
-    rng = np.random.default_rng(d)
+    g = box_grid(9, 2.0)
+    rng = np.random.default_rng(2)
     u = rng.uniform(-1, 1, g.n_nodes)
     f = rng.uniform(-1, 1, g.n_nodes)
     lumped = np.zeros(g.n_nodes)
-    np.add.at(lumped, g.elements, g.element_measure / (d + 1))
+    np.add.at(lumped, g.elements, g.element_measure / 3)
     assert np.array_equal(g.lumped, lumped)
     for p, reg in ((1.5, 1e-8), (3.0, 0.0)):
         want = ref.residual(g, u, p, f, reg)
@@ -252,12 +245,11 @@ def test_node_sums_match_add_at(d):
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", N_VALUES)
-@pytest.mark.parametrize("d", [1, 2])
-def test_residual_and_energy_match_oracle(d, n, side):
+def test_residual_and_energy_match_oracle(n, side):
     """The sliced residual and energy against the element-major oracle, at
     reg > 0 and at reg = 0 on a field with a flat patch (weight 0 there),
     and bitwise repeatable."""
-    g = box_grid(d, n, side)
+    g = box_grid(n, side)
     rng = np.random.default_rng(n)
     u = rng.uniform(-1, 1, g.n_nodes)
     u[: g.n_nodes // 3] = 0.5  # a flat patch, where grad u = 0
@@ -342,15 +334,14 @@ def test_constant_data_any_p():
 def test_harmonic_extension_matches_p2_solve():
     """A p = 2 lift starts at its minimizer, so it converges in 0 Newton
     steps, with or without a source."""
-    for d, data in ((1, lambda x: np.sin(x)), (2, lambda x, y: np.sin(x) + y * y)):
-        g = box_grid(d, 16, 1.0)
-        h = from_callable(g, data)
-        w = sample_smooth_field(g, np.random.default_rng(1))
-        for a in (0.0, 3.0):
-            f = scale_to_norm(w, 1.25, a)
-            rep = solve_p_poisson(PPoissonProblem(g, 2.0, f, h))
-            assert rep.converged and rep.iterations == rep.cg_iterations == 0
-            assert np.array_equal(rep.solution.values, harmonic_extension(g, h.values, f.values))
+    g = unit_square(16)
+    h = from_callable(g, lambda x, y: np.sin(x) + y * y)
+    w = sample_smooth_field(g, np.random.default_rng(1))
+    for a in (0.0, 3.0):
+        f = scale_to_norm(w, 1.25, a)
+        rep = solve_p_poisson(PPoissonProblem(g, 2.0, f, h))
+        assert rep.converged and rep.iterations == rep.cg_iterations == 0
+        assert np.array_equal(rep.solution.values, harmonic_extension(g, h.values, f.values))
 
 
 def test_sinsin_manufactured_convergence():
@@ -368,16 +359,16 @@ def test_sinsin_manufactured_convergence():
     assert errs[1] <= errs[0] / 3.2  # order ~2
 
 
-def test_1d_p3_closed_form():
-    """Constant source at p = 3 against the symbolically integrated solution."""
-    n = 128
-    g = Grid(1, (0.0, 1.0), n)
+def test_p3_closed_form_of_x_alone():
+    """Constant source at p = 3 against the symbolically integrated solution
+    of x alone, which is also the boundary data."""
+    g = unit_square(128)
     f = constant_field(g, 1.0)
-    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, constant_field(g, 0.0)))
-    assert rep.converged
     exact = from_callable(
-        g, lambda x: (2 / 3) * (np.abs(x - 0.5) ** 1.5 - 0.5**1.5)
+        g, lambda x, y: (2 / 3) * (np.abs(x - 0.5) ** 1.5 - 0.5**1.5)
     )
+    rep = solve_p_poisson(PPoissonProblem(g, 3.0, f, exact))
+    assert rep.converged
     scale = np.abs(exact.values).max()
     assert np.abs(rep.solution.values - exact.values).max() / scale <= 1e-2
 
@@ -618,12 +609,8 @@ def mixed_members(g, p):
     without a source, and smooth sources of L^1.25 norm 0.3, 3 and 30 with
     the data 1 + x y."""
     zero = constant_field(g, 0.0)
-    if g.d == 1:
-        affine = from_callable(g, lambda x: 2 * x + 1)
-        h = from_callable(g, lambda x: 1 + 0.5 * x)
-    else:
-        affine = from_callable(g, lambda x, y: 2 * x + 3 * y)
-        h = from_callable(g, lambda x, y: 1 + x * y)
+    affine = from_callable(g, lambda x, y: 2 * x + 3 * y)
+    h = from_callable(g, lambda x, y: 1 + x * y)
     w = sample_smooth_field(g, np.random.default_rng(g.n))  # 0 when n = 1
     sources = [scale_to_norm(w, 1.25, a) for a in (0.3, 3.0, 30.0)]
     return [PPoissonProblem(g, p, zero, zero), PPoissonProblem(g, p, zero, affine)] + [
@@ -654,9 +641,8 @@ def assert_match_lone_lifts(problems, reports):
 
 @pytest.mark.parametrize("p", [1.2, 2.2, 6.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
-@pytest.mark.parametrize("d", [1, 2])
-def test_batch_members_match_lone_lifts(d, n, p):
-    g = box_grid(d, n, 1.0)
+def test_batch_members_match_lone_lifts(n, p):
+    g = unit_square(n)
     problems = mixed_members(g, p)
     reports = batch_reports(problems)
     assert_match_lone_lifts(problems, reports)
@@ -664,10 +650,9 @@ def test_batch_members_match_lone_lifts(d, n, p):
     assert all(rep.converged for rep in reports)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_batch_max_iter_stops_members_beside_converged_ones(d, monkeypatch):
+def test_batch_max_iter_stops_members_beside_converged_ones(monkeypatch):
     monkeypatch.setattr(plap, "MAX_ITER", 1)
-    g = box_grid(d, 7, 1.0)
+    g = unit_square(7)
     problems = mixed_members(g, 2.2)
     reports = batch_reports(problems)
     assert_match_lone_lifts(problems, reports)
@@ -749,13 +734,12 @@ def test_batch_rejects_bad_start_before_any_lift(monkeypatch, U0_shape, bad):
 
 
 @pytest.mark.parametrize("boundary_shift", [0.0, 5.0])
-@pytest.mark.parametrize("d", [1, 2])
-def test_batch_started_at_its_solution_takes_no_step(monkeypatch, d, boundary_shift):
+def test_batch_started_at_its_solution_takes_no_step(monkeypatch, boundary_shift):
     """A stack started from its own converged solution stops after 0 Newton
     steps, with that solution and no harmonic extension: U0 gives the
     interior values only, so boundary values shifted in U0 are replaced by
     those of H."""
-    g = box_grid(d, 7, 1.0)
+    g = unit_square(7)
     problems = mixed_members(g, 2.2)
     F = np.stack([prob.f.values for prob in problems])
     H = np.stack([prob.h.values for prob in problems])

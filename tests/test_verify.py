@@ -207,9 +207,15 @@ def test_study_affine_exact():
 
 
 def test_study_p3_1d_first_order():
+    """The solution of x alone, posed on the unit square, keeps the errors
+    of the 1-D lattice within 3 %: the rows y = 0, 1 hold exact values, so
+    the discrete solution depends on y near them."""
     rep = convergence_study("p3-1d", [16, 32, 64])
     assert not rep.exact
     assert rep.fitted_order >= 0.9
+    one_d = [8.363e-4, 3.076e-4, 1.117e-4]  # the 1-D lattice at n = 16, 32, 64
+    for row, want in zip(rep.rows, one_d, strict=True):
+        assert abs(row.error_max - want) <= 0.03 * want
 
 
 def test_study_csv_format():
@@ -229,6 +235,8 @@ def test_study_validation():
         convergence_study("sinsin", [8, 8, 16])
     with pytest.raises(ValueError, match="strictly increasing"):
         convergence_study("sinsin", [16, 8, 32])
+    with pytest.raises(ValueError, match="no interior node"):
+        convergence_study("sinsin", [1, 2, 4])
 
 
 def test_study_reports_inner_nonconvergence():
