@@ -30,6 +30,15 @@ def gathered_gradients(grid, values):
     return G, np.einsum("ed,ed->e", G, G)
 
 
+def random_nodes(grid, rng, dims, low=-1.0, high=1.0):
+    """Uniform random nodal values that vary in both coordinates (dims = 2),
+    or in x alone (dims = 1: one random row repeated at every y, a 1-D
+    profile posed on the plane)."""
+    if dims == 2:
+        return rng.uniform(low, high, grid.n_nodes)
+    return np.tile(rng.uniform(low, high, grid.n + 1), grid.n + 1)
+
+
 def element_order(grid, A):
     """An array (..., 2, n, n) of per-element values on the lattice, as
     (..., E) in the order of `Grid.elements`."""

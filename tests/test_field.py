@@ -117,7 +117,7 @@ def test_constant_gradient_zero():
     assert np.all(G2 == 0.0)
 
 
-def test_quadratic_gradient_is_midpoint_slope():
+def test_1d_quadratic_gradient_is_midpoint_slope():
     """For u = x^2 the x component of each element gradient is the chord
     slope 2*midpoint of its cell, and the y component is 0."""
     n = 100
@@ -131,13 +131,17 @@ def test_quadratic_gradient_is_midpoint_slope():
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
-def test_element_gradients_match_gather(n, side):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_element_gradients_match_gather(dims, n, side):
     """The lattice-slice gradients are those of the element-major gather
     through Grid.elements, to rounding, on a box with hx != hy, and the
-    same bits on every call."""
+    same bits on every call; values of x alone (dims = 1) have y
+    components exactly 0."""
     g = Grid(2, (0.0, 1.0, 0.0, side), n)
-    u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
+    u = ref.random_nodes(g, np.random.default_rng(n), dims)
     G, G2 = element_gradients(g, u)
+    if dims == 1:
+        assert np.all(G[1] == 0.0)
     want, want2 = ref.gathered_gradients(g, u)
     assert ref.element_order(g, G).T.shape == want.shape
     assert np.abs(ref.element_order(g, G).T - want).max() <= 1e-12 * np.abs(want).max()
@@ -166,13 +170,14 @@ def test_element_means_affine():
         assert lq_norms(g, stack, q) == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("n", [3, 7, 16, 33, 64])
-def test_lq_norms_match_lq_norm_row_by_row(n):
+@pytest.mark.parametrize("dims, n", [(1, 7), (1, 16), (2, 3), (2, 7), (2, 16), (2, 33), (2, 64)])
+def test_lq_norms_match_lq_norm_row_by_row(dims, n):
     """The stacked kernel agrees with lq_norm of each row alone within
-    1e-14 (rows of a stacked reduction need not agree bit for bit)."""
+    1e-14 (rows of a stacked reduction need not agree bit for bit), on
+    rows of x alone (dims = 1) and of both coordinates."""
     g = Grid(2, (0.0, 0.3, 0.0, 0.7), n)
     rng = np.random.default_rng(n)
-    stack = rng.uniform(-1.0, 1.0, (13, g.n_nodes))
+    stack = np.stack([ref.random_nodes(g, rng, dims) for _ in range(13)])
     for q in (1.0, 1.25, 2.0, 3.3):
         got = lq_norms(g, stack, q)
         want = np.array([lq_norm(ScalarField(g, w), q) for w in stack])
@@ -188,7 +193,7 @@ def test_lq_norm_constants():
     assert lq_norm(constant_field(g, 0.0), 3.7) == 0.0
 
 
-def test_lq_norm_linear_closed_form():
+def test_lq_norm_1d_linear_closed_form():
     """w = x on the unit square: the squared centroid values x_i + h/3 and
     x_i + 2h/3 of the two triangles of each cell sum to 1/3 - h^2/18."""
     for n in (16, 64):

@@ -44,7 +44,7 @@ def test_energy_zero():
     assert _energy_reg(g, zero.values, 2.0, zero.values, 0.0) == 0.0
 
 
-def test_energy_linear_in_x():
+def test_energy_linear_1d():
     # (1/2) * integral of |grad u|^2 for u = x on the unit square
     g = unit_square(10)
     u = from_callable(g, lambda x, y: x)
@@ -78,11 +78,14 @@ def test_stiffness_is_symmetric():
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
-def test_laplace_solve_inverts_interior_stiffness(n, side):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_laplace_solve_inverts_interior_stiffness(dims, n, side):
+    # dims = 1: an interior vector of x alone
     g = box_grid(n, side)
     I = g.interior
     K = stiffness_matrix(g).tocsr()[np.ix_(I, I)]
-    x = np.random.default_rng(n).uniform(-1, 1, len(I))
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, len(I)) if dims == 2 else ref.random_nodes(g, rng, 1)[I]
     assert np.abs(g.laplace_solve(K @ x) - x).max(initial=0.0) <= 1e-12
 
 
@@ -106,9 +109,11 @@ def test_harmonic_extension_matches_direct_solve():
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", N_VALUES)
-def test_newton_system_matches_coo_assembly(n, side):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_newton_system_matches_coo_assembly(dims, n, side):
+    # dims = 1: at u of x alone, where every y component of grad u is 0
     g = box_grid(n, side)
-    u = np.random.default_rng(n).uniform(-1, 1, g.n_nodes)
+    u = ref.random_nodes(g, np.random.default_rng(n), dims)
     N = len(g.interior)
     offsets = _stencil_offsets(g)
     assert offsets == tuple(-o for o in reversed(offsets))
@@ -149,12 +154,14 @@ def _oracle_csr(g, u, p, reg):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
-def test_stencil_matvec_matches_csr(n):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_stencil_matvec_matches_csr(dims, n):
     """The stencil product equals, bit for bit, the CSR product of the COO
-    oracle's pattern filled with the same values."""
+    oracle's pattern filled with the same values, at u of x alone
+    (dims = 1) and of both coordinates."""
     g = box_grid(n, 2.0)
     rng = np.random.default_rng(n)
-    u = rng.uniform(-1, 1, g.n_nodes)
+    u = ref.random_nodes(g, rng, dims)
     for p in (1.5, 2.0, 4.0):
         H, D, offsets = _oracle_csr(g, u, p, 1e-8)
         for x in (rng.uniform(-1, 1, H.shape[0]), rng.standard_normal(H.shape[0]) * 1e3):
@@ -226,14 +233,16 @@ def test_cg_matches_scipy_cg(n):
     assert ours[2] == theirs[2] == 0
 
 
-def test_node_sums_match_add_at():
+@pytest.mark.parametrize("dims", [1, 2])
+def test_node_sums_match_add_at(dims):
     """Grid.lumped sums element values into nodes in element order, exactly
     as np.add.at does; residual_vector, summed from lattice slices, matches
-    the np.add.at oracle to rounding."""
+    the np.add.at oracle to rounding, for u and f of x alone (dims = 1)
+    and of both coordinates."""
     g = box_grid(9, 2.0)
-    rng = np.random.default_rng(2)
-    u = rng.uniform(-1, 1, g.n_nodes)
-    f = rng.uniform(-1, 1, g.n_nodes)
+    rng = np.random.default_rng(dims)
+    u = ref.random_nodes(g, rng, dims)
+    f = ref.random_nodes(g, rng, dims)
     lumped = np.zeros(g.n_nodes)
     np.add.at(lumped, g.elements, g.element_measure / 3)
     assert np.array_equal(g.lumped, lumped)
@@ -245,15 +254,19 @@ def test_node_sums_match_add_at():
 
 @pytest.mark.parametrize("side", [1.0, 2.0])
 @pytest.mark.parametrize("n", N_VALUES)
-def test_residual_and_energy_match_oracle(n, side):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_residual_and_energy_match_oracle(dims, n, side):
     """The sliced residual and energy against the element-major oracle, at
     reg > 0 and at reg = 0 on a field with a flat patch (weight 0 there),
-    and bitwise repeatable."""
+    for u and f of x alone (dims = 1) and of both coordinates, and
+    bitwise repeatable."""
     g = box_grid(n, side)
     rng = np.random.default_rng(n)
-    u = rng.uniform(-1, 1, g.n_nodes)
-    u[: g.n_nodes // 3] = 0.5  # a flat patch, where grad u = 0
-    f = rng.uniform(-1, 1, g.n_nodes)
+    u = ref.random_nodes(g, rng, dims)
+    # a flat patch, where grad u = 0: the first third of the nodes, or of x
+    patch = np.arange(g.n_nodes) < g.n_nodes // 3 if dims == 2 else g.coords[:, 0] < 1 / 3
+    u[patch] = 0.5
+    f = ref.random_nodes(g, rng, dims)
     for p in P_VALUES:
         for reg in (0.0, 1e-8, 1e-2):
             res = residual_vector(g, u, p, f, reg)
@@ -359,7 +372,7 @@ def test_sinsin_manufactured_convergence():
     assert errs[1] <= errs[0] / 3.2  # order ~2
 
 
-def test_p3_closed_form_of_x_alone():
+def test_1d_p3_closed_form():
     """Constant source at p = 3 against the symbolically integrated solution
     of x alone, which is also the boundary data."""
     g = unit_square(128)
@@ -604,14 +617,20 @@ REPORT_COUNTERS = (
 )
 
 
-def mixed_members(g, p):
+def mixed_members(g, p, dims=2):
     """A zero source with zero data (converged at step 0), affine data
     without a source, and smooth sources of L^1.25 norm 0.3, 3 and 30 with
-    the data 1 + x y."""
+    the data 1 + x y; with dims = 1, data and sources of x alone: affine
+    data 2 x + 1, sources x (1 - x) and the data 1 + x / 2."""
     zero = constant_field(g, 0.0)
-    affine = from_callable(g, lambda x, y: 2 * x + 3 * y)
-    h = from_callable(g, lambda x, y: 1 + x * y)
-    w = sample_smooth_field(g, np.random.default_rng(g.n))  # 0 when n = 1
+    if dims == 1:
+        affine = from_callable(g, lambda x, y: 2 * x + 1)
+        h = from_callable(g, lambda x, y: 1 + 0.5 * x)
+        w = from_callable(g, lambda x, y: x * (1 - x))  # 0 when n = 1
+    else:
+        affine = from_callable(g, lambda x, y: 2 * x + 3 * y)
+        h = from_callable(g, lambda x, y: 1 + x * y)
+        w = sample_smooth_field(g, np.random.default_rng(g.n))  # 0 when n = 1
     sources = [scale_to_norm(w, 1.25, a) for a in (0.3, 3.0, 30.0)]
     return [PPoissonProblem(g, p, zero, zero), PPoissonProblem(g, p, zero, affine)] + [
         PPoissonProblem(g, p, s, h) for s in sources
@@ -641,19 +660,21 @@ def assert_match_lone_lifts(problems, reports):
 
 @pytest.mark.parametrize("p", [1.2, 2.2, 6.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
-def test_batch_members_match_lone_lifts(n, p):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_batch_members_match_lone_lifts(dims, n, p):
     g = unit_square(n)
-    problems = mixed_members(g, p)
+    problems = mixed_members(g, p, dims)
     reports = batch_reports(problems)
     assert_match_lone_lifts(problems, reports)
     assert reports[0].stop_reason == "converged" and reports[0].iterations == 0
     assert all(rep.converged for rep in reports)
 
 
-def test_batch_max_iter_stops_members_beside_converged_ones(monkeypatch):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_batch_max_iter_stops_members_beside_converged_ones(dims, monkeypatch):
     monkeypatch.setattr(plap, "MAX_ITER", 1)
     g = unit_square(7)
-    problems = mixed_members(g, 2.2)
+    problems = mixed_members(g, 2.2, dims)
     reports = batch_reports(problems)
     assert_match_lone_lifts(problems, reports)
     reasons = [rep.stop_reason for rep in reports]
@@ -734,13 +755,14 @@ def test_batch_rejects_bad_start_before_any_lift(monkeypatch, U0_shape, bad):
 
 
 @pytest.mark.parametrize("boundary_shift", [0.0, 5.0])
-def test_batch_started_at_its_solution_takes_no_step(monkeypatch, boundary_shift):
+@pytest.mark.parametrize("dims", [1, 2])
+def test_batch_started_at_its_solution_takes_no_step(monkeypatch, dims, boundary_shift):
     """A stack started from its own converged solution stops after 0 Newton
     steps, with that solution and no harmonic extension: U0 gives the
     interior values only, so boundary values shifted in U0 are replaced by
     those of H."""
     g = unit_square(7)
-    problems = mixed_members(g, 2.2)
+    problems = mixed_members(g, 2.2, dims)
     F = np.stack([prob.f.values for prob in problems])
     H = np.stack([prob.h.values for prob in problems])
     U, _ = solve_p_poisson_batch(g, 2.2, F, H)
