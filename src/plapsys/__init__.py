@@ -22,7 +22,6 @@ from .expr import parse
 from .field import (
     Grid,
     ScalarField,
-    constant_field,
     from_callable,
     load_field,
     lq_norm,
@@ -60,7 +59,6 @@ __all__ = [
     "check_ball_invariance",
     "check_growth",
     "check_monotone",
-    "constant_field",
     "convergence_study",
     "from_callable",
     "load_field",

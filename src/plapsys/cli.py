@@ -57,7 +57,6 @@ def cmd_solve(args) -> int:
     cert, _ = _calibrated_certificate(setup)
     u, v, trace = picard_solve(
         setup.problem,
-        theta=setup.picard_theta,
         tol=setup.picard_tol,
         max_iter=setup.picard_max_iter,
         solver_tol=setup.solver_tol,
@@ -162,10 +161,7 @@ def cmd_verify(args) -> int:
 
     if args.alpha is None:
         return 0 if cls.verdict == "solution" else 4
-    rep = shift_test(
-        u, v, setup.coupling, setup.exponents.p, args.alpha, args.beta,
-        setup.verify_tol,
-    )
+    rep = shift_test(u, v, cls, setup.coupling, setup.exponents.p, args.alpha, args.beta)
     if not rep.precondition_ok:
         print(f"shift test precondition failed: {rep.reason}", file=sys.stderr)
         return 4

@@ -55,11 +55,9 @@ KNOWN_KEYS = {
     "boundary.h": None,
     "boundary.k": None,
     "solver.tol": "1e-8",
-    "picard.theta": "1.0",
     "picard.tol": "1e-7",
     "picard.max_iter": "200",
     "calibration.samples": "16",
-    "calibration.seed": "0",
     "certificate.trials": "100",
     "verify.tol": "1e-6",
     "study.case": "",
@@ -187,7 +185,6 @@ class Setup:
     coupling: Coupling
     problem: SystemProblem
     solver_tol: float
-    picard_theta: float
     picard_tol: float
     picard_max_iter: int
     calib_samples: int
@@ -202,8 +199,11 @@ class Setup:
 def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | None = None) -> Setup:
     """Construct and cross-validate every object the commands need.
 
-    `seed` and `out_dir` override the config when given (command-line flags).
+    `seed` is the --seed flag (default 0); `out_dir` overrides output.dir
+    when given (the --out flag).
     """
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
     n = _as_int(cfg, "grid.n")
     if n < 2:
         raise ConfigError(f"grid.n: must be >= 2 (fewer cells leave no interior node), got {n}")
@@ -222,15 +222,12 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     coupling = _coupling(cfg, p)
     h = _boundary_field(grid, cfg, "boundary.h")
     k = _boundary_field(grid, cfg, "boundary.k")
-    eps = _as_float(cfg, "coupling.eps")
+    eps = _as_positive(cfg, "coupling.eps")
     try:
         problem = SystemProblem(grid, exponents, coupling, h, k, eps)
     except ValueError as err:
         raise ConfigError(f"problem: {err}") from None
 
-    theta = _as_float(cfg, "picard.theta")
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError(f"picard.theta: must be in (0, 1], got {theta}")
     max_iter = _as_int(cfg, "picard.max_iter")
     if max_iter < 1:
         raise ConfigError(f"picard.max_iter: must be >= 1, got {max_iter}")
@@ -242,18 +239,16 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
     trials = _as_int(cfg, "certificate.trials")
     if trials < 1:
         raise ConfigError(f"certificate.trials: must be >= 1, got {trials}")
-    cfg_seed = _as_int(cfg, "calibration.seed")
     return Setup(
         grid=grid,
         exponents=exponents,
         coupling=coupling,
         problem=problem,
         solver_tol=_as_positive(cfg, "solver.tol"),
-        picard_theta=theta,
         picard_tol=_as_positive(cfg, "picard.tol"),
         picard_max_iter=max_iter,
         calib_samples=samples,
-        seed=cfg_seed if seed is None else seed,
+        seed=0 if seed is None else seed,
         ball_trials=trials,
         verify_tol=_as_positive(cfg, "verify.tol"),
         study_case=cfg["study.case"],

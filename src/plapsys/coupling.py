@@ -8,9 +8,10 @@ A Coupling bundles the two reaction expressions with the growth constants
 
 check_growth probes this bound and check_monotone probes coordinatewise
 monotonicity of both functions on a bounded sample lattice (SampleSpec:
-spatial points times STATE_SAMPLES values of u and of v); both report
-violations instead of trusting declared constants, and a domain error
-names the sample point (x, y, u, v).
+spatial points times STATE_SAMPLES values of u and of v); they return the
+largest excess over the bound and the decreasing sample pairs, instead of
+trusting declared constants, and a domain error names the sample point
+(x, y, u, v).
 
 eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
@@ -36,7 +37,7 @@ multiplies |v|^q, meets the shift k of v, and b2 meets the shift h of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,21 +166,6 @@ class SampleSpec:
         return uu, vv
 
 
-@dataclass
-class HypothesisReport:
-    """Outcome of a growth or monotonicity probe.
-
-    monotone_violations rows are tuples
-    (function, sweep variable, x, y, fixed other value, t, t_next, f(t), f(t_next)).
-    """
-
-    n_samples: int
-    growth_max_violation: float | None = None
-    growth_pass: bool | None = None
-    monotone_violations: list = field(default_factory=list)
-    monotone_pass: bool | None = None
-
-
 GROWTH_TOL = 1e-12
 
 
@@ -209,10 +195,12 @@ def _sample_eval(e: ex.Expr, spec: SampleSpec):
     return np.broadcast_to(vals, (len(spec.points), STATE_SAMPLES, STATE_SAMPLES))
 
 
-def check_growth(c: Coupling, spec: SampleSpec) -> HypothesisReport:
+def check_growth(c: Coupling, spec: SampleSpec) -> float:
     """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue on spec.
 
-    Pass iff the worst excess over the declared bound is <= 1e-12.
+    Returns the largest excess of |phi| or |psi| over its declared bound,
+    0.0 when there is none; the bound holds on the samples when the excess
+    is <= GROWTH_TOL.
     """
     uu, vv = spec.lattices()
     q = c.p - 1.0
@@ -222,19 +210,16 @@ def check_growth(c: Coupling, spec: SampleSpec) -> HypothesisReport:
     psi = _sample_eval(c.psi, spec)
     exc_phi = np.abs(phi) - (c.a1 * pu[None, :, None] + c.a2 * pv[None, None, :])
     exc_psi = np.abs(psi) - (c.b1 * pv[None, None, :] + c.b2 * pu[None, :, None])
-    worst = max(float(exc_phi.max()), float(exc_psi.max()), 0.0)
-    return HypothesisReport(
-        n_samples=phi.size + psi.size,
-        growth_max_violation=worst,
-        growth_pass=worst <= GROWTH_TOL,
-    )
+    return max(float(exc_phi.max()), float(exc_psi.max()), 0.0)
 
 
-def check_monotone(c: Coupling, spec: SampleSpec) -> HypothesisReport:
+def check_monotone(c: Coupling, spec: SampleSpec) -> list[tuple]:
     """Probe that phi and psi are non-decreasing in u and in v separately on
     spec.
 
-    Every adjacent sample pair that decreases is recorded.
+    Returns every adjacent sample pair that decreases, as a tuple
+    (function, sweep variable, x, y, fixed other value, t, t_next, f(t),
+    f(t_next)); an empty list means monotone on the samples.
     """
     uu, vv = spec.lattices()
     violations = []
@@ -249,9 +234,4 @@ def check_monotone(c: Coupling, spec: SampleSpec) -> HypothesisReport:
                     (name, var, float(x), float(y), float(other[o]), float(sweep[t]),
                      float(sweep[t + 1]), float(vals[m, i, j]), float(vals[nxt]))
                 )
-    n = 2 * len(spec.points) * STATE_SAMPLES * STATE_SAMPLES
-    return HypothesisReport(
-        n_samples=n,
-        monotone_violations=violations,
-        monotone_pass=not violations,
-    )
+    return violations

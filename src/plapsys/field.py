@@ -180,10 +180,6 @@ class ScalarField:
         object.__setattr__(self, "values", _readonly(v))
 
 
-def constant_field(grid: Grid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.n_nodes, float(value)))
-
-
 def from_callable(grid: Grid, fn) -> ScalarField:
     """Sample fn(x, y) at the nodes."""
     c = grid.coords

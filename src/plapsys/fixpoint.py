@@ -215,11 +215,6 @@ def smooth_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return (sy.T @ coeffs.transpose(0, 2, 1) @ sx).reshape(len(coeffs), grid.n_nodes)
 
 
-def _draw_coeffs(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k coefficient blocks for smooth_fields, uniform in [-1, 1]."""
-    return rng.uniform(-1.0, 1.0, size=(k, SAMPLER_MODES, SAMPLER_MODES))
-
-
 def calibration_ratios(
     grid: Grid,
     exponents: Exponents,
@@ -263,7 +258,8 @@ def calibrate_C(
             f"got {samples}"
         )
     rng = np.random.default_rng(seed)
-    sources = smooth_fields(grid, _draw_coeffs(rng, samples))
+    coeffs = rng.uniform(-1.0, 1.0, size=(samples, SAMPLER_MODES, SAMPLER_MODES))
+    sources = smooth_fields(grid, coeffs)
     # each row to unit L^r norm; a zero row stays zero
     norms = lq_norms(grid, sources, exponents.r)
     sources *= np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)[:, None]
@@ -334,7 +330,6 @@ def certify(prob: SystemProblem, C: float, C_samples: int = 0) -> Certificate:
 class BallReport:
     """Empirical check that Lambda maps the radius-M source ball into itself."""
 
-    M: float
     trials: int
     max_output_norm: float
     violations: list[tuple[int, float, float]]  # (trial, input norm, output norm)
@@ -367,12 +362,12 @@ def check_ball_invariance(
     violations = []
     for start in range(0, trials, block):
         k = min(block, trials - start)
-        coeffs = np.empty((2 * k, SAMPLER_MODES, SAMPLER_MODES))
-        t = np.empty(k)
-        for i in range(k):  # the rng order of a trial: f, g, t
-            coeffs[2 * i : 2 * i + 2] = _draw_coeffs(rng, 2)
-            t[i] = rng.uniform(0.0, 1.0)
-        sources = smooth_fields(grid, coeffs)  # rows f, g of each trial
+        # a trial's row of draws in rng order: the coefficients of f and g,
+        # uniform in [-1, 1), then t
+        draws = rng.random((k, 2 * SAMPLER_MODES**2 + 1))
+        coeffs = 2.0 * draws[:, :-1] - 1.0
+        t = draws[:, -1]
+        sources = smooth_fields(grid, coeffs.reshape(2 * k, SAMPLER_MODES, SAMPLER_MODES))
         cur = lq_norms(grid, sources, r).reshape(k, 2).max(axis=1)
         radii = M * t
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
@@ -382,7 +377,7 @@ def check_ball_invariance(
         worst = max(worst, float(out.max()))
         for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
             violations.append((start + int(i), float(radii[i]), float(out[i])))
-    return BallReport(M, trials, worst, violations)
+    return BallReport(trials, worst, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +454,6 @@ def _lambda_pair(
 
 def picard_solve(
     prob: SystemProblem,
-    theta: float = 1.0,
     tol: float = DEFAULT_PICARD_TOL,
     max_iter: int = DEFAULT_PICARD_MAX_ITER,
     solver_tol: float = DEFAULT_TOL,
@@ -475,13 +469,14 @@ def picard_solve(
     where dX, dF hold the last ANDERSON_WINDOW differences of successive
     iterates and residuals, and gamma minimizes |sqrt(w) (F - dF gamma)|_2
     with w the lumped node weights of both components.  With an empty
-    window the step is the damped Picard step.  Safeguards: when the
-    successive difference delta = |theta F(x)| (L^r pair norm) grows, the
-    window is emptied, and after three growths in a row theta falls back
-    to 0.5; three more growths in a row at theta <= 0.5 stop the run as
-    "diverged".  When the lift of an extrapolated pair raises SolverAbort,
-    the iteration takes the damped step from the last evaluated iterate
-    instead and empties the window (an abort there propagates).
+    window the step is the damped Picard step.  The damping theta starts
+    at 1.  Safeguards: when the successive difference delta = |theta F(x)|
+    (L^r pair norm) grows, the window is emptied, and after three growths
+    in a row theta falls back to 0.5; three more growths in a row at
+    theta = 0.5 stop the run as "diverged".  When the lift of an
+    extrapolated pair raises SolverAbort, the iteration takes the damped
+    step from the last evaluated iterate instead and empties the window
+    (an abort there propagates).
 
     Lambda's lifts are warm and inexact: every lift starts from the pair
     lifted last, and the lifts of iteration k stop at the inner tolerance
@@ -496,8 +491,6 @@ def picard_solve(
     raised.  The iteration takes no certificate: lambda and M0 describe
     Lambda itself, not this accelerated iteration.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = prob.grid
@@ -509,7 +502,7 @@ def picard_solve(
     x_last = lam_last = res_last = None  # last evaluated iterate
     L = None  # the pair lifted last, the start of the next lifts
     rows: list[TraceRow] = []
-    th = theta
+    th = 1.0
     prev_delta = math.inf
     increases = 0
     restarts = 0

@@ -120,9 +120,6 @@ class ShiftReport:
     None rather than a verdict on the test itself.
     """
 
-    alpha: float
-    beta: float
-    base_verdict: str
     precondition_ok: bool
     reason: str
     shifted_verdicts: list[tuple[str, str]]  # (direction, verdict)
@@ -136,22 +133,22 @@ def _shifted(w: ScalarField, delta: float) -> ScalarField:
 def shift_test(
     u: ScalarField,
     v: ScalarField,
+    base: Classification,
     c: Coupling,
     p: float,
     alpha: float,
     beta: float,
-    tol: float = DEFAULT_CLASS_TOL,
 ) -> ShiftReport:
     """Check that (u + alpha, v + beta) stays a supersolution (alpha > 0,
     beta >= 0, both finite), or (u - alpha, v - beta) a subsolution for
-    subsolution input.  The monotonicity gate samples the points of
-    SampleSpec.for_box and SampleSpec's 41 u and 41 v values over the
-    ranges the shift visits."""
+    subsolution input, given the classification `base` of (u, v), whose
+    tolerance the shifted pairs are classified at.  The monotonicity gate
+    samples the points of SampleSpec.for_box and SampleSpec's 41 u and
+    41 v values over the ranges the shift visits."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-    base = weak_residuals(u, v, c, p, tol)
     if base.verdict == "supersolution":
         directions = ["up"]
     elif base.verdict == "subsolution":
@@ -160,9 +157,7 @@ def shift_test(
         directions = ["up", "down"]
     else:
         return ShiftReport(
-            alpha, beta, base.verdict, False,
-            "input pair classifies as neither super- nor subsolution",
-            [], None,
+            False, "input pair classifies as neither super- nor subsolution", [], None
         )
 
     # monotonicity gate on the range of states the shift visits
@@ -173,12 +168,12 @@ def shift_test(
         u_range=(umin - alpha, umax + alpha),
         v_range=(vmin - beta, vmax + beta),
     )
-    mono = check_monotone(c, spec)
-    if not mono.monotone_pass:
+    violations = check_monotone(c, spec)
+    if violations:
         return ShiftReport(
-            alpha, beta, base.verdict, False,
+            False,
             f"coupling is not monotone on the sampled range "
-            f"({len(mono.monotone_violations)} violating pairs)",
+            f"({len(violations)} violating pairs)",
             [], None,
         )
 
@@ -186,14 +181,14 @@ def shift_test(
     ok = True
     for direction in directions:
         if direction == "up":
-            shifted = weak_residuals(_shifted(u, alpha), _shifted(v, beta), c, p, tol)
+            shifted = weak_residuals(_shifted(u, alpha), _shifted(v, beta), c, p, base.tol)
             keep = shifted.verdict in ("supersolution", "solution")
         else:
-            shifted = weak_residuals(_shifted(u, -alpha), _shifted(v, -beta), c, p, tol)
+            shifted = weak_residuals(_shifted(u, -alpha), _shifted(v, -beta), c, p, base.tol)
             keep = shifted.verdict in ("subsolution", "solution")
         results.append((direction, shifted.verdict))
         ok = ok and keep
-    return ShiftReport(alpha, beta, base.verdict, True, "", results, ok)
+    return ShiftReport(True, "", results, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Oracles for the stacked sampler, ball check and CSV writer: each does
 one field, one trial or one row at a time, the way the package did before
-it worked on stacks.  Also the single-field source and norm helpers of the
-tests."""
+it worked on stacks.  Also the constant-field, single-field source and
+norm helpers of the tests."""
 
 import numpy as np
 
@@ -9,6 +9,11 @@ from plapsys.coupling import nemytskii
 from plapsys.field import ScalarField, lq_norm
 from plapsys.fixpoint import BALL_SLACK, SAMPLER_MODES, smooth_fields
 from plapsys.plap import PPoissonProblem, solve_p_poisson
+
+
+def constant_field(grid, value):
+    """The field equal to value at every node."""
+    return ScalarField(grid, np.full(grid.n_nodes, float(value)))
 
 
 def sample_smooth_field(grid, rng):

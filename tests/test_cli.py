@@ -186,10 +186,13 @@ def test_coupling_undefined_on_iterate_exit_2(tmp_path, capsys, command):
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):
+    """A misspelt key, and the Picard damping and calibration seed, which
+    are no settings (Picard sets its own damping, --seed the seed)."""
     path = tmp_path / "bad.cfg"
-    path.write_text("grid.m = 8\n")
-    assert main(["solve", "--config", str(path)]) == 2
-    assert "unknown key" in capsys.readouterr().err
+    for line in ("grid.m = 8", "picard.theta = 0.5", "calibration.seed = 1"):
+        path.write_text(line + "\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert f"unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
 
 
 def test_missing_key_exit_2(tmp_path, capsys):
@@ -233,7 +236,9 @@ TOLERANCE_CASES = [
     (value, key)
     for key in ("solver.tol", "picard.tol", "verify.tol")
     for value in ("0", "-1e-8", "nan", "inf")
-] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")] + [("1", "grid.n")]
+] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")] + [
+    ("1", "grid.n"), ("0", "coupling.eps"), ("nan", "coupling.eps")
+]
 
 
 @pytest.mark.parametrize("value, key", TOLERANCE_CASES)
@@ -242,6 +247,16 @@ def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}" in err
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    """Rejected with the config, naming the flag, before numpy sees it."""
+    cfg = cfg_file(tmp_path)
+    argv = ["certify", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --seed: must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2"])

@@ -5,6 +5,7 @@ import pytest
 
 import plapsys.expr as ex
 from plapsys.coupling import (
+    GROWTH_TOL,
     STATE_SAMPLES,
     Coupling,
     SampleSpec,
@@ -15,7 +16,9 @@ from plapsys.coupling import (
     power_family,
     split_bound,
 )
-from plapsys.field import Grid, ScalarField, constant_field, from_callable
+from plapsys.field import Grid, ScalarField, from_callable
+
+from stack_reference import constant_field
 
 
 def unit_square(n):
@@ -214,58 +217,49 @@ def test_transformed_at_zero_recovers_boundary_values():
 
 def test_growth_equality_case_passes():
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    rep = check_growth(c, UNIT)
-    assert rep.growth_pass
-    assert rep.growth_max_violation <= 1e-12
+    assert check_growth(c, UNIT) <= GROWTH_TOL
 
 
 def test_growth_rejects_cubic():
     """phi = u^3 claimed linear: worst violation 1000 - 10 at u = 10."""
     c = Coupling(ex.parse("u*u*u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    rep = check_growth(c, UNIT)
-    assert not rep.growth_pass
-    assert rep.growth_max_violation == pytest.approx(990.0, rel=1e-12)
+    excess = check_growth(c, UNIT)
+    assert excess > GROWTH_TOL
+    assert excess == pytest.approx(990.0, rel=1e-12)
 
 
 def test_growth_zero_passes_any_constants():
     c = Coupling(ex.parse("0"), ex.parse("0"), 5.0, 1.0, 2.0, 3.0, 3.0)
-    rep = check_growth(c, UNIT)
-    assert rep.growth_pass
-    assert rep.growth_max_violation == 0.0
+    assert check_growth(c, UNIT) == 0.0
 
 
 def test_monotone_passes_odd_powers():
     c = Coupling(
         ex.parse("odd_pow(u,2)+odd_pow(v,2)"), ex.parse("odd_pow(v,2)"), 1, 1, 1, 1, 3.0
     )
-    rep = check_monotone(c, UNIT)
-    assert rep.monotone_pass
-    assert rep.monotone_violations == []
+    assert check_monotone(c, UNIT) == []
 
 
 def test_monotone_rejects_decreasing():
     """phi = -u decreases on every adjacent u-pair of the lattice."""
     c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    rep = check_monotone(c, UNIT)
-    assert not rep.monotone_pass
+    violations = check_monotone(c, UNIT)
     expected = len(UNIT.points) * (STATE_SAMPLES - 1) * STATE_SAMPLES
-    assert len(rep.monotone_violations) == expected
-    name, var, *_ = rep.monotone_violations[0]
+    assert len(violations) == expected
+    name, var, *_ = violations[0]
     assert (name, var) == ("phi", "u")
 
 
 def test_monotone_rejects_sine():
     c = Coupling(ex.parse("sin(u)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    rep = check_monotone(c, UNIT)
-    assert not rep.monotone_pass
-    assert len(rep.monotone_violations) > 0
+    assert len(check_monotone(c, UNIT)) > 0
 
 
 def test_power_family_satisfies_own_hypotheses():
     for p in (1.5, 2.0, 3.0, 4.0):
         c = power_family(0.5, 0.25, 1.0, 0.75, p)
-        assert check_growth(c, UNIT).growth_pass
-        assert check_monotone(c, UNIT).monotone_pass
+        assert check_growth(c, UNIT) <= GROWTH_TOL
+        assert check_monotone(c, UNIT) == []
 
 
 def test_power_family_accepts_numpy_scalars():

@@ -9,7 +9,6 @@ import pytest
 from plapsys.field import (
     Grid,
     ScalarField,
-    constant_field,
     element_gradients,
     from_callable,
     load_field,
@@ -19,7 +18,7 @@ from plapsys.field import (
 )
 
 import p1_reference as ref
-from stack_reference import pair_norm, save_field_rowwise
+from stack_reference import constant_field, pair_norm, save_field_rowwise
 
 
 def unit_square(n):

@@ -12,7 +12,7 @@ import plapsys.expr as ex
 import plapsys.fixpoint as fixpoint
 import plapsys.plap as plap
 from plapsys.coupling import Coupling, nemytskii, power_family
-from plapsys.field import Grid, ScalarField, constant_field, from_callable, lq_norm
+from plapsys.field import Grid, ScalarField, from_callable, lq_norm
 from plapsys.fixpoint import (
     BallReport,
     Certificate,
@@ -39,6 +39,7 @@ from plapsys.verify import weak_residuals
 from p1_reference import stiffness_matrix
 from stack_reference import (
     ball_check_trialwise,
+    constant_field,
     sample_smooth_field,
     scale_to_norm,
     smooth_field_einsum,
@@ -695,14 +696,6 @@ def test_picard_max_iter_validation():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
             picard_solve(prob, max_iter=bad)
-
-
-def test_picard_theta_validation():
-    prob = small_problem(n=6)
-    with pytest.raises(ValueError, match="theta"):
-        picard_solve(prob, theta=0.0)
-    with pytest.raises(ValueError, match="theta"):
-        picard_solve(prob, theta=1.5)
 
 
 def test_trace_csv_shape():

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
-from plapsys.field import Grid, ScalarField, constant_field, from_callable
+from plapsys.field import Grid, ScalarField, from_callable
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
@@ -23,7 +23,7 @@ from plapsys.plap import (
 
 import p1_reference as ref
 from p1_reference import densify, newton_matrix, stiffness_matrix
-from stack_reference import sample_smooth_field, scale_to_norm
+from stack_reference import constant_field, sample_smooth_field, scale_to_norm
 
 N_VALUES = [1, 2, 3, 7, 16, 33]
 P_VALUES = (1.2, 2.0, 2.2, 6.0)

@@ -7,7 +7,7 @@ import pytest
 
 import plapsys.expr as ex
 from plapsys.coupling import Coupling
-from plapsys.field import Grid, constant_field, from_callable
+from plapsys.field import Grid, from_callable
 from plapsys.plap import residual_vector
 from plapsys.verify import (
     STUDY_CASES,
@@ -16,6 +16,8 @@ from plapsys.verify import (
     system_residuals,
     weak_residuals,
 )
+
+from stack_reference import constant_field
 
 
 def zero_coupling(p=2.0):
@@ -115,19 +117,20 @@ def test_shift_preserves_supersolution_zero_coupling():
     g = unit_square(8)
     u = quad_down(g)
     v = constant_field(g, 0.0)
-    rep = shift_test(u, v, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
+    base = weak_residuals(u, v, zero_coupling(), 2.0)
+    assert base.verdict == "supersolution"
+    rep = shift_test(u, v, base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
     assert rep.precondition_ok
-    assert rep.base_verdict == "supersolution"
     assert rep.shifted_verdicts == [("up", "supersolution")]
     assert rep.passed is True
 
 
 def test_shift_subsolution_goes_down():
     g = unit_square(8)
-    rep = shift_test(
-        quad_up(g), constant_field(g, 0.0), zero_coupling(), 2.0, alpha=0.5, beta=0.25
-    )
-    assert rep.base_verdict == "subsolution"
+    u, v = quad_up(g), constant_field(g, 0.0)
+    base = weak_residuals(u, v, zero_coupling(), 2.0)
+    assert base.verdict == "subsolution"
+    rep = shift_test(u, v, base, zero_coupling(), 2.0, alpha=0.5, beta=0.25)
     assert rep.shifted_verdicts == [("down", "subsolution")]
     assert rep.passed is True
 
@@ -135,8 +138,9 @@ def test_shift_subsolution_goes_down():
 def test_shift_solution_both_directions():
     g = unit_square(6)
     u = from_callable(g, lambda x, y: x - y)
-    rep = shift_test(u, u, zero_coupling(), 2.0, alpha=1.0, beta=1.0)
-    assert rep.base_verdict == "solution"
+    base = weak_residuals(u, u, zero_coupling(), 2.0)
+    assert base.verdict == "solution"
+    rep = shift_test(u, u, base, zero_coupling(), 2.0, alpha=1.0, beta=1.0)
     assert [d for d, _ in rep.shifted_verdicts] == ["up", "down"]
     assert rep.passed is True
 
@@ -149,7 +153,7 @@ def test_shift_with_monotone_coupling():
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
     base = weak_residuals(u, v, c, 2.0)
     assert base.verdict == "supersolution"
-    rep = shift_test(u, v, c, 2.0, alpha=1.0, beta=0.0)
+    rep = shift_test(u, v, base, c, 2.0, alpha=1.0, beta=0.0)
     assert rep.precondition_ok
     assert rep.passed is True
 
@@ -159,8 +163,9 @@ def test_shift_nonmonotone_precondition_failure():
     u = quad_down(g)
     v = constant_field(g, 0.0)
     c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    assert weak_residuals(u, v, c, 2.0).verdict == "supersolution"
-    rep = shift_test(u, v, c, 2.0, alpha=1.0, beta=0.0)
+    base = weak_residuals(u, v, c, 2.0)
+    assert base.verdict == "supersolution"
+    rep = shift_test(u, v, base, c, 2.0, alpha=1.0, beta=0.0)
     assert not rep.precondition_ok
     assert "monotone" in rep.reason
     assert rep.passed is None
@@ -170,7 +175,9 @@ def test_shift_nonmonotone_precondition_failure():
 def test_shift_neither_precondition_failure():
     g = unit_square(10)
     u = from_callable(g, lambda x, y: np.cos(2 * np.pi * x))
-    rep = shift_test(u, constant_field(g, 0.0), zero_coupling(), 2.0, 1.0, 0.0)
+    v = constant_field(g, 0.0)
+    base = weak_residuals(u, v, zero_coupling(), 2.0)
+    rep = shift_test(u, v, base, zero_coupling(), 2.0, 1.0, 0.0)
     assert not rep.precondition_ok
     assert "neither" in rep.reason
     assert rep.passed is None
@@ -179,10 +186,11 @@ def test_shift_neither_precondition_failure():
 def test_shift_parameter_validation():
     g = unit_square(4)
     z = constant_field(g, 0.0)
+    base = weak_residuals(z, z, zero_coupling(), 2.0)
     with pytest.raises(ValueError, match="alpha"):
-        shift_test(z, z, zero_coupling(), 2.0, alpha=0.0, beta=0.0)
+        shift_test(z, z, base, zero_coupling(), 2.0, alpha=0.0, beta=0.0)
     with pytest.raises(ValueError, match="beta"):
-        shift_test(z, z, zero_coupling(), 2.0, alpha=1.0, beta=-0.5)
+        shift_test(z, z, base, zero_coupling(), 2.0, alpha=1.0, beta=-0.5)
 
 
 # ---------------------------------------------------------------------------
