@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import traceback
@@ -148,7 +149,23 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _shift_flags(args) -> tuple[float, float] | None:
+    """(alpha, beta) of the shift test, or None without --alpha; checked
+    before any field is read, each error naming its flag."""
+    if args.alpha is None:
+        if args.beta is not None:
+            raise ValueError("--beta sets the shift test's v shift and needs --alpha")
+        return None
+    beta = 0.0 if args.beta is None else args.beta
+    if not (math.isfinite(args.alpha) and args.alpha > 0.0):
+        raise ValueError(f"--alpha must be positive and finite, got {args.alpha}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"--beta must be nonnegative and finite, got {beta}")
+    return args.alpha, beta
+
+
 def cmd_verify(args) -> int:
+    shift = _shift_flags(args)
     setup = load_setup(args.config, args.seed, args.out)
     u = load_field(args.u_csv, setup.grid)
     v = load_field(args.v_csv, setup.grid)
@@ -159,14 +176,15 @@ def cmd_verify(args) -> int:
         bad = cls.offending_hats()
         print(f"offending hats: {bad[:10]}" + ("..." if len(bad) > 10 else ""))
 
-    if args.alpha is None:
+    if shift is None:
         return 0 if cls.verdict == "solution" else 4
-    rep = shift_test(u, v, cls, setup.coupling, setup.exponents.p, args.alpha, args.beta)
+    alpha, beta = shift
+    rep = shift_test(u, v, cls, setup.coupling, setup.exponents.p, alpha, beta)
     if not rep.precondition_ok:
         print(f"shift test precondition failed: {rep.reason}", file=sys.stderr)
         return 4
     outcome = ", ".join(f"{d}: {verdict}" for d, verdict in rep.shifted_verdicts)
-    print(f"shift test (alpha={args.alpha}, beta={args.beta}): {outcome}")
+    print(f"shift test (alpha={alpha}, beta={beta}): {outcome}")
     return 0 if rep.passed else 4
 
 
@@ -222,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("u_csv", help="u field CSV")
     p_verify.add_argument("v_csv", help="v field CSV")
     p_verify.add_argument("--alpha", type=float, default=None, help="run the shift test with this alpha > 0")
-    p_verify.add_argument("--beta", type=float, default=0.0, help="shift for v (default 0)")
+    p_verify.add_argument("--beta", type=float, default=None, help="shift of v (needs --alpha; default 0)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_study = sub.add_parser("study", help="convergence study on a built-in case")

@@ -231,7 +231,8 @@ def calibration_ratios(
     denoms = lq_norms(grid, sources, ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
-    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, np.zeros(sources.shape), tol=tol)
+    zero = np.broadcast_to(0.0, sources.shape)  # a view: the lift reads only its boundary
+    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, zero, tol=tol)
     for rep in reports:
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, rep)
@@ -372,8 +373,10 @@ def check_ball_invariance(
         radii = M * t
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
         sources *= np.repeat(scale, 2)[:, None]
-        _, Y, _ = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)
+        # only the norms of the images outlive the block, not its lifts
+        Y = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)[1]
         out = lq_norms(grid, Y.reshape(2 * k, -1), r).reshape(k, 2).max(axis=1)
+        del Y
         worst = max(worst, float(out.max()))
         for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
             violations.append((start + int(i), float(radii[i]), float(out[i])))

@@ -11,8 +11,9 @@ f = Delta_p u, so f = Delta u when p = 2).
 The minimizer is computed by damped Newton on the regularized energy with
 |grad u|^(p-2) evaluated as (|grad u|^2 + reg^2)^((p-2)/2).  The Newton
 system H (positive definite for p > 1) is only its interior block H_II,
-kept as its stencil diagonals, shape (K, N) with K = 7 (fewer when
-n <= 2): each step sums them from slices of the lattice-shaped
+kept as the centre and the three upper of its seven stencil diagonals,
+shape (K, N) with K = 4 (fewer when n <= 2), since H is symmetric: each
+step sums them from slices of the lattice-shaped
 element gradients, so no index array, per-grid cache or sparse format is
 built.  The energy and the residual are sliced alike.  H is solved by cg,
 a numpy PCG that performs the operations of scipy's cg, with the stencil
@@ -65,10 +66,14 @@ all rows.  Each row keeps its own stopping test, forcing term, CG rows,
 step length, fallback, stop reason and counters, and leaves the active set
 when it stops; every reduction is taken per row, with the operations of a
 lone lift, so each row's report equals that of the row lifted alone.
-Chunks of max(1, BATCH_NODES // n_nodes) rows run at once, so every
-n >= 64 lifts one row at a time; BATCH_NODES keeps the peak RSS of
-`plapsys certify` at n = 16 (12 rows) within about 1.2 MB of lifting one
-row at a time.
+Chunks of max(1, BATCH_NODES // n_nodes) rows run at once: 36 at n = 16,
+9 at n = 32, 2 at n = 64 and one from n = 72.  A lift holds at most about
+8 element arrays (2 n^2 float64) per row at once: each Newton step makes
+one element pass (_element_state), whose gradients and weights serve the
+gradient and then, spent in place, the Hessian, and no step keeps a spent
+Hessian, direction or gradient while the next one is formed.  So the peak
+RSS of `plapsys certify` at n = 16 stays within about 0.7 MB of lifting
+12 rows at a time, while its ball check runs in 6 blocks instead of 17.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol, the lift's one argument besides its data; tol
@@ -108,7 +113,7 @@ ROUNDOFF = 1e-13
 REG = 1e-8  # reg of the regularized energy that every lift minimizes
 DEFAULT_TOL = 1e-8
 MAX_ITER = 500  # Newton steps before a lift stops with "max_iter"
-BATCH_NODES = 3500  # nodes lifted at once: 12 members at n = 16, 3 at n = 32, 1 from n = 64
+BATCH_NODES = 10500  # nodes lifted at once: 36 rows at n = 16, 9 at n = 32, 1 from n = 72
 
 
 @dataclass(frozen=True)
@@ -146,49 +151,59 @@ class SolveReport:
         return self.stop_reason == "converged"
 
 
-def _weights(G2: np.ndarray, p: float, reg: float) -> np.ndarray:
-    """Element flux weights (|grad u|^2 + reg^2)^((p-2)/2), extended by 0
-    where that base vanishes (only possible at reg = 0)."""
-    base = G2 + reg * reg
+def _element_state(grid: Grid, u: np.ndarray, p: float, reg: float) -> list[np.ndarray]:
+    """The one element pass of residual_vector and _newton_system at the
+    stack u: the list [G, base, W] of the element gradients, their squared
+    norms plus reg^2 and the flux weights area base^((p-2)/2), extended by
+    0 where the base vanishes (only possible at reg = 0)."""
+    G, base = element_gradients(grid, u)
+    base += reg * reg
     positive = True if reg > 0.0 else base > 0.0
-    return np.power(base, (p - 2.0) / 2.0, out=np.zeros_like(base), where=positive)
+    W = np.power(base, (p - 2.0) / 2.0, out=np.zeros_like(base), where=positive)
+    W *= grid.element_measure
+    return [G, base, W]
 
 
 def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
     """Regularized energy of each field of the stack u (..., n_nodes) with
     the sources f: shape u.shape[:-1], a 0-d array for a single field."""
-    _, G2 = element_gradients(grid, u)
+    G2 = element_gradients(grid, u)[1]
     G2 += reg * reg
-    sums = (G2 ** (p / 2.0)).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
+    sums = np.power(G2, p / 2.0, out=G2).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
     return sums * grid.element_measure / p + np.vecdot(grid.lumped * f, u)
 
 
-def residual_vector(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
+def residual_vector(
+    grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float, state: list | None = None
+) -> np.ndarray:
     """Weak residual t_i = sum_e area W_e (G_e . grad phi_i) + m_i f_i at every
     node: the gradient of the regularized energy for reg > 0, and at reg = 0
     the unregularized weak form, with weight 0 where grad u = 0.  A stack u
     (..., n_nodes) gives the residual of each row, with the same operations
-    as a single field.
+    as a single field.  state, the _element_state of u, saves that pass and
+    is left intact.
 
     On this lattice G_e . grad phi_i only takes the difference quotients
     along the edges of e, so t is minus the divergence of the edge fluxes:
     area W_e G_e[k] / h_k, summed over the two triangles at each edge, flows
     out of its first node and into its second."""
-    G, G2 = element_gradients(grid, u)
-    W = _weights(G2, p, reg)
-    W *= grid.element_measure
-    F = np.multiply(G, W, out=G)
+    # [G, W]: a state made here frees its base at once
+    G, W = (_element_state(grid, u, p, reg) if state is None else state)[::2]
     n = grid.n
     batch = u.shape[:-1]
     hx, hy = grid.spacing
-    F[0] /= hx
-    F[1] /= hy
+    # one flux component at a time, in one buffer
+    F = np.multiply(G[0], W)
+    F /= hx
     Ex = np.zeros(batch + (n + 1, n + 2))  # the edge from (i, j) to (i+1, j) at [j, i+1]
-    Ex[..., :-1, 1:-1] = F[0, ..., 0, :, :]  # lower triangle of cell (i, j)
-    Ex[..., 1:, 1:-1] += F[0, ..., 1, :, :]  # upper triangle of cell (i, j-1)
+    Ex[..., :-1, 1:-1] = F[..., 0, :, :]  # lower triangle of cell (i, j)
+    Ex[..., 1:, 1:-1] += F[..., 1, :, :]  # upper triangle of cell (i, j-1)
+    F = np.multiply(G[1], W, out=F)
+    F /= hy
     Ey = np.zeros(batch + (n + 2, n + 1))  # the edge from (i, j) to (i, j+1) at [j+1, i]
-    Ey[..., 1:-1, 1:] = F[1, ..., 0, :, :]  # lower triangle of cell (i-1, j)
-    Ey[..., 1:-1, :-1] += F[1, ..., 1, :, :]  # upper triangle of cell (i, j)
+    Ey[..., 1:-1, 1:] = F[..., 0, :, :]  # lower triangle of cell (i-1, j)
+    Ey[..., 1:-1, :-1] += F[..., 1, :, :]  # upper triangle of cell (i, j)
+    del F
     out = Ex[..., :-1] - Ex[..., 1:]
     out += Ey[..., :-1, :] - Ey[..., 1:, :]
     return out.reshape(batch + (-1,)) + grid.lumped * f
@@ -209,22 +224,27 @@ def harmonic_extension(grid: Grid, h: np.ndarray, f: np.ndarray | float) -> np.n
 
 
 def _stencil_offsets(grid: Grid) -> tuple[int, ...]:
-    """Column offsets from the row of the diagonals of the interior block:
-    the neighbours (i, j) -> (i+1, j), (i, j+1) and (i+1, j+1) are 1, n-1
-    and n in the interior numbering.  An offset with |o| >= N = len(interior)
-    has no entry and is dropped, so only n <= 2 has fewer than 7."""
-    steps = (1, grid.n - 1, grid.n)
+    """Column offsets from the row of the diagonals of the interior block
+    that are stored: the centre 0 and the neighbours (i, j) -> (i+1, j),
+    (i, j+1) and (i+1, j+1), which are 1, n-1 and n in the interior
+    numbering; the lower diagonals are their mirror images.  An offset
+    o >= N = len(interior) has no entry and is dropped, so only n <= 2 has
+    fewer than 4."""
     N = len(grid.interior)
-    return tuple(o for o in sorted({0, *steps, *(-s for s in steps)}) if abs(o) < N)
+    return tuple(o for o in (0, 1, grid.n - 1, grid.n) if o < N)
 
 
-def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarray:
+def _newton_system(
+    grid: Grid, u: np.ndarray, p: float, reg: float, state: list | None = None
+) -> np.ndarray:
     """Interior block H_II of the Hessian of the regularized energy at u:
-    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], as its
-    diagonals, shape (K, N): row k holds H[i, i + offsets[k]] at column i,
-    with the offsets of _stencil_offsets, and 0 where that entry does not
-    exist.  A stack u (B, n_nodes) gives the diagonals of every member,
-    shape (K, B, N).
+    sum_e area [W gphi_a.gphi_b + W' (G.gphi_a)(G.gphi_b)], as its centre
+    and upper diagonals, shape (K, N): row k holds H[i, i + offsets[k]] =
+    H[i + offsets[k], i] at column i, with the offsets of _stencil_offsets,
+    and 0 where that entry does not exist.  A stack u (B, n_nodes) gives
+    the diagonals of every member, shape (K, B, N).  state, the
+    _element_state of u, saves that pass; the call empties the list and
+    spends its buffers.
 
     Per element the Hessian is the quadratic form of the 2 x 2 matrix
     A = area (W I + W' G G^T) in the element gradient, whose components are
@@ -234,61 +254,68 @@ def _newton_system(grid: Grid, u: np.ndarray, p: float, reg: float) -> np.ndarra
     by -R; on the diagonal, the corner off the y edge gets P, the corner
     off the x edge Q and the corner on both P + Q - 2R.  The upper
     diagonals sum these couplings over the (at most two) elements of an
-    edge, the centre sums the six elements at a node, and the lower
-    diagonals mirror the upper ones."""
+    edge, and the centre sums the six elements at a node."""
     offsets = _stencil_offsets(grid)
     K, N = len(offsets), len(grid.interior)
-    batch = u.shape[:-1]
-    # a batch's element arrays are large, so each buffer is reused once
-    # its value is spent
-    G, base = element_gradients(grid, u)
-    base += reg * reg  # reg > 0, so the base is positive
-    W = base ** ((p - 2.0) / 2.0)
-    W *= grid.element_measure
-    Wp = np.divide(W, base, out=base)
+    if state is None:
+        state = _element_state(grid, u, p, reg)
+    G, base, W = state
+    state.clear()
+    batch = base.shape[:-3]
+    hx, hy = grid.spacing
+    # a batch's element arrays are large: each buffer is reused once its
+    # value is spent, and the element state is freed before D is allocated
+    Wp = np.divide(W, base, out=base)  # reg > 0, so the base is positive
     Wp *= p - 2.0
-    h = np.reshape(grid.spacing, (2,) + (1,) * (G.ndim - 1))
-    s = np.divide(G, h, out=G)
-    PQ = s * Wp
-    PQ *= s
-    for k, hk in enumerate(grid.spacing):
-        PQ[k] += W / (hk * hk)  # PQ[0] = P, PQ[1] = Q
-    m = grid.n - 1  # interior nodes per lattice row
-    R = np.multiply(s[0], s[1], out=W)
+    s = G  # G / h, in place
+    s[0] /= hx
+    s[1] /= hy
+    R = s[0] * s[1]
     R *= Wp
-    T = np.add(PQ[0], PQ[1, ..., ::-1, :, :], out=s[0])
-    Z = np.subtract(PQ, R, out=PQ)  # minus the x and y edge couplings
-    D = np.zeros((7,) + batch + (m, m))
-    # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
-    np.add(Z[0, ..., 0, 1:, 1:-1], Z[0, ..., 1, :-1, 1:-1], out=D[4, ..., :, :-1])
-    np.add(Z[1, ..., 1, 1:-1, 1:], Z[1, ..., 0, 1:-1, :-1], out=D[5, ..., :-1, :])
-    np.add(R[..., 0, 1:-1, 1:-1], R[..., 1, 1:-1, 1:-1], out=D[6, ..., :-1, :-1])
-    np.negative(D[4:], out=D[4:])
+    P = s[0] * Wp
+    P *= s[0]
+    P += np.divide(W, hx * hx, out=s[0])
+    Q = np.multiply(s[1], Wp, out=Wp)
+    Q *= s[1]
+    Q += np.divide(W, hy * hy, out=s[1])
+    del G, base, W, Wp, s
+    m = grid.n - 1  # interior nodes per lattice row
+    D = np.zeros((4,) + batch + (m, m))
     # centre: P of the lower triangle of cell (i, j) and Q of the upper
     # one, Q and P of those of cell (i-1, j-1), and P + Q - 2R of the
     # lower triangle of cell (i-1, j) and the upper one of cell (i, j-1)
-    M = np.add(Z[0], Z[1], out=s[1])
-    np.add(T[..., 0, 1:, 1:], T[..., 1, :-1, :-1], out=D[3])
-    D[3] += M[..., 0, 1:, :-1]
-    D[3] += M[..., 1, :-1, 1:]
-    D = D.reshape((7,) + batch + (N,))
-    for o, k in ((1, 4), (m, 5), (m + 1, 6)):  # the lower diagonals mirror them
-        D[6 - k, ..., o:] = D[k, ..., : N - o]
-    return D[3 - K // 2 : 3 + (K + 1) // 2]  # fewer diagonals for n <= 2
+    np.add(P[..., 0, 1:, 1:], Q[..., 1, 1:, 1:], out=D[0])
+    D[0] += P[..., 1, :-1, :-1] + Q[..., 0, :-1, :-1]
+    # minus the x and y edge couplings
+    Zx, Zy = np.subtract(P, R, out=P), np.subtract(Q, R, out=Q)
+    # upper diagonals, negated at the end: (i+1, j), (i, j+1), (i+1, j+1)
+    np.add(Zx[..., 0, 1:, 1:-1], Zx[..., 1, :-1, 1:-1], out=D[1, ..., :, :-1])
+    np.add(Zy[..., 1, 1:-1, 1:], Zy[..., 0, 1:-1, :-1], out=D[2, ..., :-1, :])
+    np.add(R[..., 0, 1:-1, 1:-1], R[..., 1, 1:-1, 1:-1], out=D[3, ..., :-1, :-1])
+    np.negative(D[1:], out=D[1:])
+    M = np.add(Zx, Zy, out=R)
+    D[0] += M[..., 0, 1:, :-1]
+    D[0] += M[..., 1, :-1, 1:]
+    return D.reshape((4,) + batch + (N,))[:K]  # fewer diagonals for n <= 2
 
 
 def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """H x for H given by its diagonals D at `offsets`: each row sums its
-    terms from 0 in increasing column order, as a CSR product does.  A
-    stack x (B, N) with diagonals D (K, B, N) multiplies row by row."""
-    N = x.shape[-1]
-    y = np.zeros(x.shape)
+    """H x for the symmetric H given by its centre and upper diagonals D at
+    `offsets`: the lower diagonal at -o is the upper one at o, moved down o
+    rows.  Each row sums its terms from 0 in increasing column order, as a
+    CSR product does.  A stack x (B, N) with diagonals D (K, B, N)
+    multiplies row by row, as one flat (B N,) product with one slice per
+    diagonal: a term that reaches into the next or the previous row meets
+    a 0 of D, which adds nothing to a finite x."""
+    x_flat = x.reshape(-1)
+    L = len(x_flat)
+    y = np.zeros(L)
+    D = D.reshape(len(D), L)
+    for d, o in zip(D[:0:-1], offsets[:0:-1]):  # the lower diagonals, leftmost first
+        y[o:] += d[: L - o] * x_flat[: L - o]
     for d, o in zip(D, offsets):
-        if o < 0:
-            y[..., -o:] += d[..., -o:] * x[..., : N + o]
-        else:
-            y[..., : N - o] += d[..., : N - o] * x[..., o:]
-    return y
+        y[: L - o] += d[: L - o] * x_flat[o:]
+    return y.reshape(x.shape)
 
 
 def cg(A, b, *, rtol, M, callback=None):
@@ -328,10 +355,12 @@ def cg(A, b, *, rtol, M, callback=None):
         else:
             d *= (rho / rho_prev)[:, None]
             d += z
+        del z  # z and q are spent: the next M and A calls reuse the room
         q = A(d, rows)
         alpha = (rho / np.vecdot(d, q))[:, None]
         xr += alpha * d
         r -= alpha * q
+        del q
         rho_prev = rho
         if callback is not None:
             callback(rows)
@@ -339,19 +368,34 @@ def cg(A, b, *, rtol, M, callback=None):
     return x, maxiter
 
 
-def _on_rows(apply, *arrays):
-    """The cg operator (z, rows) -> apply(z, *(a[..., rows, :] for a in
-    arrays)), which gathers the rows again only when cg's working set
-    changes."""
-    seen, picked = None, arrays
+def _on_rows(apply, a):
+    """The cg operator (z, rows) -> apply(z, a[rows]), which gathers the
+    rows again only when cg's working set changes."""
+    seen, picked = None, a
 
     def op(z, rows):
         nonlocal seen, picked
         if rows is not seen:
             seen = rows
-            full = len(rows) == arrays[0].shape[-2]  # rows ascend: all of them
-            picked = arrays if full else [a[..., rows, :] for a in arrays]
-        return apply(z, *picked)
+            picked = a if len(rows) == len(a) else a[rows]  # rows ascend: all of them
+        return apply(z, picked)
+
+    return op
+
+
+def _stencil_on_rows(D, offsets):
+    """The cg operator (z, rows) -> the stencil product of the diagonals D
+    (K, B, N) on cg's working rows `rows`: the rows of z go into a stack of
+    zeros, so a row that left the working set multiplies 0 and D is never
+    gathered."""
+    B, N = D.shape[1:]
+
+    def op(z, rows):
+        if len(rows) == B:
+            return _stencil_matvec(D, offsets, z)
+        x = np.zeros((B, N))
+        x[rows] = z
+        return _stencil_matvec(D, offsets, x)[rows]
 
     return op
 
@@ -438,20 +482,24 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
         # Armijo searches copy the rows they read, and U takes the accepted
         # rows only once no search reads them again
         u, f = (U, F) if len(active) == len(U) else (U[active], F[active])
-        # np.take keeps each row contiguous, so its norm is that of a lone lift
-        g = np.take(residual_vector(grid, u, p, f, reg), I, axis=-1)
+        # one element pass gives the gradient and, for the rows that go on,
+        # the Hessian; np.take keeps each row contiguous, so its norm is that
+        # of a lone lift
+        state = _element_state(grid, u, p, reg)
+        g = np.take(residual_vector(grid, u, p, f, reg, state), I, axis=-1)
         gn = np.sqrt(np.vecdot(g, g))
         previous = gnorm[active]
         gnorm[active] = gn
         done = (gn <= tol) | (iterations[active] >= max_iter)
+        for k in np.flatnonzero(done):
+            stop_reason[active[k]] = "converged" if gn[k] <= tol else "max_iter"
+        if done.all():
+            break
+        D = _newton_system(grid, u, p, reg, state)
         if done.any():
-            for k in np.flatnonzero(done):
-                stop_reason[active[k]] = "converged" if gn[k] <= tol else "max_iter"
             going = ~done
             active, u, f, g, gn = active[going], u[going], f[going], g[going], gn[going]
-            previous = previous[going]
-            if not len(active):
-                break
+            previous, D = previous[going], D[:, going]
         # Eisenstat-Walker choice 2 once a member has a previous gradient, at
         # least Kelley's 0.5 tol / |g_k| (gn > tol > 0 on the active rows)
         stepped = iterations[active] > 0
@@ -459,20 +507,20 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
         ew = EW_GAMMA * (gs / previous[stepped]) ** EW_ALPHA
         eta[active[stepped]] = np.clip(np.maximum(ew, 0.5 * tol / gs), CG_RTOL, ETA_MAX)
 
-        D = _newton_system(grid, u, p, reg)
-        s = np.sqrt(D[len(D) // 2])  # offsets are symmetric: the middle one is 0
+        s = np.sqrt(D[0])
         its = np.zeros(len(active), dtype=int)
 
         def count_cg(rows):
             its[rows] += 1
 
         delta, info = cg(
-            _on_rows(lambda z, D: _stencil_matvec(D, offsets, z), D),
+            _stencil_on_rows(D, offsets),
             -g,
             rtol=eta[active],
             M=_on_rows(lambda z, s: grid.laplace_solve(z / s) / s, s),
             callback=count_cg,
         )
+        del D, s  # the Armijo searches and the next element pass reuse the room
         cg_iterations[active] += its
         slope = np.vecdot(g, delta)
         newton = (slope < 0.0) & np.isfinite(delta).all(axis=1)
@@ -485,9 +533,10 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
             """Armijo from u along direction on the working rows `rows`."""
             if not len(rows):
                 return
+            pick = slice(None) if len(rows) == len(u) else rows  # all rows: no copies
             ok, trial, val, n_evals, by_roundoff = _armijo(
-                grid, u[rows], p, f[rows], reg, I,
-                direction[rows], slopes[rows], current[rows], gn[rows],
+                grid, u[pick], p, f[pick], reg, I,
+                direction[pick], slopes[pick], current[pick], gn[pick],
             )
             evals[active[rows]] += n_evals
             roundoff[active[rows[by_roundoff]]] += 1
@@ -500,6 +549,7 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
         fallback = np.flatnonzero(~moved)
         fallbacks[active[fallback]] += 1
         search(fallback, -g, -gn * gn)
+        del g, delta  # spent before the next element pass
         iterations[active[moved]] += 1
         for m in active[~moved]:
             stop_reason[m] = "stalled"  # no Armijo decrease in either direction

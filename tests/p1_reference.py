@@ -112,9 +112,10 @@ def newton_matrix(grid, u, p, reg):
 
 
 def densify(D, offsets):
-    """Dense N x N matrix with H[i, i + offsets[k]] = D[k, i], for the
-    diagonals D (K, N) of plap._newton_system; an entry whose column falls
-    outside 0 .. N-1 must be 0."""
+    """Dense symmetric N x N matrix with H[i, i + offsets[k]] =
+    H[i + offsets[k], i] = D[k, i], for the centre and upper diagonals
+    D (K, N) of plap._newton_system; an entry whose column falls outside
+    0 .. N-1 must be 0."""
     K, N = D.shape
     H = np.zeros((N, N))
     for d, o in zip(D, offsets):
@@ -122,4 +123,5 @@ def densify(D, offsets):
         inside = (i + o >= 0) & (i + o < N)
         assert not d[~inside].any(), f"nonzero entry outside the matrix at offset {o}"
         H[i[inside], i[inside] + o] = d[inside]
+        H[i[inside] + o, i[inside]] = d[inside]
     return H

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import plapsys
+import plapsys.plap as plap
 from plapsys.cli import main
 from plapsys.config import load_setup
 from plapsys.field import Grid, ScalarField, from_callable, load_field, save_field
@@ -41,6 +42,11 @@ def cfg_file(tmp_path, overrides=None, drop=(), name="run.cfg"):
     path = tmp_path / name
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
     return str(path)
+
+
+BENCH_CONFIGS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "configs"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +392,27 @@ def test_certify_reruns_byte_identical(tmp_path):
     assert (out1 / "certificate.txt").read_bytes() == (out2 / "certificate.txt").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, cfg, files",
+    [
+        ("certify", "certify-n16.cfg", ("certificate.txt",)),
+        ("solve", "solve-picard.cfg", ("u.csv", "v.csv", "trace.csv", "report.txt")),
+    ],
+)
+def test_artifacts_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch, command, cfg, files):
+    """Every lift row is that row lifted alone, so the benchmark's configs
+    write the same files, byte for byte, at the chunk width 3500 (12 rows
+    at n = 16, 3 at n = 32) and at the current one."""
+    written = []
+    for width in (3500, plap.BATCH_NODES):
+        monkeypatch.setattr(plap, "BATCH_NODES", width)
+        out = tmp_path / str(width)
+        args = [command, "--config", os.path.join(BENCH_CONFIGS, cfg), "--seed", "0"]
+        assert main(args + ["--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in files])
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -505,9 +532,40 @@ def test_shift_test_nonfinite_alpha_beta_exit_2(tmp_path, capsys, flag, value):
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"input error: {flag[2:]} must be" in err
+    assert f"input error: {flag} must be" in err
     assert value in err
     assert "Traceback" not in err
+
+
+def test_verify_beta_without_alpha_exit_2(tmp_path, capsys):
+    """--beta only shifts v in the shift test: without --alpha it is an
+    input error that names it, not a plain classification."""
+    cfg = zero_cfg(tmp_path)
+    u_csv, v_csv = write_quadratic_pair(tmp_path)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", cfg, "--out", str(out), u_csv, v_csv, "--beta", "0.05"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "input error: --beta" in captured.err and "--alpha" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"), ("--beta", "-1")])
+def test_verify_bad_shift_flag_exits_before_classifying(tmp_path, capsys, flag, value):
+    """A bad --alpha or --beta is rejected, naming the flag, before any
+    field is read: no classification.csv and no verdict."""
+    cfg = zero_cfg(tmp_path)
+    u_csv, v_csv = write_quadratic_pair(tmp_path)
+    out = tmp_path / "out"
+    shift = {"--alpha": "0.1", "--beta": "0.05", flag: value}
+    code = main([
+        "verify", "--config", cfg, "--out", str(out), u_csv, v_csv,
+        "--alpha", shift["--alpha"], "--beta", shift["--beta"],
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"input error: {flag} must be" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_verify_malformed_field_exit_2(tmp_path, capsys):

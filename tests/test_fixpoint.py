@@ -312,7 +312,9 @@ def ball_problem(n):
 def test_ball_check_matches_trialwise(monkeypatch, n, trials, blocks):
     """Blocks of one lift chunk's pairs, the last only partly filled, give
     the trial-by-trial check: the same draws f, g in the rng order, the
-    same radii and violation indices, and output norms within 1e-14."""
+    same radii and violation indices, and output norms within 1e-14.  The
+    chunk width is pinned, so the blocks keep their sizes."""
+    monkeypatch.setattr(plap, "BATCH_NODES", 3500)
     prob = ball_problem(n)
     cert = certify(prob, C=0.1)
     assert cert.valid and cert.M0 == 0.0

@@ -1,6 +1,7 @@
 """Energy, assembly, and the p-Poisson solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
-from plapsys.field import Grid, ScalarField, from_callable
+from plapsys.field import Grid, ScalarField, element_gradients, from_callable, lq_norms
+from plapsys.fixpoint import SAMPLER_MODES, smooth_fields
 from plapsys.plap import (
     PPoissonProblem,
     _energy_reg,
@@ -116,8 +118,7 @@ def test_newton_system_matches_coo_assembly(dims, n, side):
     u = ref.random_nodes(g, np.random.default_rng(n), dims)
     N = len(g.interior)
     offsets = _stencil_offsets(g)
-    assert offsets == tuple(-o for o in reversed(offsets))
-    assert len(offsets) == (0 if N == 0 else 1 if N == 1 else 7)
+    assert offsets == (() if N == 0 else (0,) if N == 1 else (0, 1, n - 1, n))
     for p in P_VALUES:
         for reg in (1e-8, 1e-2):
             D = _newton_system(g, u, p, reg)
@@ -137,8 +138,34 @@ def test_newton_system_needs_no_grid_cache():
     D1 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 3.0, 1e-8)
     D2 = _newton_system(g, rng.uniform(-1, 1, g.n_nodes), 1.5, 1e-8)
     assert not hasattr(g, "_newton_slots") and not hasattr(g, "_local_stiffness")
-    assert _stencil_offsets(g) == (-6, -5, -1, 0, 1, 5, 6)
+    assert _stencil_offsets(g) == (0, 1, 5, 6)
     assert not np.shares_memory(D1, D2)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 2.2, 3.0, 4.0, 6.0])
+def test_shared_element_state_matches_standalone_calls(p):
+    """One element pass serves the Newton gradient and Hessian of a stack:
+    residual_vector leaves the state intact, _newton_system spends it, and
+    both equal their standalone calls bit for bit.  The weights are those
+    of base ** ((p - 2) / 2), numpy's scalar-exponent fast paths at p = 2,
+    3, 4 and 6 (exponents 0, 0.5, 1, 2) included."""
+    g = box_grid(7, 2.0)
+    rng = np.random.default_rng(11)
+    U = rng.uniform(-1, 1, (3, g.n_nodes))
+    F = rng.uniform(-1, 1, (3, g.n_nodes))
+    reg = plap.REG
+    state = plap._element_state(g, U, p, reg)
+    G2 = element_gradients(g, U)[1]
+    want_W = (G2 + reg * reg) ** ((p - 2.0) / 2.0)
+    want_W *= g.element_measure
+    assert np.array_equal(state[2], want_W)
+    kept = [a.copy() for a in state]
+    res = residual_vector(g, U, p, F, reg, state)
+    assert all(np.array_equal(a, b) for a, b in zip(state, kept, strict=True))
+    assert np.array_equal(res, residual_vector(g, U, p, F, reg))
+    D = _newton_system(g, U, p, reg, state)
+    assert state == []
+    assert np.array_equal(D, _newton_system(g, U, p, reg))
 
 
 def _oracle_csr(g, u, p, reg):
@@ -166,6 +193,27 @@ def test_stencil_matvec_matches_csr(dims, n):
         H, D, offsets = _oracle_csr(g, u, p, 1e-8)
         for x in (rng.uniform(-1, 1, H.shape[0]), rng.standard_normal(H.shape[0]) * 1e3):
             assert np.array_equal(_stencil_matvec(D, offsets, x), H @ x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_stencil_product_of_a_stack_is_rowwise(n):
+    """The flat product of a stack equals the product of each row alone,
+    bit for bit: a term that reaches into a neighbouring row meets a 0 of
+    D.  cg's operator on a subset of the rows equals the product of those
+    rows' diagonals."""
+    g = box_grid(n, 2.0)
+    rng = np.random.default_rng(n)
+    U = rng.uniform(-1, 1, (4, g.n_nodes))
+    D = _newton_system(g, U, 3.0, 1e-8)
+    offsets = _stencil_offsets(g)
+    X = rng.standard_normal((4, len(g.interior))) * 1e3
+    Y = _stencil_matvec(D, offsets, X)
+    for k in range(4):
+        assert np.array_equal(Y[k], _stencil_matvec(D[:, k], offsets, X[k]))
+    op = plap._stencil_on_rows(D, offsets)
+    assert np.array_equal(op(X, np.arange(4)), Y)
+    rows = np.array([0, 2, 3])
+    assert np.array_equal(op(X[rows], rows), _stencil_matvec(D[:, rows], offsets, X[rows]))
 
 
 def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
@@ -197,7 +245,7 @@ def test_cg_matches_scipy_cg(n):
     g = unit_square(n)
     rng = np.random.default_rng(n)
     H, D, offsets = _oracle_csr(g, rng.uniform(-1, 1, g.n_nodes), 2.5, 1e-8)
-    s = np.sqrt(D[len(D) // 2])
+    s = np.sqrt(D[0])
     N = len(s)
 
     def precond(z):
@@ -701,6 +749,36 @@ def test_batch_longer_than_a_chunk(monkeypatch):
     assert_match_lone_lifts(problems, reports)
 
 
+# element arrays (2 n^2 float64) per row that one lift may hold at once;
+# the step measures 8.2, and a step that kept the spent Hessian, all
+# seven of its diagonals and two element passes' buffers measured 15.4
+ELEMENT_ARRAYS_PER_ROW = 10
+
+
+def test_lift_memory_per_row(monkeypatch):
+    """One lift of 36 rows at n = 16, with the box, exponent and boundary
+    data of certify-n16.cfg and smooth sources of unit L^1.25 norm, peaks
+    under tracemalloc at most ELEMENT_ARRAYS_PER_ROW element arrays per
+    row, U included, so a wider chunk costs memory in proportion."""
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), 16)
+    B = 36
+    rng = np.random.default_rng(3)
+    F = smooth_fields(g, rng.uniform(-1, 1, (B, SAMPLER_MODES, SAMPLER_MODES)))
+    F /= lq_norms(g, F, 1.25)[:, None]
+    H = np.ones_like(F)
+    monkeypatch.setattr(plap, "BATCH_NODES", B * g.n_nodes)
+    solve_p_poisson_batch(g, 2.2, F, H)  # the grid's caches, outside the trace
+    tracemalloc.start()
+    try:
+        _, reports = solve_p_poisson_batch(g, 2.2, F, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.converged for rep in reports)
+    element_array = 2 * g.n * g.n * 8
+    assert peak <= ELEMENT_ARRAYS_PER_ROW * element_array * B
+
+
 @pytest.mark.parametrize(
     "p, F_shape, H_shape, bad, match",
     [
@@ -861,7 +939,7 @@ def test_cg_per_row_rtol_matches_scipy_cg():
     rtols = np.array([1e-1, 1e-10, 1e-4])
     D = _newton_system(g, U, 2.5, 1e-8)
     offsets = _stencil_offsets(g)
-    s = np.sqrt(D[len(D) // 2])
+    s = np.sqrt(D[0])
     b = rng.standard_normal((3, len(g.interior)))
     counts = np.zeros(3, dtype=int)
 
