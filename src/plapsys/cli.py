@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="flat key-value config file")
-        p.add_argument("--out", default=None, help="output directory (default from config)")
+        p.add_argument("--out", default=".", help="output directory (default: the current one)")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed override")
 
     p_solve = sub.add_parser("solve", help="run the fixed-point solver")

@@ -62,7 +62,6 @@ KNOWN_KEYS = {
     "verify.tol": "1e-6",
     "study.case": "",
     "study.min_order": "0.9",
-    "output.dir": ".",
 }
 
 
@@ -196,11 +195,11 @@ class Setup:
     out_dir: str
 
 
-def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | None = None) -> Setup:
+def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = ".") -> Setup:
     """Construct and cross-validate every object the commands need.
 
-    `seed` is the --seed flag (default 0); `out_dir` overrides output.dir
-    when given (the --out flag).
+    `seed` is the --seed flag (default 0) and `out_dir` the --out flag, the
+    output directory, which the config does not set.
     """
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
@@ -253,11 +252,11 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str | Non
         verify_tol=_as_positive(cfg, "verify.tol"),
         study_case=cfg["study.case"],
         study_min_order=_as_finite(cfg, "study.min_order"),
-        out_dir=cfg["output.dir"] if out_dir is None else out_dir,
+        out_dir=out_dir,
     )
 
 
-def load_setup(path: str, seed: int | None = None, out_dir: str | None = None) -> Setup:
+def load_setup(path: str, seed: int | None = None, out_dir: str = ".") -> Setup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

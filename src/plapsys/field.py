@@ -30,6 +30,7 @@ for the harmonic extension and the Newton-CG preconditioner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,7 +50,7 @@ class Grid:
     Parameters
     ----------
     d : the dimension, which must be 2; any other value raises ValueError.
-    box : (x0, x1, y0, y1); strictly increasing per axis.
+    box : (x0, x1, y0, y1); finite and strictly increasing per axis.
     n : cells per axis, an integer >= 1 (an integral float is stored as
         its int).
 
@@ -86,6 +87,8 @@ class Grid:
         object.__setattr__(self, "box", box)
         if len(box) != 4:
             raise ValueError("box must have 4 entries (x0, x1, y0, y1)")
+        if not all(math.isfinite(b) for b in box):  # nan passes the comparisons below
+            raise ValueError(f"box entries must be finite, got {box}")
         x0, x1, y0, y1 = box
         if x1 <= x0 or y1 <= y0:
             raise ValueError("box sides must have positive length")

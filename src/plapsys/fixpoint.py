@@ -75,18 +75,24 @@ INNER_TOL_FACTOR = 1e-3
 
 class SolverAbort(RuntimeError):
     """An inner p-Poisson solve failed to converge: names the component, the
-    exponent p, the grid size n, why the solve stopped and its last gradient
-    norm."""
+    exponent p, the size n of the caller's grid, why the solve stopped and
+    its last gradient norm.  `stage`, which picard_solve sets before the
+    abort leaves it, names the Picard iteration or the final lift."""
 
-    def __init__(self, component: str, p: float, report: SolveReport):
+    def __init__(self, component: str, p: float, n: int, report: SolveReport):
+        super().__init__(component, p, n, report.stop_reason, report.gradient_norm)
         self.component = component
         self.p = p
-        self.n = report.solution.grid.n
+        self.n = n
         self.stop_reason = report.stop_reason
         self.gradient_norm = report.gradient_norm
-        super().__init__(
-            f"inner solve for the {component} component did not converge "
-            f"({self.stop_reason} at p = {p:g}, n = {self.n}, "
+        self.stage = ""
+
+    def __str__(self) -> str:
+        where = f" in {self.stage}" if self.stage else ""
+        return (
+            f"inner solve for the {self.component} component did not converge{where} "
+            f"({self.stop_reason} at p = {self.p:g}, n = {self.n}, "
             f"gradient norm {self.gradient_norm:.3e})"
         )
 
@@ -189,7 +195,7 @@ def apply_lambda(
     )
     for i, rep in enumerate(reports):
         if not rep.converged:
-            raise SolverAbort("uv"[i % 2], p, rep)
+            raise SolverAbort("uv"[i % 2], p, grid.n, rep)
     L = U.reshape(X.shape)
     Y = np.stack(coupling_values(prob.coupling, grid, L[:, 0], L[:, 1], first_row), axis=1)
     return L, Y, reports
@@ -235,7 +241,7 @@ def calibration_ratios(
     lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, zero, tol=tol)
     for rep in reports:
         if not rep.converged:
-            raise SolverAbort("calibration", ex.p, rep)
+            raise SolverAbort("calibration", ex.p, grid.n, rep)
     nums = lq_norms(grid, lifted, ex.s).tolist()
     return [num ** (ex.p - 1.0) / denom for num, denom in zip(nums, denoms)]
 
@@ -443,14 +449,18 @@ class ConvergenceTrace:
 
 
 def _lambda_pair(
-    prob: SystemProblem, x: np.ndarray, tol: float, start: np.ndarray | None
+    prob: SystemProblem, x: np.ndarray, tol: float, start: np.ndarray | None, stage: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
     """Lambda on the stacked source pair x (2, n_nodes), lifted at the
     inner tolerance tol from the lifted pair `start` (None: a cold start):
     the lifted pair, its image, the weak residual rows (R1, R2) of the
     lifted pair, and the Newton steps and CG iterations of the u and v
-    lifts."""
-    L, Y, (ru, rv) = apply_lambda(prob, x[None], tol, L0=None if start is None else start[None])
+    lifts.  A SolverAbort leaves with its stage set to `stage`."""
+    try:
+        L, Y, (ru, rv) = apply_lambda(prob, x[None], tol, L0=None if start is None else start[None])
+    except SolverAbort as err:
+        err.stage = stage
+        raise
     R = system_residuals(prob.grid, L[0], Y[0], prob.exponents.p)
     return L[0], Y[0], R, (ru.iterations, rv.iterations, ru.cg_iterations, rv.cg_iterations)
 
@@ -479,7 +489,8 @@ def picard_solve(
     theta = 0.5 stop the run as "diverged".  When the lift of an
     extrapolated pair raises SolverAbort, the iteration takes the damped
     step from the last evaluated iterate instead and empties the window
-    (an abort there propagates).
+    (an abort there propagates).  An abort that leaves the run names its
+    Picard iteration, or the final lift, as its stage.
 
     Lambda's lifts are warm and inexact: every lift starts from the pair
     lifted last, and the lifts of iteration k stop at the inner tolerance
@@ -513,8 +524,9 @@ def picard_solve(
     delta = math.nan
     for it in range(1, max_iter + 1):
         inner_tol = max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR * prev_delta))
+        stage = f"Picard iteration {it}"
         try:
-            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L)
+            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L, stage)
         except SolverAbort:
             if not dF:  # x is a damped step, not an extrapolation
                 raise
@@ -522,7 +534,7 @@ def picard_solve(
             dX.clear()
             dF.clear()
             restarts += 1
-            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L)
+            L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L, stage)
         res = lam - x
         delta = max(lq_norms(grid, th * res, r).tolist())
         weak = float(np.abs(R).max(initial=0.0))
@@ -563,7 +575,7 @@ def picard_solve(
         counts = (0, 0, 0, 0)
     else:
         inner_tol = solver_tol
-        L, _, R, counts = _lambda_pair(prob, x, solver_tol, L)
+        L, _, R, counts = _lambda_pair(prob, x, solver_tol, L, "the final lift")
     weak = float(np.abs(R).max(initial=0.0))
     norms = lq_norms(grid, x, r).tolist()
     rows.append(TraceRow(rows[-1].index + 1, *norms, delta, weak, *counts, inner_tol))

@@ -62,10 +62,13 @@ steps accepted on the round-off floor.
 One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
 data H into one stack U (solve_p_poisson_batch; solve_p_poisson is a stack
 of one), so every numpy call, the kernels, cg and the Armijo search serve
-all rows.  Each row keeps its own stopping test, forcing term, CG rows,
-step length, fallback, stop reason and counters, and leaves the active set
-when it stops; every reduction is taken per row, with the operations of a
-lone lift, so each row's report equals that of the row lifted alone.
+all rows.  Each row keeps its own stopping test, forcing term, CG
+iterations, step length, fallback, stop reason and counters, and leaves
+the Newton active set when it stops.  cg works on the whole stack of the
+active rows: its operators take that stack, and a row that meets its CG
+tolerance freezes, taking zero steps while the others iterate.  Every
+reduction is taken per row, with the operations of a lone lift, so each
+row's report equals that of the row lifted alone.
 Chunks of max(1, BATCH_NODES // n_nodes) rows run at once: 36 at n = 16,
 9 at n = 32, 2 at n = 64 and one from n = 72.  A lift holds at most about
 8 element arrays (2 n^2 float64) per row at once: each Newton step makes
@@ -320,84 +323,46 @@ def _stencil_matvec(D: np.ndarray, offsets: tuple[int, ...], x: np.ndarray) -> n
 
 def cg(A, b, *, rtol, M, callback=None):
     """Preconditioned conjugate gradients for the systems A_k x_k = b_k of
-    the rows of b (B, N), each from x = 0.  A and M^-1 are callables
-    (z, rows) that apply the operators of the batch rows `rows` to the rows
-    of z.  rtol is a scalar or one tolerance per row, shape (B,).  Row k
-    stops when ||r_k|| < rtol_k ||b_k|| and leaves the working set, and a
-    row with b_k = 0 returns 0 at once, so every row takes the operations,
-    in their order, of scipy.sparse.linalg.cg with atol = 0 and its rtol on
-    that row alone.  callback(rows) is called once per iteration with the
-    rows that took it.  Returns (x, info): info is 0 when every row
-    converged, and otherwise maxiter = 10 N, the iterations taken by each
-    row that did not converge."""
+    the rows of b (B, N), each from x = 0.  A and M^-1 are callables that
+    apply the operators of all B rows to a stack (B, N).  rtol is a scalar
+    or one tolerance per row, shape (B,).  Row k freezes once
+    ||r_k|| < rtol_k ||b_k||, and a row with b_k = 0 is frozen from the
+    start and returns 0.  A frozen row keeps its x and r and takes a zero
+    step: its two ratios are not formed, and its direction stays M^-1 r_k,
+    which is finite, so the stack the operators see stays finite.  So
+    every row takes the operations, in their order, of
+    scipy.sparse.linalg.cg with atol = 0 and its rtol on that row alone.
+    callback(rows) is called once per iteration with the rows that took
+    it.  Returns (x, info): info is 0 when every row converged, and
+    otherwise maxiter = 10 N, the iterations taken by each row that did
+    not converge."""
     maxiter = 10 * b.shape[-1]
     x = np.zeros_like(b)
+    r = b.copy()
     bnorm = np.sqrt(np.vecdot(b, b))
-    rows = np.flatnonzero(bnorm)
-    if not len(rows):
-        return x, 0
-    atol = (rtol * bnorm)[rows]
-    r = b[rows]
-    xr = np.zeros_like(r)
+    atol = rtol * bnorm
+    going = bnorm > 0.0
     for it in range(maxiter):
-        going = ~(np.sqrt(np.vecdot(r, r)) < atol)
-        if not going.all():
-            x[rows[~going]] = xr[~going]
-            if not going.any():
-                return x, 0
-            rows, atol, r, xr = rows[going], atol[going], r[going], xr[going]
-            if it > 0:
-                d, rho_prev = d[going], rho_prev[going]
-        z = M(r, rows)
+        going &= ~(np.sqrt(np.vecdot(r, r)) < atol)
+        if not going.any():
+            return x, 0
+        z = M(r)
         rho = np.vecdot(r, z)
         if it == 0:
             d = z.copy()
         else:
-            d *= (rho / rho_prev)[:, None]
+            d *= np.divide(rho, rho_prev, out=np.zeros_like(rho), where=going)[:, None]
             d += z
         del z  # z and q are spent: the next M and A calls reuse the room
-        q = A(d, rows)
-        alpha = (rho / np.vecdot(d, q))[:, None]
-        xr += alpha * d
+        q = A(d)
+        alpha = np.divide(rho, np.vecdot(d, q), out=np.zeros_like(rho), where=going)[:, None]
+        x += alpha * d
         r -= alpha * q
         del q
         rho_prev = rho
         if callback is not None:
-            callback(rows)
-    x[rows] = xr
+            callback(np.flatnonzero(going))
     return x, maxiter
-
-
-def _on_rows(apply, a):
-    """The cg operator (z, rows) -> apply(z, a[rows]), which gathers the
-    rows again only when cg's working set changes."""
-    seen, picked = None, a
-
-    def op(z, rows):
-        nonlocal seen, picked
-        if rows is not seen:
-            seen = rows
-            picked = a if len(rows) == len(a) else a[rows]  # rows ascend: all of them
-        return apply(z, picked)
-
-    return op
-
-
-def _stencil_on_rows(D, offsets):
-    """The cg operator (z, rows) -> the stencil product of the diagonals D
-    (K, B, N) on cg's working rows `rows`: the rows of z go into a stack of
-    zeros, so a row that left the working set multiplies 0 and D is never
-    gathered."""
-    B, N = D.shape[1:]
-
-    def op(z, rows):
-        if len(rows) == B:
-            return _stencil_matvec(D, offsets, z)
-        x = np.zeros((B, N))
-        x[rows] = z
-        return _stencil_matvec(D, offsets, x)[rows]
-
-    return op
 
 
 def solve_p_poisson(prob: PPoissonProblem, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -514,10 +479,10 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
             its[rows] += 1
 
         delta, info = cg(
-            _stencil_on_rows(D, offsets),
+            lambda z: _stencil_matvec(D, offsets, z),
             -g,
             rtol=eta[active],
-            M=_on_rows(lambda z, s: grid.laplace_solve(z / s) / s, s),
+            M=lambda z: grid.laplace_solve(z / s) / s,
             callback=count_cg,
         )
         del D, s  # the Armijo searches and the next element pass reuse the room

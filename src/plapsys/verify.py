@@ -94,9 +94,10 @@ def weak_residuals(
 
 def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
     """The verdict of a pair on grid from its interior-hat weak residual
-    rows R = (R1, R2), shape (2, N), as system_residuals returns them."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    rows R = (R1, R2), shape (2, N), as system_residuals returns them;
+    tol must be positive and finite."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     R1, R2 = R
     lo = min(R1.min(), R2.min())
     hi = max(R1.max(), R2.max())

@@ -192,10 +192,11 @@ def test_coupling_undefined_on_iterate_exit_2(tmp_path, capsys, command):
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):
-    """A misspelt key, and the Picard damping and calibration seed, which
-    are no settings (Picard sets its own damping, --seed the seed)."""
+    """A misspelt key, and the Picard damping, calibration seed and output
+    directory, which are no settings (Picard sets its own damping, --seed
+    the seed and --out the directory)."""
     path = tmp_path / "bad.cfg"
-    for line in ("grid.m = 8", "picard.theta = 0.5", "calibration.seed = 1"):
+    for line in ("grid.m = 8", "picard.theta = 0.5", "calibration.seed = 1", "output.dir = out"):
         path.write_text(line + "\n")
         assert main(["solve", "--config", str(path)]) == 2
         assert f"unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
@@ -262,6 +263,18 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "config error: --seed: must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("box", ["0, nan, 0, 0.3", "0, inf, 0, 0.3"])
+def test_nonfinite_box_exit_2(tmp_path, capsys, box):
+    """A box entry nan or inf is rejected with the config, before any lift
+    sees the grid it would give."""
+    cfg = cfg_file(tmp_path, {"grid.box": box})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: box entries must be finite")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -53,6 +53,10 @@ def test_grid_validation():
     for n in (4.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+    # nan fails no side-length comparison, and inf makes every spacing inf
+    for box in ((0.0, math.nan, 0.0, 0.3), (0.0, math.inf, 0.0, 0.3), (-math.inf, 1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="box entries must be finite"):
+            Grid(2, box, 4)
 
 
 def test_grid_integral_float_n_is_stored_as_int():

@@ -841,6 +841,7 @@ class _AbortOnExtrapolation:
         self.every = every
         self.armed = False
         self.aborts = 0
+        self.lifted = 0  # the stacks lifted without an abort
         self.previous = None
         monkeypatch.setattr(fixpoint, "apply_lambda", self)
 
@@ -851,8 +852,9 @@ class _AbortOnExtrapolation:
             self.aborts += 1
             f = ScalarField(prob.grid, X[0, 0])
             report = SolveReport(f, 0, 0, 0, 1.0, "max_iter")
-            raise SolverAbort("u", prob.exponents.p, report)
+            raise SolverAbort("u", prob.exponents.p, prob.grid.n, report)
         L, Y, reports = self.real(prob, X, tol, first_row, L0)
+        self.lifted += 1
         self.previous = Y[0].copy()
         return L, Y, reports
 
@@ -871,6 +873,34 @@ def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
 def test_picard_abort_on_damped_fallback_propagates(monkeypatch):
     prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
     patched = _AbortOnExtrapolation(monkeypatch, every=True)
-    with pytest.raises(SolverAbort):
+    with pytest.raises(SolverAbort) as err:
         picard_solve(prob)
     assert patched.aborts == 2  # the extrapolated lift and its damped fallback
+    # both lifts belong to the iteration after the last one lifted
+    it = patched.lifted + 1
+    assert err.value.stage == f"Picard iteration {it}"
+    want = f"u component did not converge in Picard iteration {it} (max_iter at p = 2.2, n = 16,"
+    assert want in str(err.value)
+
+
+def test_picard_abort_in_final_lift_names_it(monkeypatch):
+    """An abort of the final lift names that lift, and its n is the
+    grid's: the report it carries has no solution to read n from."""
+    prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
+    real = fixpoint.apply_lambda
+    calls = []
+
+    def second_aborts(prob, X, tol, first_row=0, L0=None):
+        calls.append(tol)
+        if len(calls) == 2:
+            report = SolveReport(None, 0, 0, 0, 1.0, "max_iter")
+            raise SolverAbort("v", prob.exponents.p, prob.grid.n, report)
+        return real(prob, X, tol, first_row, L0)
+
+    monkeypatch.setattr(fixpoint, "apply_lambda", second_aborts)
+    with pytest.raises(SolverAbort) as err:
+        picard_solve(prob, max_iter=1)  # one iteration, then the final lift
+    assert len(calls) == 2
+    assert err.value.stage == "the final lift" and err.value.n == 16
+    want = "v component did not converge in the final lift (max_iter at p = 2.2, n = 16,"
+    assert want in str(err.value)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,8 +200,7 @@ def test_stencil_matvec_matches_csr(dims, n):
 def test_stencil_product_of_a_stack_is_rowwise(n):
     """The flat product of a stack equals the product of each row alone,
     bit for bit: a term that reaches into a neighbouring row meets a 0 of
-    D.  cg's operator on a subset of the rows equals the product of those
-    rows' diagonals."""
+    D."""
     g = box_grid(n, 2.0)
     rng = np.random.default_rng(n)
     U = rng.uniform(-1, 1, (4, g.n_nodes))
@@ -210,10 +210,6 @@ def test_stencil_product_of_a_stack_is_rowwise(n):
     Y = _stencil_matvec(D, offsets, X)
     for k in range(4):
         assert np.array_equal(Y[k], _stencil_matvec(D[:, k], offsets, X[k]))
-    op = plap._stencil_on_rows(D, offsets)
-    assert np.array_equal(op(X, np.arange(4)), Y)
-    rows = np.array([0, 2, 3])
-    assert np.array_equal(op(X[rows], rows), _stencil_matvec(D[:, rows], offsets, X[rows]))
 
 
 def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
@@ -227,7 +223,7 @@ def _run_both_cg(ours_A, ours_M, A, M, b, rtol):
         return cb
 
     def rowwise(op):
-        return lambda z, rows: np.stack([op(row) for row in z])
+        return lambda z: np.stack([op(row) for row in z])
 
     x, info = plap.cg(
         rowwise(ours_A), b[None], rtol=rtol, M=rowwise(ours_M), callback=counter(0)
@@ -552,10 +548,10 @@ def test_armijo_roundoff_branch(monkeypatch):
     D = _newton_system(g, u, 2.0, 1e-8)
     offsets = _stencil_offsets(g)
     delta, info = plap.cg(
-        lambda z, rows: _stencil_matvec(D, offsets, z[0])[None],
+        lambda z: _stencil_matvec(D, offsets, z[0])[None],
         -grad[None],
         rtol=1e-14,
-        M=lambda z, rows: z.copy(),
+        M=lambda z: z.copy(),
     )
     assert info == 0
     E = float(_energy_reg(g, u, 2.0, f, 1e-8))
@@ -899,10 +895,10 @@ def test_cg_rows_run_as_lone_solves():
     def count(rows):
         counts[rows] += 1
 
-    def apply(z, rows):
-        return np.stack([mats[k] @ row for k, row in zip(rows, z)])
+    def apply(z):
+        return np.stack([A @ row for A, row in zip(mats, z)])
 
-    x, info = plap.cg(apply, b, rtol=1e-10, M=lambda z, rows: z.copy(), callback=count)
+    x, info = plap.cg(apply, b, rtol=1e-10, M=lambda z: z.copy(), callback=count)
     assert info == 0
     for k in range(4):
         lone_counts = [0]
@@ -911,10 +907,10 @@ def test_cg_rows_run_as_lone_solves():
             lone_counts[0] += 1
 
         lone, lone_info = plap.cg(
-            lambda z, rows: (mats[k] @ z[0])[None],
+            lambda z: (mats[k] @ z[0])[None],
             b[k : k + 1],
             rtol=1e-10,
-            M=lambda z, rows: z.copy(),
+            M=lambda z: z.copy(),
             callback=lone_count,
         )
         assert lone_info == 0
@@ -925,9 +921,44 @@ def test_cg_rows_run_as_lone_solves():
     # the ill-conditioned row 3 cannot reach 1e-300; the others stop at 0
     counts[:] = 0
     b[1] = 0.0
-    x, info = plap.cg(apply, b, rtol=1e-300, M=lambda z, rows: z.copy(), callback=count)
+    x, info = plap.cg(apply, b, rtol=1e-300, M=lambda z: z.copy(), callback=count)
     assert info == 10 * N
     assert counts[3] == info and counts[1] == 0
+
+
+def test_cg_freezes_an_exactly_converged_row():
+    """A row whose residual is exactly 0 after one step (the identity, from
+    which alpha = 1) freezes beside rows that go on: its ratios 0/0 are not
+    formed, so no RuntimeWarning is raised, every row equals its lone
+    solve bit for bit, and the callback lists the frozen row once."""
+    rng = np.random.default_rng(11)
+    N = 8
+    mats = [np.eye(N)]
+    for k in range(2):
+        A = np.diag(rng.uniform(1.0, 100.0, N))
+        A[0, 1] = A[1, 0] = 0.5
+        mats.append(A)
+    b = rng.standard_normal((3, N))
+    listed = []
+
+    def apply(z):
+        return np.stack([A @ row for A, row in zip(mats, z)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, info = plap.cg(
+            apply, b, rtol=1e-12, M=lambda z: z.copy(), callback=lambda rows: listed.append(rows)
+        )
+    assert info == 0
+    assert np.array_equal(x[0], b[0])
+    assert sum(0 in rows for rows in listed) == 1
+    assert len(listed) > 1 and all(np.array_equal(rows, [1, 2]) for rows in listed[1:])
+    for k in range(3):
+        lone, lone_info = plap.cg(
+            lambda z: (mats[k] @ z[0])[None], b[k : k + 1], rtol=1e-12, M=lambda z: z.copy()
+        )
+        assert lone_info == 0
+        assert np.array_equal(x[k], lone[0])
 
 
 def test_cg_per_row_rtol_matches_scipy_cg():
@@ -947,10 +978,10 @@ def test_cg_per_row_rtol_matches_scipy_cg():
         counts[rows] += 1
 
     x, info = plap.cg(
-        lambda z, rows: _stencil_matvec(D[:, rows], offsets, z),
+        lambda z: _stencil_matvec(D, offsets, z),
         b,
         rtol=rtols,
-        M=lambda z, rows: g.laplace_solve(z / s[rows]) / s[rows],
+        M=lambda z: g.laplace_solve(z / s) / s,
         callback=count,
     )
     assert info == 0

@@ -11,6 +11,7 @@ from plapsys.field import Grid, from_callable
 from plapsys.plap import residual_vector
 from plapsys.verify import (
     STUDY_CASES,
+    classify,
     convergence_study,
     shift_test,
     system_residuals,
@@ -94,6 +95,18 @@ def test_tol_validation():
     z = constant_field(g, 0.0)
     with pytest.raises(ValueError, match="tol"):
         weak_residuals(z, z, zero_coupling(), 2.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_nonfinite_tol_rejected(tol):
+    """nan fails every comparison, so it would classify any rows as
+    neither, and inf would classify any pair as a solution."""
+    g = unit_square(4)
+    z = constant_field(g, 0.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        classify(g, np.zeros((2, len(g.interior))), tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        weak_residuals(quad_up(g), z, zero_coupling(), 2.0, tol=tol)
 
 
 def test_classification_csv():
