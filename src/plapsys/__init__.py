@@ -10,14 +10,7 @@ certificate (lambda, M0) for the invariant source ball and weak-form
 verification of candidate solution pairs.
 """
 
-from .coupling import (
-    Coupling,
-    SampleSpec,
-    check_growth,
-    check_monotone,
-    nemytskii,
-    power_family,
-)
+from .coupling import Coupling, check_growth, check_monotone, nemytskii, power_family
 from .expr import parse
 from .field import (
     Grid,
@@ -49,7 +42,6 @@ __all__ = [
     "Exponents",
     "Grid",
     "PPoissonProblem",
-    "SampleSpec",
     "ScalarField",
     "SolveReport",
     "SystemProblem",

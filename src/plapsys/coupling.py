@@ -6,12 +6,13 @@ A Coupling bundles the two reaction expressions with the growth constants
     |phi(x, u, v)| <= a1 |u|^(p-1) + a2 |v|^(p-1)
     |psi(x, u, v)| <= b1 |v|^(p-1) + b2 |u|^(p-1)
 
-check_growth probes this bound and check_monotone probes coordinatewise
-monotonicity of both functions on a bounded sample lattice (SampleSpec:
-spatial points times STATE_SAMPLES values of u and of v); they return the
-largest excess over the bound and the decreasing sample pairs, instead of
-trusting declared constants, and a domain error names the sample point
-(x, y, u, v).
+check_growth(c, box, u_range, v_range) probes this bound and
+check_monotone(c, box, u_range, v_range) probes coordinatewise
+monotonicity of both functions on a bounded sample lattice (8 x 8 points
+over the box times STATE_SAMPLES values spanning each state range); they
+return the largest excess over the bound and the number of decreasing
+adjacent sample pairs, instead of trusting declared constants, and a
+domain error names the sample point (x, y, u, v).
 
 eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
@@ -138,100 +139,64 @@ def split_bound(
     return (1.0 + eps) ** q, split
 
 
-STATE_SAMPLES = 41  # values of each state lattice of a SampleSpec
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Bounded lattice on which the hypothesis checks probe the coupling.
-
-    `points` is an (m, 2) array of spatial sample coordinates; the state
-    lattices are
-    STATE_SAMPLES evenly spaced values spanning u_range and v_range.
-    """
-
-    points: np.ndarray
-    u_range: tuple[float, float] = (-10.0, 10.0)
-    v_range: tuple[float, float] = (-10.0, 10.0)
-
-    @staticmethod
-    def for_box(box: tuple[float, ...]) -> "SampleSpec":
-        """8 x 8 spatial lattice over the box (64 points)."""
-        X, Y = np.meshgrid(np.linspace(box[0], box[1], 8), np.linspace(box[2], box[3], 8))
-        return SampleSpec(points=np.stack([X.ravel(), Y.ravel()], axis=1))
-
-    def lattices(self):
-        uu = np.linspace(self.u_range[0], self.u_range[1], STATE_SAMPLES)
-        vv = np.linspace(self.v_range[0], self.v_range[1], STATE_SAMPLES)
-        return uu, vv
-
-
+STATE_SAMPLES = 41  # values of each state lattice of the probes
 GROWTH_TOL = 1e-12
 
-
-def _sample_eval(e: ex.Expr, spec: SampleSpec):
-    """Evaluate e on the (points, u-lattice, v-lattice) product, shape
-    (m, STATE_SAMPLES, STATE_SAMPLES).  A domain error names the sample
-    point (x, y, u, v)."""
-    uu, vv = spec.lattices()
-    b = {
-        "x": spec.points[:, 0][:, None, None],
-        "y": spec.points[:, 1][:, None, None],
-        "u": uu[None, :, None],
-        "v": vv[None, None, :],
-    }
-    try:
-        vals = ex.evaluate_arrays(e, b)
-    except ex._IndexedDomainError as err:
-        # the failing subexpression has the shape of the product with some
-        # axes of length 1, or is a scalar; such an axis stands at its first sample
-        shape = (1,) * (3 - len(err.shape)) + err.shape
-        m, i, j = (int(t) for t in np.unravel_index(err.index, shape))
-        x, y = spec.points[m]
-        raise ex.EvaluationDomainError(
-            f"{err.message} at sample point (x, y, u, v) = "
-            f"({x:.17g}, {y:.17g}, {uu[i]:.17g}, {vv[j]:.17g})"
-        ) from err
-    return np.broadcast_to(vals, (len(spec.points), STATE_SAMPLES, STATE_SAMPLES))
+Range = tuple[float, float]
 
 
-def check_growth(c: Coupling, spec: SampleSpec) -> float:
-    """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue on spec.
+def _sample_eval(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range):
+    """The state lattices uu and vv, STATE_SAMPLES values spanning u_range
+    and v_range, and phi and psi on the product of the 8 x 8 points over
+    the box with them, each of shape (64, STATE_SAMPLES, STATE_SAMPLES).
+    A domain error names the sample point (x, y, u, v)."""
+    X, Y = np.meshgrid(np.linspace(box[0], box[1], 8), np.linspace(box[2], box[3], 8))
+    xs, ys = X.ravel(), Y.ravel()
+    uu = np.linspace(u_range[0], u_range[1], STATE_SAMPLES)
+    vv = np.linspace(v_range[0], v_range[1], STATE_SAMPLES)
+    b = {"x": xs[:, None, None], "y": ys[:, None, None], "u": uu[:, None], "v": vv}
+    vals = []
+    for e in (c.phi, c.psi):
+        try:
+            f = ex.evaluate_arrays(e, b)
+            vals.append(np.broadcast_to(f, (len(xs), STATE_SAMPLES, STATE_SAMPLES)))
+        except ex._IndexedDomainError as err:
+            # the failing subexpression has the shape of the product with some
+            # axes of length 1, or is a scalar; such an axis stands at its first sample
+            shape = (1,) * (3 - len(err.shape)) + err.shape
+            m, i, j = (int(t) for t in np.unravel_index(err.index, shape))
+            raise ex.EvaluationDomainError(
+                f"{err.message} at sample point (x, y, u, v) = "
+                f"({xs[m]:.17g}, {ys[m]:.17g}, {uu[i]:.17g}, {vv[j]:.17g})"
+            ) from err
+    return uu, vv, *vals
+
+
+def check_growth(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> float:
+    """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue on the
+    sample lattice of the box and the state ranges.
 
     Returns the largest excess of |phi| or |psi| over its declared bound,
     0.0 when there is none; the bound holds on the samples when the excess
     is <= GROWTH_TOL.
     """
-    uu, vv = spec.lattices()
+    uu, vv, phi, psi = _sample_eval(c, box, u_range, v_range)
     q = c.p - 1.0
     pu = np.abs(uu) ** q
     pv = np.abs(vv) ** q
-    phi = _sample_eval(c.phi, spec)
-    psi = _sample_eval(c.psi, spec)
     exc_phi = np.abs(phi) - (c.a1 * pu[None, :, None] + c.a2 * pv[None, None, :])
     exc_psi = np.abs(psi) - (c.b1 * pv[None, None, :] + c.b2 * pu[None, :, None])
     return max(float(exc_phi.max()), float(exc_psi.max()), 0.0)
 
 
-def check_monotone(c: Coupling, spec: SampleSpec) -> list[tuple]:
+def check_monotone(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> int:
     """Probe that phi and psi are non-decreasing in u and in v separately on
-    spec.
+    the sample lattice of the box and the state ranges.
 
-    Returns every adjacent sample pair that decreases, as a tuple
-    (function, sweep variable, x, y, fixed other value, t, t_next, f(t),
-    f(t_next)); an empty list means monotone on the samples.
+    Returns the number of adjacent sample pairs, along u or along v, on
+    which phi or psi decreases; 0 means monotone on the samples.
     """
-    uu, vv = spec.lattices()
-    violations = []
-    for name, e in (("phi", c.phi), ("psi", c.psi)):
-        vals = _sample_eval(e, spec)
-        for var, axis, sweep, other in (("u", 1, uu, vv), ("v", 2, vv, uu)):
-            for m, i, j in np.argwhere(np.diff(vals, axis=axis) < 0.0):
-                t, o = (i, j) if axis == 1 else (j, i)
-                nxt = (m, i + 1, j) if axis == 1 else (m, i, j + 1)
-                x, y = spec.points[m]
-                violations.append(
-                    (name, var, float(x), float(y), float(other[o]), float(sweep[t]),
-                     float(sweep[t + 1]), float(vals[m, i, j]), float(vals[nxt]))
-                )
-    return violations
+    _, _, phi, psi = _sample_eval(c, box, u_range, v_range)
+    return sum(
+        int(np.count_nonzero(np.diff(f, axis=axis) < 0.0)) for f in (phi, psi) for axis in (1, 2)
+    )

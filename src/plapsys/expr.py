@@ -15,12 +15,15 @@ as 1e999, is a syntax error at its offset.  Evaluation, vectorized over
 numpy arrays, either produces finite values or raises EvaluationDomainError
 (division by zero, log of a non-positive number, a negative base under a
 non-integer power, overflow); it never returns NaN or infinity silently.
-FUNCTIONS is the one table of the function set, name -> (arity, numpy
-function): the parser reads the arity, the evaluator the function.
-OPERATORS maps each binary operator to its numpy function and the word for
-its result in a domain error.  The evaluator checks every operator and
-function result.  The package only reads formulas (parse, then
-evaluate_arrays); it never prints a tree back to text.
+OPERATIONS is the one table of the language: each operation, binary
+operator, unary minus (under the key "(-)", which is not an identifier
+and so never a function name) and function alike, maps to its arity, its
+numpy function and the word for its result in a domain error.  A parsed
+formula is a tree of Num, Var and Apply(op, args) nodes.  The parser
+reads the arity of a function name, the evaluator the function and the
+word, and it checks every result, a negation's included.  The package
+only reads formulas (parse, then evaluate_arrays); it never prints a tree
+back to text.
 """
 
 from __future__ import annotations
@@ -78,24 +81,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Apply:
+    """The operation `op`, a key of OPERATIONS, applied to its operands."""
 
-
-@dataclass(frozen=True)
-class BinOp:
     op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
     args: tuple["Expr", ...]
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
+Expr = Union[Num, Var, Apply]
 
 VARIABLES = ("x", "y", "u", "v")
 
@@ -104,28 +97,25 @@ def _odd_pow(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sign(t) * np.power(np.abs(t), q)
 
 
-# function name -> (arity, numpy function); the parser checks the arity,
-# evaluate_arrays applies the function and names it in a domain error
-FUNCTIONS = {
-    "abs": (1, np.abs),
-    "sgn": (1, np.sign),
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
-    "exp": (1, np.exp),
-    "log": (1, np.log),
-    "pow": (2, np.power),
-    "odd_pow": (2, _odd_pow),
-}
-
-# binary operator -> (numpy function, the word for its result in a domain error)
-OPERATORS = {
-    "+": (np.add, "sum"),
-    "-": (np.subtract, "difference"),
-    "*": (np.multiply, "product"),
-    "/": (np.divide, "quotient"),
-    "^": (np.power, "power"),
+# operation -> (arity, numpy function, the word for its result in a domain
+# error).  The identifier keys are the function names the parser accepts.
+OPERATIONS = {
+    "+": (2, np.add, "sum"),
+    "-": (2, np.subtract, "difference"),
+    "*": (2, np.multiply, "product"),
+    "/": (2, np.divide, "quotient"),
+    "^": (2, np.power, "power"),
+    "(-)": (1, np.negative, "negation"),
+    "abs": (1, np.abs, "abs"),
+    "sgn": (1, np.sign, "sgn"),
+    "min": (2, np.minimum, "min"),
+    "max": (2, np.maximum, "max"),
+    "sin": (1, np.sin, "sin"),
+    "cos": (1, np.cos, "cos"),
+    "exp": (1, np.exp, "exp"),
+    "log": (1, np.log, "log"),
+    "pow": (2, np.power, "pow"),
+    "odd_pow": (2, _odd_pow, "odd_pow"),
 }
 
 _NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -193,7 +183,7 @@ class _Parser:
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
+            node = Apply(op, (node, self.parse_term()))
         return node
 
     # term := unary (('*'|'/') unary)*
@@ -201,7 +191,7 @@ class _Parser:
         node = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
+            node = Apply(op, (node, self.parse_unary()))
         return node
 
     # unary := '-' unary | power
@@ -209,7 +199,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return Apply("(-)", (self.parse_unary(),))
         return self.parse_power()
 
     # power := atom ('^' unary)?   right-associative, binds above unary minus
@@ -218,7 +208,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            node = BinOp("^", node, self.parse_unary())
+            node = Apply("^", (node, self.parse_unary()))
         return node
 
     def parse_atom(self) -> Expr:
@@ -234,7 +224,8 @@ class _Parser:
             name = tok.text
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
-                if name not in FUNCTIONS:
+                # an identifier token matches only the identifier keys
+                if name not in OPERATIONS:
                     raise UnknownIdentifierError(name, tok.offset)
                 self.advance()
                 args = [self.parse_expr()]
@@ -242,13 +233,13 @@ class _Parser:
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect_op(")")
-                arity = FUNCTIONS[name][0]
+                arity = OPERATIONS[name][0]
                 if len(args) != arity:
                     raise ExprSyntaxError(
                         f"{name} expects {arity} argument(s), got {len(args)}",
                         tok.offset,
                     )
-                return Call(name, tuple(args))
+                return Apply(name, tuple(args))
             if name not in VARIABLES:
                 raise UnknownIdentifierError(name, tok.offset)
             return Var(name)
@@ -288,14 +279,8 @@ def evaluate_arrays(e: Expr, bindings: dict[str, np.ndarray]) -> np.ndarray:
         if e.name not in bindings:
             raise UnboundVariableError(e.name)
         return np.asarray(bindings[e.name], dtype=float)
-    if isinstance(e, Neg):
-        return -evaluate_arrays(e.operand, bindings)
-    if isinstance(e, BinOp):
-        func, what = OPERATORS[e.op]
-        args = (evaluate_arrays(e.left, bindings), evaluate_arrays(e.right, bindings))
-    else:
-        func, what = FUNCTIONS[e.func][1], e.func
-        args = [evaluate_arrays(a, bindings) for a in e.args]
+    _, func, what = OPERATIONS[e.op]
+    args = [evaluate_arrays(a, bindings) for a in e.args]
     with np.errstate(all="ignore"):
         vals = func(*args)
     bad = ~np.isfinite(vals)

@@ -12,7 +12,10 @@ and all integral quantities use the vertex-averaged elementwise quadrature
     lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
 lq_norms is the one kernel that computes it, for every row of a stack of
-nodal values (k, n_nodes) at once; lq_norm is a stack of one.
+nodal values (k, n_nodes) at once; lq_norm is a stack of one.  A row whose
+power sum underflows or overflows, as at the large L^s exponents near the
+top of the admissible r-interval, takes the norm in its homogeneous form
+top * lq_norm(w / top, q), with top the row's largest |vertex mean|.
 
 Gradients of the P1 interpolant are constant per element and exact for
 affine data.  element_gradients is the one kernel that computes them, for
@@ -213,24 +216,41 @@ def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.nd
     return G, G2
 
 
-def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
-    """lq_norm of each row of a stack of nodal values (k, n_nodes), shape
-    (k,).  Each row sums the powers of its vertex averages, in the order
-    of `Grid.elements`, with the operations of a lone field."""
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+def _abs_vertex_means(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """|mean of vertex values| of every element of each row of a stack
+    (k, n_nodes), shape (k, n, n, 2) indexed [row, j, i, lower/upper]."""
     k, n = values.shape[0], grid.n
     U = values.reshape(k, n + 1, n + 1)
-    m = np.empty((k, n, n, 2))  # [row, j, i, lower/upper]
+    m = np.empty((k, n, n, 2))
     np.add(U[:, :-1, :-1] + U[:, :-1, 1:], U[:, 1:, 1:], out=m[..., 0])
     np.add(U[:, :-1, :-1] + U[:, 1:, 1:], U[:, 1:, :-1], out=m[..., 1])
     m /= 3.0
-    np.abs(m, out=m)
-    np.power(m, q, out=m)
-    sums = m.reshape(k, -1).sum(axis=1) * grid.element_measure
+    return np.abs(m, out=m)
+
+
+def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
+    """lq_norm of each row of a stack of nodal values (k, n_nodes), shape
+    (k,).  Each row sums the powers of its vertex averages, in the order
+    of `Grid.elements`, with the operations of a lone field.  A row whose
+    sum is not a normal finite float, and whose means are not all zero,
+    is summed again scaled by its largest |vertex mean|."""
+    if q < 1.0:
+        raise ValueError(f"q must be >= 1, got {q}")
+    m = _abs_vertex_means(grid, values)
+    with np.errstate(over="ignore"):  # such a row is summed again below
+        np.power(m, q, out=m)
+    sums = m.reshape(len(m), -1).sum(axis=1) * grid.element_measure
     # each root is the scalar pow of a python float, as a lone norm has
     # always taken it; numpy's vectorized pow differs in the last bit
-    return np.array([s ** (1.0 / q) for s in sums.tolist()])
+    norms = [s ** (1.0 / q) for s in sums.tolist()]
+    for i in np.flatnonzero(~((sums >= np.finfo(float).tiny) & (sums < np.inf))):
+        a = _abs_vertex_means(grid, values[i : i + 1])
+        top = a.max()
+        if top > 0.0:
+            a /= top
+            np.power(a, q, out=a)
+            norms[i] = top * (a.sum() * grid.element_measure) ** (1.0 / q)
+    return np.array(norms)
 
 
 def lq_norm(w: ScalarField, q: float) -> float:

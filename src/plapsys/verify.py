@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Coupling, SampleSpec, check_monotone, nemytskii
+from .coupling import Coupling, check_monotone, nemytskii
 from .field import Grid, ScalarField, from_callable, lq_norm
 from .plap import PPoissonProblem, residual_vector, solve_p_poisson
 
@@ -144,8 +144,8 @@ def shift_test(
     beta >= 0, both finite), or (u - alpha, v - beta) a subsolution for
     subsolution input, given the classification `base` of (u, v), whose
     tolerance the shifted pairs are classified at.  The monotonicity gate
-    samples the points of SampleSpec.for_box and SampleSpec's 41 u and
-    41 v values over the ranges the shift visits."""
+    probes check_monotone on the grid's box and the ranges of u and v
+    that the shift visits."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -162,19 +162,13 @@ def shift_test(
         )
 
     # monotonicity gate on the range of states the shift visits
-    umin, umax = float(u.values.min()), float(u.values.max())
-    vmin, vmax = float(v.values.min()), float(v.values.max())
-    spec = SampleSpec(
-        points=SampleSpec.for_box(u.grid.box).points,
-        u_range=(umin - alpha, umax + alpha),
-        v_range=(vmin - beta, vmax + beta),
-    )
-    violations = check_monotone(c, spec)
+    u_range = (float(u.values.min()) - alpha, float(u.values.max()) + alpha)
+    v_range = (float(v.values.min()) - beta, float(v.values.max()) + beta)
+    violations = check_monotone(c, u.grid.box, u_range, v_range)
     if violations:
         return ShiftReport(
             False,
-            f"coupling is not monotone on the sampled range "
-            f"({len(violations)} violating pairs)",
+            f"coupling is not monotone on the sampled range ({violations} violating pairs)",
             [], None,
         )
 

@@ -10,16 +10,7 @@ text that `plapsys.expr.parse` reads back to the same tree.
 
 import math
 
-from plapsys.expr import (
-    BinOp,
-    Call,
-    EvaluationDomainError,
-    Expr,
-    Neg,
-    Num,
-    UnboundVariableError,
-    Var,
-)
+from plapsys.expr import Apply, EvaluationDomainError, Expr, Num, UnboundVariableError, Var
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -51,27 +42,23 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
         if e.name not in bindings:
             raise UnboundVariableError(e.name)
         return float(bindings[e.name])
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, bindings)
-        b = evaluate(e.right, bindings)
-        if e.op == "+":
-            return _check_finite(a + b, "sum")
-        if e.op == "-":
-            return _check_finite(a - b, "difference")
-        if e.op == "*":
-            return _check_finite(a * b, "product")
-        if e.op == "/":
-            if b == 0.0:
-                raise EvaluationDomainError("division by zero")
-            return _check_finite(a / b, "quotient")
-        if e.op == "^":
-            return _scalar_pow(a, b, "power")
-        raise TypeError(f"unknown operator {e.op!r}")
-    if isinstance(e, Call):
+    if isinstance(e, Apply):
         args = [evaluate(a, bindings) for a in e.args]
-        name = e.func
+        name = e.op
+        if name == "(-)":
+            return -args[0]
+        if name == "+":
+            return _check_finite(args[0] + args[1], "sum")
+        if name == "-":
+            return _check_finite(args[0] - args[1], "difference")
+        if name == "*":
+            return _check_finite(args[0] * args[1], "product")
+        if name == "/":
+            if args[1] == 0.0:
+                raise EvaluationDomainError("division by zero")
+            return _check_finite(args[0] / args[1], "quotient")
+        if name == "^":
+            return _scalar_pow(args[0], args[1], "power")
         if name == "abs":
             return abs(args[0])
         if name == "sgn":
@@ -101,20 +88,14 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
                 return 0.0
             s = 1.0 if t > 0.0 else -1.0
             return _check_finite(s * math.pow(abs(t), q), "odd_pow")
-        raise TypeError(f"unknown function {name!r}")
+        raise TypeError(f"unknown operation {name!r}")
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Num, Var, Call)):
+    if isinstance(e, (Num, Var)) or e.op.isidentifier():
         return 5
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            return 4
-        if e.op in "*/":
-            return 2
-        return 1
-    return 3  # Neg
+    return {"^": 4, "(-)": 3, "*": 2, "/": 2, "+": 1, "-": 1}[e.op]
 
 
 def to_text(e: Expr) -> str:
@@ -128,14 +109,15 @@ def to_text(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.operand, 3)
-    if isinstance(e, Call):
-        return e.func + "(" + ", ".join(to_text(a) for a in e.args) + ")"
-    if isinstance(e, BinOp):
-        level = _prec(e)
-        if e.op == "^":
-            # right-associative: parenthesize a compound left operand
-            return wrap(e.left, 5) + "^" + wrap(e.right, 4)
-        return wrap(e.left, level) + e.op + wrap(e.right, level + 1)
-    raise TypeError(f"not an expression node: {e!r}")
+    if not isinstance(e, Apply):
+        raise TypeError(f"not an expression node: {e!r}")
+    if e.op.isidentifier():
+        return e.op + "(" + ", ".join(to_text(a) for a in e.args) + ")"
+    if e.op == "(-)":
+        return "-" + wrap(e.args[0], 3)
+    left, right = e.args
+    if e.op == "^":
+        # right-associative: parenthesize a compound left operand
+        return wrap(left, 5) + "^" + wrap(right, 4)
+    level = _prec(e)
+    return wrap(left, level) + e.op + wrap(right, level + 1)

@@ -16,7 +16,6 @@ import plapsys.expr as ex
 from plapsys.coupling import (
     GROWTH_TOL,
     Coupling,
-    SampleSpec,
     check_growth,
     check_monotone,
     power_family,
@@ -245,16 +244,16 @@ def test_criterion_7_constant_shift_comparison():
 
 def test_criterion_8_hypothesis_falsification():
     cubic = Coupling(ex.parse("u*u*u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    unit = SampleSpec.for_box((0.0, 1.0, 0.0, 1.0))
-    excess = check_growth(cubic, unit)
+    unit = ((0.0, 1.0, 0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0))
+    excess = check_growth(cubic, *unit)
     dec = Coupling(ex.parse("0-u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
-    violations = check_monotone(dec, unit)
+    violations = check_monotone(dec, *unit)
     ok = (
         excess > GROWTH_TOL
         and excess == pytest.approx(990.0, rel=1e-12)
-        and len(violations) > 0
+        and violations > 0
     )
     report(8, "hypothesis falsification", ok,
            f"growth violation {excess:.6g} (u^3 vs linear "
-           f"bound at |u|<=10), {len(violations)} monotonicity "
+           f"bound at |u|<=10), {violations} monotonicity "
            f"violations for phi=-u")

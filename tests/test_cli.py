@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import plapsys.plap as plap
 from plapsys.cli import main
 from plapsys.config import load_setup
 from plapsys.field import Grid, ScalarField, from_callable, load_field, save_field
+from plapsys.fixpoint import admissible_r_range
 from plapsys.verify import weak_residuals
 
 BASE = {
@@ -424,6 +426,84 @@ def test_artifacts_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch, comma
         assert main(args + ["--out", str(out)]) == 0
         written.append([(out / name).read_bytes() for name in files])
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_top_of_the_r_interval_exits_0(tmp_path, capsys, command):
+    """certify-n16.cfg at r = 1.36, where s = 612: the L^s norms of the
+    calibration lifts underflowed to 0 and certify and solve exited 2 with
+    "C must be positive and finite, got 0.0"."""
+    with open(os.path.join(BENCH_CONFIGS, "certify-n16.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("exponents.r = 1.25", "exponents.r = 1.36")
+    cfg = tmp_path / "r136.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "lambda = 0.00569449" in captured.out
+
+
+SWEEP_DP = [(2, 1.2), (2, 1.5), (2, 1.9), (3, 1.2), (3, 1.5), (3, 2.2), (3, 2.8), (4, 3.5)]
+
+
+def _sweep_coupling(name, p):
+    if name.startswith("power"):
+        a = name.split("-")[1]
+        return {"coupling.family": "power", **{f"coupling.{c}": a for c in ("a1", "a2", "b1", "b2")}}
+    q = repr(p - 1.0)
+    return {
+        "coupling.phi": f"2*odd_pow(u,{q}) - odd_pow(v,{q})",
+        "coupling.psi": f"2*odd_pow(v,{q}) - odd_pow(u,{q})",
+        "coupling.a1": "2", "coupling.a2": "1", "coupling.b1": "2", "coupling.b2": "1",
+    }
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("coupling", ["power-0.5", "power-8", "competitive"])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("d, p", SWEEP_DP)
+def test_admissible_budget_sweep(tmp_path, capsys, d, p, end, coupling, command):
+    """certify and solve on the unit box at n = 16 with h = 1 + xy and
+    k = 2 - x, at both ends of the admissible r-interval (its lower end and
+    0.999 d/p) and for three couplings: none exits 2, nothing shows a
+    traceback or a warning, and each exit 3 or 4 gives its reason.
+
+    Two sets of cases are known failures of the solver, not of the input:
+    at p = 1.2, Picard exhausts max_iter under the power coupling a = 8
+    (200 iterations took about 4 s, so they run with max_iter 5), and the
+    lifts of the power coupling a = 0.5 end in a supersolution."""
+    lo, hi = admissible_r_range(d, p)
+    cfg = {
+        "grid.n": "16",
+        "grid.box": "0, 1, 0, 1",
+        "exponents.d": str(d),
+        "exponents.p": repr(p),
+        "exponents.r": repr(lo if end == "lo" else 0.999 * hi),
+        "boundary.h": "1 + x*y",
+        "boundary.k": "2 - x",
+        **_sweep_coupling(coupling, p),
+    }
+    expected = 0
+    if command == "solve" and p == 1.2 and coupling == "power-8":
+        cfg["picard.max_iter"] = "5"
+        expected = 3
+    elif command == "solve" and p == 1.2 and coupling == "power-0.5":
+        expected = 4
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert caught == []
+    assert "Traceback" not in err and "Warning" not in err
+    assert code == expected, err
+    if expected == 3:
+        assert "picard iteration did not converge in 5 iterations" in err
+    elif expected == 4:
+        assert "result classified 'supersolution', not a solution" in err
+    else:
+        assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -122,14 +122,50 @@ def test_nonfinite_literal_is_a_syntax_error(text, offset):
     assert err.value.offset == offset
 
 
-@pytest.mark.parametrize("name", sorted(ex.FUNCTIONS))
-def test_every_function_result_is_checked(name):
-    """Each function of the table is checked and named in its domain
-    error: u = nan makes every result nan."""
-    arity = ex.FUNCTIONS[name][0]
-    tree = ex.Call(name, (ex.Var("u"),) * arity)
-    with pytest.raises(ex.EvaluationDomainError, match=f"^{name} is not finite"):
+FUNCTION_NAMES = ["abs", "cos", "exp", "log", "max", "min", "odd_pow", "pow", "sgn", "sin"]
+
+
+def test_function_names_are_the_identifier_keys():
+    """The parser accepts exactly the ten function names, the identifier
+    keys of the table; the unary-minus entry is no function."""
+    assert sorted(op for op in ex.OPERATIONS if op.isidentifier()) == FUNCTION_NAMES
+    for name in FUNCTION_NAMES:
+        arity = ex.OPERATIONS[name][0]
+        tree = ex.Apply(name, (ex.Var("u"),) * arity)
+        assert ex.parse(f"{name}({', '.join(['u'] * arity)})") == tree
+    for text in ("neg(u)", "negation(u)", "sum(u, v)"):
+        with pytest.raises(ex.UnknownIdentifierError):
+            ex.parse(text)
+    assert ex.parse("-u") == ex.Apply("(-)", (ex.Var("u"),))
+
+
+def _nan_result_is_named(op):
+    """u = nan makes the result of op nan: the evaluator checks it and
+    names the operation by its word in the domain error."""
+    arity, _, what = ex.OPERATIONS[op]
+    tree = ex.Apply(op, (ex.Var("u"),) * arity)
+    with pytest.raises(ex.EvaluationDomainError, match=rf"^{what} is not finite \(entry 1\)"):
         ex.evaluate_arrays(tree, {"u": np.array([1.0, math.nan])})
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_every_function_result_is_checked(name):
+    """Each function of the table is checked and named in its domain error."""
+    _nan_result_is_named(name)
+
+
+@pytest.mark.parametrize("op", sorted(set(ex.OPERATIONS) - set(FUNCTION_NAMES)))
+def test_every_operator_result_is_checked(op):
+    """So is each operator, unary minus included."""
+    _nan_result_is_named(op)
+
+
+def test_negation_of_finite_values_passes_the_check():
+    """Negating a finite array, its extremes included, is always finite."""
+    big = np.finfo(float).max
+    vals = np.array([big, -big, 0.0, -0.0, 5e-324])
+    got = ex.evaluate_arrays(ex.parse("-u"), {"u": vals})
+    assert np.array_equal(got, -vals)
 
 
 def test_negative_base_integer_exponent_ok():
@@ -159,23 +195,22 @@ _SAFE_FUNCS = ["abs", "sgn", "sin", "cos", "min", "max"]
 
 
 def _random_tree(rng, depth):
-    # canonical form: literals are nonnegative, negation is a Neg node
+    # canonical form: literals are nonnegative, negation is a "(-)" node
     if depth == 0:
         if rng.random() < 0.5:
             return ex.Num(round(float(rng.uniform(0, 5)), 3))
         return ex.Var(str(rng.choice(ex.VARIABLES)))
     kind = rng.integers(0, 4)
     if kind == 0:
-        return ex.Neg(_random_tree(rng, depth - 1))
+        return ex.Apply("(-)", (_random_tree(rng, depth - 1),))
     if kind == 1:
         op = str(rng.choice(["+", "-", "*"]))
-        return ex.BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+        return ex.Apply(op, (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
     if kind == 2:
         name = str(rng.choice(_SAFE_FUNCS))
-        if ex.FUNCTIONS[name][0] == 1:  # the arity
-            return ex.Call(name, (_random_tree(rng, depth - 1),))
-        return ex.Call(name, (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
-    return ex.Call("odd_pow", (_random_tree(rng, depth - 1), ex.Num(float(rng.integers(1, 4)))))
+        arity = ex.OPERATIONS[name][0]
+        return ex.Apply(name, tuple(_random_tree(rng, depth - 1) for _ in range(arity)))
+    return ex.Apply("odd_pow", (_random_tree(rng, depth - 1), ex.Num(float(rng.integers(1, 4)))))
 
 
 def test_print_parse_round_trip():

@@ -196,6 +196,22 @@ def test_lq_norm_constants():
     assert lq_norm(constant_field(g, 0.0), 3.7) == 0.0
 
 
+def test_lq_norms_rows_whose_power_sum_underflows_or_overflows():
+    """At q = 612, the L^s exponent at r = 1.36 for d = 3, p = 2.2, the
+    powers of vertex means near 1e-3 underflow to 0 and those near 10
+    overflow; such rows take the homogeneous form, so ||c w|| = c ||w||
+    still holds, against w itself, whose means near 1 do neither."""
+    g = unit_square(8)
+    w = np.random.default_rng(5).uniform(0.9, 1.1, g.n_nodes)
+    q = 612.0
+    (plain,) = lq_norms(g, w[None], q)
+    scales = np.array([1e-3, 2e-3, 10.0, 12.0, 0.0])
+    got = lq_norms(g, scales[:, None] * w, q)
+    assert got == pytest.approx(scales * plain, rel=1e-13)
+    assert np.all(got[:-1] > 0.0) and got[-1] == 0.0
+    assert lq_norm(ScalarField(g, -1e-3 * w), q) == pytest.approx(1e-3 * plain, rel=1e-13)
+
+
 def test_lq_norm_1d_linear_closed_form():
     """w = x on the unit square: the squared centroid values x_i + h/3 and
     x_i + 2h/3 of the two triangles of each cell sum to 1/3 - h^2/18."""

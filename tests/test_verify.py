@@ -180,7 +180,11 @@ def test_shift_nonmonotone_precondition_failure():
     assert base.verdict == "supersolution"
     rep = shift_test(u, v, base, c, 2.0, alpha=1.0, beta=0.0)
     assert not rep.precondition_ok
-    assert "monotone" in rep.reason
+    # phi = -u decreases on each of the 40 adjacent u-pairs of the 41 x 41
+    # state lattice at each of the 64 sample points
+    assert rep.reason == (
+        "coupling is not monotone on the sampled range (104960 violating pairs)"
+    )
     assert rep.passed is None
     assert rep.shifted_verdicts == []
 
