@@ -24,6 +24,7 @@ import traceback
 import numpy as np
 
 from .config import ConfigError, Setup, load_setup
+from .coupling import GROWTH_TOL, growth_excess
 from .expr import EvaluationError
 from .field import load_field, save_field
 from .fixpoint import (
@@ -45,7 +46,29 @@ def _out_path(setup: Setup, name: str) -> str:
     return os.path.join(setup.out_dir, name)
 
 
+def _probe_growth(setup: Setup) -> None:
+    """Probe the declared growth constants of an explicit coupling on the
+    box and the states in [-m, m], m the largest of 1 and the magnitudes of
+    the boundary values, which every lift attains: an excess above
+    GROWTH_TOL is a config error naming the constants, the excess and the
+    sample point.  The power family attains its bound with equality and is
+    not probed."""
+    if not setup.explicit_coupling:
+        return
+    B = setup.grid.boundary
+    m = max(1.0, *(float(np.abs(w.values[B]).max()) for w in (setup.problem.h, setup.problem.k)))
+    excess, name, point = growth_excess(setup.coupling, setup.grid.box, (-m, m), (-m, m))
+    if excess > GROWTH_TOL:
+        consts = "coupling.a1 and coupling.a2" if name == "phi" else "coupling.b1 and coupling.b2"
+        where = ", ".join(f"{c:.17g}" for c in point)
+        raise ConfigError(
+            f"{consts} understate the growth of coupling.{name}: |{name}| exceeds its "
+            f"bound by {excess:.6g} at the sample point (x, y, u, v) = ({where})"
+        )
+
+
 def _calibrated_certificate(setup: Setup):
+    _probe_growth(setup)
     cal_ss, ball_ss = np.random.SeedSequence(setup.seed).spawn(2)
     C = calibrate_C(
         setup.grid, setup.exponents, setup.calib_samples, cal_ss, setup.solver_tol

@@ -182,6 +182,7 @@ class Setup:
     grid: Grid
     exponents: Exponents
     coupling: Coupling
+    explicit_coupling: bool  # from coupling.phi and coupling.psi, not a family
     problem: SystemProblem
     solver_tol: float
     picard_tol: float
@@ -242,6 +243,7 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
         grid=grid,
         exponents=exponents,
         coupling=coupling,
+        explicit_coupling=not cfg["coupling.family"],
         problem=problem,
         solver_tol=_as_positive(cfg, "solver.tol"),
         picard_tol=_as_positive(cfg, "picard.tol"),

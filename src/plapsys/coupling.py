@@ -6,7 +6,8 @@ A Coupling bundles the two reaction expressions with the growth constants
     |phi(x, u, v)| <= a1 |u|^(p-1) + a2 |v|^(p-1)
     |psi(x, u, v)| <= b1 |v|^(p-1) + b2 |u|^(p-1)
 
-check_growth(c, box, u_range, v_range) probes this bound and
+check_growth(c, box, u_range, v_range) probes this bound (growth_excess
+also names the function and the sample point of the largest excess) and
 check_monotone(c, box, u_range, v_range) probes coordinatewise
 monotonicity of both functions on a bounded sample lattice (8 x 8 points
 over the box times STATE_SAMPLES values spanning each state range); they
@@ -146,10 +147,11 @@ Range = tuple[float, float]
 
 
 def _sample_eval(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range):
-    """The state lattices uu and vv, STATE_SAMPLES values spanning u_range
-    and v_range, and phi and psi on the product of the 8 x 8 points over
-    the box with them, each of shape (64, STATE_SAMPLES, STATE_SAMPLES).
-    A domain error names the sample point (x, y, u, v)."""
+    """The coordinates xs and ys of the 8 x 8 points over the box, the
+    state lattices uu and vv, STATE_SAMPLES values spanning u_range and
+    v_range, and phi and psi on the product of the points with them, each
+    of shape (64, STATE_SAMPLES, STATE_SAMPLES).  A domain error names the
+    sample point (x, y, u, v)."""
     X, Y = np.meshgrid(np.linspace(box[0], box[1], 8), np.linspace(box[2], box[3], 8))
     xs, ys = X.ravel(), Y.ravel()
     uu = np.linspace(u_range[0], u_range[1], STATE_SAMPLES)
@@ -169,7 +171,29 @@ def _sample_eval(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: R
                 f"{err.message} at sample point (x, y, u, v) = "
                 f"({xs[m]:.17g}, {ys[m]:.17g}, {uu[i]:.17g}, {vv[j]:.17g})"
             ) from err
-    return uu, vv, *vals
+    return xs, ys, uu, vv, *vals
+
+
+def growth_excess(
+    c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range
+) -> tuple[float, str, tuple[float, float, float, float]]:
+    """The largest excess of |phi| over a1|u|^(p-1) + a2|v|^(p-1) or of
+    |psi| over its bound on the sample lattice of the box and the state
+    ranges, the function that attains it ("phi" or "psi") and the sample
+    point (x, y, u, v) where it does; negative when both bounds hold with
+    room to spare."""
+    xs, ys, uu, vv, phi, psi = _sample_eval(c, box, u_range, v_range)
+    q = c.p - 1.0
+    pu = np.abs(uu) ** q
+    pv = np.abs(vv) ** q
+    excess = {
+        "phi": np.abs(phi) - (c.a1 * pu[None, :, None] + c.a2 * pv[None, None, :]),
+        "psi": np.abs(psi) - (c.b1 * pv[None, None, :] + c.b2 * pu[None, :, None]),
+    }
+    name = max(excess, key=lambda k: excess[k].max())
+    m, i, j = np.unravel_index(np.argmax(excess[name]), excess[name].shape)
+    point = tuple(float(a) for a in (xs[m], ys[m], uu[i], vv[j]))
+    return float(excess[name][m, i, j]), name, point
 
 
 def check_growth(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> float:
@@ -180,13 +204,7 @@ def check_growth(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: R
     0.0 when there is none; the bound holds on the samples when the excess
     is <= GROWTH_TOL.
     """
-    uu, vv, phi, psi = _sample_eval(c, box, u_range, v_range)
-    q = c.p - 1.0
-    pu = np.abs(uu) ** q
-    pv = np.abs(vv) ** q
-    exc_phi = np.abs(phi) - (c.a1 * pu[None, :, None] + c.a2 * pv[None, None, :])
-    exc_psi = np.abs(psi) - (c.b1 * pv[None, None, :] + c.b2 * pu[None, :, None])
-    return max(float(exc_phi.max()), float(exc_psi.max()), 0.0)
+    return max(growth_excess(c, box, u_range, v_range)[0], 0.0)
 
 
 def check_monotone(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> int:
@@ -196,7 +214,7 @@ def check_monotone(c: Coupling, box: tuple[float, ...], u_range: Range, v_range:
     Returns the number of adjacent sample pairs, along u or along v, on
     which phi or psi decreases; 0 means monotone on the samples.
     """
-    _, _, phi, psi = _sample_eval(c, box, u_range, v_range)
+    *_, phi, psi = _sample_eval(c, box, u_range, v_range)
     return sum(
         int(np.count_nonzero(np.diff(f, axis=axis) < 0.0)) for f in (phi, psi) for axis in (1, 2)
     )

@@ -39,8 +39,8 @@ the decrease that the test asks for can fall below the round-off of the
 energy's sums, which then stay put to the last digit while |g| is still
 above tol; so a trial that changes the energy by at most ROUNDOFF = 1e-13
 times the magnitude of its gradient and source terms passes instead when
-its interior gradient norm falls by the factor 1 - 1e-4 t (one
-residual_vector call, on those rows only).
+its interior gradient norm, from the trial's own element pass, falls by
+the factor 1 - 1e-4 t.
 
 The initial iterate is the discrete p = 2 minimizer with the boundary data
 h and the lift's own source f, one Grid.laplace_solve (harmonic_extension).
@@ -56,27 +56,26 @@ better start, such as the Picard loop of fixpoint with the pair it lifted
 last, passes it as the start stack U0: each row then starts from the
 interior values of its row of U0 and the boundary values of H, and no
 harmonic extension is computed.  The report counts the Newton steps, CG
-iterations, steepest-descent fallbacks, Armijo energy evaluations and
-steps accepted on the round-off floor.
+iterations, steepest-descent fallbacks, points evaluated by the line
+searches and steps accepted on the round-off floor.
 
 One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
 data H into one stack U (solve_p_poisson_batch; solve_p_poisson is a stack
-of one), so every numpy call, the kernels, cg and the Armijo search serve
-all rows.  Each row keeps its own stopping test, forcing term, CG
-iterations, step length, fallback, stop reason and counters, and leaves
-the Newton active set when it stops.  cg works on the whole stack of the
-active rows: its operators take that stack, and a row that meets its CG
-tolerance freezes, taking zero steps while the others iterate.  Every
-reduction is taken per row, with the operations of a lone lift, so each
-row's report equals that of the row lifted alone.
-Chunks of max(1, BATCH_NODES // n_nodes) rows run at once: 36 at n = 16,
-9 at n = 32, 2 at n = 64 and one from n = 72.  A lift holds at most about
-8 element arrays (2 n^2 float64) per row at once: each Newton step makes
-one element pass (_element_state), whose gradients and weights serve the
-gradient and then, spent in place, the Hessian, and no step keeps a spent
-Hessian, direction or gradient while the next one is formed.  So the peak
-RSS of `plapsys certify` at n = 16 stays within about 0.7 MB of lifting
-12 rows at a time, while its ball check runs in 6 blocks instead of 17.
+of one), so every numpy call, the kernels and cg serve all rows.  Each
+pass of the loop evaluates every running row's point, its start or a
+line-search trial, in one element pass (_armijo): the energy, the
+gradient and, at an accepted point, the Hessian read the same element
+gradients and weights.  Each row keeps its own stopping test, forcing
+term, CG iterations, step length, fallback, stop reason and counters, and
+leaves the loop when it stops.  cg works on the whole stack of the rows
+that take a Newton step: a row that meets its CG tolerance freezes,
+taking zero steps while the others iterate.  Every reduction is taken per
+row, with the operations of a lone lift, so each row's report equals that
+of the row lifted alone.  Chunks of max(1, BATCH_NODES // n_nodes) rows
+run at once: 36 at n = 16, 9 at n = 32, 2 at n = 64 and one from n = 72.
+A lift holds at most about 9 element arrays (2 n^2 float64) per row at
+once: the Hessian spends the element pass in place, and no pass keeps a
+spent Hessian, direction or gradient while the next one is formed.
 
 Convergence means the euclidean norm of the energy gradient restricted to
 interior nodes is <= tol, the lift's one argument besides its data; tol
@@ -140,14 +139,23 @@ class PPoissonProblem:
 
 @dataclass
 class SolveReport:
-    solution: ScalarField
+    """One lift's outcome; its solution field is built when first read, as
+    most reports of a batch are read only for their counters."""
+
+    _solution: ScalarField | tuple[Grid, np.ndarray] | None
     iterations: int
     cg_iterations: int
     fallbacks: int
     gradient_norm: float
     stop_reason: str  # "converged", "max_iter" or "stalled"
-    line_search_evals: int = 0  # energy evaluations of the Armijo searches
+    line_search_evals: int = 0  # points evaluated by the line searches
     roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
+
+    @property
+    def solution(self) -> ScalarField | None:
+        if isinstance(self._solution, tuple):
+            self._solution = ScalarField(*self._solution)
+        return self._solution
 
     @property
     def converged(self) -> bool:
@@ -155,10 +163,11 @@ class SolveReport:
 
 
 def _element_state(grid: Grid, u: np.ndarray, p: float, reg: float) -> list[np.ndarray]:
-    """The one element pass of residual_vector and _newton_system at the
-    stack u: the list [G, base, W] of the element gradients, their squared
-    norms plus reg^2 and the flux weights area base^((p-2)/2), extended by
-    0 where the base vanishes (only possible at reg = 0)."""
+    """The one element pass of _energy_reg, residual_vector and
+    _newton_system at the stack u: the list [G, base, W] of the element
+    gradients, their squared norms plus reg^2 and the flux weights
+    area base^((p-2)/2), extended by 0 where the base vanishes (only
+    possible at reg = 0)."""
     G, base = element_gradients(grid, u)
     base += reg * reg
     positive = True if reg > 0.0 else base > 0.0
@@ -167,12 +176,17 @@ def _element_state(grid: Grid, u: np.ndarray, p: float, reg: float) -> list[np.n
     return [G, base, W]
 
 
-def _energy_reg(grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float) -> np.ndarray:
+def _energy_reg(
+    grid: Grid, u: np.ndarray, p: float, f: np.ndarray, reg: float, state: list | None = None
+) -> np.ndarray:
     """Regularized energy of each field of the stack u (..., n_nodes) with
-    the sources f: shape u.shape[:-1], a 0-d array for a single field."""
-    G2 = element_gradients(grid, u)[1]
-    G2 += reg * reg
-    sums = np.power(G2, p / 2.0, out=G2).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
+    the sources f: shape u.shape[:-1], a 0-d array for a single field.  A
+    list `state` receives the _element_state of u from the same pass, which
+    residual_vector and _newton_system then read."""
+    if state is None:
+        state = []
+    state[:] = _element_state(grid, u, p, reg)
+    sums = np.power(state[1], p / 2.0).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
     return sums * grid.element_measure / p + np.vecdot(grid.lumped * f, u)
 
 
@@ -428,150 +442,134 @@ def chunk_size(grid: Grid) -> int:
 
 
 def _newton(grid, p, F, U, tol) -> list[SolveReport]:
-    """The damped Newton loop of every member of a batch at once, from the
-    iterates U (B, n_nodes), which attain the boundary data and are updated
-    in place, with the sources F (B, n_nodes), on the energy regularized by
-    REG.  A member leaves the active set when it converges, reaches
-    MAX_ITER steps or stalls."""
+    """The damped Newton loop of every member of a batch at once, with the
+    sources F (B, n_nodes), on the energy regularized by REG, from the
+    starts U (B, n_nodes), which attain the boundary data and then hold
+    each member's iterate, updated in place.  Each pass evaluates the start
+    or the line-search trial x + t d of every running member, from its
+    iterate x; an accepted point is its new iterate, which stops it or
+    takes its Newton step from t = 1.  Each failed trial halves t, and
+    ARMIJO_MAX_TRIALS of them turn the search from the Newton direction to
+    -g, or from -g to a stall: the points, in the order, of a Newton step
+    with a nested backtracking loop."""
     reg, max_iter = REG, MAX_ITER
     I = grid.interior
     offsets = _stencil_offsets(grid)
-    energies = _energy_reg(grid, U, p, F, reg)
-    iterations, cg_iterations, fallbacks, evals, roundoff = np.zeros((5, len(U)), dtype=int)
-    gnorm = np.zeros(len(U))
-    eta = np.full(len(U), ETA_MAX)  # each member's forcing term
-    stop_reason = [""] * len(U)
-    active = np.arange(len(U))
-    while len(active):
-        # with every member active, u and f are U and F themselves: the
-        # Armijo searches copy the rows they read, and U takes the accepted
-        # rows only once no search reads them again
-        u, f = (U, F) if len(active) == len(U) else (U[active], F[active])
-        # one element pass gives the gradient and, for the rows that go on,
-        # the Hessian; np.take keeps each row contiguous, so its norm is that
-        # of a lone lift
-        state = _element_state(grid, u, p, reg)
-        g = np.take(residual_vector(grid, u, p, f, reg, state), I, axis=-1)
-        gn = np.sqrt(np.vecdot(g, g))
-        previous = gnorm[active]
-        gnorm[active] = gn
-        done = (gn <= tol) | (iterations[active] >= max_iter)
+    B = len(U)
+    iterations, cg_iterations, fallbacks, evals, roundoff, trials = np.zeros((6, B), dtype=int)
+    energies, gnorm, slope, floor = np.zeros((4, B))  # each at the member's iterate
+    eta = np.full(B, ETA_MAX)  # each member's forcing term
+    start = np.ones(B, dtype=bool)  # the member's point is its start
+    descent = np.zeros(B, dtype=bool)  # its search runs along -g
+    directions = np.empty((B, len(I)))
+    stop_reason = [""] * B
+    running = np.ones(B, dtype=bool)
+
+    def descend(members, g, gn):
+        """Turn the searches of `members` to -g, their interior gradients."""
+        fallbacks[members] += 1
+        directions[members] = -g
+        slope[members] = -gn * gn
+        descent[members] = True
+        trials[members] = 0
+
+    while running.any():
+        active = np.flatnonzero(running)
+        searching = ~start[active]
+        t = ARMIJO_FACTOR ** trials[active]  # halved by each failed trial
+        u = U[active]  # a copy, which takes the trials
+        f = F if len(active) == B else F[active]  # no copy while every member runs
+        u[np.ix_(searching, I)] += t[searching, None] * directions[active[searching]]
+        ok, val, g, gn, state, by_roundoff = _armijo(
+            grid, u, p, f, reg, I, ~searching,
+            t, slope[active], energies[active], floor[active], gnorm[active],
+        )
+        evals[active[searching]] += 1
+        roundoff[active[by_roundoff]] += 1
+
+        failed = active[~ok]
+        trials[failed] += 1
+        spent = failed[trials[failed] >= ARMIJO_MAX_TRIALS]
+        for k in spent[descent[spent]]:
+            stop_reason[k] = "stalled"  # no Armijo decrease in either direction
+            running[k] = False
+        turn = spent[~descent[spent]]
+        if len(turn):  # the gradient at the iterate, recomputed: a turn is rare
+            descend(turn, np.take(residual_vector(grid, U[turn], p, F[turn], reg), I, axis=-1),
+                    gnorm[turn])
+
+        # an accepted point is the new iterate; np.take in _armijo keeps each
+        # row of g contiguous, so its norm is that of a lone lift
+        acc = np.flatnonzero(ok)
+        members = active[acc]
+        U[members] = u[acc]
+        energies[members] = val[acc]
+        iterations[members] += searching[acc]
+        start[members] = False
+        previous = gnorm[members]
+        gn = gnorm[members] = gn[acc]
+        done = (gn <= tol) | (iterations[members] >= max_iter)
         for k in np.flatnonzero(done):
-            stop_reason[active[k]] = "converged" if gn[k] <= tol else "max_iter"
-        if done.all():
-            break
+            stop_reason[members[k]] = "converged" if gn[k] <= tol else "max_iter"
+        running[members[done]] = False
+        go = acc[~done]
+        if not len(go):
+            continue
+        source = np.vecdot(grid.lumped * f[go], u[go])
         D = _newton_system(grid, u, p, reg, state)
-        if done.any():
-            going = ~done
-            active, u, f, g, gn = active[going], u[going], f[going], g[going], gn[going]
-            previous, D = previous[going], D[:, going]
+        del u, f, state  # the next element pass reuses the room
+        if len(go) < len(active):
+            D = D[:, go]
+        members, g, gn, previous = active[go], g[go], gn[~done], previous[~done]
+        floor[members] = ROUNDOFF * (np.abs(energies[members] - source) + np.abs(source))
         # Eisenstat-Walker choice 2 once a member has a previous gradient, at
-        # least Kelley's 0.5 tol / |g_k| (gn > tol > 0 on the active rows)
-        stepped = iterations[active] > 0
+        # least Kelley's 0.5 tol / |g_k| (gn > tol > 0 on these rows)
+        stepped = iterations[members] > 0
         gs = gn[stepped]
         ew = EW_GAMMA * (gs / previous[stepped]) ** EW_ALPHA
-        eta[active[stepped]] = np.clip(np.maximum(ew, 0.5 * tol / gs), CG_RTOL, ETA_MAX)
+        eta[members[stepped]] = np.clip(np.maximum(ew, 0.5 * tol / gs), CG_RTOL, ETA_MAX)
 
         s = np.sqrt(D[0])
-        its = np.zeros(len(active), dtype=int)
+        its = np.zeros(len(members), dtype=int)
 
         def count_cg(rows):
             its[rows] += 1
 
-        delta, info = cg(
-            lambda z: _stencil_matvec(D, offsets, z),
-            -g,
-            rtol=eta[active],
-            M=lambda z: grid.laplace_solve(z / s) / s,
-            callback=count_cg,
-        )
-        del D, s  # the Armijo searches and the next element pass reuse the room
-        cg_iterations[active] += its
-        slope = np.vecdot(g, delta)
-        newton = (slope < 0.0) & np.isfinite(delta).all(axis=1)
+        delta, info = cg(lambda z: _stencil_matvec(D, offsets, z), -g, rtol=eta[members],
+                         M=lambda z: grid.laplace_solve(z / s) / s, callback=count_cg)
+        del D, s
+        cg_iterations[members] += its
+        directions[members] = delta
+        slope[members] = np.vecdot(g, delta)
+        descent[members], trials[members] = False, 0
+        newton = (slope[members] < 0.0) & np.isfinite(delta).all(axis=1)
         if info:
             newton &= its != info  # rows that ran out of CG iterations
-        current = energies[active]
-        moved = np.zeros(len(active), dtype=bool)
-
-        def search(rows, direction, slopes):
-            """Armijo from u along direction on the working rows `rows`."""
-            if not len(rows):
-                return
-            pick = slice(None) if len(rows) == len(u) else rows  # all rows: no copies
-            ok, trial, val, n_evals, by_roundoff = _armijo(
-                grid, u[pick], p, f[pick], reg, I,
-                direction[pick], slopes[pick], current[pick], gn[pick],
-            )
-            evals[active[rows]] += n_evals
-            roundoff[active[rows[by_roundoff]]] += 1
-            rows = rows[ok]
-            moved[rows] = True
-            U[active[rows]] = trial[ok]
-            energies[active[rows]] = val[ok]
-
-        search(np.flatnonzero(newton), delta, slope)
-        fallback = np.flatnonzero(~moved)
-        fallbacks[active[fallback]] += 1
-        search(fallback, -g, -gn * gn)
+        descend(members[~newton], g[~newton], gn[~newton])
         del g, delta  # spent before the next element pass
-        iterations[active[moved]] += 1
-        for m in active[~moved]:
-            stop_reason[m] = "stalled"  # no Armijo decrease in either direction
-        active = active[moved]
 
     return [
-        SolveReport(
-            solution=ScalarField(grid, U[b]),
-            iterations=int(iterations[b]),
-            cg_iterations=int(cg_iterations[b]),
-            fallbacks=int(fallbacks[b]),
-            gradient_norm=float(gnorm[b]),
-            stop_reason=stop_reason[b],
-            line_search_evals=int(evals[b]),
-            roundoff_steps=int(roundoff[b]),
-        )
-        for b in range(len(U))
+        SolveReport((grid, U[b]), int(iterations[b]), int(cg_iterations[b]), int(fallbacks[b]),
+                    float(gnorm[b]), stop_reason[b], int(evals[b]), int(roundoff[b]))
+        for b in range(B)
     ]
 
 
-def _armijo(grid, u, p, fv, reg, I, delta, slope, current, gnorm):
-    """Armijo backtracking from each row of u (B, n_nodes) along its row of
-    delta (B, N), with its own step t from 1: sufficient decrease
-    ARMIJO_DECREASE, factor ARMIJO_FACTOR, at most ARMIJO_MAX_TRIALS
-    trials.  On the energy's round-off floor the decrease that the test asks
-    for is below what the energy's sums resolve, so a trial that fails it
-    but changes the energy by at most ROUNDOFF times the magnitude of its two
-    terms (gradient and source) is accepted when its interior gradient norm
-    is at most (1 - ARMIJO_DECREASE t) gnorm, the current one.  Returns
-    (accepted, new u, new energy, energy evaluations, round-off) per row,
-    round-off marking the steps accepted that way; a row without an
-    accepted step keeps u and its current energy."""
-    t = np.ones(len(u))
-    accepted = np.zeros(len(u), dtype=bool)
-    roundoff = np.zeros(len(u), dtype=bool)
-    evals = np.zeros(len(u), dtype=int)
-    new_u, new_energy = u.copy(), current.copy()
-    source = np.vecdot(grid.lumped * fv, u)
-    floor = ROUNDOFF * (np.abs(current - source) + np.abs(source))
-    rows = np.arange(len(u))
-    for _ in range(ARMIJO_MAX_TRIALS):
-        trial = u[rows]
-        trial[:, I] += t[rows, None] * delta[rows]
-        val = _energy_reg(grid, trial, p, fv[rows], reg)
-        evals[rows] += 1
-        ok = val <= current[rows] + ARMIJO_DECREASE * t[rows] * slope[rows]
-        flat = np.flatnonzero(~ok & (np.abs(val - current[rows]) <= floor[rows]))
-        if len(flat):
-            k = rows[flat]
-            g = np.take(residual_vector(grid, trial[flat], p, fv[k], reg), I, axis=-1)
-            ok[flat] = np.sqrt(np.vecdot(g, g)) <= (1.0 - ARMIJO_DECREASE * t[k]) * gnorm[k]
-            roundoff[k] = ok[flat]
-        accepted[rows[ok]] = True
-        new_u[rows[ok]] = trial[ok]
-        new_energy[rows[ok]] = val[ok]
-        rows = rows[~ok]
-        if not len(rows):
-            break
-        t[rows] *= ARMIJO_FACTOR
-    return accepted, new_u, new_energy, evals, roundoff
+def _armijo(grid, u, p, f, reg, I, start, t, slope, current, floor, gnorm):
+    """Evaluate each point of the stack u (B, n_nodes) with the sources f
+    in one element pass, and test it: a start passes, and a trial of step
+    t from an iterate of energy `current` along a direction of slope
+    `slope` passes Armijo's sufficient decrease ARMIJO_DECREASE, or on the
+    round-off floor, with an energy change of at most `floor`, an interior
+    gradient norm of at most (1 - ARMIJO_DECREASE t) gnorm, the iterate's.
+    Returns per point (accepted, energy, interior gradient g, its norm,
+    the element state of the pass, round-off), round-off marking the
+    trials accepted on the floor."""
+    state = []
+    val = _energy_reg(grid, u, p, f, reg, state)
+    g = np.take(residual_vector(grid, u, p, f, reg, state), I, axis=-1)
+    gn = np.sqrt(np.vecdot(g, g))
+    ok = start | (val <= current + ARMIJO_DECREASE * t * slope)
+    by_roundoff = ~ok & (np.abs(val - current) <= floor)
+    by_roundoff &= gn <= (1.0 - ARMIJO_DECREASE * t) * gnorm
+    return ok | by_roundoff, val, g, gn, state, by_roundoff

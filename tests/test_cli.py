@@ -175,9 +175,10 @@ def test_inner_solver_failure_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
 def test_coupling_undefined_on_iterate_exit_2(tmp_path, capsys, command):
-    """phi = 1/(u-1) is undefined wherever u = h = 1, so Picard's first
-    lift and every ball trial's lift hit a domain error: an input error
-    naming the row and node, not a bug with a traceback."""
+    """phi = 1/(u-1) is undefined at u = 1, a state of the growth probe
+    (and of every lift, since h = 1), so the probe that solve and certify
+    run before they calibrate hits a domain error: an input error naming
+    the sample point, not a bug with a traceback."""
     cfg = cfg_file(
         tmp_path,
         {"coupling.phi": "1/(u-1)", "coupling.psi": "0.5*v", "grid.n": "7"},
@@ -185,8 +186,28 @@ def test_coupling_undefined_on_iterate_exit_2(tmp_path, capsys, command):
     )
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == "input error: quotient is not finite at row 0, node 0 (0, 0)\n"
+    assert err == "input error: quotient is not finite at sample point (x, y, u, v) = (0, 0, 1, -1)\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_understated_growth_exit_2(tmp_path, capsys, command):
+    """phi = u^5 with a1 = a2 = 0.5 at p = 2.2: |phi| = 1 exceeds the
+    declared bound 0.5 |u|^1.2 + 0.5 |v|^1.2 by 0.5 at u = -1, v = 0, so
+    the growth probe stops solve and certify before they calibrate,
+    naming the constants, the excess and the sample point."""
+    cfg = cfg_file(
+        tmp_path,
+        {"coupling.phi": "u*u*u*u*u", "coupling.psi": "v"},
+        drop=("coupling.family",),
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: coupling.a1 and coupling.a2 understate the growth of coupling.phi: "
+        "|phi| exceeds its bound by 0.5 at the sample point (x, y, u, v) = (0, 0, -1, 0)\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from plapsys.coupling import (
     check_growth,
     check_monotone,
     coupling_values,
+    growth_excess,
     nemytskii,
     power_family,
     split_bound,
@@ -226,6 +227,17 @@ def test_growth_rejects_cubic():
     excess = check_growth(c, *UNIT)
     assert excess > GROWTH_TOL
     assert excess == pytest.approx(990.0, rel=1e-12)
+
+
+def test_growth_excess_names_function_and_sample_point():
+    """psi = v^3 claimed linear in v: the worst excess, 1000 - 10, is that
+    of psi at the largest |v| of the lattice, the first such sample of the
+    box and of u; phi = u, within its bound, attains none."""
+    c = Coupling(ex.parse("u"), ex.parse("v*v*v"), 1.0, 0.0, 1.0, 0.0, 2.0)
+    excess, name, point = growth_excess(c, *UNIT)
+    assert name == "psi"
+    assert excess == pytest.approx(990.0, rel=1e-12) and excess == check_growth(c, *UNIT)
+    assert point == (0.0, 0.0, -10.0, -10.0)
 
 
 def test_growth_zero_passes_any_constants():

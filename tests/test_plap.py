@@ -431,17 +431,14 @@ def test_1d_p3_closed_form():
 
 
 def spy_energy_history(monkeypatch):
-    """The energy history of the lone lifts that follow: the energy before
-    the first Armijo search, then every energy that a search accepts, in
-    order."""
+    """The energy history of the lone lifts that follow: the energy of the
+    start, then every energy that a line search accepts, in order."""
     history = []
     armijo = plap._armijo
 
-    def spy(grid, u, p, fv, reg, I, delta, slope, current, gnorm):
-        out = armijo(grid, u, p, fv, reg, I, delta, slope, current, gnorm)
-        if not history:
-            history.append(float(current[0]))
-        accepted, _, energy = out[:3]
+    def spy(grid, u, p, f, reg, I, start, t, slope, current, floor, gnorm):
+        out = armijo(grid, u, p, f, reg, I, start, t, slope, current, floor, gnorm)
+        accepted, energy = out[:2]
         history.extend(energy[accepted].tolist())
         return out
 
@@ -517,10 +514,13 @@ def test_stop_reason_converged():
 
 
 def test_stop_reason_stalled(monkeypatch):
-    # no Armijo decrease along the Newton direction nor along -g
-    def no_decrease(grid, u, p, fv, reg, I, delta, slope, current, gnorm):
-        none = np.zeros(len(u), dtype=bool)
-        return none, u, current, np.ones(len(u), dtype=int), none
+    # no Armijo decrease along the Newton direction nor along -g: only the
+    # start is accepted
+    armijo = plap._armijo
+
+    def no_decrease(grid, u, p, f, reg, I, start, t, slope, current, floor, gnorm):
+        out = armijo(grid, u, p, f, reg, I, start, t, slope, current, floor, gnorm)
+        return (start.copy(), *out[1:-1], np.zeros(len(u), dtype=bool))
 
     monkeypatch.setattr(plap, "_armijo", no_decrease)
     g = unit_square(8)
@@ -535,10 +535,11 @@ def test_stop_reason_stalled(monkeypatch):
 
 def test_armijo_roundoff_branch(monkeypatch):
     """A trial that fails the decrease test with an energy within round-off
-    of the current one is accepted when its gradient norm falls to at most
-    (1 - 1e-4 t) of the current one: along the p = 2 Newton direction,
-    which zeroes the gradient at t = 1, but not along its reverse, which
-    multiplies it by 1 + t, nor once the energy rises above round-off."""
+    of the current one is accepted when its gradient norm, from the same
+    pass, falls to at most (1 - 1e-4 t) of the current one: along the p = 2
+    Newton direction, which scales the gradient by 1 - t, at every step of
+    the halving, but not along its reverse, which multiplies it by 1 + t,
+    nor once the energy rises above round-off."""
     g = unit_square(8)
     I = g.interior
     f = from_callable(g, lambda x, y: np.sin(3 * x) * np.cos(2 * y)).values
@@ -556,30 +557,31 @@ def test_armijo_roundoff_branch(monkeypatch):
     assert info == 0
     E = float(_energy_reg(g, u, 2.0, f, 1e-8))
     S = float(np.dot(g.lumped * f, u))
-    scale = abs(E - S) + abs(S)  # the magnitude of the energy's two terms
+    floor = plap.ROUNDOFF * (abs(E - S) + abs(S))  # of the energy's two terms
     rise = [0.0]
+    real = plap._energy_reg
 
-    def flat(grid, trial, p, fv, reg):  # every trial's energy, E + rise
+    def flat(grid, trial, p, fv, reg, state):  # every trial's energy, E + rise
+        real(grid, trial, p, fv, reg, state)
         return np.full(len(trial), E + rise[0])
 
     monkeypatch.setattr(plap, "_energy_reg", flat)
-    stack = np.stack([u, u])
     directions = np.concatenate([delta, -delta])
     slopes = np.full(2, delta[0] @ grad)  # the test asks both rows for a decrease
-    current = np.full(2, E)
-    for r, want in (
-        (0.5 * plap.ROUNDOFF * scale, [True, False]),
-        (2.0 * plap.ROUNDOFF * scale, [False, False]),
-    ):
+    for r, want in ((0.5 * floor, [True, False]), (2.0 * floor, [False, False])):
         rise[0] = r
-        ok, new_u, val, evals, roundoff = plap._armijo(
-            g, stack, 2.0, np.stack([f, f]), 1e-8, I, directions, slopes, current, np.full(2, gnorm)
-        )
-        assert ok.tolist() == roundoff.tolist() == want
-        assert evals.tolist() == [1 if want[0] else plap.ARMIJO_MAX_TRIALS, plap.ARMIJO_MAX_TRIALS]
-        assert np.array_equal(new_u[1], u) and val[1] == E
-        if want[0]:
-            assert val[0] == E + r and np.array_equal(new_u[0, I], u[I] + delta[0])
+        for k in range(plap.ARMIJO_MAX_TRIALS):
+            t = np.full(2, plap.ARMIJO_FACTOR**k)
+            trials = np.stack([u, u])
+            trials[:, I] += t[:, None] * directions
+            ok, val, gt, gn, _, roundoff = plap._armijo(
+                g, trials, 2.0, np.stack([f, f]), 1e-8, I, np.zeros(2, dtype=bool),
+                t, slopes, np.full(2, E), np.full(2, floor), np.full(2, gnorm),
+            )
+            assert ok.tolist() == roundoff.tolist() == want
+            assert val.tolist() == [E + r, E + r]
+            assert np.array_equal(gt[0], np.take(residual_vector(g, trials[0], 2.0, f, 1e-8), I))
+            assert gn[0] == np.sqrt(gt[0] @ gt[0])
 
 
 def test_continuation_high_p():
@@ -746,7 +748,8 @@ def test_batch_longer_than_a_chunk(monkeypatch):
 
 
 # element arrays (2 n^2 float64) per row that one lift may hold at once;
-# the step measures 8.2, and a step that kept the spent Hessian, all
+# the lift measures 9.2 (each row keeps a search direction and a copy of
+# its evaluated point), and a step that kept the spent Hessian, all
 # seven of its diagonals and two element passes' buffers measured 15.4
 ELEMENT_ARRAYS_PER_ROW = 10
 
@@ -1024,6 +1027,26 @@ def test_report_counts_line_search_evals(p, monkeypatch):
     assert len(evaluated) == 1 + rep.line_search_evals
     start = harmonic_extension(g, h.values, 0.0 if p == 1.5 else f.values)
     assert np.array_equal(evaluated[0], start)
+
+
+def test_one_element_pass_per_evaluated_point(monkeypatch):
+    """A lone p = 2.2 lift makes one element pass per point it evaluates,
+    its start and each line-search trial, and one for the harmonic
+    extension of its start: the energy, gradient and Hessian at a point
+    share that point's pass."""
+    calls = []
+    real = plap.element_gradients
+
+    def spy(grid, values):
+        calls.append(len(values))
+        return real(grid, values)
+
+    monkeypatch.setattr(plap, "element_gradients", spy)
+    g = unit_square(16)
+    f = scale_to_norm(sample_smooth_field(g, np.random.default_rng(1)), 1.25, 3.0)
+    rep = solve_p_poisson(PPoissonProblem(g, 2.2, f, constant_field(g, 1.0)))
+    assert rep.converged and rep.iterations >= 3
+    assert calls == [1] * (2 + rep.line_search_evals)
 
 
 @pytest.mark.parametrize("n", [16, 32])
