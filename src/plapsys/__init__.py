@@ -10,12 +10,11 @@ certificate (lambda, M0) for the invariant source ball and weak-form
 verification of candidate solution pairs.
 """
 
-from .coupling import Coupling, check_growth, check_monotone, nemytskii, power_family
+from .coupling import Coupling, check_monotone, nemytskii, power_family
 from .expr import parse
 from .field import (
     Grid,
     ScalarField,
-    from_callable,
     load_field,
     lq_norm,
     save_field,
@@ -49,10 +48,8 @@ __all__ = [
     "calibrate_C",
     "certify",
     "check_ball_invariance",
-    "check_growth",
     "check_monotone",
     "convergence_study",
-    "from_callable",
     "load_field",
     "lq_norm",
     "make_exponents",

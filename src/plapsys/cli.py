@@ -79,7 +79,7 @@ def _calibrated_certificate(setup: Setup):
 def cmd_solve(args) -> int:
     setup = load_setup(args.config, args.seed, args.out)
     cert, _ = _calibrated_certificate(setup)
-    u, v, trace = picard_solve(
+    w, trace = picard_solve(
         setup.problem,
         tol=setup.picard_tol,
         max_iter=setup.picard_max_iter,
@@ -87,8 +87,8 @@ def cmd_solve(args) -> int:
     )
     cls = classify(setup.grid, trace.residuals, setup.verify_tol)
 
-    save_field(_out_path(setup, "u.csv"), u)
-    save_field(_out_path(setup, "v.csv"), v)
+    save_field(_out_path(setup, "u.csv"), setup.grid, w[0])
+    save_field(_out_path(setup, "v.csv"), setup.grid, w[1])
     _write_text(_out_path(setup, "trace.csv"), trace.csv_lines())
     report = [
         "command = solve",
@@ -190,9 +190,8 @@ def _shift_flags(args) -> tuple[float, float] | None:
 def cmd_verify(args) -> int:
     shift = _shift_flags(args)
     setup = load_setup(args.config, args.seed, args.out)
-    u = load_field(args.u_csv, setup.grid)
-    v = load_field(args.v_csv, setup.grid)
-    cls = weak_residuals(u, v, setup.coupling, setup.exponents.p, setup.verify_tol)
+    w = np.stack([load_field(path, setup.grid) for path in (args.u_csv, args.v_csv)])
+    cls = weak_residuals(setup.grid, w, setup.coupling, setup.exponents.p, setup.verify_tol)
     _write_text(_out_path(setup, "classification.csv"), cls.csv_lines())
     print(f"verdict: {cls.verdict} (max residual {cls.max_abs_residual:.3e})")
     if cls.verdict != "solution":
@@ -202,7 +201,7 @@ def cmd_verify(args) -> int:
     if shift is None:
         return 0 if cls.verdict == "solution" else 4
     alpha, beta = shift
-    rep = shift_test(u, v, cls, setup.coupling, setup.exponents.p, alpha, beta)
+    rep = shift_test(setup.grid, w, cls, setup.coupling, setup.exponents.p, alpha, beta)
     if not rep.precondition_ok:
         print(f"shift test precondition failed: {rep.reason}", file=sys.stderr)
         return 4

@@ -222,11 +222,10 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
     coupling = _coupling(cfg, p)
     h = _boundary_field(grid, cfg, "boundary.h")
     k = _boundary_field(grid, cfg, "boundary.k")
-    eps = _as_positive(cfg, "coupling.eps")
-    try:
-        problem = SystemProblem(grid, exponents, coupling, h, k, eps)
+    try:  # h, k and the coupling are built on this grid and p: only eps can fail
+        problem = SystemProblem(grid, exponents, coupling, h, k, _as_float(cfg, "coupling.eps"))
     except ValueError as err:
-        raise ConfigError(f"problem: {err}") from None
+        raise ConfigError(f"coupling.eps: {err}") from None
 
     max_iter = _as_int(cfg, "picard.max_iter")
     if max_iter < 1:

@@ -6,8 +6,8 @@ A Coupling bundles the two reaction expressions with the growth constants
     |phi(x, u, v)| <= a1 |u|^(p-1) + a2 |v|^(p-1)
     |psi(x, u, v)| <= b1 |v|^(p-1) + b2 |u|^(p-1)
 
-check_growth(c, box, u_range, v_range) probes this bound (growth_excess
-also names the function and the sample point of the largest excess) and
+growth_excess(c, box, u_range, v_range) probes this bound and names the
+function and the sample point of the largest excess, and
 check_monotone(c, box, u_range, v_range) probes coordinatewise
 monotonicity of both functions on a bounded sample lattice (8 x 8 points
 over the box times STATE_SAMPLES values spanning each state range); they
@@ -17,13 +17,14 @@ domain error names the sample point (x, y, u, v).
 
 eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
-(k, n_nodes), such as the lifted pairs of a block of ball trials
-(coupling_values); nemytskii evaluates one pair of fields.  A domain error
-names the node, its coordinates and, in a stack, the row.
+(k, n_nodes), such as a pair (u, v) or the lifted pairs of a block of
+ball trials (coupling_values).  A domain error names the node, its
+coordinates and, in a stack, the row.  nemytskii is the benchmark's
+single-field adapter.
 
 The homogeneous transform shifts the arguments by boundary lifts h, k:
-phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is nemytskii at the
-shifted fields.  Splitting the shifted growth bound with the elementary
+phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is coupling_values at
+the shifted pair.  Splitting the shifted growth bound with the elementary
 inequality |a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives,
 for any eps > 0 and with q = p - 1, the data that split_bound returns
 from the nodal values of h and k:
@@ -118,8 +119,8 @@ def coupling_values(
 
 
 def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Nodewise (phi(x, u(x), v(x)), psi(x, u(x), v(x))): coupling_values
-    of one pair of fields."""
+    """coupling_values of one pair of fields; the adapter of the
+    benchmark's tracer (perfbench/), which no module of the package calls."""
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("u and v must share a grid")
@@ -180,8 +181,8 @@ def growth_excess(
     """The largest excess of |phi| over a1|u|^(p-1) + a2|v|^(p-1) or of
     |psi| over its bound on the sample lattice of the box and the state
     ranges, the function that attains it ("phi" or "psi") and the sample
-    point (x, y, u, v) where it does; negative when both bounds hold with
-    room to spare."""
+    point (x, y, u, v) where it does; the bounds hold on the samples when
+    the excess is <= GROWTH_TOL."""
     xs, ys, uu, vv, phi, psi = _sample_eval(c, box, u_range, v_range)
     q = c.p - 1.0
     pu = np.abs(uu) ** q
@@ -194,17 +195,6 @@ def growth_excess(
     m, i, j = np.unravel_index(np.argmax(excess[name]), excess[name].shape)
     point = tuple(float(a) for a in (xs[m], ys[m], uu[i], vv[j]))
     return float(excess[name][m, i, j]), name, point
-
-
-def check_growth(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> float:
-    """Probe |phi| <= a1|u|^(p-1) + a2|v|^(p-1) and the psi analogue on the
-    sample lattice of the box and the state ranges.
-
-    Returns the largest excess of |phi| or |psi| over its declared bound,
-    0.0 when there is none; the bound holds on the samples when the excess
-    is <= GROWTH_TOL.
-    """
-    return max(growth_excess(c, box, u_range, v_range)[0], 0.0)
 
 
 def check_monotone(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range) -> int:

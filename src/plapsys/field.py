@@ -6,16 +6,17 @@ diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major from the (x0, y0) corner: node (i, j) has index j*(n+1) + i, so the nodal values reshaped to
 (n+1, n+1) are indexed [j, i].
 
-Fields are piecewise-linear (P1): a ScalarField stores one value per node,
-and all integral quantities use the vertex-averaged elementwise quadrature
+Fields are piecewise-linear (P1): one value per node, in stacks of nodal
+values (k, n_nodes) such as a pair (u, v), and all integral quantities
+use the vertex-averaged elementwise quadrature
 
-    lq_norm(w, q) = (sum_e |mean of vertex values|^q * area_e)^(1/q).
+    ||w||_q = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
-lq_norms is the one kernel that computes it, for every row of a stack of
-nodal values (k, n_nodes) at once; lq_norm is a stack of one.  A row whose
-power sum underflows or overflows, as at the large L^s exponents near the
-top of the admissible r-interval, takes the norm in its homogeneous form
-top * lq_norm(w / top, q), with top the row's largest |vertex mean|.
+lq_norms is the one kernel that computes it, for every row of a stack at
+once.  A row whose power sum underflows or overflows, as at the large L^s
+exponents near the top of the admissible r-interval, takes the norm in its
+homogeneous form top * ||w / top||_q, with top the row's largest |vertex
+mean|.  ScalarField and lq_norm are the benchmark's single-field adapters.
 
 Gradients of the P1 interpolant are constant per element and exact for
 affine data.  element_gradients is the one kernel that computes them, for
@@ -53,7 +54,8 @@ class Grid:
     Parameters
     ----------
     d : the dimension, which must be 2; any other value raises ValueError.
-    box : (x0, x1, y0, y1); finite and strictly increasing per axis.
+    box : (x0, x1, y0, y1); finite and strictly increasing per axis, with
+        an element area hx hy / 2 that is a positive normal float.
     n : cells per axis, an integer >= 1 (an integral float is stored as
         its int).
 
@@ -102,6 +104,10 @@ class Grid:
         coords = np.stack([X.ravel(), Y.ravel()], axis=1)
         hx = (x1 - x0) / n
         hy = (y1 - y0) / n
+        area = hx * hy / 2.0
+        if not (np.finfo(float).tiny <= area < math.inf):  # every quadrature weight scales it
+            raise ValueError(f"box {box} at n = {n} gives the element area {area!r}, "
+                             "not a positive normal float")
 
         ci, cj = np.meshgrid(np.arange(n), np.arange(n))  # ci[j, i] = i, cj[j, i] = j
         ll = (cj * (n + 1) + ci).ravel()  # lower-left node of cell (i, j), j outer
@@ -116,7 +122,7 @@ class Grid:
         on_boundary = (flat_i == 0) | (flat_i == n) | (flat_j == 0) | (flat_j == n)
         interior = np.flatnonzero(~on_boundary)
         boundary = np.flatnonzero(on_boundary)
-        third = hx * hy / 2.0 / 3.0
+        third = area / 3.0
         lumped = np.bincount(elements.ravel(), np.full(elements.size, third), (n + 1) ** 2)
         object.__setattr__(self, "coords", _readonly(coords))
         object.__setattr__(self, "elements", _readonly(elements))
@@ -170,7 +176,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One float per grid node; immutable after construction."""
+    """One float per grid node; immutable after construction.  A lift
+    report's solution, and the benchmark's (perfbench/) single field."""
 
     grid: Grid
     values: np.ndarray
@@ -184,13 +191,6 @@ class ScalarField:
         if not np.isfinite(v).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
-
-
-def from_callable(grid: Grid, fn) -> ScalarField:
-    """Sample fn(x, y) at the nodes."""
-    c = grid.coords
-    vals = fn(c[:, 0], c[:, 1])
-    return ScalarField(grid, np.asarray(vals, dtype=float) + np.zeros(grid.n_nodes))
 
 
 def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +229,8 @@ def _abs_vertex_means(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
-    """lq_norm of each row of a stack of nodal values (k, n_nodes), shape
-    (k,).  Each row sums the powers of its vertex averages, in the order
+    """The norm ||w||_q, q >= 1, of each row w of a stack of nodal values
+    (k, n_nodes), shape (k,).  Each row sums the powers of its vertex averages, in the order
     of `Grid.elements`, with the operations of a lone field.  A row whose
     sum is not a normal finite float, and whose means are not all zero,
     is summed again scaled by its largest |vertex mean|."""
@@ -254,25 +254,28 @@ def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
 
 
 def lq_norm(w: ScalarField, q: float) -> float:
-    """Vertex-averaged elementwise quadrature norm of order q >= 1."""
+    """lq_norms of one field; the adapter of the benchmark's tracer
+    (perfbench/), which no module of the package calls."""
     return float(lq_norms(w.grid, w.values[None], q)[0])
 
 
-def save_field(path, w: ScalarField) -> None:
-    """Write the field as CSV (header x,y,value), 17 significant digits, LF."""
-    x, y = w.grid.coords.T.tolist()
+def save_field(path, grid: Grid, values: np.ndarray) -> None:
+    """Write the nodal values (n_nodes,) of grid as CSV (header x,y,value),
+    17 significant digits, LF."""
+    x, y = grid.coords.T.tolist()
     lines = ["x,y,value"]
-    lines += [f"{a:.17g},{b:.17g},{v:.17g}" for a, b, v in zip(x, y, w.values.tolist())]
+    lines += [f"{a:.17g},{b:.17g},{v:.17g}" for a, b, v in zip(x, y, values.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_field(path, grid: Grid) -> ScalarField:
-    """Read a field CSV written by save_field.  The header, the row count,
-    every number and the node coordinates are checked: each row's x and y
-    must be that of its node of grid to within 1e-6 of a cell, and its
-    value finite.  A ValueError names the file and the line of the first
-    bad row; blank lines are skipped but counted."""
+def load_field(path, grid: Grid) -> np.ndarray:
+    """The read-only nodal values (n_nodes,) of a field CSV written by
+    save_field.  The header, the row count, every number and the node
+    coordinates are checked: each row's x and y must be that of its node
+    of grid to within 1e-6 of a cell, and its value finite.  A ValueError
+    names the file and the line of the first bad row; blank lines are
+    skipped but counted."""
     try:
         with open(path) as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
@@ -312,4 +315,4 @@ def load_field(path, grid: Grid) -> ScalarField:
             f"{path}: line {k}: coordinates ({', '.join(xy)}) are not those of "
             f"grid node {i} ({node})"
         )
-    return ScalarField(grid, table[:, -1])
+    return _readonly(table[:, -1])

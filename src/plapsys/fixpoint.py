@@ -146,7 +146,8 @@ def make_exponents(d: int, p: float, r: float) -> Exponents:
 @dataclass(frozen=True)
 class SystemProblem:
     """Coupled system on a grid: boundary pair (h, k), coupling, and the
-    epsilon of the split growth bound (coupling.split_bound)."""
+    epsilon of the split growth bound (coupling.split_bound), whose factors
+    (1 + eps)^(p-1) and (1 + 1/eps)^(p-1) must be finite floats."""
 
     grid: Grid
     exponents: Exponents
@@ -163,8 +164,14 @@ class SystemProblem:
                 f"coupling growth exponent p={self.coupling.p} does not match "
                 f"the exponent budget p={self.exponents.p}"
             )
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        eps, q = self.eps, self.exponents.p - 1.0
+        try:  # the factors of split_bound; a float power raises on overflow
+            ok = eps > 0.0 and math.isfinite((1.0 + eps) ** q + (1.0 + 1.0 / eps) ** q)
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"eps must be positive, with (1 + eps)^(p-1) and (1 + 1/eps)^(p-1) "
+                             f"finite, got {eps!r} at p = {self.exponents.p!r}")
 
 
 def apply_lambda(
@@ -470,7 +477,7 @@ def picard_solve(
     tol: float = DEFAULT_PICARD_TOL,
     max_iter: int = DEFAULT_PICARD_MAX_ITER,
     solver_tol: float = DEFAULT_TOL,
-) -> tuple[ScalarField, ScalarField, ConvergenceTrace]:
+) -> tuple[np.ndarray, ConvergenceTrace]:
     """Safeguarded Anderson-accelerated Picard iteration on Lambda from the
     zero source pair.
 
@@ -497,10 +504,11 @@ def picard_solve(
     max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR delta_k-1)), so
     the first ones at INNER_TOL_MAX (Toth et al., SIAM J. Sci. Comput.
     2017, on inexact evaluations in Anderson acceleration).  The run stops
-    once delta <= tol, with a damped step, and returns the pair (u, v)
-    lifted from the final source pair at solver_tol, and the trace, which
-    also holds the weak residual rows of (u, v); a run that diverged
-    returns the inexact lift of its last iterate, without a final lift.
+    once delta <= tol, with a damped step, and returns the pair w = (u, v),
+    the read-only (2, n_nodes) stack lifted from the final source pair at
+    solver_tol, and the trace, which also holds the weak residual rows of
+    w; a run that diverged returns the inexact lift of its last iterate,
+    without a final lift.
     Exhaustion of max_iter and divergence are reported in the trace, not
     raised.  The iteration takes no certificate: lambda and M0 describe
     Lambda itself, not this accelerated iteration.
@@ -579,5 +587,4 @@ def picard_solve(
     weak = float(np.abs(R).max(initial=0.0))
     norms = lq_norms(grid, x, r).tolist()
     rows.append(TraceRow(rows[-1].index + 1, *norms, delta, weak, *counts, inner_tol))
-    trace = ConvergenceTrace(rows, stop_reason, th, restarts, R)
-    return ScalarField(grid, L[0]), ScalarField(grid, L[1]), trace
+    return L, ConvergenceTrace(rows, stop_reason, th, restarts, R)

@@ -60,12 +60,11 @@ iterations, steepest-descent fallbacks, points evaluated by the line
 searches and steps accepted on the round-off floor.
 
 One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
-data H into one stack U (solve_p_poisson_batch; solve_p_poisson is a stack
-of one), so every numpy call, the kernels and cg serve all rows.  Each
-pass of the loop evaluates every running row's point, its start or a
-line-search trial, in one element pass (_armijo): the energy, the
-gradient and, at an accepted point, the Hessian read the same element
-gradients and weights.  Each row keeps its own stopping test, forcing
+data H into one stack U (solve_p_poisson_batch), so every numpy call, the
+kernels and cg serve all rows.  Each pass of the loop evaluates every
+running row's point, its start or a line-search trial, in one element pass
+(_armijo): the energy, the gradient and, at an accepted point, the Hessian
+read the same element gradients and weights.  Each row keeps its own stopping test, forcing
 term, CG iterations, step length, fallback, stop reason and counters, and
 leaves the loop when it stops.  cg works on the whole stack of the rows
 that take a Newton step: a row that meets its CG tolerance freezes,
@@ -123,6 +122,7 @@ class PPoissonProblem:
     """Data for one scalar solve: grid, exponent p > 1, source f, boundary h.
 
     h is stored as a full nodal field; only its boundary values are read.
+    The benchmark's (perfbench/) single-field adapter, as solve_p_poisson.
     """
 
     grid: Grid
@@ -380,7 +380,8 @@ def cg(A, b, *, rtol, M, callback=None):
 
 
 def solve_p_poisson(prob: PPoissonProblem, tol: float = DEFAULT_TOL) -> SolveReport:
-    """Minimize the regularized energy; see the module docstring for the scheme."""
+    """solve_p_poisson_batch of one problem; the adapter of the benchmark's
+    tracer and lift workload (perfbench/), which no module of the package calls."""
     _, (report,) = solve_p_poisson_batch(
         prob.grid, prob.p, prob.f.values[None], prob.h.values[None], tol
     )

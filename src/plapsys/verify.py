@@ -18,7 +18,8 @@ kernel the scalar solver minimizes with; the caller supplies the reaction
 pair, so a Picard state evaluates its coupling once.  classify takes the
 verdict from residual rows already computed: `plapsys solve` classifies
 the rows of the last lift of picard_solve, and weak_residuals computes
-the rows of a given pair first.
+the rows of a given pair first, a (2, n_nodes) stack w = (u, v) as
+picard_solve returns it, with coupling.coupling_values as its reactions.
 
 The shift test realizes the comparison statement that adding a constant
 alpha > 0 to u and beta >= 0 to v preserves supersolutions when the
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Coupling, check_monotone, nemytskii
-from .field import Grid, ScalarField, from_callable, lq_norm
-from .plap import PPoissonProblem, residual_vector, solve_p_poisson
+from .coupling import Coupling, check_monotone, coupling_values
+from .field import Grid, lq_norms
+from .plap import residual_vector, solve_p_poisson_batch
 
 DEFAULT_CLASS_TOL = 1e-6
 
@@ -77,19 +78,22 @@ class Classification:
         return lines
 
 
+def _check_pair(grid: Grid, w: np.ndarray) -> None:
+    if np.shape(w) != (2, grid.n_nodes):
+        raise ValueError(f"w must be a (2, {grid.n_nodes}) stack (u, v), got shape {np.shape(w)}")
+    if not np.isfinite(w).all():
+        raise ValueError("the values of the pair w must be finite")
+
+
 def weak_residuals(
-    u: ScalarField,
-    v: ScalarField,
-    c: Coupling,
-    p: float,
-    tol: float = DEFAULT_CLASS_TOL,
+    grid: Grid, w: np.ndarray, c: Coupling, p: float, tol: float = DEFAULT_CLASS_TOL
 ) -> Classification:
-    """Classify (u, v) as solution / supersolution / subsolution / neither."""
-    phi, psi = nemytskii(c, u, v)
-    R = system_residuals(
-        u.grid, np.stack([u.values, v.values]), np.stack([phi.values, psi.values]), p
-    )
-    return classify(u.grid, R, tol)
+    """Classify the pair w = (u, v), a (2, n_nodes) stack of nodal values on
+    grid, as solution / supersolution / subsolution / neither; any other
+    shape, or a value that is not finite, is a ValueError."""
+    _check_pair(grid, w)
+    R = system_residuals(grid, w, np.stack(coupling_values(c, grid, w[0], w[1])), p)
+    return classify(grid, R, tol)
 
 
 def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
@@ -127,62 +131,41 @@ class ShiftReport:
     passed: bool | None
 
 
-def _shifted(w: ScalarField, delta: float) -> ScalarField:
-    return ScalarField(w.grid, w.values + delta)
-
-
 def shift_test(
-    u: ScalarField,
-    v: ScalarField,
-    base: Classification,
-    c: Coupling,
-    p: float,
-    alpha: float,
-    beta: float,
+    grid: Grid, w: np.ndarray, base: Classification, c: Coupling, p: float,
+    alpha: float, beta: float,
 ) -> ShiftReport:
-    """Check that (u + alpha, v + beta) stays a supersolution (alpha > 0,
-    beta >= 0, both finite), or (u - alpha, v - beta) a subsolution for
-    subsolution input, given the classification `base` of (u, v), whose
-    tolerance the shifted pairs are classified at.  The monotonicity gate
-    probes check_monotone on the grid's box and the ranges of u and v
-    that the shift visits."""
+    """Check that w + (alpha, beta) stays a supersolution (alpha > 0,
+    beta >= 0, both finite), or w - (alpha, beta) a subsolution for
+    subsolution input, given the pair w = (u, v), a (2, n_nodes) stack on
+    grid, and its classification `base`, whose tolerance the shifted pairs
+    are classified at.  The monotonicity gate probes check_monotone on the
+    grid's box and the ranges of u and v that the shift visits.  A w of
+    any other shape, or with a value that is not finite, is a ValueError."""
+    _check_pair(grid, w)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be nonnegative and finite, got {beta}")
-    if base.verdict == "supersolution":
-        directions = ["up"]
-    elif base.verdict == "subsolution":
-        directions = ["down"]
-    elif base.verdict == "solution":
-        directions = ["up", "down"]
-    else:
-        return ShiftReport(
-            False, "input pair classifies as neither super- nor subsolution", [], None
-        )
+    directions = {"supersolution": ["up"], "subsolution": ["down"], "solution": ["up", "down"]}
+    if base.verdict not in directions:
+        reason = "input pair classifies as neither super- nor subsolution"
+        return ShiftReport(False, reason, [], None)
 
     # monotonicity gate on the range of states the shift visits
-    u_range = (float(u.values.min()) - alpha, float(u.values.max()) + alpha)
-    v_range = (float(v.values.min()) - beta, float(v.values.max()) + beta)
-    violations = check_monotone(c, u.grid.box, u_range, v_range)
+    step = np.array([alpha, beta])
+    lo, hi = (w.min(axis=1) - step).tolist(), (w.max(axis=1) + step).tolist()
+    violations = check_monotone(c, grid.box, (lo[0], hi[0]), (lo[1], hi[1]))
     if violations:
-        return ShiftReport(
-            False,
-            f"coupling is not monotone on the sampled range ({violations} violating pairs)",
-            [], None,
-        )
+        reason = f"coupling is not monotone on the sampled range ({violations} violating pairs)"
+        return ShiftReport(False, reason, [], None)
 
-    results = []
-    ok = True
-    for direction in directions:
-        if direction == "up":
-            shifted = weak_residuals(_shifted(u, alpha), _shifted(v, beta), c, p, base.tol)
-            keep = shifted.verdict in ("supersolution", "solution")
-        else:
-            shifted = weak_residuals(_shifted(u, -alpha), _shifted(v, -beta), c, p, base.tol)
-            keep = shifted.verdict in ("subsolution", "solution")
-        results.append((direction, shifted.verdict))
-        ok = ok and keep
+    results, ok = [], True
+    for direction in directions[base.verdict]:
+        sign, keep = (1.0, "supersolution") if direction == "up" else (-1.0, "subsolution")
+        verdict = weak_residuals(grid, w + sign * step[:, None], c, p, base.tol).verdict
+        results.append((direction, verdict))
+        ok = ok and verdict in (keep, "solution")
     return ShiftReport(True, "", results, ok)
 
 
@@ -217,32 +200,24 @@ class StudyReport:
 EXACTNESS_FLOOR = 1e-8
 
 
-def _case_sinsin(n: int):
-    grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
-    f = from_callable(grid, lambda x, y: -2.0 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y))
-    h = from_callable(grid, lambda x, y: np.zeros_like(x))
-    exact = from_callable(grid, lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y))
-    return PPoissonProblem(grid, 2.0, f, h), exact
+# each case maps the node coordinates x, y of the unit square to its
+# exponent p, source f, boundary data h and exact solution, as nodal arrays
+def _case_sinsin(x, y):
+    f = -2.0 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y)
+    return 2.0, f, np.zeros_like(x), np.sin(math.pi * x) * np.sin(math.pi * y)
 
 
-def _case_affine(n: int):
-    grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
-    f = from_callable(grid, lambda x, y: np.zeros_like(x))
-    h = from_callable(grid, lambda x, y: 2.0 * x + 3.0 * y)
-    return PPoissonProblem(grid, 2.5, f, h), h
+def _case_affine(x, y):
+    h = 2.0 * x + 3.0 * y
+    return 2.5, np.zeros_like(x), h, h
 
 
-def _case_p3_1d(n: int):
-    """p = 3 and f = 1 on the unit square, with a solution of x alone:
-    |u'|^(p-2) u' = x - 1/2, zero at x = 0 and 1, and h = u on the whole
-    boundary."""
-    grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
-    f = from_callable(grid, lambda x, y: np.ones_like(x))
+def _case_p3_1d(x, y):
+    """p = 3 and f = 1, with a solution of x alone: |u'|^(p-2) u' = x - 1/2,
+    zero at x = 0 and 1, and h = u on the whole boundary."""
     pp = 1.5  # p/(p-1)
-    exact = from_callable(
-        grid, lambda x, y: (1.0 / pp) * (np.abs(x - 0.5) ** pp - 0.5**pp)
-    )
-    return PPoissonProblem(grid, 3.0, f, exact), exact
+    exact = (1.0 / pp) * (np.abs(x - 0.5) ** pp - 0.5**pp)
+    return 3.0, np.ones_like(x), exact, exact
 
 
 STUDY_CASES = {
@@ -255,8 +230,9 @@ STUDY_CASES = {
 def convergence_study(
     case: str, resolutions: list[int], solver_tol: float = 1e-8
 ) -> StudyReport:
-    """Solve the named manufactured problem at each resolution and fit the
-    observed convergence order of the max nodal error against n."""
+    """Solve the named manufactured problem at each resolution, a lift of
+    a stack of one, and fit the observed convergence order of the max nodal
+    error against n."""
     if case not in STUDY_CASES:
         raise ValueError(f"unknown study case {case!r}; have {sorted(STUDY_CASES)}")
     if len(resolutions) < 3:
@@ -271,16 +247,17 @@ def convergence_study(
     build = STUDY_CASES[case]
     rows = []
     for n in resolutions:
-        prob, exact = build(n)
-        rep = solve_p_poisson(prob, tol=solver_tol)
+        grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
+        p, f, h, exact = build(*grid.coords.T)
+        U, (rep,) = solve_p_poisson_batch(grid, p, f[None], h[None], solver_tol)
         if not rep.converged:
             raise RuntimeError(
                 f"study case {case!r} did not converge at n={n} "
                 f"(gradient norm {rep.gradient_norm:.3e})"
             )
-        diff = rep.solution.values - exact.values
+        diff = U - exact
         e_max = float(np.abs(diff).max())
-        e_l2 = lq_norm(ScalarField(prob.grid, diff), 2.0)
+        e_l2 = float(lq_norms(grid, diff, 2.0)[0])
         if rows and rows[-1].error_max > 0 and e_max > 0:
             order = math.log(rows[-1].error_max / e_max) / math.log(n / rows[-1].n)
         else:

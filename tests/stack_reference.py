@@ -1,7 +1,7 @@
 """Oracles for the stacked sampler, ball check and CSV writer: each does
 one field, one trial or one row at a time, the way the package did before
-it worked on stacks.  Also the constant-field, single-field source and
-norm helpers of the tests."""
+it worked on stacks.  Also the constant-field, sampled-field, pair,
+single-field source and norm helpers of the tests."""
 
 import numpy as np
 
@@ -14,6 +14,19 @@ from plapsys.plap import PPoissonProblem, solve_p_poisson
 def constant_field(grid, value):
     """The field equal to value at every node."""
     return ScalarField(grid, np.full(grid.n_nodes, float(value)))
+
+
+def from_callable(grid, fn):
+    """The field of fn(x, y) sampled at the nodes."""
+    c = grid.coords
+    vals = fn(c[:, 0], c[:, 1])
+    return ScalarField(grid, np.asarray(vals, dtype=float) + np.zeros(grid.n_nodes))
+
+
+def pair(u, v):
+    """The (2, n_nodes) stack (u, v) of two fields, the form of a pair that
+    picard_solve returns and weak_residuals and shift_test take."""
+    return np.stack([u.values, v.values])
 
 
 def sample_smooth_field(grid, rng):
@@ -78,11 +91,10 @@ def ball_check_trialwise(prob, M, trials, seed, tol):
     return draws, radii, worst, violations
 
 
-def save_field_rowwise(path, w):
+def save_field_rowwise(path, grid, values):
     """save_field formatting each coordinate and value alone."""
-    g = w.grid
     lines = ["x,y,value"]
-    for row, v in zip(g.coords, w.values):
+    for row, v in zip(grid.coords, values):
         parts = [f"{c:.17g}" for c in row] + [f"{v:.17g}"]
         lines.append(",".join(parts))
     with open(path, "w", newline="") as fh:

@@ -13,7 +13,7 @@ import plapsys
 import plapsys.plap as plap
 from plapsys.cli import main
 from plapsys.config import load_setup
-from plapsys.field import Grid, ScalarField, from_callable, load_field, save_field
+from plapsys.field import Grid, load_field, save_field
 from plapsys.fixpoint import admissible_r_range
 from plapsys.verify import weak_residuals
 
@@ -154,8 +154,8 @@ def test_solve_classification_is_that_of_the_written_pair(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     setup = load_setup(cfg)
-    u, v = (load_field(str(out / name), setup.grid) for name in ("u.csv", "v.csv"))
-    cls = weak_residuals(u, v, setup.coupling, setup.exponents.p, setup.verify_tol)
+    w = np.stack([load_field(str(out / name), setup.grid) for name in ("u.csv", "v.csv")])
+    cls = weak_residuals(setup.grid, w, setup.coupling, setup.exponents.p, setup.verify_tol)
     report = dict(
         line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()
         if " = " in line and not line.startswith("#")
@@ -277,6 +277,47 @@ def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("eps", ["1e-300", "1e300"])
+def test_eps_whose_split_factors_overflow_exit_2(tmp_path, capsys, command, eps):
+    """A positive, finite coupling.eps with (1 + 1/eps)^(p-1) or
+    (1 + eps)^(p-1) beyond the floats is a config error naming the key,
+    before any lift or output, not an OverflowError traceback after the
+    calibration."""
+    cfg = cfg_file(tmp_path, {"coupling.eps": eps})
+    lifts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: coupling.eps: eps must be positive, with (1 + eps)^(p-1) and "
+        f"(1 + 1/eps)^(p-1) finite, got {float(eps)!r} at p = 2.2\n"
+    )
+    assert lifts == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize(
+    "box, area", [("0, 1e200, 0, 1e200", "inf"), ("0, 1e-200, 0, 1e-200", "0.0")]
+)
+def test_box_whose_element_area_is_not_normal_exit_2(tmp_path, capsys, command, box, area):
+    """Finite box sides whose element area overflows (once numpy warnings,
+    then exit 3 with a nan gradient norm) or underflows (once exit 2 with
+    "calibration sources must be nonzero") are a config error naming the
+    box, before any lift or output."""
+    cfg = cfg_file(tmp_path, {"grid.box": box})
+    lifts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: box (0.0, ")
+    assert err.endswith(f"at n = 8 gives the element area {area}, not a positive normal float\n")
+    assert err.count("\n") == 1
+    assert lifts == [] and not (tmp_path / "out").exists()
 
 
 def test_negative_seed_exit_2(tmp_path, capsys):
@@ -549,10 +590,9 @@ def test_verify_perturbed_field_exit_4(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     g = Grid(2, (0.0, 0.3, 0.0, 0.3), 8)
-    u = load_field(str(out / "u.csv"), g)
-    vals = u.values.copy()
+    vals = load_field(str(out / "u.csv"), g).copy()
     vals[g.interior[len(g.interior) // 2]] += 0.1
-    save_field(str(out / "u_bad.csv"), ScalarField(g, vals))
+    save_field(str(out / "u_bad.csv"), g, vals)
     code = main([
         "verify", "--config", cfg, "--out", str(out),
         str(out / "u_bad.csv"), str(out / "v.csv"),
@@ -579,10 +619,9 @@ def zero_cfg(tmp_path):
 
 def write_quadratic_pair(tmp_path):
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
-    u = from_callable(g, lambda x, y: -x * x - y * y)
-    v = from_callable(g, lambda x, y: np.zeros_like(x))
-    save_field(str(tmp_path / "uq.csv"), u)
-    save_field(str(tmp_path / "vq.csv"), v)
+    x, y = g.coords.T
+    save_field(str(tmp_path / "uq.csv"), g, -x * x - y * y)
+    save_field(str(tmp_path / "vq.csv"), g, np.zeros(g.n_nodes))
     return str(tmp_path / "uq.csv"), str(tmp_path / "vq.csv")
 
 
@@ -693,7 +732,8 @@ def test_verify_malformed_field_exit_2(tmp_path, capsys):
     assert "input error" in err
     assert str(bad) in err
     good = tmp_path / "good.csv"
-    save_field(good, from_callable(Grid(2, (0.0, 0.3, 0.0, 0.3), 8), lambda x, y: 1 + x * y))
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), 8)
+    save_field(good, g, 1 + g.coords[:, 0] * g.coords[:, 1])
     lines = good.read_text().splitlines()
     for cell, message in (
         ("abc", r"line 5: not a number in '0\.11249999999999999,0,abc'"),

@@ -10,7 +10,6 @@ from plapsys.field import (
     Grid,
     ScalarField,
     element_gradients,
-    from_callable,
     load_field,
     lq_norm,
     lq_norms,
@@ -18,7 +17,7 @@ from plapsys.field import (
 )
 
 import p1_reference as ref
-from stack_reference import constant_field, pair_norm, save_field_rowwise
+from stack_reference import constant_field, from_callable, pair_norm, save_field_rowwise
 
 
 def unit_square(n):
@@ -57,6 +56,21 @@ def test_grid_validation():
     for box in ((0.0, math.nan, 0.0, 0.3), (0.0, math.inf, 0.0, 0.3), (-math.inf, 1.0, 0.0, 1.0)):
         with pytest.raises(ValueError, match="box entries must be finite"):
             Grid(2, box, 4)
+
+
+@pytest.mark.parametrize(
+    "box, area",
+    [((0.0, 1e200, 0.0, 1e200), "inf"), ((0.0, 1e-200, 0.0, 1e-200), "0.0"),
+     ((0.0, 1e-154, 0.0, 1e-154), "5e-309")],
+    ids=["overflow", "underflow", "subnormal"],
+)
+def test_grid_rejects_element_area_outside_normal_floats(box, area):
+    """Finite sides whose element area hx hy / 2 overflows, underflows or
+    is subnormal are rejected; the smallest normal area passes."""
+    with pytest.raises(ValueError, match=rf"at n = 1 gives the element area {area}, not a positive normal float"):
+        Grid(2, box, 1)
+    tiny = np.finfo(float).tiny
+    assert Grid(2, (0.0, 2.0 * tiny, 0.0, 1.0), 1).element_measure == tiny
 
 
 def test_grid_integral_float_n_is_stored_as_int():
@@ -278,9 +292,10 @@ def test_csv_round_trip_2d(tmp_path):
     rng = np.random.default_rng(9)
     w = ScalarField(g, rng.uniform(-1e3, 1e3, g.n_nodes))
     path = tmp_path / "w.csv"
-    save_field(path, w)
+    save_field(path, g, w.values)
     back = load_field(path, g)
-    assert np.array_equal(back.values, w.values)
+    assert np.array_equal(back, w.values)
+    assert back.shape == (g.n_nodes,) and not back.flags.writeable
     text = path.read_bytes()
     assert b"\r" not in text
     assert text.startswith(b"x,y,value\n")
@@ -288,9 +303,8 @@ def test_csv_round_trip_2d(tmp_path):
 
 def test_csv_row_count_mismatch(tmp_path):
     g = unit_square(4)
-    w = constant_field(g, 1.0)
     path = tmp_path / "w.csv"
-    save_field(path, w)
+    save_field(path, g, constant_field(g, 1.0).values)
     with pytest.raises(ValueError):
         load_field(path, unit_square(5))
 
@@ -306,7 +320,7 @@ def test_csv_on_another_box_names_file_and_first_bad_row(tmp_path):
     """A file written on the 0.3 box does not load into the unit box with the
     same n: node 0 agrees, node 1 (line 3) is the first that does not."""
     path = tmp_path / "w.csv"
-    save_field(path, constant_field(Grid(2, (0.0, 0.3, 0.0, 0.3), 6), 1.0))
+    save_field(path, Grid(2, (0.0, 0.3, 0.0, 0.3), 6), np.ones(49))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: coordinates"):
         load_field(path, unit_square(6))
 
@@ -315,7 +329,7 @@ def test_csv_y_column_is_checked(tmp_path):
     """Same x lattice, y stretched by 2: the first bad row is node n + 1,
     the first node off y = 0."""
     path = tmp_path / "w.csv"
-    save_field(path, constant_field(unit_square(4), 1.0))
+    save_field(path, unit_square(4), np.ones(25))
     want = r"w\.csv: line 7: coordinates \(0, 0\.25\) are not those of grid node 5 \(0\.0, 0\.5\)$"
     with pytest.raises(ValueError, match=want):
         load_field(path, Grid(2, (0.0, 1.0, 0.0, 2.0), 4))
@@ -328,7 +342,7 @@ def test_csv_coordinates_match_within_a_millionth_of_a_cell(tmp_path):
     rows = [f"{x},{y},{j * 4 + i}" for j, y in enumerate(ticks) for i, x in enumerate(ticks)]
     path = tmp_path / "w.csv"
     path.write_text("\n".join(["x,y,value"] + rows) + "\n")
-    assert np.array_equal(load_field(path, g).values, np.arange(16.0))
+    assert np.array_equal(load_field(path, g), np.arange(16.0))
     rows[1] = "0.100001,0,1"
     path.write_text("\n".join(["x,y,value"] + rows) + "\n")
     with pytest.raises(ValueError, match=r"line 3: coordinates \(0\.100001, 0\) "):
@@ -359,10 +373,9 @@ def test_save_field_matches_rowwise_formatting(tmp_path):
     rng = np.random.default_rng(2)
     vals = rng.uniform(-1.0, 1.0, g.n_nodes) * 10.0 ** rng.integers(-300, 300, g.n_nodes)
     vals[:6] = [-0.0, 0.0, 1.7976931348623157e308, -5e-324, 2.2250738585072014e-308, 1.0 / 3.0]
-    w = ScalarField(g, vals)
-    save_field(tmp_path / "fast.csv", w)
-    save_field_rowwise(tmp_path / "rowwise.csv", w)
+    save_field(tmp_path / "fast.csv", g, vals)
+    save_field_rowwise(tmp_path / "rowwise.csv", g, vals)
     text = (tmp_path / "fast.csv").read_bytes()
     assert text == (tmp_path / "rowwise.csv").read_bytes()
     assert b"\n-0," in text or b",-0\n" in text
-    assert np.array_equal(load_field(tmp_path / "fast.csv", g).values, vals)
+    assert np.array_equal(load_field(tmp_path / "fast.csv", g), vals)

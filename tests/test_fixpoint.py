@@ -11,8 +11,8 @@ import scipy.sparse.linalg as spla
 import plapsys.expr as ex
 import plapsys.fixpoint as fixpoint
 import plapsys.plap as plap
-from plapsys.coupling import Coupling, nemytskii, power_family
-from plapsys.field import Grid, ScalarField, from_callable, lq_norm
+from plapsys.coupling import Coupling, nemytskii, power_family, split_bound
+from plapsys.field import Grid, ScalarField, lq_norm
 from plapsys.fixpoint import (
     BallReport,
     Certificate,
@@ -40,6 +40,7 @@ from p1_reference import stiffness_matrix
 from stack_reference import (
     ball_check_trialwise,
     constant_field,
+    from_callable,
     sample_smooth_field,
     scale_to_norm,
     smooth_field_einsum,
@@ -238,6 +239,21 @@ def test_problem_validation():
         SystemProblem(g, exps, zero_coupling(2.5), z, z, 1.0)
     with pytest.raises(ValueError, match="eps"):
         SystemProblem(g, exps, zero_coupling(), z, z, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, 5e-324])
+def test_problem_rejects_eps_whose_split_factors_overflow(eps):
+    """eps must be positive with (1 + eps)^(p-1) and (1 + 1/eps)^(p-1)
+    finite: at p = 2.2, 1e-300 and 1e300 overflow a float power, which
+    split_bound would raise as an OverflowError in certify."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
+    z = constant_field(g, 1.0)
+    with pytest.raises(ValueError, match=r"eps must be positive, with \(1 \+ eps\)\^\(p-1\)"):
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, eps)
+    for ok in (1e-200, 1e200):  # (1e200)^1.2 = 1e240
+        prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, ok)
+        growth, split = split_bound(prob.coupling, z.values, z.values, ok)
+        assert math.isfinite(growth) and np.isfinite(split).all()
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +652,7 @@ def test_picard_zero_coupling_single_iteration():
     exps = make_exponents(3, 2.0, 1.3)
     h = from_callable(g, lambda x, y: x + y)
     prob = SystemProblem(g, exps, zero_coupling(), h, h, 1.0)
-    u, v, trace = picard_solve(prob)
+    w, trace = picard_solve(prob)
     assert trace.converged
     assert (trace.stop_reason, trace.restarts) == ("converged", 0)
     assert trace.iterations == 1
@@ -644,15 +660,15 @@ def test_picard_zero_coupling_single_iteration():
     direct = solve_p_poisson(
         PPoissonProblem(g, 2.0, constant_field(g, 0.0), h)
     ).solution
-    assert np.array_equal(u.values, direct.values)
-    assert np.array_equal(v.values, direct.values)
+    assert np.array_equal(w[0], direct.values)
+    assert np.array_equal(w[1], direct.values)
 
 
 def test_picard_symmetric_problem():
     prob = small_problem(n=8)
-    u, v, trace = picard_solve(prob)
+    w, trace = picard_solve(prob)
     assert trace.converged
-    assert np.array_equal(u.values, v.values)
+    assert np.array_equal(w[0], w[1])
 
 
 def test_picard_decoupled_linear_matches_monolithic():
@@ -669,7 +685,7 @@ def test_picard_decoupled_linear_matches_monolithic():
     prob = SystemProblem(g, exps, c, h, h, 1.0)
     cert = certify(prob, C=calibrate_C(g, exps, samples=10, seed=0))
     assert cert.valid
-    u, v, trace = picard_solve(prob, tol=1e-10)
+    (u, v), trace = picard_solve(prob, tol=1e-10)
     assert trace.converged
 
     A = stiffness_matrix(g).tocsr()
@@ -678,19 +694,19 @@ def test_picard_decoupled_linear_matches_monolithic():
     M = sp.diags(g.lumped[I])
     rhs = -A[I][:, B] @ np.ones(len(B))
     u_int = spla.spsolve((A[I][:, I] + M).tocsc(), rhs)
-    assert np.abs(u.values[I] - u_int).max() <= 1e-6
-    assert np.array_equal(u.values, v.values)
-    assert np.array_equal(u.values[B], np.ones(len(B)))
+    assert np.abs(u[I] - u_int).max() <= 1e-6
+    assert np.array_equal(u, v)
+    assert np.array_equal(u[B], np.ones(len(B)))
 
 
 def test_picard_max_iter_exhaustion_is_reported():
     prob = small_problem(n=6)
-    u, v, trace = picard_solve(prob, max_iter=1)
+    w, trace = picard_solve(prob, max_iter=1)
     assert not trace.converged
     assert trace.stop_reason == "max_iter"
     assert trace.iterations == 1
     assert len(trace.rows) == 2
-    assert u.values.shape == (prob.grid.n_nodes,)
+    assert w.shape == (2, prob.grid.n_nodes)
 
 
 def test_picard_max_iter_validation():
@@ -705,7 +721,7 @@ def test_trace_csv_shape():
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
     prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
-    _, _, trace = picard_solve(prob)
+    _, trace = picard_solve(prob)
     lines = trace.csv_lines()
     assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
     assert len(lines) == len(trace.rows) + 1
@@ -716,12 +732,12 @@ def test_trace_csv_shape():
 def test_picard_fixed_point_property():
     """At convergence the source pair reproduces itself through Lambda."""
     prob = small_problem(n=8)
-    u, v, trace = picard_solve(prob, tol=1e-10)
+    w, trace = picard_solve(prob, tol=1e-10)
     assert trace.converged
-    phi_f, psi_f = nemytskii(prob.coupling, u, v)
+    phi_f, psi_f = nemytskii(prob.coupling, ScalarField(prob.grid, w[0]), ScalarField(prob.grid, w[1]))
     L, _, _ = apply_lambda(prob, pairs(phi_f, psi_f))
-    assert np.abs(L[0, 0] - u.values).max() <= 1e-7
-    assert np.abs(L[0, 1] - v.values).max() <= 1e-7
+    assert np.abs(L[0, 0] - w[0]).max() <= 1e-7
+    assert np.abs(L[0, 1] - w[1]).max() <= 1e-7
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -739,8 +755,8 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
         phi, psi, h, k = psi.translate(swap), phi.translate(swap), k, h
     c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1, 2.2)
     prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
-    u, v, trace = picard_solve(prob)
-    cls = weak_residuals(u, v, c, 2.2, 1e-6)
+    w, trace = picard_solve(prob)
+    cls = weak_residuals(g, w, c, 2.2, 1e-6)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
     assert np.array_equal(trace.residuals, np.stack([cls.R1, cls.R2]))
     assert (np.abs(cls.R2).max() > np.abs(cls.R1).max()) == mirrored
@@ -754,9 +770,9 @@ def test_picard_large_coupling_converges(a):
     """Beyond the smallness certificate (lambda > 1) the accelerated loop
     still converges to a solution; plain Picard aborted at a = 40."""
     prob = small_problem(n=16, box=UNIT_BOX, const=a)
-    u, v, trace = picard_solve(prob)
+    w, trace = picard_solve(prob)
     assert trace.converged
-    cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, 1e-6)
     assert cls.verdict == "solution"
 
 
@@ -767,6 +783,19 @@ def unit_box_problem(consts, n=32):
     h = constant_field(g, 1.0)
     c = power_family(*consts, 2.2)
     return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, h, 1.0)
+
+
+def test_weak_residuals_of_the_returned_stack_are_the_trace_residuals():
+    """picard_solve returns its final lift as one read-only (2, n_nodes)
+    stack, and weak_residuals of that stack, which evaluates the coupling
+    afresh, gives bit for bit the residual rows of the trace: the
+    solve-picard problem at n = 16."""
+    prob = unit_box_problem((8.0,) * 4, n=16)
+    w, trace = picard_solve(prob)
+    assert trace.converged
+    assert w.shape == (2, prob.grid.n_nodes) and not w.flags.writeable
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
+    assert np.array_equal(np.stack([cls.R1, cls.R2]), trace.residuals)
 
 
 @pytest.mark.parametrize(
@@ -788,7 +817,7 @@ def test_picard_stops_a_diverging_iteration_only(consts, stop_reason, iterations
     lift of its sources (up to 1.3e9) at the solver tolerance runs into
     max_iter.  The couplings that converge grow on at most three iterations
     in a row and keep their iteration counts."""
-    _, _, trace = picard_solve(unit_box_problem(consts))
+    _, trace = picard_solve(unit_box_problem(consts))
     assert (trace.stop_reason, trace.iterations) == (stop_reason, iterations)
     if stop_reason == "diverged":
         deltas = [row.delta for row in trace.rows[:-1]]
@@ -805,7 +834,7 @@ def test_picard_warm_inexact_lifts_agree_with_cold_exact_ones(monkeypatch, a):
     uses) reach the pair of cold lifts at the solver tolerance to 1e-6, in
     fewer Newton steps."""
     prob = unit_box_problem((a,) * 4)
-    u, v, warm = picard_solve(prob)
+    w, warm = picard_solve(prob)
     tols = [row.inner_tol for row in warm.rows]
     deltas = [math.inf] + [row.delta for row in warm.rows[:-2]]
     assert tols[:-1] == [max(DEFAULT_TOL, min(1e-4, 1e-3 * d)) for d in deltas]
@@ -816,11 +845,11 @@ def test_picard_warm_inexact_lifts_agree_with_cold_exact_ones(monkeypatch, a):
     monkeypatch.setattr(
         fixpoint, "apply_lambda", lambda prob, X, tol, L0=None: real(prob, X, tol)
     )
-    uc, vc, cold = picard_solve(prob)
+    wc, cold = picard_solve(prob)
     assert {row.inner_tol for row in cold.rows} == {DEFAULT_TOL}
     assert warm.iterations == cold.iterations
-    assert np.abs(u.values - uc.values).max() <= 1e-6
-    assert np.abs(v.values - vc.values).max() <= 1e-6
+    assert np.abs(w[0] - wc[0]).max() <= 1e-6
+    assert np.abs(w[1] - wc[1]).max() <= 1e-6
 
     def newton(trace):
         return sum(row.newton_u + row.newton_v for row in trace.rows)
@@ -862,11 +891,11 @@ class _AbortOnExtrapolation:
 def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
     prob = small_problem(n=16, box=UNIT_BOX, const=8.0)
     patched = _AbortOnExtrapolation(monkeypatch)
-    u, v, trace = picard_solve(prob)
+    w, trace = picard_solve(prob)
     assert patched.aborts == 1
     assert trace.converged
     assert trace.restarts >= 1
-    cls = weak_residuals(u, v, prob.coupling, prob.exponents.p, 1e-6)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, 1e-6)
     assert cls.verdict == "solution"
 
 

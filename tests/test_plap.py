@@ -10,7 +10,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 
 from plapsys import plap
-from plapsys.field import Grid, ScalarField, element_gradients, from_callable, lq_norms
+from plapsys.field import Grid, ScalarField, element_gradients, lq_norms
 from plapsys.fixpoint import SAMPLER_MODES, smooth_fields
 from plapsys.plap import (
     PPoissonProblem,
@@ -26,7 +26,7 @@ from plapsys.plap import (
 
 import p1_reference as ref
 from p1_reference import densify, newton_matrix, stiffness_matrix
-from stack_reference import constant_field, sample_smooth_field, scale_to_norm
+from stack_reference import constant_field, from_callable, sample_smooth_field, scale_to_norm
 
 N_VALUES = [1, 2, 3, 7, 16, 33]
 P_VALUES = (1.2, 2.0, 2.2, 6.0)

@@ -7,7 +7,7 @@ import pytest
 
 import plapsys.expr as ex
 from plapsys.coupling import Coupling
-from plapsys.field import Grid, from_callable
+from plapsys.field import Grid
 from plapsys.plap import residual_vector
 from plapsys.verify import (
     STUDY_CASES,
@@ -18,7 +18,7 @@ from plapsys.verify import (
     weak_residuals,
 )
 
-from stack_reference import constant_field
+from stack_reference import constant_field, from_callable, pair
 
 
 def zero_coupling(p=2.0):
@@ -44,7 +44,7 @@ def test_supersolution_quadratic_exact_residual():
     g = unit_square(n)
     u = quad_down(g)
     v = constant_field(g, 0.0)
-    cls = weak_residuals(u, v, zero_coupling(), 2.0)
+    cls = weak_residuals(g, pair(u, v), zero_coupling(), 2.0)
     assert cls.verdict == "supersolution"
     hx = (g.box[1] - g.box[0]) / n
     hy = (g.box[3] - g.box[2]) / n
@@ -55,7 +55,7 @@ def test_supersolution_quadratic_exact_residual():
 
 def test_subsolution_quadratic():
     g = unit_square(8)
-    cls = weak_residuals(quad_up(g), constant_field(g, 0.0), zero_coupling(), 2.0)
+    cls = weak_residuals(g, pair(quad_up(g), constant_field(g, 0.0)), zero_coupling(), 2.0)
     assert cls.verdict == "subsolution"
     assert cls.R1.max() <= 0.0
     assert cls.max_abs_residual == pytest.approx(4.0 / 64.0, abs=1e-12)
@@ -64,7 +64,7 @@ def test_subsolution_quadratic():
 def test_solution_affine_any_p():
     g = unit_square(8)
     u = from_callable(g, lambda x, y: 2 * x + 3 * y)
-    cls = weak_residuals(u, u, zero_coupling(2.5), 2.5)
+    cls = weak_residuals(g, pair(u, u), zero_coupling(2.5), 2.5)
     assert cls.verdict == "solution"
     assert cls.max_abs_residual <= 1e-12
     assert cls.offending_hats() == []
@@ -73,7 +73,7 @@ def test_solution_affine_any_p():
 def test_neither_verdict():
     g = unit_square(10)
     u = from_callable(g, lambda x, y: np.cos(2 * np.pi * x))
-    cls = weak_residuals(u, constant_field(g, 0.0), zero_coupling(), 2.0)
+    cls = weak_residuals(g, pair(u, constant_field(g, 0.0)), zero_coupling(), 2.0)
     assert cls.verdict == "neither"
     assert cls.R1.min() < -1e-3 and cls.R1.max() > 1e-3
 
@@ -84,9 +84,9 @@ def test_reaction_term_moves_verdict():
     z = constant_field(g, 0.0)
     pos = Coupling(ex.parse("1"), ex.parse("0"), 1, 0, 0, 0, 2.0)
     neg = Coupling(ex.parse("0-1"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    assert weak_residuals(z, z, pos, 2.0).verdict == "supersolution"
-    assert weak_residuals(z, z, neg, 2.0).verdict == "subsolution"
-    cls = weak_residuals(z, z, pos, 2.0)
+    assert weak_residuals(g, pair(z, z), pos, 2.0).verdict == "supersolution"
+    assert weak_residuals(g, pair(z, z), neg, 2.0).verdict == "subsolution"
+    cls = weak_residuals(g, pair(z, z), pos, 2.0)
     assert np.abs(cls.R1 - g.lumped[g.interior]).max() <= 1e-15
 
 
@@ -94,7 +94,34 @@ def test_tol_validation():
     g = unit_square(4)
     z = constant_field(g, 0.0)
     with pytest.raises(ValueError, match="tol"):
-        weak_residuals(z, z, zero_coupling(), 2.0, tol=0.0)
+        weak_residuals(g, pair(z, z), zero_coupling(), 2.0, tol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 24), (2, 26), (25,), (1, 25), (3, 25), (1, 2, 25)])
+def test_pair_shape_rejected(shape):
+    """A pair is one (2, n_nodes) stack; any other shape is a ValueError
+    from weak_residuals and shift_test alike, before any evaluation."""
+    g = unit_square(4)  # 25 nodes
+    base = weak_residuals(g, np.zeros((2, 25)), zero_coupling(), 2.0)
+    w = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"w must be a \(2, 25\) stack"):
+        weak_residuals(g, w, zero_coupling(), 2.0)
+    with pytest.raises(ValueError, match=r"w must be a \(2, 25\) stack"):
+        shift_test(g, w, base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_nonfinite_rejected(bad):
+    """A pair with a value that is not finite is a ValueError, not a pair
+    whose nan residuals classify as neither."""
+    g = unit_square(4)
+    base = weak_residuals(g, np.zeros((2, 25)), zero_coupling(), 2.0)
+    w = np.zeros((2, 25))
+    w[1, 12] = bad
+    with pytest.raises(ValueError, match="the values of the pair w must be finite"):
+        weak_residuals(g, w, zero_coupling(), 2.0)
+    with pytest.raises(ValueError, match="the values of the pair w must be finite"):
+        shift_test(g, w, base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
@@ -106,13 +133,13 @@ def test_nonfinite_tol_rejected(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         classify(g, np.zeros((2, len(g.interior))), tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        weak_residuals(quad_up(g), z, zero_coupling(), 2.0, tol=tol)
+        weak_residuals(g, pair(quad_up(g), z), zero_coupling(), 2.0, tol=tol)
 
 
 def test_classification_csv():
     g = unit_square(4)
     z = constant_field(g, 0.0)
-    cls = weak_residuals(z, z, zero_coupling(), 2.0)
+    cls = weak_residuals(g, pair(z, z), zero_coupling(), 2.0)
     lines = cls.csv_lines()
     assert lines[0] == "hat_index,R1,R2"
     assert len(lines) == 1 + len(g.interior)
@@ -130,9 +157,9 @@ def test_shift_preserves_supersolution_zero_coupling():
     g = unit_square(8)
     u = quad_down(g)
     v = constant_field(g, 0.0)
-    base = weak_residuals(u, v, zero_coupling(), 2.0)
+    base = weak_residuals(g, pair(u, v), zero_coupling(), 2.0)
     assert base.verdict == "supersolution"
-    rep = shift_test(u, v, base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
+    rep = shift_test(g, pair(u, v), base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
     assert rep.precondition_ok
     assert rep.shifted_verdicts == [("up", "supersolution")]
     assert rep.passed is True
@@ -141,9 +168,9 @@ def test_shift_preserves_supersolution_zero_coupling():
 def test_shift_subsolution_goes_down():
     g = unit_square(8)
     u, v = quad_up(g), constant_field(g, 0.0)
-    base = weak_residuals(u, v, zero_coupling(), 2.0)
+    base = weak_residuals(g, pair(u, v), zero_coupling(), 2.0)
     assert base.verdict == "subsolution"
-    rep = shift_test(u, v, base, zero_coupling(), 2.0, alpha=0.5, beta=0.25)
+    rep = shift_test(g, pair(u, v), base, zero_coupling(), 2.0, alpha=0.5, beta=0.25)
     assert rep.shifted_verdicts == [("down", "subsolution")]
     assert rep.passed is True
 
@@ -151,9 +178,9 @@ def test_shift_subsolution_goes_down():
 def test_shift_solution_both_directions():
     g = unit_square(6)
     u = from_callable(g, lambda x, y: x - y)
-    base = weak_residuals(u, u, zero_coupling(), 2.0)
+    base = weak_residuals(g, pair(u, u), zero_coupling(), 2.0)
     assert base.verdict == "solution"
-    rep = shift_test(u, u, base, zero_coupling(), 2.0, alpha=1.0, beta=1.0)
+    rep = shift_test(g, pair(u, u), base, zero_coupling(), 2.0, alpha=1.0, beta=1.0)
     assert [d for d, _ in rep.shifted_verdicts] == ["up", "down"]
     assert rep.passed is True
 
@@ -164,9 +191,9 @@ def test_shift_with_monotone_coupling():
     u = quad_down(g)  # phi(u) in [-2, 0), residual h^2 (4 + u) stays > 0
     v = constant_field(g, 0.0)
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    base = weak_residuals(u, v, c, 2.0)
+    base = weak_residuals(g, pair(u, v), c, 2.0)
     assert base.verdict == "supersolution"
-    rep = shift_test(u, v, base, c, 2.0, alpha=1.0, beta=0.0)
+    rep = shift_test(g, pair(u, v), base, c, 2.0, alpha=1.0, beta=0.0)
     assert rep.precondition_ok
     assert rep.passed is True
 
@@ -176,9 +203,9 @@ def test_shift_nonmonotone_precondition_failure():
     u = quad_down(g)
     v = constant_field(g, 0.0)
     c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    base = weak_residuals(u, v, c, 2.0)
+    base = weak_residuals(g, pair(u, v), c, 2.0)
     assert base.verdict == "supersolution"
-    rep = shift_test(u, v, base, c, 2.0, alpha=1.0, beta=0.0)
+    rep = shift_test(g, pair(u, v), base, c, 2.0, alpha=1.0, beta=0.0)
     assert not rep.precondition_ok
     # phi = -u decreases on each of the 40 adjacent u-pairs of the 41 x 41
     # state lattice at each of the 64 sample points
@@ -193,8 +220,8 @@ def test_shift_neither_precondition_failure():
     g = unit_square(10)
     u = from_callable(g, lambda x, y: np.cos(2 * np.pi * x))
     v = constant_field(g, 0.0)
-    base = weak_residuals(u, v, zero_coupling(), 2.0)
-    rep = shift_test(u, v, base, zero_coupling(), 2.0, 1.0, 0.0)
+    base = weak_residuals(g, pair(u, v), zero_coupling(), 2.0)
+    rep = shift_test(g, pair(u, v), base, zero_coupling(), 2.0, 1.0, 0.0)
     assert not rep.precondition_ok
     assert "neither" in rep.reason
     assert rep.passed is None
@@ -203,11 +230,11 @@ def test_shift_neither_precondition_failure():
 def test_shift_parameter_validation():
     g = unit_square(4)
     z = constant_field(g, 0.0)
-    base = weak_residuals(z, z, zero_coupling(), 2.0)
+    base = weak_residuals(g, pair(z, z), zero_coupling(), 2.0)
     with pytest.raises(ValueError, match="alpha"):
-        shift_test(z, z, base, zero_coupling(), 2.0, alpha=0.0, beta=0.0)
+        shift_test(g, pair(z, z), base, zero_coupling(), 2.0, alpha=0.0, beta=0.0)
     with pytest.raises(ValueError, match="beta"):
-        shift_test(z, z, base, zero_coupling(), 2.0, alpha=1.0, beta=-0.5)
+        shift_test(g, pair(z, z), base, zero_coupling(), 2.0, alpha=1.0, beta=-0.5)
 
 
 # ---------------------------------------------------------------------------
