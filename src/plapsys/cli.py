@@ -55,8 +55,7 @@ def _probe_growth(setup: Setup) -> None:
     not probed."""
     if not setup.explicit_coupling:
         return
-    B = setup.grid.boundary
-    m = max(1.0, *(float(np.abs(w.values[B]).max()) for w in (setup.problem.h, setup.problem.k)))
+    m = max(1.0, float(np.abs(setup.problem.hk[:, setup.grid.boundary]).max()))
     excess, name, point = growth_excess(setup.coupling, setup.grid.box, (-m, m), (-m, m))
     if excess > GROWTH_TOL:
         consts = "coupling.a1 and coupling.a2" if name == "phi" else "coupling.b1 and coupling.b2"

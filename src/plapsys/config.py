@@ -29,8 +29,11 @@ import numpy as np
 
 from . import expr as ex
 from .coupling import Coupling, eval_on_nodes, power_family
-from .field import Grid, ScalarField
-from .fixpoint import MIN_CALIBRATION_SAMPLES, Exponents, SystemProblem, make_exponents
+from .field import Grid
+from .fixpoint import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, MIN_CALIBRATION_SAMPLES,
+                       Exponents, SystemProblem, make_exponents)
+from .plap import DEFAULT_TOL
+from .verify import DEFAULT_CLASS_TOL, STUDY_CASES
 
 
 class ConfigError(Exception):
@@ -54,12 +57,12 @@ KNOWN_KEYS = {
     "coupling.eps": "1.0",
     "boundary.h": None,
     "boundary.k": None,
-    "solver.tol": "1e-8",
-    "picard.tol": "1e-7",
-    "picard.max_iter": "200",
+    "solver.tol": str(DEFAULT_TOL),
+    "picard.tol": str(DEFAULT_PICARD_TOL),
+    "picard.max_iter": str(DEFAULT_PICARD_MAX_ITER),
     "calibration.samples": "16",
     "certificate.trials": "100",
-    "verify.tol": "1e-6",
+    "verify.tol": str(DEFAULT_CLASS_TOL),
     "study.case": "",
     "study.min_order": "0.9",
 }
@@ -142,13 +145,12 @@ def _parse_expr(cfg: dict[str, str], key: str) -> ex.Expr:
         raise ConfigError(f"{key}: {err}") from None
 
 
-def _boundary_field(grid: Grid, cfg: dict[str, str], key: str) -> ScalarField:
+def _boundary_values(grid: Grid, cfg: dict[str, str], key: str) -> np.ndarray:
     e = _parse_expr(cfg, key)
     try:
-        values = eval_on_nodes(e, grid)
+        return eval_on_nodes(e, grid)
     except ex.EvaluationError as err:
         raise ConfigError(f"{key}: {err}") from None
-    return ScalarField(grid, values)
 
 
 def _coupling(cfg: dict[str, str], p: float) -> Coupling:
@@ -157,6 +159,9 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
     if family and explicit:
         raise ConfigError("give either coupling.family or coupling.phi/psi, not both")
     if family == "zero":
+        for name in ("a1", "a2", "b1", "b2"):
+            if cfg[f"coupling.{name}"]:
+                raise ConfigError(f"coupling.{name}: not used by coupling.family = zero")
         return Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0, p)
     consts = {}
     for name in ("a1", "a2", "b1", "b2"):
@@ -220,12 +225,14 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
     except ValueError as err:
         raise ConfigError(f"exponents: {err}") from None
     coupling = _coupling(cfg, p)
-    h = _boundary_field(grid, cfg, "boundary.h")
-    k = _boundary_field(grid, cfg, "boundary.k")
-    try:  # h, k and the coupling are built on this grid and p: only eps can fail
-        problem = SystemProblem(grid, exponents, coupling, h, k, _as_float(cfg, "coupling.eps"))
+    hk = np.stack([_boundary_values(grid, cfg, key) for key in ("boundary.h", "boundary.k")])
+    try:  # hk and the coupling are built on this grid and p: only eps can fail
+        problem = SystemProblem(grid, exponents, coupling, hk, _as_float(cfg, "coupling.eps"))
     except ValueError as err:
         raise ConfigError(f"coupling.eps: {err}") from None
+    if cfg["study.case"] not in ("", *STUDY_CASES):
+        raise ConfigError(f"study.case: unknown study case {cfg['study.case']!r} "
+                          f"(have {', '.join(sorted(STUDY_CASES))})")
 
     max_iter = _as_int(cfg, "picard.max_iter")
     if max_iter < 1:

@@ -17,17 +17,17 @@ domain error names the sample point (x, y, u, v).
 
 eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
-(k, n_nodes), such as a pair (u, v) or the lifted pairs of a block of
-ball trials (coupling_values).  A domain error names the node, its
-coordinates and, in a stack, the row.  nemytskii is the benchmark's
-single-field adapter.
+(k, n_nodes), such as the rows of a pair (u, v) or of the lifted pairs
+(k, 2, n_nodes) of a block of ball trials (coupling_values).  A domain
+error names the node, its coordinates and, in a stack, the row.
+nemytskii is the benchmark's single-field adapter.
 
 The homogeneous transform shifts the arguments by boundary lifts h, k:
 phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is coupling_values at
 the shifted pair.  Splitting the shifted growth bound with the elementary
 inequality |a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives,
 for any eps > 0 and with q = p - 1, the data that split_bound returns
-from the nodal values of h and k:
+from the boundary pair (h, k), a (2, n_nodes) stack of nodal values:
 
     a_i' = a_i (1 + eps)^q,   b_i' = b_i (1 + eps)^q   (the growth factor)
     c(x)  = (1 + 1/eps)^q (a1 |h(x)|^q + a2 |k(x)|^q)
@@ -105,17 +105,12 @@ def eval_on_nodes(
     return np.broadcast_to(vals, shape).astype(float, copy=True)
 
 
-def coupling_values(
-    c: Coupling, grid: Grid, u: np.ndarray, v: np.ndarray, first_row: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise phi(x, u(x), v(x)) and psi(x, u(x), v(x)) of every row of
-    the stacks u and v (k, n_nodes), or of one pair of nodal arrays, by
-    eval_on_nodes; a domain error in a stack names the row, numbered from
-    first_row, and the node."""
-    return (
-        eval_on_nodes(c.phi, grid, first_row, u=u, v=v),
-        eval_on_nodes(c.psi, grid, first_row, u=u, v=v),
-    )
+def coupling_values(c: Coupling, grid: Grid, W: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """The stack (phi(x, u, v), psi(x, u, v)) of each pair (u, v) of the
+    stack W (..., 2, n_nodes), shaped like W, by eval_on_nodes; a domain
+    error names the node and, in a stack of pairs, the pair from first_row."""
+    u, v = W[..., 0, :], W[..., 1, :]
+    return np.stack([eval_on_nodes(e, grid, first_row, u=u, v=v) for e in (c.phi, c.psi)], -2)
 
 
 def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -124,19 +119,17 @@ def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField,
     grid = u.grid
     if v.grid is not grid:
         raise ValueError("u and v must share a grid")
-    phi, psi = coupling_values(c, grid, u.values, v.values)
+    phi, psi = coupling_values(c, grid, np.stack([u.values, v.values]))
     return ScalarField(grid, phi), ScalarField(grid, psi)
 
 
-def split_bound(
-    c: Coupling, h: np.ndarray, k: np.ndarray, eps: float
-) -> tuple[float, np.ndarray]:
+def split_bound(c: Coupling, hk: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
     """The eps-split of the growth bound of the coupling shifted by the
-    nodal boundary values h and k: the growth factor (1 + eps)^(p-1) of
-    every primed constant and the stacked pair (c, c'), shape
-    (2, n_nodes), of the module docstring."""
+    boundary pair hk = (h, k), a (2, n_nodes) stack of nodal values: the
+    growth factor (1 + eps)^(p-1) of every primed constant and the stacked
+    pair (c, c'), shape (2, n_nodes), of the module docstring."""
     q = c.p - 1.0
-    hq, kq = np.abs(h) ** q, np.abs(k) ** q
+    hq, kq = np.abs(hk) ** q
     split = (1.0 + 1.0 / eps) ** q * np.stack([c.a1 * hq + c.a2 * kq, c.b2 * hq + c.b1 * kq])
     return (1.0 + eps) ** q, split
 

@@ -7,13 +7,15 @@ row-major from the (x0, y0) corner: node (i, j) has index j*(n+1) + i, so the no
 (n+1, n+1) are indexed [j, i].
 
 Fields are piecewise-linear (P1): one value per node, in stacks of nodal
-values (k, n_nodes) such as a pair (u, v), and all integral quantities
-use the vertex-averaged elementwise quadrature
+values (k, n_nodes); a pair such as (h, k), (f, g) or (u, v) is a
+(2, n_nodes) stack (check_pair), and all integral quantities use the
+vertex-averaged elementwise quadrature
 
     ||w||_q = (sum_e |mean of vertex values|^q * area_e)^(1/q).
 
 lq_norms is the one kernel that computes it, for every row of a stack at
-once.  A row whose power sum underflows or overflows, as at the large L^s
+once, and pair_norms the one pair norm max(||f||_q, ||g||_q).  A row
+whose power sum underflows or overflows, as at the large L^s
 exponents near the top of the admissible r-interval, takes the norm in its
 homogeneous form top * ||w / top||_q, with top the row's largest |vertex
 mean|.  ScalarField and lq_norm are the benchmark's single-field adapters.
@@ -176,8 +178,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """One float per grid node; immutable after construction.  A lift
-    report's solution, and the benchmark's (perfbench/) single field."""
+    """One float per grid node; immutable after construction.  The
+    benchmark's (perfbench/) single field: only its adapters build one."""
 
     grid: Grid
     values: np.ndarray
@@ -191,6 +193,16 @@ class ScalarField:
         if not np.isfinite(v).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
+
+
+def check_pair(grid: Grid, w: np.ndarray, name: str) -> np.ndarray:
+    """A read-only float copy of the pair w, which must be a (2, n_nodes)
+    stack of finite values on grid; otherwise a ValueError naming `name`."""
+    if np.shape(w) != (2, grid.n_nodes):
+        raise ValueError(f"{name} must be a (2, {grid.n_nodes}) stack, got shape {np.shape(w)}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"the values of the pair {name} must be finite")
+    return _readonly(np.array(w, dtype=float))
 
 
 def element_gradients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +263,12 @@ def lq_norms(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
             np.power(a, q, out=a)
             norms[i] = top * (a.sum() * grid.element_measure) ** (1.0 / q)
     return np.array(norms)
+
+
+def pair_norms(grid: Grid, W: np.ndarray, q: float) -> np.ndarray:
+    """The pair norm max(||f||_q, ||g||_q) of each pair (f, g) of a stack
+    W (..., 2, n_nodes), shape (...,), from one lq_norms call."""
+    return lq_norms(grid, W.reshape(-1, grid.n_nodes), q).reshape(W.shape[:-1]).max(axis=-1)
 
 
 def lq_norm(w: ScalarField, q: float) -> float:

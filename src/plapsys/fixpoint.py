@@ -35,8 +35,8 @@ the shifted coupling (coupling.split_bound),
 lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
 max is (1 + eps)^(p-1) max{a1, a2, b1, b2}, gives the
 ball radius M0 = max{||c||_r, ||c'||_r} / (1 - lambda), invariant for every
-M >= M0; certify computes both from split_bound's growth factor and its
-stacked pair (c, c'), whose two L^r norms it takes in one lq_norms call.
+M >= M0; certify computes both from split_bound's growth factor and the
+pair norm (field.pair_norms, as every L^r pair norm here) of its (c, c').
 The constant C (source norm to lifted-state norm, power p-1) is
 calibrated empirically on the grid from random smooth sources and is an
 estimate, not a proven bound; every certificate records that provenance.
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import Coupling, coupling_values, split_bound
-from .field import Grid, ScalarField, lq_norms
+from .field import Grid, check_pair, lq_norms, pair_norms
 from .plap import DEFAULT_TOL, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
 
@@ -145,20 +145,19 @@ def make_exponents(d: int, p: float, r: float) -> Exponents:
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """Coupled system on a grid: boundary pair (h, k), coupling, and the
-    epsilon of the split growth bound (coupling.split_bound), whose factors
+    """Coupled system on a grid: the boundary pair hk = (h, k), a read-only
+    (2, n_nodes) stack of finite nodal values, the coupling, and the epsilon
+    of the split growth bound (coupling.split_bound), whose factors
     (1 + eps)^(p-1) and (1 + 1/eps)^(p-1) must be finite floats."""
 
     grid: Grid
     exponents: Exponents
     coupling: Coupling
-    h: ScalarField
-    k: ScalarField
+    hk: np.ndarray
     eps: float
 
     def __post_init__(self):
-        if self.h.grid is not self.grid or self.k.grid is not self.grid:
-            raise ValueError("boundary fields must live on the problem grid")
+        object.__setattr__(self, "hk", check_pair(self.grid, self.hk, "hk"))
         if self.coupling.p != self.exponents.p:
             raise ValueError(
                 f"coupling growth exponent p={self.coupling.p} does not match "
@@ -193,19 +192,15 @@ def apply_lambda(
     order and u before v, raises SolverAbort; a coupling domain error
     names the row, numbered from first_row, and the node.
     """
-    grid, p = prob.grid, prob.exponents.p
-    k = len(X)
-    H = np.tile(np.stack([prob.h.values, prob.k.values]), (k, 1))
+    grid, p, k = prob.grid, prob.exponents.p, len(X)
+    H = np.tile(prob.hk, (k, 1))
     U0 = None if L0 is None else L0.reshape(2 * k, grid.n_nodes)
-    U, reports = solve_p_poisson_batch(
-        grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol, U0=U0
-    )
+    U, reports = solve_p_poisson_batch(grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol, U0=U0)
     for i, rep in enumerate(reports):
         if not rep.converged:
             raise SolverAbort("uv"[i % 2], p, grid.n, rep)
     L = U.reshape(X.shape)
-    Y = np.stack(coupling_values(prob.coupling, grid, L[:, 0], L[:, 1], first_row), axis=1)
-    return L, Y, reports
+    return L, coupling_values(prob.coupling, grid, L, first_row), reports
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def calibration_ratios(
 def calibrate_C(
     grid: Grid,
     exponents: Exponents,
-    samples: int = 16,
+    samples: int,
     seed: int | np.random.SeedSequence = 0,
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -328,10 +323,10 @@ def certify(prob: SystemProblem, C: float, C_samples: int = 0) -> Certificate:
     if not (math.isfinite(C) and C > 0.0):
         raise ValueError(f"C must be positive and finite, got {C}")
     ex, c = prob.exponents, prob.coupling
-    growth, split = split_bound(c, prob.h.values, prob.k.values, prob.eps)
+    growth, split = split_bound(c, prob.hk, prob.eps)
     lam = growth * max(c.a1, c.a2, c.b1, c.b2) * C * prob.grid.measure ** (ex.p / ex.d)
     if lam < 1.0:
-        m0 = max(lq_norms(prob.grid, split, ex.r).tolist()) / (1.0 - lam)
+        m0 = float(pair_norms(prob.grid, split, ex.r)) / (1.0 - lam)
         return Certificate(ex, prob.eps, C, C_samples, lam, m0, True)
     return Certificate(ex, prob.eps, C, C_samples, lam, math.nan, False)
 
@@ -357,7 +352,7 @@ def check_ball_invariance(
     prob: SystemProblem,
     cert: Certificate,
     M: float,
-    trials: int = 100,
+    trials: int,
     seed: int | np.random.SeedSequence = 0,
     tol: float = DEFAULT_TOL,
 ) -> BallReport:
@@ -379,16 +374,16 @@ def check_ball_invariance(
         # a trial's row of draws in rng order: the coefficients of f and g,
         # uniform in [-1, 1), then t
         draws = rng.random((k, 2 * SAMPLER_MODES**2 + 1))
-        coeffs = 2.0 * draws[:, :-1] - 1.0
+        coeffs = (2.0 * draws[:, :-1] - 1.0).reshape(2 * k, SAMPLER_MODES, SAMPLER_MODES)
         t = draws[:, -1]
-        sources = smooth_fields(grid, coeffs.reshape(2 * k, SAMPLER_MODES, SAMPLER_MODES))
-        cur = lq_norms(grid, sources, r).reshape(k, 2).max(axis=1)
+        sources = smooth_fields(grid, coeffs).reshape(k, 2, grid.n_nodes)
+        cur = pair_norms(grid, sources, r)
         radii = M * t
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
-        sources *= np.repeat(scale, 2)[:, None]
+        sources *= scale[:, None, None]
         # only the norms of the images outlive the block, not its lifts
-        Y = apply_lambda(prob, sources.reshape(k, 2, -1), tol, start)[1]
-        out = lq_norms(grid, Y.reshape(2 * k, -1), r).reshape(k, 2).max(axis=1)
+        Y = apply_lambda(prob, sources, tol, start)[1]
+        out = pair_norms(grid, Y, r)
         del Y
         worst = max(worst, float(out.max()))
         for i in np.flatnonzero(out > M * (1.0 + BALL_SLACK)):
@@ -544,7 +539,7 @@ def picard_solve(
             restarts += 1
             L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L, stage)
         res = lam - x
-        delta = max(lq_norms(grid, th * res, r).tolist())
+        delta = float(pair_norms(grid, th * res, r))
         weak = float(np.abs(R).max(initial=0.0))
         rows.append(TraceRow(it, *lq_norms(grid, x, r).tolist(), delta, weak, *counts, inner_tol))
         if delta > prev_delta:

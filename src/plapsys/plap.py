@@ -55,9 +55,9 @@ n = 64, against 8 and 7 steps from the extension).  A caller that holds a
 better start, such as the Picard loop of fixpoint with the pair it lifted
 last, passes it as the start stack U0: each row then starts from the
 interior values of its row of U0 and the boundary values of H, and no
-harmonic extension is computed.  The report counts the Newton steps, CG
-iterations, steepest-descent fallbacks, points evaluated by the line
-searches and steps accepted on the round-off floor.
+harmonic extension is computed.  A row's report holds no field: it counts
+the Newton steps, CG iterations, steepest-descent fallbacks, points
+evaluated by the line searches and steps accepted on the round-off floor.
 
 One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
 data H into one stack U (solve_p_poisson_batch), so every numpy call, the
@@ -139,10 +139,9 @@ class PPoissonProblem:
 
 @dataclass
 class SolveReport:
-    """One lift's outcome; its solution field is built when first read, as
-    most reports of a batch are read only for their counters."""
+    """One lift's counters and stop reason; the solution is its row of the
+    stack that solve_p_poisson_batch returns."""
 
-    _solution: ScalarField | tuple[Grid, np.ndarray] | None
     iterations: int
     cg_iterations: int
     fallbacks: int
@@ -150,12 +149,7 @@ class SolveReport:
     stop_reason: str  # "converged", "max_iter" or "stalled"
     line_search_evals: int = 0  # points evaluated by the line searches
     roundoff_steps: int = 0  # steps accepted on the energy's round-off floor
-
-    @property
-    def solution(self) -> ScalarField | None:
-        if isinstance(self._solution, tuple):
-            self._solution = ScalarField(*self._solution)
-        return self._solution
+    solution = None  # not a field: only solve_p_poisson sets it, to its ScalarField
 
     @property
     def converged(self) -> bool:
@@ -380,11 +374,12 @@ def cg(A, b, *, rtol, M, callback=None):
 
 
 def solve_p_poisson(prob: PPoissonProblem, tol: float = DEFAULT_TOL) -> SolveReport:
-    """solve_p_poisson_batch of one problem; the adapter of the benchmark's
-    tracer and lift workload (perfbench/), which no module of the package calls."""
-    _, (report,) = solve_p_poisson_batch(
+    """solve_p_poisson_batch of one problem, with the solution set on its report;
+    the adapter of the benchmark's tracer and lift workload (perfbench/)."""
+    (u,), (report,) = solve_p_poisson_batch(
         prob.grid, prob.p, prob.f.values[None], prob.h.values[None], tol
     )
+    report.solution = ScalarField(prob.grid, u)
     return report
 
 
@@ -402,11 +397,10 @@ def solve_p_poisson_batch(
     the interior values of its row of the start stack U0 (B, n_nodes) and
     the boundary values of H, or, without U0, from the start of the module
     docstring.  Returns the read-only stack of solutions U (B, n_nodes) and
-    one report per row, whose solution is that row of U; each equals the
-    report of its row lifted alone.  Every chunk is lifted, whether or not
-    an earlier one converged.  Raises ValueError before any lift unless
-    p > 1, tol is positive and finite, F, H and U0 have the shape
-    (B, n_nodes) and every value of F, H and U0 is finite."""
+    one report per row; each equals the report of its row lifted alone.
+    Every chunk is lifted, whether or not an earlier one converged.  Raises
+    ValueError before any lift unless p > 1, tol is positive and finite, F,
+    H and U0 have the shape (B, n_nodes) and every value of them is finite."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not p > 1.0:
@@ -550,7 +544,7 @@ def _newton(grid, p, F, U, tol) -> list[SolveReport]:
         del g, delta  # spent before the next element pass
 
     return [
-        SolveReport((grid, U[b]), int(iterations[b]), int(cg_iterations[b]), int(fallbacks[b]),
+        SolveReport(int(iterations[b]), int(cg_iterations[b]), int(fallbacks[b]),
                     float(gnorm[b]), stop_reason[b], int(evals[b]), int(roundoff[b]))
         for b in range(B)
     ]

@@ -16,10 +16,11 @@ neither otherwise.  The test functions are exactly the interior hat basis
 rows come from plap.residual_vector at reg = 0, the same weighted-flux
 kernel the scalar solver minimizes with; the caller supplies the reaction
 pair, so a Picard state evaluates its coupling once.  classify takes the
-verdict from residual rows already computed: `plapsys solve` classifies
-the rows of the last lift of picard_solve, and weak_residuals computes
-the rows of a given pair first, a (2, n_nodes) stack w = (u, v) as
-picard_solve returns it, with coupling.coupling_values as its reactions.
+verdict from the rows R = (R1, R2), a (2, N) stack already computed, and
+keeps R: `plapsys solve` classifies the rows of the last lift of
+picard_solve, and weak_residuals computes the rows of a given pair first,
+a (2, n_nodes) stack w = (u, v) as picard_solve returns it, with
+coupling.coupling_values(w) as its reactions.
 
 The shift test realizes the comparison statement that adding a constant
 alpha > 0 to u and beta >= 0 to v preserves supersolutions when the
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Coupling, check_monotone, coupling_values
-from .field import Grid, lq_norms
-from .plap import residual_vector, solve_p_poisson_batch
+from .field import Grid, check_pair, lq_norms
+from .plap import DEFAULT_TOL, residual_vector, solve_p_poisson_batch
 
 DEFAULT_CLASS_TOL = 1e-6
 
@@ -59,30 +60,21 @@ class Classification:
     verdict: str  # 'solution' | 'supersolution' | 'subsolution' | 'neither'
     tol: float
     hat_nodes: np.ndarray  # global node index of each interior hat
-    R1: np.ndarray
-    R2: np.ndarray
+    R: np.ndarray  # the rows (R1, R2), shape (2, N), one column per hat
 
     @property
     def max_abs_residual(self) -> float:
-        return float(max(np.abs(self.R1).max(), np.abs(self.R2).max()))
+        return float(np.abs(self.R).max())
 
     def offending_hats(self) -> list[int]:
         """Hats breaking the 'solution' verdict at the stored tolerance."""
-        bad = (np.abs(self.R1) > self.tol) | (np.abs(self.R2) > self.tol)
-        return [int(n) for n in self.hat_nodes[bad]]
+        return [int(n) for n in self.hat_nodes[(np.abs(self.R) > self.tol).any(axis=0)]]
 
     def csv_lines(self) -> list[str]:
         lines = ["hat_index,R1,R2"]
-        for n, r1, r2 in zip(self.hat_nodes, self.R1, self.R2):
+        for n, (r1, r2) in zip(self.hat_nodes, self.R.T):
             lines.append(f"{n},{r1:.17g},{r2:.17g}")
         return lines
-
-
-def _check_pair(grid: Grid, w: np.ndarray) -> None:
-    if np.shape(w) != (2, grid.n_nodes):
-        raise ValueError(f"w must be a (2, {grid.n_nodes}) stack (u, v), got shape {np.shape(w)}")
-    if not np.isfinite(w).all():
-        raise ValueError("the values of the pair w must be finite")
 
 
 def weak_residuals(
@@ -91,9 +83,8 @@ def weak_residuals(
     """Classify the pair w = (u, v), a (2, n_nodes) stack of nodal values on
     grid, as solution / supersolution / subsolution / neither; any other
     shape, or a value that is not finite, is a ValueError."""
-    _check_pair(grid, w)
-    R = system_residuals(grid, w, np.stack(coupling_values(c, grid, w[0], w[1])), p)
-    return classify(grid, R, tol)
+    check_pair(grid, w, "w")
+    return classify(grid, system_residuals(grid, w, coupling_values(c, grid, w), p), tol)
 
 
 def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
@@ -102,9 +93,7 @@ def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
     tol must be positive and finite."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    R1, R2 = R
-    lo = min(R1.min(), R2.min())
-    hi = max(R1.max(), R2.max())
+    lo, hi = R.min(), R.max()
     if max(abs(lo), abs(hi)) <= tol:
         verdict = "solution"
     elif lo >= -tol:
@@ -113,7 +102,7 @@ def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
         verdict = "subsolution"
     else:
         verdict = "neither"
-    return Classification(verdict, tol, grid.interior.copy(), R1, R2)
+    return Classification(verdict, tol, grid.interior.copy(), R)
 
 
 @dataclass
@@ -142,7 +131,7 @@ def shift_test(
     are classified at.  The monotonicity gate probes check_monotone on the
     grid's box and the ranges of u and v that the shift visits.  A w of
     any other shape, or with a value that is not finite, is a ValueError."""
-    _check_pair(grid, w)
+    check_pair(grid, w, "w")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -228,7 +217,7 @@ STUDY_CASES = {
 
 
 def convergence_study(
-    case: str, resolutions: list[int], solver_tol: float = 1e-8
+    case: str, resolutions: list[int], solver_tol: float = DEFAULT_TOL
 ) -> StudyReport:
     """Solve the named manufactured problem at each resolution, a lift of
     a stack of one, and fit the observed convergence order of the max nodal

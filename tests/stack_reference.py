@@ -24,7 +24,8 @@ def from_callable(grid, fn):
 
 
 def pair(u, v):
-    """The (2, n_nodes) stack (u, v) of two fields, the form of a pair that
+    """The (2, n_nodes) stack (u, v) of two fields, the form of every pair
+    of the package: SystemProblem's boundary pair hk, split_bound's hk, what
     picard_solve returns and weak_residuals and shift_test take."""
     return np.stack([u.values, v.values])
 
@@ -82,7 +83,7 @@ def ball_check_trialwise(prob, M, trials, seed, tol):
                 PPoissonProblem(grid, prob.exponents.p, ScalarField(grid, w.values * scale), h),
                 tol=tol,
             ).solution
-            for w, h in ((f, prob.h), (g, prob.k))
+            for w, h in ((f, ScalarField(grid, prob.hk[0])), (g, ScalarField(grid, prob.hk[1])))
         )
         out = pair_norm(*nemytskii(prob.coupling, u, v), r)
         worst = max(worst, out)

@@ -13,9 +13,9 @@ import plapsys
 import plapsys.plap as plap
 from plapsys.cli import main
 from plapsys.config import load_setup
-from plapsys.field import Grid, load_field, save_field
-from plapsys.fixpoint import admissible_r_range
-from plapsys.verify import weak_residuals
+from plapsys.field import Grid, ScalarField, load_field, save_field
+from plapsys.fixpoint import DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, admissible_r_range
+from plapsys.verify import DEFAULT_CLASS_TOL, weak_residuals
 
 BASE = {
     "grid.n": "8",
@@ -69,6 +69,30 @@ def test_solve_writes_artifacts(tmp_path):
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
     assert len(trace) >= 3
+
+
+def test_commands_build_no_scalar_field(tmp_path, monkeypatch):
+    """Every pair, the boundary pair (h, k) included, is a (2, n_nodes)
+    stack: certify, solve, verify of the written pair and study construct
+    no ScalarField."""
+    built = []
+    post_init = ScalarField.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScalarField, "__post_init__", spy)
+    cfg = cfg_file(tmp_path, {"study.case": "affine"})
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", cfg, "--out", out]) == 0
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    pair = [os.path.join(out, name) for name in ("u.csv", "v.csv")]
+    assert main(["verify", "--config", cfg, "--out", out, *pair, "--alpha", "0.01"]) == 0
+    assert main(["study", "--config", cfg, "--out", out, "--resolutions", "4,8,12"]) == 0
+    assert built == []
+    ScalarField(Grid(2, (0.0, 1.0, 0.0, 1.0), 2), np.zeros(9))  # the spy sees one
+    assert len(built) == 1
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -229,6 +253,43 @@ def test_missing_key_exit_2(tmp_path, capsys):
     cfg = cfg_file(tmp_path, drop=("boundary.k",))
     assert main(["solve", "--config", cfg]) == 2
     assert "boundary.k" in capsys.readouterr().err
+
+
+def test_defaults_are_the_library_defaults(tmp_path):
+    """A config that sets no tolerance or Picard limit gets the library's
+    own defaults, of which the config holds no copy."""
+    setup = load_setup(cfg_file(tmp_path))
+    assert setup.solver_tol == plap.DEFAULT_TOL
+    assert setup.picard_tol == DEFAULT_PICARD_TOL
+    assert setup.picard_max_iter == DEFAULT_PICARD_MAX_ITER
+    assert setup.verify_tol == DEFAULT_CLASS_TOL
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "study"])
+def test_unknown_study_case_exit_2_at_load(tmp_path, capsys, command):
+    """study.case is empty or names a built-in case; any other value is a
+    config error of every command, raised with the config before any lift
+    and naming the known cases (solve once exited 0 on it)."""
+    cfg = cfg_file(tmp_path, {"study.case": "foo"})
+    extra = ["--resolutions", "8,16,32"] if command == "study" else []
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: study.case: unknown study case 'foo' (have affine, p3-1d, sinsin)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2"])
+def test_constant_beside_the_zero_family_exit_2(tmp_path, capsys, name, command):
+    """The zero family has no growth constants: one set beside it is a
+    config error naming its key (certify once dropped it and exited 0 with
+    lambda = 0)."""
+    others = tuple(f"coupling.{k}" for k in ("a1", "a2", "b1", "b2") if k != name)
+    cfg = cfg_file(tmp_path, {"coupling.family": "zero"}, drop=others)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: coupling.{name}: not used by coupling.family = zero\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_picard_max_iter_zero_exit_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from plapsys.coupling import (
 )
 from plapsys.field import Grid, ScalarField
 
-from stack_reference import constant_field, from_callable
+from stack_reference import constant_field, from_callable, pair
 
 
 def unit_square(n):
@@ -107,7 +107,7 @@ def test_stacked_domain_error_names_row_and_node():
     v[2, 5] = 0.0
     for first, row in ((0, 2), (10, 12)):
         with pytest.raises(ex.EvaluationDomainError) as err:
-            coupling_values(c, g, u, v, first_row=first)
+            coupling_values(c, g, np.stack([u, v], axis=1), first_row=first)
         x, y = g.coords[5]
         assert f"at row {row}, node 5 ({x:.17g}, {y:.17g})" in str(err.value)
 
@@ -118,8 +118,9 @@ def test_coupling_values_rows_match_nemytskii():
     rng = np.random.default_rng(2)
     U = rng.uniform(-1, 1, (3, g.n_nodes))
     V = rng.uniform(-1, 1, (3, g.n_nodes))
-    phi, psi = coupling_values(c, g, U, V)
-    assert phi.shape == psi.shape == (3, g.n_nodes)
+    Y = coupling_values(c, g, np.stack([U, V], axis=1))
+    assert Y.shape == (3, 2, g.n_nodes)
+    phi, psi = Y[:, 0], Y[:, 1]
     for k in range(3):
         a, b = nemytskii(c, ScalarField(g, U[k]), ScalarField(g, V[k]))
         assert np.array_equal(a.values, phi[k]) and np.array_equal(b.values, psi[k])
@@ -133,7 +134,7 @@ def test_transform_prime_constants():
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
             c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 2.0, 3.0, 4.0, p)
-            growth, (cf, cpf) = split_bound(c, h.values, k.values, eps)
+            growth, (cf, cpf) = split_bound(c, pair(h, k), eps)
             factor = (1 + eps) ** (p - 1)
             for base in (c.a1, c.a2, c.b1, c.b2):
                 assert growth * base == pytest.approx(base * factor, abs=1e-14)
@@ -144,7 +145,7 @@ def test_transform_prime_constants():
 def test_transform_example_value():
     g = unit_square(3)
     c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 0.0, 0.0, 3.0)
-    growth, _ = split_bound(c, np.zeros(g.n_nodes), np.zeros(g.n_nodes), 1.0)
+    growth, _ = split_bound(c, np.zeros((2, g.n_nodes)), 1.0)
     assert growth * c.a1 == 4.0  # (1+1)^2
 
 
@@ -157,7 +158,7 @@ def test_transform_c_fields_formula():
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
             c = Coupling(ex.parse("u"), ex.parse("v"), a1, a2, b1, b2, p)
-            _, (cf, cpf) = split_bound(c, h.values, k.values, eps)
+            _, (cf, cpf) = split_bound(c, pair(h, k), eps)
             q = p - 1
             lead = (1 + 1 / eps) ** q
             want_c = lead * (a1 * np.abs(h.values) ** q + a2 * np.abs(k.values) ** q)
@@ -169,9 +170,7 @@ def test_transform_c_fields_formula():
 def test_transform_all_zero():
     g = unit_square(3)
     c = zero_coupling(2.5)
-    growth, (cf, cpf) = split_bound(
-        c, constant_field(g, 1.0).values, constant_field(g, 2.0).values, 1.0
-    )
+    growth, (cf, cpf) = split_bound(c, pair(constant_field(g, 1.0), constant_field(g, 2.0)), 1.0)
     assert growth * max(c.a1, c.a2, c.b1, c.b2) == 0.0
     assert np.all(cf == 0.0)
     assert np.all(cpf == 0.0)
@@ -190,7 +189,7 @@ def test_transform_split_bounds_hold():
         for p in (1.5, 2.0, 3.0):
             q = p - 1
             base = power_family(a1, a2, b1, b2, p)
-            gf, (c, cp) = split_bound(base, h.values, k.values, eps)
+            gf, (c, cp) = split_bound(base, pair(h, k), eps)
             for s in lattice:
                 for t in lattice:
                     phit, psit = nemytskii(
@@ -212,7 +211,7 @@ def test_transformed_at_zero_recovers_boundary_values():
     c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("odd_pow(v,1.5)"), 1.0, 0.0, 1.0, 0.0, 2.5)
     h, k = constant_field(g, 0.0), constant_field(g, 2.0)
     phit, psit = nemytskii(c, h, k)
-    _, (cf, cpf) = split_bound(c, h.values, k.values, 1.0)
+    _, (cf, cpf) = split_bound(c, pair(h, k), 1.0)
     assert np.all(phit.values == 0.0)
     assert np.allclose(psit.values, 2.0**1.5, rtol=1e-14)
     assert np.allclose(cpf, 8.0, rtol=1e-14)

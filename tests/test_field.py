@@ -13,6 +13,7 @@ from plapsys.field import (
     load_field,
     lq_norm,
     lq_norms,
+    pair_norms,
     save_field,
 )
 
@@ -202,6 +203,25 @@ def test_lq_norms_match_lq_norm_row_by_row(dims, n):
         assert np.abs(got - want).max() <= 1e-14 * want.max()
     with pytest.raises(ValueError):
         lq_norms(g, stack, 0.9)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.25, 2.0, 612.0])
+def test_pair_norms_are_the_rowwise_max_of_lq_norms(q):
+    """On a stack (k, 2, n_nodes) the pair norm is, bit for bit, the larger
+    of the two lq_norms of each pair of the stack, and within 1e-14 the
+    pair_norm of the two fields taken alone; on one (2, n_nodes) pair it is
+    a scalar.  Pair 2's g is 1e3 times larger, and at q = 612 its power
+    sum overflows."""
+    g = Grid(2, (0.0, 0.3, 0.0, 0.7), 7)
+    rng = np.random.default_rng(12)
+    W = rng.uniform(-1.0, 1.0, (4, 2, g.n_nodes))
+    W[2, 1] *= 1e3
+    got = pair_norms(g, W, q)
+    assert got.shape == (4,)
+    assert np.array_equal(got, lq_norms(g, W.reshape(8, -1), q).reshape(4, 2).max(axis=1))
+    want = [pair_norm(ScalarField(g, f), ScalarField(g, w), q) for f, w in W]
+    assert got == pytest.approx(want, rel=1e-14)
+    assert pair_norms(g, W[2], q).shape == () and pair_norms(g, W[2], q) == got[2]
 
 
 def test_lq_norm_constants():

@@ -41,6 +41,7 @@ from stack_reference import (
     ball_check_trialwise,
     constant_field,
     from_callable,
+    pair,
     sample_smooth_field,
     scale_to_norm,
     smooth_field_einsum,
@@ -56,7 +57,7 @@ def small_problem(n=8, p=2.2, box=(0.0, 0.3, 0.0, 0.3), const=0.5, bc=1.0, r=1.2
     exps = make_exponents(3, p, r)
     c = power_family(const, const, const, const, p)
     h = constant_field(g, bc)
-    return SystemProblem(g, exps, c, h, h, 1.0)
+    return SystemProblem(g, exps, c, pair(h, h), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_apply_lambda_affine_boundary():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.5, 1.15)
     h = from_callable(g, lambda x, y: 2 * x + 3 * y)
-    prob = SystemProblem(g, exps, zero_coupling(2.5), h, h, 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(2.5), pair(h, h), 1.0)
     z = constant_field(g, 0.0)
     L, Y, _ = apply_lambda(prob, pairs(z, z))
     assert L.shape == Y.shape == (1, 2, g.n_nodes)
@@ -151,7 +152,7 @@ def abort_problem():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
     z = constant_field(g, 0.0)
     f = from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, 1.0), f, z
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), 1.0), f, z
 
 
 def test_apply_lambda_abort_names_component():
@@ -203,7 +204,7 @@ def test_apply_lambda_rows_match_lone_pairs():
     c = Coupling(ex.parse("0.3*odd_pow(u,1.2)+0.1*v"), ex.parse("0.2*u*v-x"), 1, 1, 1, 1, 2.2)
     h = from_callable(g, lambda x, y: 1.0 + x * y)
     k = from_callable(g, lambda x, y: 0.5 - x)
-    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k), 1.0)
     rng = np.random.default_rng(6)
     fields = [scale_to_norm(sample_smooth_field(g, rng), 1.25, a) for a in (1, 3, 10, 30, 100, 3)]
     L, Y, _ = apply_lambda(prob, pairs(*fields))
@@ -221,7 +222,7 @@ def test_apply_lambda_rows_match_lone_pairs():
 def test_apply_lambda_zero_coupling():
     prob = small_problem()
     probz = SystemProblem(
-        prob.grid, prob.exponents, zero_coupling(2.2), prob.h, prob.k, 1.0
+        prob.grid, prob.exponents, zero_coupling(2.2), prob.hk, 1.0
     )
     f = from_callable(prob.grid, lambda x, y: x * y)
     _, Y, _ = apply_lambda(probz, pairs(f, f))
@@ -230,15 +231,36 @@ def test_apply_lambda_zero_coupling():
 
 def test_problem_validation():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
-    g2 = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
+    g2 = Grid(2, (0.0, 1.0, 0.0, 1.0), 5)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    with pytest.raises(ValueError, match="grid"):
-        SystemProblem(g, exps, zero_coupling(), constant_field(g2, 0.0), z, 1.0)
+    with pytest.raises(ValueError, match=r"hk must be a \(2, 25\) stack"):
+        SystemProblem(g, exps, zero_coupling(), np.zeros((2, g2.n_nodes)), 1.0)
     with pytest.raises(ValueError, match="does not match"):
-        SystemProblem(g, exps, zero_coupling(2.5), z, z, 1.0)
+        SystemProblem(g, exps, zero_coupling(2.5), pair(z, z), 1.0)
     with pytest.raises(ValueError, match="eps"):
-        SystemProblem(g, exps, zero_coupling(), z, z, 0.0)
+        SystemProblem(g, exps, zero_coupling(), pair(z, z), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 24), (2, 26), (25,), (1, 25), (3, 25), (1, 2, 25)])
+def test_problem_rejects_boundary_pair_of_another_shape(shape):
+    """The boundary pair hk = (h, k) is one (2, n_nodes) stack on the grid."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)  # 25 nodes
+    with pytest.raises(ValueError, match=r"hk must be a \(2, 25\) stack"):
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), np.ones(shape), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_nonfinite_boundary_pair(bad):
+    """A boundary value that is not finite is a ValueError; a finite pair is
+    kept as a read-only copy, and the caller's array stays writeable."""
+    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
+    hk = np.ones((2, 25))
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk, 1.0)
+    assert np.array_equal(prob.hk, hk) and not prob.hk.flags.writeable and hk.flags.writeable
+    hk[1, 7] = bad
+    with pytest.raises(ValueError, match="the values of the pair hk must be finite"):
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk, 1.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, 5e-324])
@@ -249,10 +271,10 @@ def test_problem_rejects_eps_whose_split_factors_overflow(eps):
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     z = constant_field(g, 1.0)
     with pytest.raises(ValueError, match=r"eps must be positive, with \(1 \+ eps\)\^\(p-1\)"):
-        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, eps)
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), eps)
     for ok in (1e-200, 1e200):  # (1e200)^1.2 = 1e240
-        prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), z, z, ok)
-        growth, split = split_bound(prob.coupling, z.values, z.values, ok)
+        prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), ok)
+        growth, split = split_bound(prob.coupling, pair(z, z), ok)
         assert math.isfinite(growth) and np.isfinite(split).all()
 
 
@@ -321,7 +343,7 @@ def ball_problem(n):
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
     c = Coupling(ex.parse("100*u"), ex.parse("100*v"), 0.01, 0.01, 0.01, 0.01, 2.2)
     z = constant_field(g, 0.0)
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, z, z, 1.0)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(z, z), 1.0)
 
 
 @pytest.mark.parametrize("n, trials, blocks", [(7, 30, [54, 6]), (16, 13, [12, 12, 2])])
@@ -471,7 +493,7 @@ def split_problem(box, h, k):
     g = Grid(2, box, 4)
     c = Coupling(ex.parse("0"), ex.parse("0"), 2.0, 0.0, 0.0, 1.2, 2.0)
     return SystemProblem(
-        g, make_exponents(3, 2.0, 1.3), c, constant_field(g, h), constant_field(g, k), 1.0
+        g, make_exponents(3, 2.0, 1.3), c, pair(constant_field(g, h), constant_field(g, k)), 1.0
     )
 
 
@@ -495,7 +517,7 @@ def test_certify_zero_coupling():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
     cert = certify(prob, C=1.0, C_samples=10)
     assert cert.valid
     assert cert.lam == 0.0
@@ -552,7 +574,7 @@ def test_ball_invariance_zero_coupling():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 6)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
     cert = certify(prob, C=1.0)
     rep = check_ball_invariance(prob, cert, M=1.0, trials=5, seed=1)
     assert rep.passed
@@ -574,12 +596,12 @@ def test_ball_invariance_guards():
     cert = certify(prob, C=0.02)
     assert cert.valid
     with pytest.raises(ValueError, match="below the certified radius"):
-        check_ball_invariance(prob, cert, M=0.5 * cert.M0)
+        check_ball_invariance(prob, cert, M=0.5 * cert.M0, trials=100)
     with pytest.raises(ValueError, match="trials"):
         check_ball_invariance(prob, cert, M=cert.M0, trials=0)
     bad = certify(prob, C=1e9)
     with pytest.raises(ValueError, match="valid certificate"):
-        check_ball_invariance(prob, bad, M=1.0)
+        check_ball_invariance(prob, bad, M=1.0, trials=100)
 
 
 def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
@@ -622,7 +644,7 @@ def test_ball_invariance_domain_error_names_global_trial(monkeypatch):
     6 pairs at n = 16: the domain error names row 7, its trial index."""
     base = ball_problem(16)
     c = Coupling(ex.parse("u"), ex.parse("1/(1-abs(sgn(v)))"), 0.01, 0.01, 0.01, 0.01, 2.2)
-    prob = SystemProblem(base.grid, base.exponents, c, base.h, base.k, 1.0)
+    prob = SystemProblem(base.grid, base.exponents, c, base.hk, 1.0)
     cert = certify(prob, C=0.1)
     w = sample_smooth_field(prob.grid, np.random.default_rng(3)).values
     drawn = itertools.count()  # f and g of each trial in turn; trial 7's g is 15
@@ -651,7 +673,7 @@ def test_picard_zero_coupling_single_iteration():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.0, 1.3)
     h = from_callable(g, lambda x, y: x + y)
-    prob = SystemProblem(g, exps, zero_coupling(), h, h, 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(h, h), 1.0)
     w, trace = picard_solve(prob)
     assert trace.converged
     assert (trace.stop_reason, trace.restarts) == ("converged", 0)
@@ -682,7 +704,7 @@ def test_picard_decoupled_linear_matches_monolithic():
     exps = make_exponents(3, 2.0, 1.3)
     c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
     h = constant_field(g, 1.0)
-    prob = SystemProblem(g, exps, c, h, h, 1.0)
+    prob = SystemProblem(g, exps, c, pair(h, h), 1.0)
     cert = certify(prob, C=calibrate_C(g, exps, samples=10, seed=0))
     assert cert.valid
     (u, v), trace = picard_solve(prob, tol=1e-10)
@@ -720,7 +742,7 @@ def test_trace_csv_shape():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 6)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), z, z, 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
     _, trace = picard_solve(prob)
     lines = trace.csv_lines()
     assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
@@ -744,8 +766,8 @@ def test_picard_fixed_point_property():
 def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
     """The final trace row carries the largest weak residual of the
     returned pair, and the trace its residual rows, bit for bit those of
-    the classification of that pair; R1 holds
-    it on one problem and R2 on its mirror image (u and v swapped)."""
+    the classification of that pair; row R[0] holds
+    it on one problem and R[1] on its mirror image (u and v swapped)."""
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     phi, psi = "0.3*odd_pow(u,1.2)+0.1*v", "0.2*u*v-x"
     h = from_callable(g, lambda x, y: 1.0 + x * y)
@@ -754,12 +776,12 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
         swap = str.maketrans("uv", "vu")
         phi, psi, h, k = psi.translate(swap), phi.translate(swap), k, h
     c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1, 2.2)
-    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, k, 1.0)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k), 1.0)
     w, trace = picard_solve(prob)
     cls = weak_residuals(g, w, c, 2.2, 1e-6)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
-    assert np.array_equal(trace.residuals, np.stack([cls.R1, cls.R2]))
-    assert (np.abs(cls.R2).max() > np.abs(cls.R1).max()) == mirrored
+    assert np.array_equal(trace.residuals, cls.R)
+    assert (np.abs(cls.R[1]).max() > np.abs(cls.R[0]).max()) == mirrored
 
 
 UNIT_BOX = (0.0, 1.0, 0.0, 1.0)  # with const = 8: the perfbench solve-picard problem
@@ -782,7 +804,7 @@ def unit_box_problem(consts, n=32):
     g = Grid(2, UNIT_BOX, n)
     h = constant_field(g, 1.0)
     c = power_family(*consts, 2.2)
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, h, h, 1.0)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, h), 1.0)
 
 
 def test_weak_residuals_of_the_returned_stack_are_the_trace_residuals():
@@ -795,7 +817,7 @@ def test_weak_residuals_of_the_returned_stack_are_the_trace_residuals():
     assert trace.converged
     assert w.shape == (2, prob.grid.n_nodes) and not w.flags.writeable
     cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
-    assert np.array_equal(np.stack([cls.R1, cls.R2]), trace.residuals)
+    assert np.array_equal(cls.R, trace.residuals)
 
 
 @pytest.mark.parametrize(
@@ -879,8 +901,7 @@ class _AbortOnExtrapolation:
             self.armed = True
         if self.armed and (self.every or self.aborts == 0):
             self.aborts += 1
-            f = ScalarField(prob.grid, X[0, 0])
-            report = SolveReport(f, 0, 0, 0, 1.0, "max_iter")
+            report = SolveReport(0, 0, 0, 1.0, "max_iter")
             raise SolverAbort("u", prob.exponents.p, prob.grid.n, report)
         L, Y, reports = self.real(prob, X, tol, first_row, L0)
         self.lifted += 1
@@ -922,7 +943,7 @@ def test_picard_abort_in_final_lift_names_it(monkeypatch):
     def second_aborts(prob, X, tol, first_row=0, L0=None):
         calls.append(tol)
         if len(calls) == 2:
-            report = SolveReport(None, 0, 0, 0, 1.0, "max_iter")
+            report = SolveReport(0, 0, 0, 1.0, "max_iter")
             raise SolverAbort("v", prob.exponents.p, prob.grid.n, report)
         return real(prob, X, tol, first_row, L0)
 

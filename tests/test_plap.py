@@ -683,25 +683,25 @@ def mixed_members(g, p, dims=2):
     ]
 
 
-def batch_reports(problems):
-    """The reports of solve_p_poisson_batch on the stacked sources and
-    boundary data of problems on one grid at one p."""
+def batch_lift(problems):
+    """The solutions U and the reports of solve_p_poisson_batch on the
+    stacked sources and boundary data of problems on one grid at one p."""
     first = problems[0]
     F = np.stack([prob.f.values for prob in problems])
     H = np.stack([prob.h.values for prob in problems])
-    _, reports = solve_p_poisson_batch(first.grid, first.p, F, H)
-    return reports
+    return solve_p_poisson_batch(first.grid, first.p, F, H)
 
 
-def assert_match_lone_lifts(problems, reports):
-    """Each report of a batch equals that of its problem lifted alone."""
-    assert len(reports) == len(problems)
-    for prob, rep in zip(problems, reports):
+def assert_match_lone_lifts(problems, U, reports):
+    """Each report of a batch equals that of its problem lifted alone, and
+    each row of U that problem's solution."""
+    assert len(reports) == len(problems) == len(U)
+    for prob, row, rep in zip(problems, U, reports):
         lone = solve_p_poisson(prob)
         for name in REPORT_COUNTERS:
             assert getattr(rep, name) == getattr(lone, name), name
         scale = max(1.0, np.abs(lone.solution.values).max())
-        assert np.abs(rep.solution.values - lone.solution.values).max() <= 1e-14 * scale
+        assert np.abs(row - lone.solution.values).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("p", [1.2, 2.2, 6.0])
@@ -710,8 +710,8 @@ def assert_match_lone_lifts(problems, reports):
 def test_batch_members_match_lone_lifts(dims, n, p):
     g = unit_square(n)
     problems = mixed_members(g, p, dims)
-    reports = batch_reports(problems)
-    assert_match_lone_lifts(problems, reports)
+    U, reports = batch_lift(problems)
+    assert_match_lone_lifts(problems, U, reports)
     assert reports[0].stop_reason == "converged" and reports[0].iterations == 0
     assert all(rep.converged for rep in reports)
 
@@ -721,8 +721,8 @@ def test_batch_max_iter_stops_members_beside_converged_ones(dims, monkeypatch):
     monkeypatch.setattr(plap, "MAX_ITER", 1)
     g = unit_square(7)
     problems = mixed_members(g, 2.2, dims)
-    reports = batch_reports(problems)
-    assert_match_lone_lifts(problems, reports)
+    U, reports = batch_lift(problems)
+    assert_match_lone_lifts(problems, U, reports)
     reasons = [rep.stop_reason for rep in reports]
     assert reasons == ["converged", "converged", "max_iter", "max_iter", "max_iter"]
     assert [rep.iterations for rep in reports] == [0, 0, 1, 1, 1]
@@ -742,9 +742,9 @@ def test_batch_longer_than_a_chunk(monkeypatch):
 
     monkeypatch.setattr(plap, "harmonic_extension", spy)
     problems = mixed_members(g, 2.2)
-    reports = batch_reports(problems)
+    U, reports = batch_lift(problems)
     assert chunks == [2, 2, 1]
-    assert_match_lone_lifts(problems, reports)
+    assert_match_lone_lifts(problems, U, reports)
 
 
 # element arrays (2 n^2 float64) per row that one lift may hold at once;
@@ -859,7 +859,7 @@ def test_batch_started_at_its_solution_takes_no_step(monkeypatch, dims, boundary
 
 def test_batch_stack_contract():
     """tol must be positive; an empty stack gives an empty U and no
-    reports; U is read-only and each report's solution is its row of U."""
+    reports; U is read-only."""
     g = unit_square(4)
     zero = np.zeros((1, g.n_nodes))
     with pytest.raises(ValueError, match="tol"):
@@ -874,9 +874,20 @@ def test_batch_stack_contract():
     assert not U.flags.writeable
     with pytest.raises(ValueError):
         U[0, 0] = 1.0
-    for row, rep in zip(U, reports):
-        assert np.shares_memory(rep.solution.values, U)
-        assert np.array_equal(rep.solution.values, row)
+
+
+def test_batch_reports_hold_no_field_and_the_adapter_sets_its_solution():
+    """A batch report holds counters and a stop reason only: its solution
+    is None.  solve_p_poisson, the benchmark's adapter, sets its report's
+    solution to the field of the row that the batch lift of its problem
+    returns."""
+    g = unit_square(4)
+    problems = mixed_members(g, 2.2)
+    _, reports = batch_lift(problems)
+    assert all(rep.solution is None for rep in reports)
+    for prob in problems:
+        (row,), _ = solve_p_poisson_batch(g, 2.2, prob.f.values[None], prob.h.values[None])
+        assert np.array_equal(solve_p_poisson(prob).solution.values, row)
 
 
 def test_cg_rows_run_as_lone_solves():
@@ -1059,7 +1070,7 @@ def test_flat_data_start_takes_full_newton_steps(n):
     w = sample_smooth_field(g, np.random.default_rng(1))
     h = constant_field(g, 1.0)
     problems = [PPoissonProblem(g, 2.2, scale_to_norm(w, 1.25, a), h) for a in (0.3, 3.0)]
-    for rep in batch_reports(problems):
+    for rep in batch_lift(problems)[1]:
         assert rep.converged
         assert rep.line_search_evals == rep.iterations <= 4
 
@@ -1100,7 +1111,7 @@ def test_regression_matrix_converges(p, n, sizes):
     ((1.2, 64, 30), (1.3, 64, 3) and (1.1, 32, 3)) or did with forcing but
     without the round-off branch of the Armijo search ((1.2, 64, 3),
     (1.3, 32, 3))."""
-    for rep in batch_reports(matrix_problems(n, p, sizes)):
+    for rep in batch_lift(matrix_problems(n, p, sizes))[1]:
         assert rep.converged and rep.gradient_norm <= plap.DEFAULT_TOL
         assert rep.iterations <= 80
 
@@ -1117,6 +1128,6 @@ def test_roundoff_steps_counts_the_branch(monkeypatch):
         return out
 
     monkeypatch.setattr(plap, "_armijo", spy)
-    (rep,) = batch_reports(matrix_problems(16, 1.5, (3.0,)))
+    _, (rep,) = batch_lift(matrix_problems(16, 1.5, (3.0,)))
     assert rep.converged
     assert rep.roundoff_steps == steps[0] >= 1

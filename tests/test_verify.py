@@ -48,8 +48,8 @@ def test_supersolution_quadratic_exact_residual():
     assert cls.verdict == "supersolution"
     hx = (g.box[1] - g.box[0]) / n
     hy = (g.box[3] - g.box[2]) / n
-    assert np.abs(cls.R1 - 4.0 * hx * hy).max() <= 1e-12
-    assert np.abs(cls.R2).max() == 0.0
+    assert np.abs(cls.R[0] - 4.0 * hx * hy).max() <= 1e-12
+    assert np.abs(cls.R[1]).max() == 0.0
     assert len(cls.offending_hats()) == len(g.interior)
 
 
@@ -57,7 +57,7 @@ def test_subsolution_quadratic():
     g = unit_square(8)
     cls = weak_residuals(g, pair(quad_up(g), constant_field(g, 0.0)), zero_coupling(), 2.0)
     assert cls.verdict == "subsolution"
-    assert cls.R1.max() <= 0.0
+    assert cls.R[0].max() <= 0.0
     assert cls.max_abs_residual == pytest.approx(4.0 / 64.0, abs=1e-12)
 
 
@@ -75,7 +75,7 @@ def test_neither_verdict():
     u = from_callable(g, lambda x, y: np.cos(2 * np.pi * x))
     cls = weak_residuals(g, pair(u, constant_field(g, 0.0)), zero_coupling(), 2.0)
     assert cls.verdict == "neither"
-    assert cls.R1.min() < -1e-3 and cls.R1.max() > 1e-3
+    assert cls.R[0].min() < -1e-3 and cls.R[0].max() > 1e-3
 
 
 def test_reaction_term_moves_verdict():
@@ -87,7 +87,7 @@ def test_reaction_term_moves_verdict():
     assert weak_residuals(g, pair(z, z), pos, 2.0).verdict == "supersolution"
     assert weak_residuals(g, pair(z, z), neg, 2.0).verdict == "subsolution"
     cls = weak_residuals(g, pair(z, z), pos, 2.0)
-    assert np.abs(cls.R1 - g.lumped[g.interior]).max() <= 1e-15
+    assert np.abs(cls.R[0] - g.lumped[g.interior]).max() <= 1e-15
 
 
 def test_tol_validation():
