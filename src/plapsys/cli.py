@@ -7,6 +7,8 @@ is undefined on an iterate), 3 (a solver failed to converge, or the Picard
 iteration diverged), or 4 (a
 verification check failed).  Any other exception is a
 bug: its traceback goes to stderr before the `error:` line, and it exits 2.
+`study` solves the config's own problem, as `solve` does but without the
+growth probe and the certificate (examples/study-*.cfg are manufactured).
 All CSV output uses `,` separators, `.` decimals, LF line endings, and 17
 significant digits, so identical config and seed reproduce files byte for
 byte.
@@ -23,17 +25,17 @@ import traceback
 
 import numpy as np
 
-from .config import ConfigError, Setup, load_setup
+from .config import ConfigError, Setup, build_setup, load_setup
 from .coupling import GROWTH_TOL, growth_excess
 from .expr import EvaluationError
-from .field import load_field, save_field
+from .field import load_field, pair_norms, save_field
 from .fixpoint import (
     calibrate_C,
     certify,
     check_ball_invariance,
     picard_solve,
 )
-from .verify import classify, convergence_study, shift_test, weak_residuals
+from .verify import StudyReport, classify, convergence_study, shift_test, weak_residuals
 
 
 def _write_text(path: str, lines: list[str]) -> None:
@@ -209,22 +211,38 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 4
 
 
+def study(setup: Setup, resolutions: list[int]) -> StudyReport:
+    """convergence_study of the config's own problem: picard_solve at each
+    resolution n on the setup rebuilt with grid.n = n, measured against its
+    boundary pair hk, the exact pair of a manufactured case, by max |w - hk|
+    and the L^2 pair norm of w - hk.  A Picard run that stops unconverged is
+    a RuntimeError naming n and the stop reason."""
+
+    def errors(n: int) -> tuple[float, float]:
+        at_n = build_setup({**setup.config, "grid.n": str(n)})
+        w, trace = picard_solve(at_n.problem, at_n.picard_tol, at_n.picard_max_iter, at_n.solver_tol)
+        if not trace.converged:
+            raise RuntimeError(f"picard iteration stopped at n={n}: {trace.stop_reason}")
+        diff = w - at_n.problem.hk
+        return float(np.abs(diff).max()), float(pair_norms(at_n.grid, diff, 2.0))
+
+    return convergence_study(resolutions, errors)
+
+
 def cmd_study(args) -> int:
     setup = load_setup(args.config, args.seed, args.out)
-    if not setup.study_case:
-        raise ConfigError("study.case is required for the study command")
     try:
         resolutions = [int(s) for s in args.resolutions.split(",")]
     except ValueError:
         raise ConfigError(
             f"--resolutions: expected comma-separated integers, got {args.resolutions!r}"
         ) from None
-    rep = convergence_study(setup.study_case, resolutions, setup.solver_tol)
+    rep = study(setup, resolutions)
     _write_text(_out_path(setup, "study.csv"), rep.csv_lines())
     if rep.exact:
-        print(f"case {rep.case}: reproduced exactly at all resolutions")
+        print("reproduced exactly at all resolutions")
         return 0
-    print(f"case {rep.case}: fitted order {rep.fitted_order:.3f}")
+    print(f"fitted order {rep.fitted_order:.3f}")
     if rep.fitted_order < setup.study_min_order:
         print(
             f"fitted order {rep.fitted_order:.3f} below threshold "
@@ -246,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="flat key-value config file")
         p.add_argument("--out", default=".", help="output directory (default: the current one)")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed override")
+        p.add_argument("--seed", type=int, default=None, help="seed of the calibration and the ball trials (default 0)")
 
     p_solve = sub.add_parser("solve", help="run the fixed-point solver")
     common(p_solve)
@@ -264,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--beta", type=float, default=None, help="shift of v (needs --alpha; default 0)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_study = sub.add_parser("study", help="convergence study on a built-in case")
+    p_study = sub.add_parser("study", help="convergence study of the config's manufactured problem")
     common(p_study)
     p_study.add_argument("--resolutions", required=True, help="comma-separated grid sizes, e.g. 16,32,64")
     p_study.set_defaults(func=cmd_study)

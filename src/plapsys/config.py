@@ -18,7 +18,8 @@ blank lines ignored.  Example:
 
 Every key is validated here: expressions must parse, exponents must pass
 the admissibility check, and unknown or duplicate keys are rejected.  All
-failures raise ConfigError with a one-line message naming the key.
+failures raise ConfigError with a one-line message naming the key.  A Setup
+keeps its resolved config, from which `study` rebuilds it at each grid.n.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .field import Grid
 from .fixpoint import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, MIN_CALIBRATION_SAMPLES,
                        Exponents, SystemProblem, make_exponents)
 from .plap import DEFAULT_TOL
-from .verify import DEFAULT_CLASS_TOL, STUDY_CASES
+from .verify import DEFAULT_CLASS_TOL
 
 
 class ConfigError(Exception):
@@ -63,7 +64,6 @@ KNOWN_KEYS = {
     "calibration.samples": "16",
     "certificate.trials": "100",
     "verify.tol": str(DEFAULT_CLASS_TOL),
-    "study.case": "",
     "study.min_order": "0.9",
 }
 
@@ -196,9 +196,9 @@ class Setup:
     seed: int
     ball_trials: int
     verify_tol: float
-    study_case: str
     study_min_order: float
     out_dir: str
+    config: dict[str, str]  # every key, defaults filled in, that the setup was built from
 
 
 def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = ".") -> Setup:
@@ -230,9 +230,6 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
         problem = SystemProblem(grid, exponents, coupling, hk, _as_float(cfg, "coupling.eps"))
     except ValueError as err:
         raise ConfigError(f"coupling.eps: {err}") from None
-    if cfg["study.case"] not in ("", *STUDY_CASES):
-        raise ConfigError(f"study.case: unknown study case {cfg['study.case']!r} "
-                          f"(have {', '.join(sorted(STUDY_CASES))})")
 
     max_iter = _as_int(cfg, "picard.max_iter")
     if max_iter < 1:
@@ -258,9 +255,9 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
         seed=0 if seed is None else seed,
         ball_trials=trials,
         verify_tol=_as_positive(cfg, "verify.tol"),
-        study_case=cfg["study.case"],
         study_min_order=_as_finite(cfg, "study.min_order"),
         out_dir=out_dir,
+        config=cfg,
     )
 
 

@@ -29,18 +29,22 @@ untouched by constant shifts and monotonicity can only increase the
 reaction term.  Monotonicity is a gated precondition checked by sampling
 on the ranges the shift actually visits; a precondition failure is
 reported distinctly from a shift-test failure.
+
+convergence_study checks the resolutions, then fits the observed order of
+the errors its caller measures at each, as cli.study does for a config.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import Coupling, check_monotone, coupling_values
-from .field import Grid, check_pair, lq_norms
-from .plap import DEFAULT_TOL, residual_vector, solve_p_poisson_batch
+from .field import Grid, check_pair
+from .plap import residual_vector
 
 DEFAULT_CLASS_TOL = 1e-6
 
@@ -172,7 +176,6 @@ class StudyRow:
 
 @dataclass
 class StudyReport:
-    case: str
     rows: list[StudyRow]
     fitted_order: float  # least-squares slope over all rows; nan when exact
     exact: bool
@@ -189,41 +192,12 @@ class StudyReport:
 EXACTNESS_FLOOR = 1e-8
 
 
-# each case maps the node coordinates x, y of the unit square to its
-# exponent p, source f, boundary data h and exact solution, as nodal arrays
-def _case_sinsin(x, y):
-    f = -2.0 * math.pi**2 * np.sin(math.pi * x) * np.sin(math.pi * y)
-    return 2.0, f, np.zeros_like(x), np.sin(math.pi * x) * np.sin(math.pi * y)
-
-
-def _case_affine(x, y):
-    h = 2.0 * x + 3.0 * y
-    return 2.5, np.zeros_like(x), h, h
-
-
-def _case_p3_1d(x, y):
-    """p = 3 and f = 1, with a solution of x alone: |u'|^(p-2) u' = x - 1/2,
-    zero at x = 0 and 1, and h = u on the whole boundary."""
-    pp = 1.5  # p/(p-1)
-    exact = (1.0 / pp) * (np.abs(x - 0.5) ** pp - 0.5**pp)
-    return 3.0, np.ones_like(x), exact, exact
-
-
-STUDY_CASES = {
-    "sinsin": _case_sinsin,
-    "affine": _case_affine,
-    "p3-1d": _case_p3_1d,
-}
-
-
 def convergence_study(
-    case: str, resolutions: list[int], solver_tol: float = DEFAULT_TOL
+    resolutions: list[int], errors: Callable[[int], tuple[float, float]]
 ) -> StudyReport:
-    """Solve the named manufactured problem at each resolution, a lift of
-    a stack of one, and fit the observed convergence order of the max nodal
-    error against n."""
-    if case not in STUDY_CASES:
-        raise ValueError(f"unknown study case {case!r}; have {sorted(STUDY_CASES)}")
+    """Check the resolutions, then measure errors(n), the (max, L^2) error
+    of a solve at resolution n, at each of them and fit the observed
+    convergence order of the max error against n."""
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
     if min(resolutions) < 2:
@@ -233,20 +207,9 @@ def convergence_study(
         )
     if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly increasing")
-    build = STUDY_CASES[case]
     rows = []
     for n in resolutions:
-        grid = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
-        p, f, h, exact = build(*grid.coords.T)
-        U, (rep,) = solve_p_poisson_batch(grid, p, f[None], h[None], solver_tol)
-        if not rep.converged:
-            raise RuntimeError(
-                f"study case {case!r} did not converge at n={n} "
-                f"(gradient norm {rep.gradient_norm:.3e})"
-            )
-        diff = U - exact
-        e_max = float(np.abs(diff).max())
-        e_l2 = float(lq_norms(grid, diff, 2.0)[0])
+        e_max, e_l2 = errors(n)
         if rows and rows[-1].error_max > 0 and e_max > 0:
             order = math.log(rows[-1].error_max / e_max) / math.log(n / rows[-1].n)
         else:
@@ -260,4 +223,4 @@ def convergence_study(
         ln = np.log([r.n for r in rows])
         le = np.log([max(r.error_max, 1e-300) for r in rows])
         fitted = float(-np.polyfit(ln, le, 1)[0])
-    return StudyReport(case, rows, fitted, exact_flag)
+    return StudyReport(rows, fitted, exact_flag)

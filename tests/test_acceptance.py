@@ -5,6 +5,7 @@ output so a failing run names the criterion directly.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -13,6 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
+from plapsys.cli import study
+from plapsys.config import load_setup
 from plapsys.coupling import (
     GROWTH_TOL,
     Coupling,
@@ -31,12 +34,13 @@ from plapsys.fixpoint import (
     make_exponents,
     picard_solve,
 )
-from plapsys.verify import convergence_study, shift_test, weak_residuals
+from plapsys.verify import shift_test, weak_residuals
 
 from p1_reference import stiffness_matrix
 from stack_reference import constant_field, from_callable, pair
 
 SHIFTS = [(1.0, 0.0), (0.5, 0.2), (2.0, 1.0)]
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples")
 
 
 def report(num, label, ok, detail):
@@ -46,7 +50,7 @@ def report(num, label, ok, detail):
 
 def test_criterion_1_manufactured_p2():
     t0 = time.perf_counter()
-    rep = convergence_study("sinsin", [16, 32, 64])
+    rep = study(load_setup(os.path.join(EXAMPLES, "study-sinsin.cfg")), [16, 32, 64])
     elapsed = time.perf_counter() - t0
     errs = [r.error_max for r in rep.rows]
     ok = (
@@ -60,7 +64,7 @@ def test_criterion_1_manufactured_p2():
 
 def test_criterion_2_p3_closed_form():
     t0 = time.perf_counter()
-    rep = convergence_study("p3-1d", [64, 128, 256])
+    rep = study(load_setup(os.path.join(EXAMPLES, "study-p3-1d.cfg")), [64, 128, 256])
     elapsed = time.perf_counter() - t0
     # exact solution peaks at (1/1.5) * 0.5^1.5 in magnitude
     peak = (1.0 / 1.5) * 0.5**1.5

@@ -12,7 +12,7 @@ import pytest
 import plapsys
 import plapsys.plap as plap
 from plapsys.cli import main
-from plapsys.config import load_setup
+from plapsys.config import load_setup, parse_kv_text
 from plapsys.field import Grid, ScalarField, load_field, save_field
 from plapsys.fixpoint import DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, admissible_r_range
 from plapsys.verify import DEFAULT_CLASS_TOL, weak_residuals
@@ -46,9 +46,20 @@ def cfg_file(tmp_path, overrides=None, drop=(), name="run.cfg"):
     return str(path)
 
 
-BENCH_CONFIGS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "configs"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_CONFIGS = os.path.join(ROOT, "perfbench", "configs")
+EXAMPLES = os.path.join(ROOT, "examples")
+
+
+def example_file(tmp_path, name, overrides):
+    """The example config `name` with the keys of overrides replaced or
+    added, written to tmp_path."""
+    with open(os.path.join(EXAMPLES, name), encoding="utf-8") as fh:
+        cfg = parse_kv_text(fh.read())
+    cfg.update(overrides)
+    path = tmp_path / name
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +84,8 @@ def test_solve_writes_artifacts(tmp_path):
 
 def test_commands_build_no_scalar_field(tmp_path, monkeypatch):
     """Every pair, the boundary pair (h, k) included, is a (2, n_nodes)
-    stack: certify, solve, verify of the written pair and study construct
-    no ScalarField."""
+    stack: certify, solve, verify of the written pair and study of the
+    coupled example construct no ScalarField."""
     built = []
     post_init = ScalarField.__post_init__
 
@@ -83,7 +94,7 @@ def test_commands_build_no_scalar_field(tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ScalarField, "__post_init__", spy)
-    cfg = cfg_file(tmp_path, {"study.case": "affine"})
+    cfg = os.path.join(EXAMPLES, "study-coupled-p3.cfg")
     out = str(tmp_path / "out")
     assert main(["certify", "--config", cfg, "--out", out]) == 0
     assert main(["solve", "--config", cfg, "--out", out]) == 0
@@ -267,14 +278,14 @@ def test_defaults_are_the_library_defaults(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "certify", "study"])
 def test_unknown_study_case_exit_2_at_load(tmp_path, capsys, command):
-    """study.case is empty or names a built-in case; any other value is a
-    config error of every command, raised with the config before any lift
-    and naming the known cases (solve once exited 0 on it)."""
-    cfg = cfg_file(tmp_path, {"study.case": "foo"})
+    """study.case, the key that once named a built-in study case, is now an
+    unknown key: a config that still sets it fails loudly with a config
+    error of every command, raised with the config before any lift."""
+    cfg = cfg_file(tmp_path, {"study.case": "sinsin"})
     extra = ["--resolutions", "8,16,32"] if command == "study" else []
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: study.case: unknown study case 'foo' (have affine, p3-1d, sinsin)\n"
+    assert err == f"config error: line {len(BASE) + 1}: unknown key 'study.case'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -837,7 +848,7 @@ def test_verify_missing_field_file_exit_2(tmp_path, capsys):
 
 
 def test_study_sinsin_exit_0(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, {"study.case": "sinsin"})
+    cfg = os.path.join(EXAMPLES, "study-sinsin.cfg")
     out = tmp_path / "out"
     code = main(["study", "--config", cfg, "--out", str(out), "--resolutions", "8,16,32"])
     assert code == 0
@@ -849,28 +860,57 @@ def test_study_sinsin_exit_0(tmp_path, capsys):
 
 
 def test_study_affine_exact(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, {"study.case": "affine"})
+    cfg = os.path.join(EXAMPLES, "study-affine.cfg")
     code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "4,8,12"])
     assert code == 0
     assert "reproduced exactly" in capsys.readouterr().out
 
 
+def test_study_affine_exact_on_the_config_box(tmp_path, capsys):
+    """The study solves on the config's own box (the built-in cases once
+    ignored it for the unit square)."""
+    cfg = example_file(tmp_path, "study-affine.cfg", {"grid.box": "0, 2, -1, 1"})
+    code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "4,8,12"])
+    assert code == 0
+    assert capsys.readouterr().out == "reproduced exactly at all resolutions\n"
+
+
+def test_study_coupled_p3_order(tmp_path, capsys):
+    """The coupled case with u* != v*: the study fits an order in [1.2, 1.6]
+    (1.384 at 8, 16, 32), and solve and certify succeed on the same config."""
+    cfg = os.path.join(EXAMPLES, "study-coupled-p3.cfg")
+    out = tmp_path / "out"
+    assert main(["study", "--config", cfg, "--out", str(out), "--resolutions", "8,16,32"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("fitted order ")
+    assert 1.2 <= float(line.split()[-1]) <= 1.6
+    rows = (out / "study.csv").read_text().splitlines()[1:]
+    errors = [float(row.split(",")[1]) for row in rows]
+    assert errors[0] > errors[1] > errors[2] > 0.0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_study_picard_stop_exit_3(tmp_path, capsys):
+    """A Picard run of the study that stops without converging is a solver
+    failure naming the resolution and the stop reason."""
+    cfg = example_file(tmp_path, "study-coupled-p3.cfg", {"picard.max_iter": "1"})
+    out = tmp_path / "out"
+    assert main(["study", "--config", cfg, "--out", str(out), "--resolutions", "8,16,32"]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver failure: picard iteration stopped at n=8: max_iter\n"
+    assert not (out / "study.csv").exists()
+
+
 def test_study_below_threshold_exit_4(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, {"study.case": "sinsin", "study.min_order": "3.0"})
+    cfg = example_file(tmp_path, "study-sinsin.cfg", {"study.min_order": "3.0"})
     code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "8,16,32"])
     assert code == 4
     assert "below threshold" in capsys.readouterr().err
 
 
-def test_study_requires_case(tmp_path, capsys):
-    cfg = cfg_file(tmp_path)
-    code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "8,16,32"])
-    assert code == 2
-    assert "study.case" in capsys.readouterr().err
-
-
 def test_study_bad_resolutions_exit_2(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, {"study.case": "sinsin"})
+    cfg = os.path.join(EXAMPLES, "study-sinsin.cfg")
     code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "8,x"])
     assert code == 2
     assert "comma-separated integers" in capsys.readouterr().err

@@ -1,16 +1,18 @@
 """Classification verdicts, the shift test, and convergence studies."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import plapsys.expr as ex
+from plapsys.cli import study
+from plapsys.config import build_setup, load_setup
 from plapsys.coupling import Coupling
 from plapsys.field import Grid
 from plapsys.plap import residual_vector
 from plapsys.verify import (
-    STUDY_CASES,
     classify,
     convergence_study,
     shift_test,
@@ -241,8 +243,15 @@ def test_shift_parameter_validation():
 # convergence studies
 
 
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples")
+
+
+def example(name):
+    return load_setup(os.path.join(EXAMPLES, f"study-{name}.cfg"))
+
+
 def test_study_sinsin_second_order():
-    rep = convergence_study("sinsin", [8, 16, 32])
+    rep = study(example("sinsin"), [8, 16, 32])
     assert not rep.exact
     assert rep.fitted_order >= 1.7
     assert math.isnan(rep.rows[0].order)
@@ -251,7 +260,7 @@ def test_study_sinsin_second_order():
 
 
 def test_study_affine_exact():
-    rep = convergence_study("affine", [4, 8, 12])
+    rep = study(example("affine"), [4, 8, 12])
     assert rep.exact
     assert math.isnan(rep.fitted_order)
     for row in rep.rows:
@@ -262,7 +271,7 @@ def test_study_p3_1d_first_order():
     """The solution of x alone, posed on the unit square, keeps the errors
     of the 1-D lattice within 3 %: the rows y = 0, 1 hold exact values, so
     the discrete solution depends on y near them."""
-    rep = convergence_study("p3-1d", [16, 32, 64])
+    rep = study(example("p3-1d"), [16, 32, 64])
     assert not rep.exact
     assert rep.fitted_order >= 0.9
     one_d = [8.363e-4, 3.076e-4, 1.117e-4]  # the 1-D lattice at n = 16, 32, 64
@@ -271,7 +280,7 @@ def test_study_p3_1d_first_order():
 
 
 def test_study_csv_format():
-    rep = convergence_study("sinsin", [4, 8, 16])
+    rep = study(example("sinsin"), [4, 8, 16])
     lines = rep.csv_lines()
     assert lines[0] == "n,error_max,error_l2,order"
     assert len(lines) == 4
@@ -279,26 +288,27 @@ def test_study_csv_format():
 
 
 def test_study_validation():
-    with pytest.raises(ValueError, match="unknown study case"):
-        convergence_study("nope", [4, 8, 16])
+    """The resolutions are checked before any error is measured."""
+
+    def unmeasured(n):
+        raise AssertionError(f"measured at n={n} before the resolutions were checked")
+
     with pytest.raises(ValueError, match="at least 3"):
-        convergence_study("sinsin", [4, 8])
+        convergence_study([4, 8], unmeasured)
     with pytest.raises(ValueError, match="strictly increasing"):
-        convergence_study("sinsin", [8, 8, 16])
+        convergence_study([8, 8, 16], unmeasured)
     with pytest.raises(ValueError, match="strictly increasing"):
-        convergence_study("sinsin", [16, 8, 32])
+        convergence_study([16, 8, 32], unmeasured)
     with pytest.raises(ValueError, match="no interior node"):
-        convergence_study("sinsin", [1, 2, 4])
+        convergence_study([1, 2, 4], unmeasured)
 
 
 def test_study_reports_inner_nonconvergence():
-    with pytest.raises(RuntimeError, match="n=4"):
-        # 1e-300 is positive but unreachable in floating point
-        convergence_study("sinsin", [4, 8, 16], solver_tol=1e-300)
-
-
-def test_study_case_registry():
-    assert set(STUDY_CASES) == {"sinsin", "affine", "p3-1d"}
+    setup = example("sinsin")
+    # 1e-300 is positive but unreachable in floating point
+    setup = build_setup({**setup.config, "solver.tol": "1e-300"})
+    with pytest.raises(RuntimeError, match="n = 4"):
+        study(setup, [4, 8, 16])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
