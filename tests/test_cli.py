@@ -1,15 +1,19 @@
 """End-to-end CLI behavior: artifacts, exit codes, reproducibility."""
 
+import ctypes
 import os
+import platform
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import plapsys
+import plapsys.cli as cli
 import plapsys.plap as plap
 from plapsys.cli import main
 from plapsys.config import load_setup, parse_kv_text
@@ -429,7 +433,6 @@ def test_nonfinite_power_constant_exit_2(tmp_path, capsys, name, value):
 def test_unexpected_exception_prints_traceback(tmp_path, capsys, monkeypatch):
     """A bug (here a KeyError) still exits 2 but is not dressed up as an
     input error: its traceback goes to stderr."""
-    import plapsys.cli as cli
 
     def broken(*args, **kwargs):
         raise KeyError("missing-internal-key")
@@ -917,6 +920,67 @@ def test_study_bad_resolutions_exit_2(tmp_path, capsys):
     code = main(["study", "--config", cfg, "--out", str(tmp_path), "--resolutions", "1,2,4"])
     assert code == 2
     assert "input error: resolutions must be >= 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+GLIBC = platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason="the allocator policy is set through glibc's mallopt")
+def test_second_certify_run_faults_in_no_heap(tmp_path):
+    """main keeps the heap across Newton passes: in a fresh process, whose
+    allocator history is main's alone, a second certify run on the
+    certify-n16 keys takes fewer than 1,000 minor page faults (about 8,650
+    when glibc trims the freed top of the heap after each pass)."""
+    cfg = cfg_file(tmp_path, {"grid.n": "16", "calibration.samples": "16", "certificate.trials": "100"})
+    code = (
+        "import resource, sys\n"
+        "from plapsys.cli import main\n"
+        "def faults(out):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert main(['certify', '--config', sys.argv[1], '--out', out]) == 0\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "faults(sys.argv[2])\n"
+        "print(faults(sys.argv[3]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(plapsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", code, cfg, str(tmp_path / "a"), str(tmp_path / "b")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 1000, f"the second certify run took {faults} minor page faults"
+
+
+@pytest.mark.parametrize("lookup", ["missing", "refused"])
+def test_certify_without_mallopt_writes_the_same_certificate(tmp_path, monkeypatch, lookup):
+    """The branch of every C library but glibc: where mallopt is missing or
+    refuses a setting, main runs under the default policy, exits 0 and
+    writes the certificate of a normal run on CI's n = 7 keys, byte for byte."""
+    cfg = cfg_file(tmp_path, {"grid.n": "7"}, drop=("certificate.trials",))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "normal")]) == 0
+
+    calls = []
+
+    def refusing_mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    def libc(name):
+        calls.append("lookup")
+        if lookup == "missing":
+            return types.SimpleNamespace()
+        return types.SimpleNamespace(mallopt=refusing_mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "fallback")]) == 0
+    # the first refusal leaves the rest unset; another C library looks up nothing
+    expected = ["lookup"] if lookup == "missing" else ["lookup", (cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD)]
+    assert calls == (expected if GLIBC else [])
+    cert = "certificate.txt"
+    assert (tmp_path / "fallback" / cert).read_bytes() == (tmp_path / "normal" / cert).read_bytes()
 
 
 # ---------------------------------------------------------------------------
