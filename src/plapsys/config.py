@@ -55,7 +55,6 @@ KNOWN_KEYS = {
     "coupling.a2": "",
     "coupling.b1": "",
     "coupling.b2": "",
-    "coupling.eps": "1.0",
     "boundary.h": None,
     "boundary.k": None,
     "solver.tol": str(DEFAULT_TOL),
@@ -226,10 +225,7 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
         raise ConfigError(f"exponents: {err}") from None
     coupling = _coupling(cfg, p)
     hk = np.stack([_boundary_values(grid, cfg, key) for key in ("boundary.h", "boundary.k")])
-    try:  # hk and the coupling are built on this grid and p: only eps can fail
-        problem = SystemProblem(grid, exponents, coupling, hk, _as_float(cfg, "coupling.eps"))
-    except ValueError as err:
-        raise ConfigError(f"coupling.eps: {err}") from None
+    problem = SystemProblem(grid, exponents, coupling, hk)
 
     max_iter = _as_int(cfg, "picard.max_iter")
     if max_iter < 1:

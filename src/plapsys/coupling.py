@@ -24,10 +24,16 @@ nemytskii is the benchmark's single-field adapter.
 
 The homogeneous transform shifts the arguments by boundary lifts h, k:
 phit(x, u, v) = phi(x, u + h(x), v + k(x)), which is coupling_values at
-the shifted pair.  Splitting the shifted growth bound with the elementary
-inequality |a+b|^q <= (1+eps)^(q-ish)|a|^q + (1+1/eps)^(q-ish)|b|^q gives,
-for any eps > 0 and with q = p - 1, the data that split_bound returns
-from the boundary pair (h, k), a (2, n_nodes) stack of nodal values:
+the shifted pair.  split_bound splits the shifted growth bound with
+
+    |a + b|^q <= (1 + eps)^q |a|^q + (1 + 1/eps)^q |b|^q,
+
+which holds for every eps > 0 and q > 0.  For q >= 1, convexity of t^q at
+|a| + |b| = (1/(1+eps)) (1+eps)|a| + (eps/(1+eps)) (1+1/eps)|b| gives it
+with the exponent q - 1 <= q in both factors, whose bases exceed 1; for
+q < 1, subadditivity |a + b|^q <= |a|^q + |b|^q gives it with factors 1.
+With q = p - 1 and the boundary pair (h, k), a (2, n_nodes) stack of
+nodal values, split_bound returns
 
     a_i' = a_i (1 + eps)^q,   b_i' = b_i (1 + eps)^q   (the growth factor)
     c(x)  = (1 + 1/eps)^q (a1 |h(x)|^q + a2 |k(x)|^q)

@@ -17,7 +17,7 @@ empties the window, and an aborted lift of an extrapolated pair is
 replaced by the damped step.
 
 apply_lambda is the one Lambda: it lifts a stack of source pairs
-(k, 2, n_nodes) as the rows f, g, f, g, ... beside h, k, h, k, ... in one
+(k, 2, n_nodes), each f with h and each g with k, in one
 plap.solve_p_poisson_batch and evaluates the coupling on the lifted stack.
 picard_solve applies it to a stack of one pair, started from the pair it
 lifted last (apply_lambda's L0); check_ball_invariance to
@@ -33,14 +33,16 @@ The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-split bound of
 the shifted coupling (coupling.split_bound),
 lambda = max{a1', a2', b1', b2'} * C * |Omega|^(p/d) < 1, where the
-max is (1 + eps)^(p-1) max{a1, a2, b1, b2}, gives the
+max is (1 + epsilon)^(p-1) max{a1, a2, b1, b2}, gives the
 ball radius M0 = max{||c||_r, ||c'||_r} / (1 - lambda), invariant for every
 M >= M0; certify computes both from split_bound's growth factor and the
 pair norm (field.pair_norms, as every L^r pair norm here) of its (c, c').
-The constant C (source norm to lifted-state norm, power p-1) is
-calibrated empirically on the grid from random smooth sources and is an
-estimate, not a proven bound; every certificate records that provenance.
-lambda and M0 describe Lambda itself, not the accelerated iteration.
+epsilon, a device of the proof and not data of the problem, is the module
+constant SPLIT_EPS.  The constant C (source norm to lifted-state norm,
+power p-1) is calibrated empirically on the grid from random smooth
+sources and is an estimate, not a proven bound; every certificate records
+that provenance.  lambda and M0 describe Lambda itself, not the
+accelerated iteration.
 
 Exponent bookkeeping: r must lie in [d p'/(d + p'), d/p) with p' = p/(p-1),
 which is nonempty exactly when 1 < p < d.  The dimension d enters only
@@ -71,6 +73,7 @@ ANDERSON_WINDOW = 3  # differences kept by the Anderson step of picard_solve
 # least the solver tolerance
 INNER_TOL_MAX = 1e-4
 INNER_TOL_FACTOR = 1e-3
+SPLIT_EPS = 1.0  # the epsilon of the split growth bound of every certificate
 
 
 class SolverAbort(RuntimeError):
@@ -145,16 +148,15 @@ def make_exponents(d: int, p: float, r: float) -> Exponents:
 
 @dataclass(frozen=True)
 class SystemProblem:
-    """Coupled system on a grid: the boundary pair hk = (h, k), a read-only
-    (2, n_nodes) stack of finite nodal values, the coupling, and the epsilon
-    of the split growth bound (coupling.split_bound), whose factors
-    (1 + eps)^(p-1) and (1 + 1/eps)^(p-1) must be finite floats."""
+    """Coupled system on a grid: the exponent budget, the coupling and the
+    boundary pair hk = (h, k), a read-only (2, n_nodes) stack of finite
+    nodal values.  The certificate splits the shifted growth bound at the
+    constant SPLIT_EPS, so the problem holds no epsilon."""
 
     grid: Grid
     exponents: Exponents
     coupling: Coupling
     hk: np.ndarray
-    eps: float
 
     def __post_init__(self):
         object.__setattr__(self, "hk", check_pair(self.grid, self.hk, "hk"))
@@ -163,14 +165,6 @@ class SystemProblem:
                 f"coupling growth exponent p={self.coupling.p} does not match "
                 f"the exponent budget p={self.exponents.p}"
             )
-        eps, q = self.eps, self.exponents.p - 1.0
-        try:  # the factors of split_bound; a float power raises on overflow
-            ok = eps > 0.0 and math.isfinite((1.0 + eps) ** q + (1.0 + 1.0 / eps) ** q)
-        except OverflowError:
-            ok = False
-        if not ok:
-            raise ValueError(f"eps must be positive, with (1 + eps)^(p-1) and (1 + 1/eps)^(p-1) "
-                             f"finite, got {eps!r} at p = {self.exponents.p!r}")
 
 
 def apply_lambda(
@@ -181,7 +175,7 @@ def apply_lambda(
     L0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[SolveReport]]:
     """Lambda on a stack of source pairs X (k, 2, n_nodes): lift every f
-    with the boundary data h and every g with k, in order, in one batch,
+    with the boundary data h and every g with k, in C order, in one batch,
     then substitute the lifted pairs into the coupling.  A stack of pairs
     L0 shaped like X starts the lifts from its interior values (plap's
     start stack U0); without it each lift starts cold.
@@ -192,14 +186,11 @@ def apply_lambda(
     order and u before v, raises SolverAbort; a coupling domain error
     names the row, numbered from first_row, and the node.
     """
-    grid, p, k = prob.grid, prob.exponents.p, len(X)
-    H = np.tile(prob.hk, (k, 1))
-    U0 = None if L0 is None else L0.reshape(2 * k, grid.n_nodes)
-    U, reports = solve_p_poisson_batch(grid, p, X.reshape(2 * k, grid.n_nodes), H, tol=tol, U0=U0)
+    grid, p = prob.grid, prob.exponents.p
+    L, reports = solve_p_poisson_batch(grid, p, X, prob.hk, tol=tol, U0=L0)
     for i, rep in enumerate(reports):
         if not rep.converged:
             raise SolverAbort("uv"[i % 2], p, grid.n, rep)
-    L = U.reshape(X.shape)
     return L, coupling_values(prob.coupling, grid, L, first_row), reports
 
 
@@ -239,8 +230,7 @@ def calibration_ratios(
     denoms = lq_norms(grid, sources, ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
-    zero = np.broadcast_to(0.0, sources.shape)  # a view: the lift reads only its boundary
-    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, zero, tol=tol)
+    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, np.zeros(grid.n_nodes), tol=tol)
     for rep in reports:
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, grid.n, rep)
@@ -289,7 +279,6 @@ class Certificate:
     """
 
     exponents: Exponents
-    eps: float
     C: float
     C_samples: int
     lam: float
@@ -307,7 +296,7 @@ class Certificate:
             f"p_prime = {ex.p_prime:.17g}",
             f"C = {self.C:.17g}",
             f"C_samples = {self.C_samples}",
-            f"epsilon = {self.eps:.17g}",
+            f"epsilon = {SPLIT_EPS:.17g}",
             f"lambda = {self.lam:.17g}",
             f"M0 = {self.M0:.17g}",
             f"valid = {'true' if self.valid else 'false'}",
@@ -319,16 +308,16 @@ def certify(prob: SystemProblem, C: float, C_samples: int = 0) -> Certificate:
     """Build the certificate for a problem from a calibrated constant C:
     lambda = ((growth * max{a1, a2, b1, b2}) * C) * |Omega|^(p/d) and, when
     lambda < 1, M0 = max{||c||_r, ||c'||_r} / (1 - lambda), with the growth
-    factor and (c, c') of coupling.split_bound."""
+    factor and (c, c') of coupling.split_bound at epsilon = SPLIT_EPS."""
     if not (math.isfinite(C) and C > 0.0):
         raise ValueError(f"C must be positive and finite, got {C}")
     ex, c = prob.exponents, prob.coupling
-    growth, split = split_bound(c, prob.hk, prob.eps)
+    growth, split = split_bound(c, prob.hk, SPLIT_EPS)
     lam = growth * max(c.a1, c.a2, c.b1, c.b2) * C * prob.grid.measure ** (ex.p / ex.d)
     if lam < 1.0:
         m0 = float(pair_norms(prob.grid, split, ex.r)) / (1.0 - lam)
-        return Certificate(ex, prob.eps, C, C_samples, lam, m0, True)
-    return Certificate(ex, prob.eps, C, C_samples, lam, math.nan, False)
+        return Certificate(ex, C, C_samples, lam, m0, True)
+    return Certificate(ex, C, C_samples, lam, math.nan, False)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +495,11 @@ def picard_solve(
     without a final lift.
     Exhaustion of max_iter and divergence are reported in the trace, not
     raised.  The iteration takes no certificate: lambda and M0 describe
-    Lambda itself, not this accelerated iteration.
+    Lambda itself, not this accelerated iteration.  Raises ValueError
+    before any lift unless tol is positive and finite and max_iter >= 1.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = prob.grid

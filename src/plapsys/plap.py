@@ -59,21 +59,22 @@ harmonic extension is computed.  A row's report holds no field: it counts
 the Newton steps, CG iterations, steepest-descent fallbacks, points
 evaluated by the line searches and steps accepted on the round-off floor.
 
-One Newton loop lifts the stacks (B, n_nodes) of sources F and boundary
-data H into one stack U (solve_p_poisson_batch), so every numpy call, the
-kernels and cg serve all rows.  Each pass of the loop evaluates every
-running row's point, its start or a line-search trial, in one element pass
-(_armijo): the energy, the gradient and, at an accepted point, the Hessian
-read the same element gradients and weights.  Each row keeps its own stopping test, forcing
+One Newton loop lifts a stack of sources F (..., n_nodes), with the
+boundary values of a stack H that broadcasts to it, into one stack U
+(solve_p_poisson_batch), so every numpy call, the kernels and cg serve all
+rows.  Each pass of the loop evaluates every running row's point, its
+start or a line-search trial, in one element pass (_armijo): the energy,
+the gradient and, at an accepted point, the Hessian read the same element
+gradients and weights.  Each row keeps its own stopping test, forcing
 term, CG iterations, step length, fallback, stop reason and counters, and
 leaves the loop when it stops.  cg works on the whole stack of the rows
-that take a Newton step: a row that meets its CG tolerance freezes,
-taking zero steps while the others iterate.  Every reduction is taken per
-row, with the operations of a lone lift, so each row's report equals that
-of the row lifted alone.  Chunks of max(1, BATCH_NODES // n_nodes) rows
-run at once: 36 at n = 16, 9 at n = 32, 2 at n = 64 and one from n = 72.
-A lift holds at most about 9 element arrays (2 n^2 float64) per row at
-once: the Hessian spends the element pass in place, and no pass keeps a
+that take a Newton step: a row that meets its CG tolerance freezes, taking
+zero steps while the others iterate.  Every reduction is taken per row,
+with the operations of a lone lift, so each row's report equals that of
+the row lifted alone.  Chunks of max(1, BATCH_NODES // n_nodes) rows run
+at once: 36 at n = 16, 9 at n = 32, 2 at n = 64 and one from n = 72.  A
+lift holds at most about 9 element arrays (2 n^2 float64) per row at once:
+the Hessian spends the element pass in place, and no pass keeps a
 spent Hessian, direction or gradient while the next one is formed.
 
 Convergence means the euclidean norm of the energy gradient restricted to
@@ -391,44 +392,46 @@ def solve_p_poisson_batch(
     tol: float = DEFAULT_TOL,
     U0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[SolveReport]]:
-    """Lift every row of the stack of sources F with the boundary values
-    of its row of H, both (B, n_nodes), on grid at exponent p > 1: one
-    Newton loop over chunks of chunk_size(grid) rows.  Each row starts from
-    the interior values of its row of the start stack U0 (B, n_nodes) and
-    the boundary values of H, or, without U0, from the start of the module
-    docstring.  Returns the read-only stack of solutions U (B, n_nodes) and
-    one report per row; each equals the report of its row lifted alone.
-    Every chunk is lifted, whether or not an earlier one converged.  Raises
-    ValueError before any lift unless p > 1, tol is positive and finite, F,
-    H and U0 have the shape (B, n_nodes) and every value of them is finite."""
+    """Lift every row of the stack of sources F (..., n_nodes), in C order,
+    with the boundary values, the only ones read, of its row of H, which
+    broadcasts to F, on grid at exponent p > 1: one Newton loop over chunks
+    of chunk_size(grid) rows.  Each row starts from the interior values of
+    its row of the start stack U0, shaped like F, or, without U0, from the
+    start of the module docstring.  Returns the read-only stack of
+    solutions U, shaped like F, and one report per row in C order; each
+    equals the report of its row lifted alone.  Every chunk is lifted,
+    whether or not an earlier one converged.  Raises ValueError before any
+    lift unless p > 1, tol is positive and finite, F and H end in an axis
+    of n_nodes, H broadcasts to F, U0 is shaped like F and all are finite."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    if F.shape != H.shape or F.ndim != 2 or F.shape[1] != grid.n_nodes:
-        raise ValueError(f"F and H must be (B, {grid.n_nodes}), got {F.shape} and {H.shape}")
+    n = grid.n_nodes
+    lead = F.ndim - H.ndim  # the axes of F that H lacks
+    fits = lead >= 0 and all(h in (1, f) for h, f in zip(H.shape, F.shape[lead:]))
+    if F.shape[-1:] != (n,) or H.shape[-1:] != (n,) or not fits:
+        raise ValueError(f"F must be (B, {n}), B any leading axes, and H must broadcast to "
+                         f"the shape of F, got {F.shape} and {H.shape}")
     if not (np.isfinite(F).all() and np.isfinite(H).all()):
         raise ValueError("sources and boundary data must be finite")
     if U0 is not None and U0.shape != F.shape:
         raise ValueError(f"U0 must have the shape {F.shape} of F, got {U0.shape}")
     if U0 is not None and not np.isfinite(U0).all():
         raise ValueError("start values U0 must be finite")
-    U = np.empty(F.shape)
+    F_rows = F.reshape(-1, n)
+    U = np.zeros(F_rows.shape) if U0 is None else U0.astype(float).reshape(F_rows.shape)
+    U.reshape(F.shape)[..., grid.boundary] = H[..., grid.boundary]
     reports: list[SolveReport] = []
     size = chunk_size(grid)
-    for start in range(0, len(F), size):
+    for start in range(0, len(U), size):
         rows = slice(start, start + size)
-        # the p = 2 minimizer with each source; for 1.3 < p < 2 it can be a far
-        # worse start than the source-free one (see the module docstring)
-        U[rows] = (
-            harmonic_extension(grid, H[rows], 0.0 if 1.3 < p < 2.0 else F[rows])
-            if U0 is None
-            else U0[rows]
-        )
-        U[rows, grid.boundary] = H[rows, grid.boundary]
-        reports += _newton(grid, p, F[rows], U[rows], tol)
+        if U0 is None:  # the p = 2 minimizer with each source; for 1.3 < p < 2
+            # it can be a far worse start than the source-free one (module docstring)
+            U[rows] = harmonic_extension(grid, U[rows], 0.0 if 1.3 < p < 2.0 else F_rows[rows])
+        reports += _newton(grid, p, F_rows[rows], U[rows], tol)
     U.flags.writeable = False
-    return U, reports
+    return U.reshape(F.shape), reports
 
 
 def chunk_size(grid: Grid) -> int:

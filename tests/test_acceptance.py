@@ -138,7 +138,7 @@ def certified_problem():
     exps = make_exponents(3, 2.2, 1.25)
     c = power_family(0.5, 0.5, 0.5, 0.5, 2.2)
     h = constant_field(g, 1.0)
-    prob = SystemProblem(g, exps, c, pair(h, h), 1.0)
+    prob = SystemProblem(g, exps, c, pair(h, h))
     cert = certify(prob, calibrate_C(g, exps, samples=16, seed=0), 16)
     return prob, cert, time.perf_counter() - t0
 
@@ -171,7 +171,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
     exps = make_exponents(3, 2.0, 1.3)
     lin = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
     h = constant_field(g, 1.0)
-    lp = SystemProblem(g, exps, lin, pair(h, h), 1.0)
+    lp = SystemProblem(g, exps, lin, pair(h, h))
     lw, ltrace = picard_solve(lp, tol=1e-7, max_iter=200)
     A = stiffness_matrix(g).tocsr()
     I, B = g.interior, g.boundary
@@ -218,7 +218,7 @@ def test_criterion_7_constant_shift_comparison():
             ex.parse(f"v+{sign!r}" if sign > 0 else f"v-{-sign!r}"),
             1.0, 0.0, 1.0, 0.0, 2.0,
         )
-        sp_prob = SystemProblem(g2, exps, shifted, pair(h, h), 1.0)
+        sp_prob = SystemProblem(g2, exps, shifted, pair(h, h))
         pairs[label], trace = picard_solve(sp_prob, tol=1e-9)
         assert trace.converged
 

@@ -342,9 +342,7 @@ TOLERANCE_CASES = [
     (value, key)
     for key in ("solver.tol", "picard.tol", "verify.tol")
     for value in ("0", "-1e-8", "nan", "inf")
-] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")] + [
-    ("1", "grid.n"), ("0", "coupling.eps"), ("nan", "coupling.eps")
-]
+] + [(value, "study.min_order") for value in ("nan", "inf", "-inf")] + [("1", "grid.n")]
 
 
 @pytest.mark.parametrize("value, key", TOLERANCE_CASES)
@@ -355,24 +353,22 @@ def test_nonpositive_tolerance_exit_2(tmp_path, capsys, key, value):
     assert f"config error: {key}" in err
 
 
-@pytest.mark.parametrize("command", ["certify", "solve"])
-@pytest.mark.parametrize("eps", ["1e-300", "1e300"])
-def test_eps_whose_split_factors_overflow_exit_2(tmp_path, capsys, command, eps):
-    """A positive, finite coupling.eps with (1 + 1/eps)^(p-1) or
-    (1 + eps)^(p-1) beyond the floats is a config error naming the key,
-    before any lift or output, not an OverflowError traceback after the
-    calibration."""
-    cfg = cfg_file(tmp_path, {"coupling.eps": eps})
+@pytest.mark.parametrize("command", ["solve", "certify", "verify", "study"])
+def test_removed_eps_key_is_a_config_error(tmp_path, capsys, command):
+    """The split's epsilon is a constant of the certificate, not a key: a
+    config that still sets coupling.eps is rejected at load, before any
+    lift or output."""
+    cfg = cfg_file(tmp_path, {"coupling.eps": "1"})
+    out = tmp_path / "out"
+    pair = [str(tmp_path / name) for name in ("u.csv", "v.csv")]
+    extra = {"verify": pair, "study": ["--resolutions", "8,16,32"]}.get(command, [])
     lifts = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"config error: coupling.eps: eps must be positive, with (1 + eps)^(p-1) and "
-        f"(1 + 1/eps)^(p-1) finite, got {float(eps)!r} at p = 2.2\n"
-    )
-    assert lifts == [] and not (tmp_path / "out").exists()
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+    line = len(BASE) + 1
+    assert capsys.readouterr().err == f"config error: line {line}: unknown key 'coupling.eps'\n"
+    assert lifts == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["certify", "solve"])

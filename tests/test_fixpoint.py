@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import plapsys.expr as ex
 import plapsys.fixpoint as fixpoint
 import plapsys.plap as plap
-from plapsys.coupling import Coupling, nemytskii, power_family, split_bound
+from plapsys.coupling import Coupling, nemytskii, power_family
 from plapsys.field import Grid, ScalarField, lq_norm
 from plapsys.fixpoint import (
     BallReport,
@@ -57,7 +57,7 @@ def small_problem(n=8, p=2.2, box=(0.0, 0.3, 0.0, 0.3), const=0.5, bc=1.0, r=1.2
     exps = make_exponents(3, p, r)
     c = power_family(const, const, const, const, p)
     h = constant_field(g, bc)
-    return SystemProblem(g, exps, c, pair(h, h), 1.0)
+    return SystemProblem(g, exps, c, pair(h, h))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_apply_lambda_affine_boundary():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.5, 1.15)
     h = from_callable(g, lambda x, y: 2 * x + 3 * y)
-    prob = SystemProblem(g, exps, zero_coupling(2.5), pair(h, h), 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(2.5), pair(h, h))
     z = constant_field(g, 0.0)
     L, Y, _ = apply_lambda(prob, pairs(z, z))
     assert L.shape == Y.shape == (1, 2, g.n_nodes)
@@ -152,7 +152,7 @@ def abort_problem():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
     z = constant_field(g, 0.0)
     f = from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), 1.0), f, z
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z)), f, z
 
 
 def test_apply_lambda_abort_names_component():
@@ -204,7 +204,7 @@ def test_apply_lambda_rows_match_lone_pairs():
     c = Coupling(ex.parse("0.3*odd_pow(u,1.2)+0.1*v"), ex.parse("0.2*u*v-x"), 1, 1, 1, 1, 2.2)
     h = from_callable(g, lambda x, y: 1.0 + x * y)
     k = from_callable(g, lambda x, y: 0.5 - x)
-    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k), 1.0)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k))
     rng = np.random.default_rng(6)
     fields = [scale_to_norm(sample_smooth_field(g, rng), 1.25, a) for a in (1, 3, 10, 30, 100, 3)]
     L, Y, _ = apply_lambda(prob, pairs(*fields))
@@ -222,7 +222,7 @@ def test_apply_lambda_rows_match_lone_pairs():
 def test_apply_lambda_zero_coupling():
     prob = small_problem()
     probz = SystemProblem(
-        prob.grid, prob.exponents, zero_coupling(2.2), prob.hk, 1.0
+        prob.grid, prob.exponents, zero_coupling(2.2), prob.hk
     )
     f = from_callable(prob.grid, lambda x, y: x * y)
     _, Y, _ = apply_lambda(probz, pairs(f, f))
@@ -235,11 +235,9 @@ def test_problem_validation():
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
     with pytest.raises(ValueError, match=r"hk must be a \(2, 25\) stack"):
-        SystemProblem(g, exps, zero_coupling(), np.zeros((2, g2.n_nodes)), 1.0)
+        SystemProblem(g, exps, zero_coupling(), np.zeros((2, g2.n_nodes)))
     with pytest.raises(ValueError, match="does not match"):
-        SystemProblem(g, exps, zero_coupling(2.5), pair(z, z), 1.0)
-    with pytest.raises(ValueError, match="eps"):
-        SystemProblem(g, exps, zero_coupling(), pair(z, z), 0.0)
+        SystemProblem(g, exps, zero_coupling(2.5), pair(z, z))
 
 
 @pytest.mark.parametrize("shape", [(2, 24), (2, 26), (25,), (1, 25), (3, 25), (1, 2, 25)])
@@ -247,7 +245,7 @@ def test_problem_rejects_boundary_pair_of_another_shape(shape):
     """The boundary pair hk = (h, k) is one (2, n_nodes) stack on the grid."""
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)  # 25 nodes
     with pytest.raises(ValueError, match=r"hk must be a \(2, 25\) stack"):
-        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), np.ones(shape), 1.0)
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), np.ones(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -256,26 +254,11 @@ def test_problem_rejects_nonfinite_boundary_pair(bad):
     kept as a read-only copy, and the caller's array stays writeable."""
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     hk = np.ones((2, 25))
-    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk, 1.0)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk)
     assert np.array_equal(prob.hk, hk) and not prob.hk.flags.writeable and hk.flags.writeable
     hk[1, 7] = bad
     with pytest.raises(ValueError, match="the values of the pair hk must be finite"):
-        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk, 1.0)
-
-
-@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, 5e-324])
-def test_problem_rejects_eps_whose_split_factors_overflow(eps):
-    """eps must be positive with (1 + eps)^(p-1) and (1 + 1/eps)^(p-1)
-    finite: at p = 2.2, 1e-300 and 1e300 overflow a float power, which
-    split_bound would raise as an OverflowError in certify."""
-    g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
-    z = constant_field(g, 1.0)
-    with pytest.raises(ValueError, match=r"eps must be positive, with \(1 \+ eps\)\^\(p-1\)"):
-        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), eps)
-    for ok in (1e-200, 1e200):  # (1e200)^1.2 = 1e240
-        prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), pair(z, z), ok)
-        growth, split = split_bound(prob.coupling, pair(z, z), ok)
-        assert math.isfinite(growth) and np.isfinite(split).all()
+        SystemProblem(g, make_exponents(3, 2.2, 1.25), zero_coupling(2.2), hk)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +326,7 @@ def ball_problem(n):
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), n)
     c = Coupling(ex.parse("100*u"), ex.parse("100*v"), 0.01, 0.01, 0.01, 0.01, 2.2)
     z = constant_field(g, 0.0)
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(z, z), 1.0)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(z, z))
 
 
 @pytest.mark.parametrize("n, trials, blocks", [(7, 30, [54, 6]), (16, 13, [12, 12, 2])])
@@ -493,7 +476,7 @@ def split_problem(box, h, k):
     g = Grid(2, box, 4)
     c = Coupling(ex.parse("0"), ex.parse("0"), 2.0, 0.0, 0.0, 1.2, 2.0)
     return SystemProblem(
-        g, make_exponents(3, 2.0, 1.3), c, pair(constant_field(g, h), constant_field(g, k)), 1.0
+        g, make_exponents(3, 2.0, 1.3), c, pair(constant_field(g, h), constant_field(g, k))
     )
 
 
@@ -517,7 +500,7 @@ def test_certify_zero_coupling():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 4)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z))
     cert = certify(prob, C=1.0, C_samples=10)
     assert cert.valid
     assert cert.lam == 0.0
@@ -562,6 +545,7 @@ def test_certificate_text_keys():
         "epsilon", "lambda", "M0", "valid",
     ]
     got = dict(ln.split(" = ") for ln in lines[1:])
+    assert got["epsilon"] == "1"  # SPLIT_EPS, the one epsilon of every certificate
     assert float(got["lambda"]) == cert.lam
     assert got["valid"] in ("true", "false")
 
@@ -574,7 +558,7 @@ def test_ball_invariance_zero_coupling():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 6)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z))
     cert = certify(prob, C=1.0)
     rep = check_ball_invariance(prob, cert, M=1.0, trials=5, seed=1)
     assert rep.passed
@@ -621,9 +605,10 @@ def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
     real = fixpoint.solve_p_poisson_batch
 
     def spy(grid, p, F, H, **kwargs):
+        rows = F.reshape(-1, grid.n_nodes)
         lifted.extend(
             PPoissonProblem(grid, p, ScalarField(grid, f), ScalarField(grid, h))
-            for f, h in zip(F, H)
+            for f, h in zip(rows, np.broadcast_to(H, F.shape).reshape(rows.shape))
         )
         return real(grid, p, F, H, **kwargs)
 
@@ -644,7 +629,7 @@ def test_ball_invariance_domain_error_names_global_trial(monkeypatch):
     6 pairs at n = 16: the domain error names row 7, its trial index."""
     base = ball_problem(16)
     c = Coupling(ex.parse("u"), ex.parse("1/(1-abs(sgn(v)))"), 0.01, 0.01, 0.01, 0.01, 2.2)
-    prob = SystemProblem(base.grid, base.exponents, c, base.hk, 1.0)
+    prob = SystemProblem(base.grid, base.exponents, c, base.hk)
     cert = certify(prob, C=0.1)
     w = sample_smooth_field(prob.grid, np.random.default_rng(3)).values
     drawn = itertools.count()  # f and g of each trial in turn; trial 7's g is 15
@@ -673,7 +658,7 @@ def test_picard_zero_coupling_single_iteration():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     exps = make_exponents(3, 2.0, 1.3)
     h = from_callable(g, lambda x, y: x + y)
-    prob = SystemProblem(g, exps, zero_coupling(), pair(h, h), 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(h, h))
     w, trace = picard_solve(prob)
     assert trace.converged
     assert (trace.stop_reason, trace.restarts) == ("converged", 0)
@@ -704,7 +689,7 @@ def test_picard_decoupled_linear_matches_monolithic():
     exps = make_exponents(3, 2.0, 1.3)
     c = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
     h = constant_field(g, 1.0)
-    prob = SystemProblem(g, exps, c, pair(h, h), 1.0)
+    prob = SystemProblem(g, exps, c, pair(h, h))
     cert = certify(prob, C=calibrate_C(g, exps, samples=10, seed=0))
     assert cert.valid
     (u, v), trace = picard_solve(prob, tol=1e-10)
@@ -738,11 +723,25 @@ def test_picard_max_iter_validation():
             picard_solve(prob, max_iter=bad)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_picard_tol_validation_before_any_lift(monkeypatch, tol):
+    """tol must be positive and finite: inf would stop at the first
+    iteration as converged, and nan, 0 or -1 would run to max_iter."""
+    prob = small_problem(n=6)
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a lift ran")
+
+    monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", no_lift)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        picard_solve(prob, tol=tol)
+
+
 def test_trace_csv_shape():
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 6)
     exps = make_exponents(3, 2.0, 1.3)
     z = constant_field(g, 0.0)
-    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z), 1.0)
+    prob = SystemProblem(g, exps, zero_coupling(), pair(z, z))
     _, trace = picard_solve(prob)
     lines = trace.csv_lines()
     assert lines[0] == "iter,norm_f,norm_g,delta,weak_residual,newton_u,newton_v,cg_u,cg_v,inner_tol"
@@ -776,7 +775,7 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
         swap = str.maketrans("uv", "vu")
         phi, psi, h, k = psi.translate(swap), phi.translate(swap), k, h
     c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1, 2.2)
-    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k), 1.0)
+    prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k))
     w, trace = picard_solve(prob)
     cls = weak_residuals(g, w, c, 2.2, 1e-6)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
@@ -804,7 +803,7 @@ def unit_box_problem(consts, n=32):
     g = Grid(2, UNIT_BOX, n)
     h = constant_field(g, 1.0)
     c = power_family(*consts, 2.2)
-    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, h), 1.0)
+    return SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, h))
 
 
 def test_weak_residuals_of_the_returned_stack_are_the_trace_residuals():

@@ -785,16 +785,19 @@ def test_lift_memory_per_row(monkeypatch):
         (0.5, (3, 25), (3, 25), None, "p must be > 1"),
         (2.2, (3, 25), (2, 25), None, "must be \\(B, 25\\)"),
         (2.2, (3, 24), (3, 24), None, "must be \\(B, 25\\)"),
-        (2.2, (25,), (25,), None, "must be \\(B, 25\\)"),
+        (2.2, (3, 25), (2, 3, 25), None, "must be \\(B, 25\\)"),
         (2.2, (3, 25), (3, 25), ("F", math.nan), "finite"),
         (2.2, (3, 25), (3, 25), ("F", math.inf), "finite"),
         (2.2, (3, 25), (3, 25), ("H", math.nan), "finite"),
         (2.2, (3, 25), (3, 25), ("H", -math.inf), "finite"),
+        (2.2, (3, 25), (3, 1), None, "must be \\(B, 25\\)"),
+        (2.2, (3, 25), (), None, "must be \\(B, 25\\)"),
     ],
 )
 def test_batch_rejects_bad_stacks_before_any_lift(monkeypatch, p, F_shape, H_shape, bad, match):
-    """p <= 1, F and H of different shapes or of the wrong node count, and
-    a non-finite value in F or in H each raise ValueError before any lift."""
+    """p <= 1, an H that does not broadcast to the shape of F, an F or H
+    whose last axis is not the node count, and a non-finite value in F or
+    in H each raise ValueError before any lift."""
     g = unit_square(4)  # 25 nodes
     F, H = np.ones(F_shape), np.ones(H_shape)
     if bad is not None:
@@ -807,6 +810,32 @@ def test_batch_rejects_bad_stacks_before_any_lift(monkeypatch, p, F_shape, H_sha
     monkeypatch.setattr(plap, "_newton", no_lift)
     with pytest.raises(ValueError, match=match):
         solve_p_poisson_batch(g, p, F, H)
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_stacked_lift_equals_the_flat_lift_of_tiled_rows(monkeypatch, n):
+    """Sources (k, 2, n_nodes) lifted with one boundary pair (2, n_nodes),
+    cold and from a start stack, give bit for bit the solutions and the
+    reports of the flat lift of the 2k rows with the pair tiled, in C
+    order, over chunks of 3 rows that split pairs."""
+    g = Grid(2, (0.0, 0.3, 0.0, 0.3), n)
+    monkeypatch.setattr(plap, "BATCH_NODES", 3 * g.n_nodes)
+    k = 4
+    rng = np.random.default_rng(n)
+    F = smooth_fields(g, rng.uniform(-1, 1, (2 * k, SAMPLER_MODES, SAMPLER_MODES)))
+    F *= (np.logspace(-1, 1, 2 * k) / lq_norms(g, F, 1.25))[:, None]
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    hk = np.stack([1.0 + x * y, 2.0 - x])
+    H = np.tile(hk, (k, 1))
+    flat, flat_reports = solve_p_poisson_batch(g, 2.2, F, H)
+    U, reports = solve_p_poisson_batch(g, 2.2, F.reshape(k, 2, g.n_nodes), hk)
+    assert U.shape == (k, 2, g.n_nodes) and not U.flags.writeable
+    assert np.array_equal(U.reshape(flat.shape), flat) and reports == flat_reports
+    U0 = U + 0.01 * np.sin(7.0 * x)
+    flat, flat_reports = solve_p_poisson_batch(g, 2.2, F, H, U0=U0.reshape(flat.shape))
+    U, reports = solve_p_poisson_batch(g, 2.2, F.reshape(U.shape), hk, U0=U0)
+    assert np.array_equal(U.reshape(flat.shape), flat) and reports == flat_reports
+    assert all(rep.iterations > 0 for rep in reports)
 
 
 @pytest.mark.parametrize(
