@@ -4,7 +4,14 @@ Expressions are closed-form formulas over the variables x, y, u, v with
 decimal literals, the binary operators + - * / ^ and a fixed function set
 (abs, sgn, min, max, sin, cos, exp, log, pow, odd_pow).  ^ is
 right-associative and binds tightest, then unary minus, then * /, then + -.
-There is no implicit multiplication.
+There is no implicit multiplication.  Tokens are ASCII: a number, an
+identifier or an operator character, with spaces, tabs and newlines
+between them; any other character, a non-ASCII letter or digit included,
+is a syntax error at its offset.  One precedence-climbing loop (Pratt,
+1973) reads the binding powers of the binary operators from one table.
+A formula nests at most MAX_DEPTH levels: each operation, function call
+and pair of parentheses adds one, and the token past the bound is a
+syntax error.
 
 odd_pow(t, e) = sgn(t) * |t|^e is the signed power used by the p-Laplacian
 coupling families; unlike t^e it is defined for negative t and odd in t.
@@ -118,146 +125,102 @@ OPERATIONS = {
     "odd_pow": (2, _odd_pow, "odd_pow"),
 }
 
-_NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Deeper formulas are syntax errors: the parser and evaluate_arrays recurse
+# once per level, and Python's recursion limit is about 1000 frames.
+MAX_DEPTH = 100
+
+# The one token pattern, ASCII only: skipped whitespace, then a number, an
+# identifier, an operator character or any other single character, a "bad"
+# token, which is an error at its offset.  Trailing whitespace matches none.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>[^ \t\r\n]))"
+)
+
+# binary operator -> (its binding power, the binding power its right operand
+# is parsed at).  An operand takes the operators that bind tighter than it,
+# so + - * / are left-associative and ^ right-associative; unary minus
+# parses its operand at _NEG_BP, so it binds between * and ^.
+_BINARY = {"+": (1, 1), "-": (1, 1), "*": (2, 2), "/": (2, 2), "^": (4, 3)}
+_NEG_BP = 3
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'ident', 'op', 'end'
-    text: str
-    offset: int
+def _check_depth(depth: int, offset: int) -> None:
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(text, i)
-            if m is None:
-                raise ExprSyntaxError("malformed number", i)
-            tokens.append(_Token("num", m.group(0), i))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(_Token("ident", m.group(0), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+def _expect(tokens: list[tuple[str, str, int]], text: str) -> None:
+    _, got, offset = tokens.pop()
+    if got != text:
+        raise ExprSyntaxError(f"expected '{text}'", offset)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected '{text}'", tok.offset)
-        return self.advance()
-
-    # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Apply(op, (node, self.parse_term()))
-        return node
-
-    # term := unary (('*'|'/') unary)*
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Apply(op, (node, self.parse_unary()))
-        return node
-
-    # unary := '-' unary | power
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Apply("(-)", (self.parse_unary(),))
-        return self.parse_power()
-
-    # power := atom ('^' unary)?   right-associative, binds above unary minus
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            node = Apply("^", (node, self.parse_unary()))
-        return node
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number {tok.text} is not finite", tok.offset)
-            return Num(value)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                # an identifier token matches only the identifier keys
-                if name not in OPERATIONS:
-                    raise UnknownIdentifierError(name, tok.offset)
-                self.advance()
-                args = [self.parse_expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                arity = OPERATIONS[name][0]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"{name} expects {arity} argument(s), got {len(args)}",
-                        tok.offset,
-                    )
-                return Apply(name, tuple(args))
-            if name not in VARIABLES:
-                raise UnknownIdentifierError(name, tok.offset)
-            return Var(name)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError("expected a number, variable, or '('", tok.offset)
+def _climb(tokens: list[tuple[str, str, int]], min_bp: int, depth: int) -> tuple[Expr, int]:
+    """Parse the operand at `depth` and the binary operators that bind
+    tighter than min_bp; return its tree and the depth of its deepest level.
+    `tokens` holds (kind, text, offset) in reverse: pop() takes the next.
+    """
+    kind, text, offset = tokens.pop()
+    _check_depth(depth, offset)
+    deepest = depth
+    if text == "-":
+        operand, deepest = _climb(tokens, _NEG_BP, depth + 1)
+        node = Apply("(-)", (operand,))
+    elif text == "(":
+        node, deepest = _climb(tokens, 0, depth + 1)
+        _expect(tokens, ")")
+    elif kind == "num":
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"number {text} is not finite", offset)
+        node = Num(value)
+    elif kind == "ident" and tokens[-1][1] == "(":
+        # an identifier token matches only the identifier keys
+        if text not in OPERATIONS:
+            raise UnknownIdentifierError(text, offset)
+        args = []
+        while not args or tokens[-1][1] == ",":
+            tokens.pop()  # the '(' or a ','
+            arg, arg_deepest = _climb(tokens, 0, depth + 1)
+            args.append(arg)
+            deepest = max(deepest, arg_deepest)
+        _expect(tokens, ")")
+        arity = OPERATIONS[text][0]
+        if len(args) != arity:
+            raise ExprSyntaxError(f"{text} expects {arity} argument(s), got {len(args)}", offset)
+        node = Apply(text, tuple(args))
+    elif kind == "ident":
+        if text not in VARIABLES:
+            raise UnknownIdentifierError(text, offset)
+        node = Var(text)
+    else:
+        raise ExprSyntaxError("expected a number, variable, or '('", offset)
+    while True:
+        _, op, offset = tokens[-1]
+        bp = _BINARY.get(op)
+        if bp is None or bp[0] <= min_bp:
+            return node, deepest
+        tokens.pop()
+        deepest += 1  # the left operand moves a level down
+        _check_depth(deepest, offset)
+        rhs, rhs_deepest = _climb(tokens, bp[1], depth + 1)
+        node = Apply(op, (node, rhs))
+        deepest = max(deepest, rhs_deepest)
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raise ExprSyntaxError on bad input."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+    for kind, tok, offset in tokens:
+        if kind == "bad":
+            message = "malformed number" if tok == "." else f"unexpected character {tok!r}"
+            raise ExprSyntaxError(message, offset)
+    tokens = [("end", "", len(text))] + tokens[::-1]  # reversed for _climb
+    node, _ = _climb(tokens, 0, 1)
+    kind, tok, offset = tokens[-1]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {tok!r}", offset)
     return node
 
 

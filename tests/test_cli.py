@@ -46,7 +46,7 @@ def cfg_file(tmp_path, overrides=None, drop=(), name="run.cfg"):
     for key in drop:
         cfg.pop(key, None)
     path = tmp_path / name
-    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
     return str(path)
 
 
@@ -62,7 +62,7 @@ def example_file(tmp_path, name, overrides):
         cfg = parse_kv_text(fh.read())
     cfg.update(overrides)
     path = tmp_path / name
-    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
     return str(path)
 
 
@@ -305,6 +305,29 @@ def test_constant_beside_the_zero_family_exit_2(tmp_path, capsys, name, command)
     err = capsys.readouterr().err
     assert err == f"config error: coupling.{name}: not used by coupling.family = zero\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("key, value, message", [
+    ("coupling.phi", "é", "unexpected character 'é' (offset 0)"),
+    ("coupling.phi", "(" * 250 + "u" + ")" * 250, "formula nests deeper than 100 levels (offset 100)"),
+    ("boundary.h", "+".join(["x"] * 600), "formula nests deeper than 100 levels (offset 199)"),
+], ids=["non-ascii", "250-parentheses", "600-terms"])
+def test_bad_formula_is_a_config_error(tmp_path, capsys, key, value, message, command):
+    """A non-ASCII letter once crashed the tokenizer with an AttributeError
+    traceback, and 250 nested parentheses or a sum of 600 terms exceeded
+    Python's recursion limit in the parser or in evaluate_arrays (exit 3).
+    Each is a config error naming its key, before any lift or output."""
+    explicit = key.startswith("coupling.")
+    overrides = {key: value, "coupling.psi": "v"} if explicit else {key: value}
+    cfg = cfg_file(tmp_path, overrides, drop=("coupling.family",) if explicit else ())
+    out = tmp_path / "out"
+    lifts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+    assert lifts == [] and not out.exists()
 
 
 def test_picard_max_iter_zero_exit_2(tmp_path, capsys):
@@ -888,6 +911,24 @@ def test_study_coupled_p3_order(tmp_path, capsys):
     assert errors[0] > errors[1] > errors[2] > 0.0
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_study_p15_1d_order(tmp_path, capsys):
+    """The manufactured case below p = 2: p = 1.5 with u of x alone, for
+    which the study fits order 2.272 at 8, 16, 32.  phi = 1 meets no growth
+    bound with constants 0, so solve and certify reject it at the probe."""
+    cfg = os.path.join(EXAMPLES, "study-p1.5-1d.cfg")
+    out = tmp_path / "out"
+    assert main(["study", "--config", cfg, "--out", str(out), "--resolutions", "8,16,32"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("fitted order ")
+    assert 2.2 <= float(line.split()[-1]) <= 2.35
+    rows = (out / "study.csv").read_text().splitlines()[1:]
+    errors = [float(row.split(",")[1]) for row in rows]
+    assert errors[0] > errors[1] > errors[2] > 0.0
+    for command in ("solve", "certify"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "understate the growth of coupling.phi" in capsys.readouterr().err
 
 
 def test_study_picard_stop_exit_3(tmp_path, capsys):

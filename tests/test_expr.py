@@ -52,7 +52,38 @@ def test_number_formats():
     assert ev("3.") == 3.0
 
 
+# malformed ASCII formulas, each with the message and offset of its syntax
+# error; recorded from the recursive-descent parser that the precedence
+# loop replaced, so the loop keeps its messages
+MALFORMED = [
+    (".", "malformed number", 0),
+    ("u+.e1", "malformed number", 2),
+    ("1..2", "unexpected trailing input '.2'", 2),
+    ("1e", "unexpected trailing input 'e'", 1),
+    ("x(1)", "unknown identifier 'x'", 0),
+    ("abs", "unknown identifier 'abs'", 0),
+    ("u v", "unexpected trailing input 'v'", 2),
+    ("1,2", "unexpected trailing input ','", 1),
+    ("(u))", "unexpected trailing input ')'", 3),
+    ("min(1", "expected ')'", 5),
+    ("(1 2)", "expected ')'", 3),
+    ("abs(1,2)", "abs expects 1 argument(s), got 2", 0),
+    ("2**3", "expected a number, variable, or '('", 2),
+    (")", "expected a number, variable, or '('", 0),
+    ("-", "expected a number, variable, or '('", 1),
+    ("x^", "expected a number, variable, or '('", 2),
+    ("sin()", "expected a number, variable, or '('", 4),
+    (" ", "expected a number, variable, or '('", 1),
+    ("\f1", "unexpected character '\\x0c'", 0),
+    ("1 \v 2", "unexpected character '\\x0b'", 2),
+]
+
+
 def test_syntax_error_offsets():
+    for text, message, offset in MALFORMED:
+        with pytest.raises(ex.ExprSyntaxError) as err:
+            ex.parse(text)
+        assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset), text
     with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse("1+")
     assert err.value.offset == 2
@@ -120,6 +151,79 @@ def test_nonfinite_literal_is_a_syntax_error(text, offset):
     with pytest.raises(ex.ExprSyntaxError, match="is not finite") as err:
         ex.parse(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, char, offset", [("é", "é", 0), ("x+µ", "µ", 2), ("２", "２", 0),
+                                                 ("x²", "²", 1), ("1+٣", "٣", 2)])
+def test_non_ascii_characters_are_unexpected(text, char, offset):
+    """Tokens are ASCII: a non-ASCII letter once raised AttributeError, a
+    full-width digit parsed as its ASCII value and a superscript two was a
+    "malformed number"."""
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text)
+    assert str(err.value) == f"unexpected character {char!r} (offset {offset})"
+    assert err.value.offset == offset
+
+
+def _too_deep(offset):
+    return f"formula nests deeper than {ex.MAX_DEPTH} levels (offset {offset})"
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 250 + "u" + ")" * 250, 100),  # the 101st parenthesis
+    ("+".join(["x"] * 600), 199),  # the 100th '+', which puts the first x at depth 101
+    ("-" * 150 + "u", 100),
+    ("2^" * 150 + "2", 199),
+    ("abs(" * 150 + "u" + ")" * 150, 400),
+    ("(" * 100_000 + "u", 100),  # no recursion past the bound, however long
+])
+def test_formula_deeper_than_the_bound_is_a_syntax_error(text, offset):
+    """A formula nests at most MAX_DEPTH levels; the token past the bound is
+    a syntax error, where it once was a RecursionError of the parser or of
+    evaluate_arrays."""
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(text)
+    assert str(err.value) == _too_deep(offset)
+    assert err.value.offset == offset
+
+
+def _tree_depth(e):
+    if isinstance(e, ex.Apply):
+        return 1 + max(_tree_depth(a) for a in e.args)
+    return 1
+
+
+def test_formula_at_the_bound_parses_and_evaluates():
+    """Each operation, call and pair of parentheses adds a level: at exactly
+    MAX_DEPTH levels a formula parses, and its tree evaluates."""
+    n = ex.MAX_DEPTH
+    assert ex.parse("(" * (n - 1) + "u" + ")" * (n - 1)) == ex.Var("u")
+    chain = ex.parse("+".join(["x"] * n))
+    vals = ex.evaluate_arrays(chain, {"x": np.array([1.0, 2.0])})
+    assert np.array_equal(vals, [n, 2.0 * n])
+    assert _tree_depth(ex.parse("-" * (n - 1) + "u")) == n
+
+
+def test_depth_is_the_tree_depth_plus_the_parentheses(monkeypatch):
+    """Without parentheses a formula's depth is its tree's, wherever the
+    precedence loop puts the deepest leaf; each enclosing pair adds one.  A
+    bound equal to the depth admits the formula, one less rejects it."""
+    rng = np.random.default_rng(29)
+    leaves = ["x", "u", "2", "abs(v)", "min(x, -y^2)"]
+    bound = ex.MAX_DEPTH
+    for _ in range(500):
+        parts = ["-" * int(rng.choice([0, 0, 0, 1, 2])) + str(rng.choice(leaves))
+                 for _ in range(int(rng.integers(1, 12)))]
+        text = parts[0] + "".join(str(rng.choice(list("+-*/^"))) + p for p in parts[1:])
+        m = int(rng.integers(0, 4))
+        text = "(" * m + text + ")" * m
+        monkeypatch.setattr(ex, "MAX_DEPTH", bound)
+        depth = _tree_depth(ex.parse(text)) + m
+        monkeypatch.setattr(ex, "MAX_DEPTH", depth)
+        ex.parse(text)
+        monkeypatch.setattr(ex, "MAX_DEPTH", depth - 1)
+        with pytest.raises(ex.ExprSyntaxError, match="nests deeper"):
+            ex.parse(text)
 
 
 FUNCTION_NAMES = ["abs", "cos", "exp", "log", "max", "min", "odd_pow", "pow", "sgn", "sin"]
