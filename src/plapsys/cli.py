@@ -92,10 +92,12 @@ def _probe_growth(setup: Setup) -> None:
     GROWTH_TOL is a config error naming the constants, the excess and the
     sample point.  The power family attains its bound with equality and is
     not probed."""
-    if not setup.explicit_coupling:
+    if setup.config["coupling.family"]:
         return
-    m = max(1.0, float(np.abs(setup.problem.hk[:, setup.grid.boundary]).max()))
-    excess, name, point = growth_excess(setup.coupling, setup.grid.box, (-m, m), (-m, m))
+    prob = setup.problem
+    m = max(1.0, float(np.abs(prob.hk[:, prob.grid.boundary]).max()))
+    p, states = prob.exponents.p, (-m, m)
+    excess, name, point = growth_excess(prob.coupling, p, prob.grid.box, states, states)
     if excess > GROWTH_TOL:
         consts = "coupling.a1 and coupling.a2" if name == "phi" else "coupling.b1 and coupling.b2"
         where = ", ".join(f"{c:.17g}" for c in point)
@@ -109,7 +111,7 @@ def _calibrated_certificate(setup: Setup):
     _probe_growth(setup)
     cal_ss, ball_ss = np.random.SeedSequence(setup.seed).spawn(2)
     C = calibrate_C(
-        setup.grid, setup.exponents, setup.calib_samples, cal_ss, setup.solver_tol
+        setup.grid, setup.problem.exponents, setup.calib_samples, cal_ss, setup.solver_tol
     )
     return certify(setup.problem, C, setup.calib_samples), ball_ss
 
@@ -228,8 +230,9 @@ def _shift_flags(args) -> tuple[float, float] | None:
 def cmd_verify(args) -> int:
     shift = _shift_flags(args)
     setup = load_setup(args.config, args.seed, args.out)
-    w = np.stack([load_field(path, setup.grid) for path in (args.u_csv, args.v_csv)])
-    cls = weak_residuals(setup.grid, w, setup.coupling, setup.exponents.p, setup.verify_tol)
+    prob = setup.problem
+    w = np.stack([load_field(path, prob.grid) for path in (args.u_csv, args.v_csv)])
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, setup.verify_tol)
     _write_text(_out_path(setup, "classification.csv"), cls.csv_lines())
     print(f"verdict: {cls.verdict} (max residual {cls.max_abs_residual:.3e})")
     if cls.verdict != "solution":
@@ -239,7 +242,7 @@ def cmd_verify(args) -> int:
     if shift is None:
         return 0 if cls.verdict == "solution" else 4
     alpha, beta = shift
-    rep = shift_test(setup.grid, w, cls, setup.coupling, setup.exponents.p, alpha, beta)
+    rep = shift_test(prob.grid, w, cls, prob.coupling, prob.exponents.p, alpha, beta)
     if not rep.precondition_ok:
         print(f"shift test precondition failed: {rep.reason}", file=sys.stderr)
         return 4
@@ -301,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="flat key-value config file")
         p.add_argument("--out", default=".", help="output directory (default: the current one)")
-        p.add_argument("--seed", type=int, default=None, help="seed of the calibration and the ball trials (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="seed of the calibration and the ball trials (default 0)")
 
     p_solve = sub.add_parser("solve", help="run the fixed-point solver")
     common(p_solve)

@@ -18,8 +18,9 @@ blank lines ignored.  Example:
 
 Every key is validated here: expressions must parse, exponents must pass
 the admissibility check, and unknown or duplicate keys are rejected.  All
-failures raise ConfigError with a one-line message naming the key.  A Setup
-keeps its resolved config, from which `study` rebuilds it at each grid.n.
+failures raise ConfigError with a one-line message naming the key, from the
+converter of the key's type or the library check it calls.  A Setup keeps
+its resolved config, from which `study` rebuilds it at each grid.n.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import expr as ex
 from .coupling import Coupling, eval_on_nodes, power_family
 from .field import Grid
 from .fixpoint import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, MIN_CALIBRATION_SAMPLES,
-                       Exponents, SystemProblem, make_exponents)
+                       SystemProblem, make_exponents)
 from .plap import DEFAULT_TOL
 from .verify import DEFAULT_CLASS_TOL
 
@@ -99,31 +100,25 @@ def _resolve(raw: dict[str, str]) -> dict[str, str]:
     return cfg
 
 
-def _as_int(cfg: dict[str, str], key: str) -> int:
+def _as_int(cfg: dict[str, str], key: str, low: int | None = None, why: str = "") -> int:
+    """The integer of key, at least low; why says what a smaller one lacks."""
     try:
-        return int(cfg[key])
+        val = int(cfg[key])
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from None
-
-
-def _as_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
-
-
-def _as_finite(cfg: dict[str, str], key: str) -> float:
-    val = _as_float(cfg, key)
-    if not np.isfinite(val):
-        raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
+    if low is not None and val < low:
+        raise ConfigError(f"{key}: must be >= {low}{why}, got {val}")
     return val
 
 
-def _as_positive(cfg: dict[str, str], key: str) -> float:
-    val = _as_float(cfg, key)
-    if not (np.isfinite(val) and val > 0.0):
-        raise ConfigError(f"{key}: must be positive and finite, got {cfg[key]!r}")
+def _as_float(cfg: dict[str, str], key: str, must: str = "") -> float:
+    """The number of key; must = "finite" or "positive and finite" bounds it."""
+    try:
+        val = float(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
+    if must and not (np.isfinite(val) and (must == "finite" or val > 0.0)):
+        raise ConfigError(f"{key}: must be {must}, got {cfg[key]!r}")
     return val
 
 
@@ -161,13 +156,13 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
         for name in ("a1", "a2", "b1", "b2"):
             if cfg[f"coupling.{name}"]:
                 raise ConfigError(f"coupling.{name}: not used by coupling.family = zero")
-        return Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0, p)
+        return Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0)
     consts = {}
     for name in ("a1", "a2", "b1", "b2"):
         key = f"coupling.{name}"
         if not cfg[key]:
             raise ConfigError(f"missing required key {key!r}")
-        consts[name] = _as_finite(cfg, key)
+        consts[name] = _as_float(cfg, key, "finite")
     if family == "power":
         return power_family(consts["a1"], consts["a2"], consts["b1"], consts["b2"], p)
     if family:
@@ -176,17 +171,15 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
         raise ConfigError("explicit couplings need both coupling.phi and coupling.psi")
     phi = _parse_expr(cfg, "coupling.phi")
     psi = _parse_expr(cfg, "coupling.psi")
-    return Coupling(phi, psi, consts["a1"], consts["a2"], consts["b1"], consts["b2"], p)
+    return Coupling(phi, psi, consts["a1"], consts["a2"], consts["b1"], consts["b2"])
 
 
 @dataclass(frozen=True)
 class Setup:
-    """Fully validated run setup built from one config file."""
+    """Fully validated run setup built from one config file; its problem
+    holds the exponents, the coupling and the boundary pair."""
 
     grid: Grid
-    exponents: Exponents
-    coupling: Coupling
-    explicit_coupling: bool  # from coupling.phi and coupling.psi, not a family
     problem: SystemProblem
     solver_tol: float
     picard_tol: float
@@ -200,17 +193,15 @@ class Setup:
     config: dict[str, str]  # every key, defaults filled in, that the setup was built from
 
 
-def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = ".") -> Setup:
+def build_setup(cfg: dict[str, str], seed: int = 0, out_dir: str = ".") -> Setup:
     """Construct and cross-validate every object the commands need.
 
-    `seed` is the --seed flag (default 0) and `out_dir` the --out flag, the
-    output directory, which the config does not set.
+    `seed` is the --seed flag and `out_dir` the --out flag, the output
+    directory, which the config does not set.
     """
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ConfigError(f"--seed: must be a non-negative integer, got {seed}")
-    n = _as_int(cfg, "grid.n")
-    if n < 2:
-        raise ConfigError(f"grid.n: must be >= 2 (fewer cells leave no interior node), got {n}")
+    n = _as_int(cfg, "grid.n", 2, " (fewer cells leave no interior node)")
     box = _as_floats(cfg, "grid.box", 4)
     try:
         grid = Grid(2, box, n)
@@ -225,39 +216,23 @@ def build_setup(cfg: dict[str, str], seed: int | None = None, out_dir: str = "."
         raise ConfigError(f"exponents: {err}") from None
     coupling = _coupling(cfg, p)
     hk = np.stack([_boundary_values(grid, cfg, key) for key in ("boundary.h", "boundary.k")])
-    problem = SystemProblem(grid, exponents, coupling, hk)
-
-    max_iter = _as_int(cfg, "picard.max_iter")
-    if max_iter < 1:
-        raise ConfigError(f"picard.max_iter: must be >= 1, got {max_iter}")
-    samples = _as_int(cfg, "calibration.samples")
-    if samples < MIN_CALIBRATION_SAMPLES:
-        raise ConfigError(
-            f"calibration.samples: must be >= {MIN_CALIBRATION_SAMPLES}, got {samples}"
-        )
-    trials = _as_int(cfg, "certificate.trials")
-    if trials < 1:
-        raise ConfigError(f"certificate.trials: must be >= 1, got {trials}")
-    return Setup(
+    return Setup(  # the keys are checked in the order of the keywords
         grid=grid,
-        exponents=exponents,
-        coupling=coupling,
-        explicit_coupling=not cfg["coupling.family"],
-        problem=problem,
-        solver_tol=_as_positive(cfg, "solver.tol"),
-        picard_tol=_as_positive(cfg, "picard.tol"),
-        picard_max_iter=max_iter,
-        calib_samples=samples,
-        seed=0 if seed is None else seed,
-        ball_trials=trials,
-        verify_tol=_as_positive(cfg, "verify.tol"),
-        study_min_order=_as_finite(cfg, "study.min_order"),
+        problem=SystemProblem(grid, exponents, coupling, hk),
+        picard_max_iter=_as_int(cfg, "picard.max_iter", 1),
+        calib_samples=_as_int(cfg, "calibration.samples", MIN_CALIBRATION_SAMPLES),
+        ball_trials=_as_int(cfg, "certificate.trials", 1),
+        solver_tol=_as_float(cfg, "solver.tol", "positive and finite"),
+        picard_tol=_as_float(cfg, "picard.tol", "positive and finite"),
+        verify_tol=_as_float(cfg, "verify.tol", "positive and finite"),
+        study_min_order=_as_float(cfg, "study.min_order", "finite"),
+        seed=seed,
         out_dir=out_dir,
         config=cfg,
     )
 
 
-def load_setup(path: str, seed: int | None = None, out_dir: str = ".") -> Setup:
+def load_setup(path: str, seed: int = 0, out_dir: str = ".") -> Setup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -1,25 +1,26 @@
 """Coupling terms phi(x, u, v), psi(x, u, v) and their structural checks.
 
 A Coupling bundles the two reaction expressions with the growth constants
-(a1, a2, b1, b2) and the exponent p they refer to:
+(a1, a2, b1, b2) of the bound at the exponent p of the problem:
 
     |phi(x, u, v)| <= a1 |u|^(p-1) + a2 |v|^(p-1)
     |psi(x, u, v)| <= b1 |v|^(p-1) + b2 |u|^(p-1)
 
-growth_excess(c, box, u_range, v_range) probes this bound and names the
+growth_excess(c, p, box, u_range, v_range) probes this bound and names the
 function and the sample point of the largest excess, and
 check_monotone(c, box, u_range, v_range) probes coordinatewise
 monotonicity of both functions on a bounded sample lattice (8 x 8 points
 over the box times STATE_SAMPLES values spanning each state range); they
 return the largest excess over the bound and the number of decreasing
-adjacent sample pairs, instead of trusting declared constants, and a
-domain error names the sample point (x, y, u, v).
+adjacent sample pairs, instead of trusting declared constants; a domain
+error names the sample point (x, y, u, v) unless it fails at all of them.
 
 eval_on_nodes is the one node evaluator: it binds x and y to the node
 coordinates and the states to nodal arrays or to stacks of them
 (k, n_nodes), such as the rows of a pair (u, v) or of the lifted pairs
 (k, 2, n_nodes) of a block of ball trials (coupling_values).  A domain
-error names the node, its coordinates and, in a stack, the row.
+error names the node, its coordinates and, in a stack, the row, unless the
+formula fails at every node.
 nemytskii is the benchmark's single-field adapter.
 
 The homogeneous transform shifts the arguments by boundary lifts h, k:
@@ -56,7 +57,7 @@ from .field import Grid, ScalarField
 
 @dataclass(frozen=True)
 class Coupling:
-    """Reaction pair with declared growth constants for exponent p."""
+    """Reaction pair with declared growth constants."""
 
     phi: ex.Expr
     psi: ex.Expr
@@ -64,15 +65,12 @@ class Coupling:
     a2: float
     b1: float
     b2: float
-    p: float
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        if self.p <= 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
 
 
 def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupling:
@@ -84,7 +82,7 @@ def power_family(a1: float, a2: float, b1: float, b2: float, p: float) -> Coupli
     a1, a2, b1, b2, q = (float(t) for t in (a1, a2, b1, b2, p - 1.0))
     phi = ex.parse(f"{a1!r}*odd_pow(u,{q!r})+{a2!r}*odd_pow(v,{q!r})")
     psi = ex.parse(f"{b1!r}*odd_pow(v,{q!r})+{b2!r}*odd_pow(u,{q!r})")
-    return Coupling(phi, psi, a1, a2, b1, b2, p)
+    return Coupling(phi, psi, a1, a2, b1, b2)
 
 
 def eval_on_nodes(
@@ -103,6 +101,8 @@ def eval_on_nodes(
     try:
         vals = ex.evaluate_arrays(e, b)
     except ex._IndexedDomainError as err:
+        if not err.shape:  # a constant subexpression
+            raise ex.EvaluationDomainError(f"{err.message} at any node") from err
         # the failing subexpression broadcasts to at most (k, n_nodes)
         row, node = divmod(err.index, grid.n_nodes)
         where = ", ".join(f"{c:.17g}" for c in grid.coords[node])
@@ -129,12 +129,12 @@ def nemytskii(c: Coupling, u: ScalarField, v: ScalarField) -> tuple[ScalarField,
     return ScalarField(grid, phi), ScalarField(grid, psi)
 
 
-def split_bound(c: Coupling, hk: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
-    """The eps-split of the growth bound of the coupling shifted by the
-    boundary pair hk = (h, k), a (2, n_nodes) stack of nodal values: the
-    growth factor (1 + eps)^(p-1) of every primed constant and the stacked
-    pair (c, c'), shape (2, n_nodes), of the module docstring."""
-    q = c.p - 1.0
+def split_bound(c: Coupling, p: float, hk: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
+    """The eps-split of the growth bound, at exponent p, of the coupling
+    shifted by the boundary pair hk = (h, k), a (2, n_nodes) stack of nodal
+    values: the growth factor (1 + eps)^(p-1) of every primed constant and
+    the stacked pair (c, c'), shape (2, n_nodes), of the module docstring."""
+    q = p - 1.0
     hq, kq = np.abs(hk) ** q
     split = (1.0 + 1.0 / eps) ** q * np.stack([c.a1 * hq + c.a2 * kq, c.b2 * hq + c.b1 * kq])
     return (1.0 + eps) ** q, split
@@ -163,8 +163,10 @@ def _sample_eval(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: R
             f = ex.evaluate_arrays(e, b)
             vals.append(np.broadcast_to(f, (len(xs), STATE_SAMPLES, STATE_SAMPLES)))
         except ex._IndexedDomainError as err:
+            if not err.shape:  # a constant subexpression
+                raise ex.EvaluationDomainError(f"{err.message} at any sample point") from err
             # the failing subexpression has the shape of the product with some
-            # axes of length 1, or is a scalar; such an axis stands at its first sample
+            # axes of length 1; such an axis stands at its first sample
             shape = (1,) * (3 - len(err.shape)) + err.shape
             m, i, j = (int(t) for t in np.unravel_index(err.index, shape))
             raise ex.EvaluationDomainError(
@@ -175,7 +177,7 @@ def _sample_eval(c: Coupling, box: tuple[float, ...], u_range: Range, v_range: R
 
 
 def growth_excess(
-    c: Coupling, box: tuple[float, ...], u_range: Range, v_range: Range
+    c: Coupling, p: float, box: tuple[float, ...], u_range: Range, v_range: Range
 ) -> tuple[float, str, tuple[float, float, float, float]]:
     """The largest excess of |phi| over a1|u|^(p-1) + a2|v|^(p-1) or of
     |psi| over its bound on the sample lattice of the box and the state
@@ -183,7 +185,7 @@ def growth_excess(
     point (x, y, u, v) where it does; the bounds hold on the samples when
     the excess is <= GROWTH_TOL."""
     xs, ys, uu, vv, phi, psi = _sample_eval(c, box, u_range, v_range)
-    q = c.p - 1.0
+    q = p - 1.0
     pu = np.abs(uu) ** q
     pv = np.abs(vv) ** q
     excess = {

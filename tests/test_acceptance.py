@@ -104,8 +104,8 @@ def test_criterion_4_transform_constants():
     worst = 0.0
     for eps in (0.5, 1.0, 2.0):
         for p in (1.5, 2.0, 3.0):
-            c = Coupling(ex.parse("u"), ex.parse("v"), a1, a2, b1, b2, p)
-            growth, (cf, cpf) = split_bound(c, pair(h, k), eps)
+            c = Coupling(ex.parse("u"), ex.parse("v"), a1, a2, b1, b2)
+            growth, (cf, cpf) = split_bound(c, p, pair(h, k), eps)
             q = p - 1.0
             grow = (1 + eps) ** q
             lead = (1 + 1 / eps) ** q
@@ -169,7 +169,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
     n = 12
     g = Grid(2, (0.0, 0.5, 0.0, 0.5), n)
     exps = make_exponents(3, 2.0, 1.3)
-    lin = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
+    lin = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0)
     h = constant_field(g, 1.0)
     lp = SystemProblem(g, exps, lin, pair(h, h))
     lw, ltrace = picard_solve(lp, tol=1e-7, max_iter=200)
@@ -194,7 +194,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
 def test_criterion_7_constant_shift_comparison():
     # constructed example: p = 2, zero coupling
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
-    zc = Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0, 2.0)
+    zc = Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0)
     u_sup = from_callable(g, lambda x, y: -x * x - y * y)
     u_sub = from_callable(g, lambda x, y: x * x + y * y)
     zero = constant_field(g, 0.0)
@@ -209,14 +209,14 @@ def test_criterion_7_constant_shift_comparison():
     n = 12
     g2 = Grid(2, (0.0, 0.5, 0.0, 0.5), n)
     exps = make_exponents(3, 2.0, 1.3)
-    mono = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0, 2.0)
+    mono = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0)
     h = constant_field(g2, 1.0)
     pairs = {}
     for sign, label in ((-2.0, "sup"), (2.0, "sub")):
         shifted = Coupling(
             ex.parse(f"u+{sign!r}" if sign > 0 else f"u-{-sign!r}"),
             ex.parse(f"v+{sign!r}" if sign > 0 else f"v-{-sign!r}"),
-            1.0, 0.0, 1.0, 0.0, 2.0,
+            1.0, 0.0, 1.0, 0.0,
         )
         sp_prob = SystemProblem(g2, exps, shifted, pair(h, h))
         pairs[label], trace = picard_solve(sp_prob, tol=1e-9)
@@ -244,10 +244,10 @@ def test_criterion_7_constant_shift_comparison():
 
 
 def test_criterion_8_hypothesis_falsification():
-    cubic = Coupling(ex.parse("u*u*u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
+    cubic = Coupling(ex.parse("u*u*u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0)
     unit = ((0.0, 1.0, 0.0, 1.0), (-10.0, 10.0), (-10.0, 10.0))
-    excess = max(growth_excess(cubic, *unit)[0], 0.0)
-    dec = Coupling(ex.parse("0-u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0, 2.0)
+    excess = max(growth_excess(cubic, 2.0, *unit)[0], 0.0)
+    dec = Coupling(ex.parse("0-u"), ex.parse("0"), 1.0, 0.0, 0.0, 0.0)
     violations = check_monotone(dec, *unit)
     ok = (
         excess > GROWTH_TOL

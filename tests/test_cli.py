@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, reproducibility."""
 
 import ctypes
+import dataclasses
 import os
 import platform
 import re
@@ -194,7 +195,8 @@ def test_solve_classification_is_that_of_the_written_pair(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     setup = load_setup(cfg)
     w = np.stack([load_field(str(out / name), setup.grid) for name in ("u.csv", "v.csv")])
-    cls = weak_residuals(setup.grid, w, setup.coupling, setup.exponents.p, setup.verify_tol)
+    prob = setup.problem
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, setup.verify_tol)
     report = dict(
         line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines()
         if " = " in line and not line.startswith("#")
@@ -327,6 +329,54 @@ def test_bad_formula_is_a_config_error(tmp_path, capsys, key, value, message, co
         mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+    assert lifts == [] and not out.exists()
+
+
+def ci_cfg(tmp_path, overrides=(), drop=()):
+    """CI's n = 7 smoke config, 13 lines, with keys replaced, added or
+    dropped; a key given the value None is written as a line of its own."""
+    cfg = {k: v for k, v in BASE.items() if k != "certificate.trials"}
+    cfg.update({"grid.n": "7", **dict(overrides)})
+    lines = [k if v is None else f"{k} = {v}" for k, v in cfg.items() if k not in drop]
+    path = tmp_path / "ci.cfg"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+CONFIG_ERRORS = {
+    "syntax": ({"grid.n 7": None}, (), "line 14: expected 'key = value', got 'grid.n 7'"),
+    "n-not-integer": ({"grid.n": "7.5"}, (), "grid.n: expected an integer, got '7.5'"),
+    "p-not-number": ({"exponents.p": "two"}, (), "exponents.p: expected a number, got 'two'"),
+    "box-count": ({"grid.box": "0, 1, 0"}, (), "grid.box: expected 4 comma-separated numbers, got '0, 1, 0'"),
+    "box-word": ({"grid.box": "0, 1, 0, one"}, (), "grid.box: expected numbers, got '0, 1, 0, one'"),
+    "family-and-phi": ({"coupling.phi": "u"}, (), "give either coupling.family or coupling.phi/psi, not both"),
+    "missing-a2": ({}, ("coupling.a2",), "missing required key 'coupling.a2'"),
+    "unknown-family": ({"coupling.family": "cubic"}, (), "coupling.family: unknown family 'cubic' (have zero, power)"),
+    "phi-alone": ({"coupling.phi": "u"}, ("coupling.family",), "explicit couplings need both coupling.phi and coupling.psi"),
+    "unbound-u": ({"boundary.h": "u"}, (), "boundary.h: variable 'u' is not bound"),
+    "n-1": ({"grid.n": "1"}, (), "grid.n: must be >= 2 (fewer cells leave no interior node), got 1"),
+    "max-iter-0": ({"picard.max_iter": "0"}, (), "picard.max_iter: must be >= 1, got 0"),
+    "samples-9": ({"calibration.samples": "9"}, (), "calibration.samples: must be >= 10, got 9"),
+    "trials-0": ({"certificate.trials": "0"}, (), "certificate.trials: must be >= 1, got 0"),
+    "solver-tol": ({"solver.tol": "-1"}, (), "solver.tol: must be positive and finite, got '-1'"),
+    "a1-inf": ({"coupling.a1": "inf"}, (), "coupling.a1: must be finite, got 'inf'"),
+    "min-order-nan": ({"study.min_order": "nan"}, (), "study.min_order: must be finite, got 'nan'"),
+    "d-1": ({"exponents.d": "1"}, (), "exponents: d must be an integer >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("overrides, drop, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_error_messages(tmp_path, capsys, overrides, drop, message):
+    """Each ConfigError branch of the config layer on CI's n = 7 keys: exit 2
+    with its one-line message, before any lift or output."""
+    cfg = ci_cfg(tmp_path, overrides, drop)
+    out = tmp_path / "out"
+    lifts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap, "_newton", lambda *args: lifts.append(args))
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
     assert lifts == [] and not out.exists()
 
 
@@ -474,6 +524,23 @@ def test_boundary_domain_error_names_node_exit_2(tmp_path, capsys):
     assert "at node 0 (0, 0)" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("overrides, drop, message", [
+    ({"grid.box": "0.5, 0.8, 0.5, 0.8", "boundary.h": "1 + log(0)"}, (),
+     "config error: boundary.h: log is not finite at any node"),
+    ({"coupling.phi": "u + log(0)*0", "coupling.psi": "v"}, ("coupling.family",),
+     "input error: log is not finite at any sample point"),
+], ids=["boundary", "coupling"])
+def test_constant_subexpression_domain_error_names_no_point(tmp_path, capsys, overrides, drop,
+                                                           message, command):
+    """log(0) fails at every node and sample point alike: the error says so
+    instead of naming the first node (0.5, 0.5) or the first sample point."""
+    cfg = ci_cfg(tmp_path, overrides, drop)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -553,6 +620,24 @@ def test_certify_invalid_lambda_is_measurement(tmp_path, capsys):
     assert "M0 = nan" in text
     assert "ball_trials" not in text
     assert "not a failure" in capsys.readouterr().out
+
+
+def test_certify_ball_violation_exit_4(tmp_path, capsys, monkeypatch):
+    """A certificate whose radius is 100 times too small: every ball trial
+    leaves the ball, certify writes the violations and exits 4."""
+    real = cli.certify
+
+    def shrunk(*args):
+        cert = real(*args)
+        return dataclasses.replace(cert, M0=cert.M0 / 100)
+
+    monkeypatch.setattr(cli, "certify", shrunk)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", ci_cfg(tmp_path), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ball invariance failed: 100 of 100 trials exceeded M0 = 0.00336612\n"
+    assert "# ball_violations = 100\n" in (out / "certificate.txt").read_text()
 
 
 def test_certify_reruns_byte_identical(tmp_path):
@@ -816,8 +901,8 @@ def test_verify_bad_shift_flag_exits_before_classifying(tmp_path, capsys, flag, 
 
 
 def test_verify_malformed_field_exit_2(tmp_path, capsys):
-    """A short file, an unparsable value and a nan value: each error names
-    the file, and a bad value its line."""
+    """A short file, an empty one, and a row with an unparsable value, a nan
+    value or two columns: each error names the file, and a bad row its line."""
     cfg = cfg_file(tmp_path)
     bad = tmp_path / "short.csv"
     bad.write_text("x,y,value\n0,0,1\n")
@@ -829,12 +914,15 @@ def test_verify_malformed_field_exit_2(tmp_path, capsys):
     g = Grid(2, (0.0, 0.3, 0.0, 0.3), 8)
     save_field(good, g, 1 + g.coords[:, 0] * g.coords[:, 1])
     lines = good.read_text().splitlines()
-    for cell, message in (
-        ("abc", r"line 5: not a number in '0\.11249999999999999,0,abc'"),
-        ("nan", r"line 5: value nan is not finite"),
+    xy = lines[4].rsplit(",", 1)[0]  # the coordinates of line 5
+    for name, text, message in (
+        ("abc", lines[:4] + [xy + ",abc"] + lines[5:], r"line 5: not a number in '0\.11249999999999999,0,abc'"),
+        ("nan", lines[:4] + [xy + ",nan"] + lines[5:], r"line 5: value nan is not finite"),
+        ("two-columns", lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], r"line 6: malformed row"),
+        ("empty", [], r"empty field file"),
     ):
-        bad = tmp_path / f"{cell}.csv"
-        bad.write_text("\n".join(lines[:4] + [lines[4].rsplit(",", 1)[0] + "," + cell] + lines[5:]))
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(text))
         assert main(["verify", "--config", cfg, str(bad), str(good)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(rf"input error: {re.escape(str(bad))}: {message}\n", err)

@@ -23,8 +23,8 @@ from plapsys.verify import (
 from stack_reference import constant_field, from_callable, pair
 
 
-def zero_coupling(p=2.0):
-    return Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0, p)
+def zero_coupling():
+    return Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0)
 
 
 def unit_square(n):
@@ -66,7 +66,7 @@ def test_subsolution_quadratic():
 def test_solution_affine_any_p():
     g = unit_square(8)
     u = from_callable(g, lambda x, y: 2 * x + 3 * y)
-    cls = weak_residuals(g, pair(u, u), zero_coupling(2.5), 2.5)
+    cls = weak_residuals(g, pair(u, u), zero_coupling(), 2.5)
     assert cls.verdict == "solution"
     assert cls.max_abs_residual <= 1e-12
     assert cls.offending_hats() == []
@@ -84,8 +84,8 @@ def test_reaction_term_moves_verdict():
     """With u = v = 0 the residual is exactly the lumped reaction."""
     g = unit_square(8)
     z = constant_field(g, 0.0)
-    pos = Coupling(ex.parse("1"), ex.parse("0"), 1, 0, 0, 0, 2.0)
-    neg = Coupling(ex.parse("0-1"), ex.parse("0"), 1, 0, 0, 0, 2.0)
+    pos = Coupling(ex.parse("1"), ex.parse("0"), 1, 0, 0, 0)
+    neg = Coupling(ex.parse("0-1"), ex.parse("0"), 1, 0, 0, 0)
     assert weak_residuals(g, pair(z, z), pos, 2.0).verdict == "supersolution"
     assert weak_residuals(g, pair(z, z), neg, 2.0).verdict == "subsolution"
     cls = weak_residuals(g, pair(z, z), pos, 2.0)
@@ -192,7 +192,7 @@ def test_shift_with_monotone_coupling():
     g = unit_square(8)
     u = quad_down(g)  # phi(u) in [-2, 0), residual h^2 (4 + u) stays > 0
     v = constant_field(g, 0.0)
-    c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1, 0, 0, 0, 2.0)
+    c = Coupling(ex.parse("odd_pow(u,1)"), ex.parse("0"), 1, 0, 0, 0)
     base = weak_residuals(g, pair(u, v), c, 2.0)
     assert base.verdict == "supersolution"
     rep = shift_test(g, pair(u, v), base, c, 2.0, alpha=1.0, beta=0.0)
@@ -204,7 +204,7 @@ def test_shift_nonmonotone_precondition_failure():
     g = unit_square(8)
     u = quad_down(g)
     v = constant_field(g, 0.0)
-    c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0, 2.0)
+    c = Coupling(ex.parse("0-u"), ex.parse("0"), 1, 0, 0, 0)
     base = weak_residuals(g, pair(u, v), c, 2.0)
     assert base.verdict == "supersolution"
     rep = shift_test(g, pair(u, v), base, c, 2.0, alpha=1.0, beta=0.0)
