@@ -8,7 +8,8 @@ iteration diverged), or 4 (a
 verification check failed).  Any other exception is a
 bug: its traceback goes to stderr before the `error:` line, and it exits 2.
 `study` solves the config's own problem, as `solve` does but without the
-growth probe and the certificate (examples/study-*.cfg are manufactured).
+growth probe and the certificate (examples/study-*.cfg are manufactured),
+and exits 4 when the fitted order is below STUDY_MIN_ORDER.
 All CSV output uses `,` separators, `.` decimals, LF line endings, and 17
 significant digits, so identical config and seed reproduce files byte for
 byte.
@@ -48,7 +49,7 @@ from .fixpoint import (
     check_ball_invariance,
     picard_solve,
 )
-from .verify import StudyReport, classify, convergence_study, shift_test, weak_residuals
+from .verify import CLASS_TOL, StudyReport, classify, convergence_study, shift_test, weak_residuals
 
 
 # mallopt(3) parameters of glibc's malloc.h, and the values main sets
@@ -56,6 +57,8 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 TRIM_THRESHOLD = 256 << 20  # well above a Newton pass's working set
 MMAP_THRESHOLD = 32 << 20  # glibc's own ceiling for its dynamic threshold on 64-bit
+
+STUDY_MIN_ORDER = 0.9  # the fitted order below which `study` exits 4
 
 
 def _keep_heap() -> None:
@@ -110,22 +113,15 @@ def _probe_growth(setup: Setup) -> None:
 def _calibrated_certificate(setup: Setup):
     _probe_growth(setup)
     cal_ss, ball_ss = np.random.SeedSequence(setup.seed).spawn(2)
-    C = calibrate_C(
-        setup.grid, setup.problem.exponents, setup.calib_samples, cal_ss, setup.solver_tol
-    )
+    C = calibrate_C(setup.grid, setup.problem.exponents, setup.calib_samples, cal_ss)
     return certify(setup.problem, C, setup.calib_samples), ball_ss
 
 
 def cmd_solve(args) -> int:
     setup = load_setup(args.config, args.seed, args.out)
     cert, _ = _calibrated_certificate(setup)
-    w, trace = picard_solve(
-        setup.problem,
-        tol=setup.picard_tol,
-        max_iter=setup.picard_max_iter,
-        solver_tol=setup.solver_tol,
-    )
-    cls = classify(setup.grid, trace.residuals, setup.verify_tol)
+    w, trace = picard_solve(setup.problem)
+    cls = classify(setup.grid, trace.residuals)
 
     save_field(_out_path(setup, "u.csv"), setup.grid, w[0])
     save_field(_out_path(setup, "v.csv"), setup.grid, w[1])
@@ -155,7 +151,7 @@ def cmd_solve(args) -> int:
         return 3
     if not trace.converged:
         print(
-            f"picard iteration did not converge in {setup.picard_max_iter} iterations "
+            f"picard iteration did not converge in {trace.iterations} iterations "
             f"(last delta {trace.rows[-1].delta:.3e}){invalid}",
             file=sys.stderr,
         )
@@ -164,7 +160,7 @@ def cmd_solve(args) -> int:
         bad = cls.offending_hats()
         print(
             f"result classified {cls.verdict!r}, not a solution at tol "
-            f"{setup.verify_tol:g}; offending hats {bad[:10]}"
+            f"{CLASS_TOL:g}; offending hats {bad[:10]}"
             + ("..." if len(bad) > 10 else "") + invalid,
             file=sys.stderr,
         )
@@ -182,9 +178,7 @@ def cmd_certify(args) -> int:
     lines = [f"# seed = {setup.seed}"] + cert.to_text().splitlines()
     ball = None
     if cert.valid:
-        ball = check_ball_invariance(
-            setup.problem, cert, cert.M0, setup.ball_trials, ball_ss, setup.solver_tol
-        )
+        ball = check_ball_invariance(setup.problem, cert, cert.M0, setup.ball_trials, ball_ss)
         lines += [
             f"# ball_trials = {ball.trials}",
             f"# ball_max_output_norm = {ball.max_output_norm:.17g}",
@@ -232,7 +226,7 @@ def cmd_verify(args) -> int:
     setup = load_setup(args.config, args.seed, args.out)
     prob = setup.problem
     w = np.stack([load_field(path, prob.grid) for path in (args.u_csv, args.v_csv)])
-    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, setup.verify_tol)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
     _write_text(_out_path(setup, "classification.csv"), cls.csv_lines())
     print(f"verdict: {cls.verdict} (max residual {cls.max_abs_residual:.3e})")
     if cls.verdict != "solution":
@@ -260,7 +254,7 @@ def study(setup: Setup, resolutions: list[int]) -> StudyReport:
 
     def errors(n: int) -> tuple[float, float]:
         at_n = build_setup({**setup.config, "grid.n": str(n)})
-        w, trace = picard_solve(at_n.problem, at_n.picard_tol, at_n.picard_max_iter, at_n.solver_tol)
+        w, trace = picard_solve(at_n.problem)
         if not trace.converged:
             raise RuntimeError(f"picard iteration stopped at n={n}: {trace.stop_reason}")
         diff = w - at_n.problem.hk
@@ -283,10 +277,9 @@ def cmd_study(args) -> int:
         print("reproduced exactly at all resolutions")
         return 0
     print(f"fitted order {rep.fitted_order:.3f}")
-    if rep.fitted_order < setup.study_min_order:
+    if rep.fitted_order < STUDY_MIN_ORDER:
         print(
-            f"fitted order {rep.fitted_order:.3f} below threshold "
-            f"{setup.study_min_order:g}",
+            f"fitted order {rep.fitted_order:.3f} below threshold {STUDY_MIN_ORDER:g}",
             file=sys.stderr,
         )
         return 4

@@ -20,7 +20,11 @@ Every key is validated here: expressions must parse, exponents must pass
 the admissibility check, and unknown or duplicate keys are rejected.  All
 failures raise ConfigError with a one-line message naming the key, from the
 converter of the key's type or the library check it calls.  A Setup keeps
-its resolved config, from which `study` rebuilds it at each grid.n.
+its resolved config, from which `study` rebuilds it at each grid.n.  No
+key sets a tolerance, an iteration limit or a threshold: those are module
+constants of their users (plap.DEFAULT_TOL, fixpoint.PICARD_TOL and
+PICARD_MAX_ITER, verify.CLASS_TOL, cli.STUDY_MIN_ORDER).  A leading byte
+order mark of the UTF-8 file is skipped.
 """
 
 from __future__ import annotations
@@ -32,10 +36,7 @@ import numpy as np
 from . import expr as ex
 from .coupling import Coupling, eval_on_nodes, power_family
 from .field import Grid
-from .fixpoint import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, MIN_CALIBRATION_SAMPLES,
-                       SystemProblem, make_exponents)
-from .plap import DEFAULT_TOL
-from .verify import DEFAULT_CLASS_TOL
+from .fixpoint import MIN_CALIBRATION_SAMPLES, SystemProblem, make_exponents
 
 
 class ConfigError(Exception):
@@ -58,13 +59,8 @@ KNOWN_KEYS = {
     "coupling.b2": "",
     "boundary.h": None,
     "boundary.k": None,
-    "solver.tol": str(DEFAULT_TOL),
-    "picard.tol": str(DEFAULT_PICARD_TOL),
-    "picard.max_iter": str(DEFAULT_PICARD_MAX_ITER),
     "calibration.samples": "16",
     "certificate.trials": "100",
-    "verify.tol": str(DEFAULT_CLASS_TOL),
-    "study.min_order": "0.9",
 }
 
 
@@ -111,14 +107,14 @@ def _as_int(cfg: dict[str, str], key: str, low: int | None = None, why: str = ""
     return val
 
 
-def _as_float(cfg: dict[str, str], key: str, must: str = "") -> float:
-    """The number of key; must = "finite" or "positive and finite" bounds it."""
+def _as_float(cfg: dict[str, str], key: str, finite: bool = False) -> float:
+    """The number of key, which must be finite if `finite` is set."""
     try:
         val = float(cfg[key])
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
-    if must and not (np.isfinite(val) and (must == "finite" or val > 0.0)):
-        raise ConfigError(f"{key}: must be {must}, got {cfg[key]!r}")
+    if finite and not np.isfinite(val):
+        raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
     return val
 
 
@@ -162,7 +158,7 @@ def _coupling(cfg: dict[str, str], p: float) -> Coupling:
         key = f"coupling.{name}"
         if not cfg[key]:
             raise ConfigError(f"missing required key {key!r}")
-        consts[name] = _as_float(cfg, key, "finite")
+        consts[name] = _as_float(cfg, key, finite=True)
     if family == "power":
         return power_family(consts["a1"], consts["a2"], consts["b1"], consts["b2"], p)
     if family:
@@ -181,14 +177,9 @@ class Setup:
 
     grid: Grid
     problem: SystemProblem
-    solver_tol: float
-    picard_tol: float
-    picard_max_iter: int
     calib_samples: int
     seed: int
     ball_trials: int
-    verify_tol: float
-    study_min_order: float
     out_dir: str
     config: dict[str, str]  # every key, defaults filled in, that the setup was built from
 
@@ -219,13 +210,8 @@ def build_setup(cfg: dict[str, str], seed: int = 0, out_dir: str = ".") -> Setup
     return Setup(  # the keys are checked in the order of the keywords
         grid=grid,
         problem=SystemProblem(grid, exponents, coupling, hk),
-        picard_max_iter=_as_int(cfg, "picard.max_iter", 1),
         calib_samples=_as_int(cfg, "calibration.samples", MIN_CALIBRATION_SAMPLES),
         ball_trials=_as_int(cfg, "certificate.trials", 1),
-        solver_tol=_as_float(cfg, "solver.tol", "positive and finite"),
-        picard_tol=_as_float(cfg, "picard.tol", "positive and finite"),
-        verify_tol=_as_float(cfg, "verify.tol", "positive and finite"),
-        study_min_order=_as_float(cfg, "study.min_order", "finite"),
         seed=seed,
         out_dir=out_dir,
         config=cfg,
@@ -234,7 +220,7 @@ def build_setup(cfg: dict[str, str], seed: int = 0, out_dir: str = ".") -> Setup
 
 def load_setup(path: str, seed: int = 0, out_dir: str = ".") -> Setup:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from None

@@ -28,6 +28,8 @@ of sources with zero boundary data.  smooth_fields is the one sampler of
 random smooth sources; the calibration sources are one draw of it.  Once
 a stack is lifted, a failed lift raises the SolverAbort of the first
 failure in source order, u before v, as lifting them one at a time would.
+The calibration, the ball check and Picard's final lift solve at
+DEFAULT_TOL, the lift's default, read when each call starts.
 
 The smallness certificate quantifies when Lambda maps a ball of L^r source
 pairs into itself: with the growth constants of the epsilon-split bound of
@@ -62,15 +64,15 @@ from .field import Grid, check_pair, lq_norms, pair_norms
 from .plap import DEFAULT_TOL, SolveReport, chunk_size, solve_p_poisson_batch
 from .verify import system_residuals
 
-DEFAULT_PICARD_TOL = 1e-7
-DEFAULT_PICARD_MAX_ITER = 200
+PICARD_TOL = 1e-7  # the successive difference at which picard_solve stops
+PICARD_MAX_ITER = 200  # iterations before picard_solve stops with "max_iter"
 BALL_SLACK = 1e-6
 MIN_CALIBRATION_SAMPLES = 10
 SAMPLER_MODES = 8
 ANDERSON_WINDOW = 3  # differences kept by the Anderson step of picard_solve
 # a Picard lift's inner tolerance: INNER_TOL_FACTOR times the last successive
 # difference, at most INNER_TOL_MAX (also that of the first lift) and at
-# least the solver tolerance
+# least the lift's default tolerance plap.DEFAULT_TOL
 INNER_TOL_MAX = 1e-4
 INNER_TOL_FACTOR = 1e-3
 SPLIT_EPS = 1.0  # the epsilon of the split growth bound of every certificate
@@ -209,12 +211,7 @@ def smooth_fields(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return (sy.T @ coeffs.transpose(0, 2, 1) @ sx).reshape(len(coeffs), grid.n_nodes)
 
 
-def calibration_ratios(
-    grid: Grid,
-    exponents: Exponents,
-    sources: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> list[float]:
+def calibration_ratios(grid: Grid, exponents: Exponents, sources: np.ndarray) -> list[float]:
     """||u_f||_s^(p-1) / ||f||_r for each row f of the source stack
     (k, n_nodes), with zero boundary data.
 
@@ -225,7 +222,8 @@ def calibration_ratios(
     denoms = lq_norms(grid, sources, ex.r).tolist()
     if 0.0 in denoms:
         raise ValueError("calibration sources must be nonzero")
-    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, np.zeros(grid.n_nodes), tol=tol)
+    zero = np.zeros(grid.n_nodes)
+    lifted, reports = solve_p_poisson_batch(grid, ex.p, sources, zero, tol=DEFAULT_TOL)
     for rep in reports:
         if not rep.converged:
             raise SolverAbort("calibration", ex.p, grid.n, rep)
@@ -238,7 +236,6 @@ def calibrate_C(
     exponents: Exponents,
     samples: int,
     seed: int | np.random.SeedSequence = 0,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Empirical estimate of the lift constant C: twice the worst observed
     ratio over seeded random smooth sources of unit L^r norm.
@@ -257,7 +254,7 @@ def calibrate_C(
     # each row to unit L^r norm; a zero row stays zero
     norms = lq_norms(grid, sources, exponents.r)
     sources *= np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)[:, None]
-    return 2.0 * max(calibration_ratios(grid, exponents, sources, tol))
+    return 2.0 * max(calibration_ratios(grid, exponents, sources))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,6 @@ def check_ball_invariance(
     M: float,
     trials: int,
     seed: int | np.random.SeedSequence = 0,
-    tol: float = DEFAULT_TOL,
 ) -> BallReport:
     """Sample source pairs with pair norm M*t, t uniform in [0, 1), apply
     Lambda, and record any output pair norm exceeding M (1 + 1e-6)."""
@@ -366,7 +362,7 @@ def check_ball_invariance(
         scale = np.divide(radii, cur, out=np.zeros(k), where=cur > 0.0)
         sources *= scale[:, None, None]
         # only the norms of the images outlive the block, not its lifts
-        Y = apply_lambda(prob, sources, tol, start)[1]
+        Y = apply_lambda(prob, sources, DEFAULT_TOL, start)[1]
         out = pair_norms(grid, Y, r)
         del Y
         worst = max(worst, float(out.max()))
@@ -451,12 +447,7 @@ def _lambda_pair(
     return L[0], Y[0], R, (ru.iterations, rv.iterations, ru.cg_iterations, rv.cg_iterations)
 
 
-def picard_solve(
-    prob: SystemProblem,
-    tol: float = DEFAULT_PICARD_TOL,
-    max_iter: int = DEFAULT_PICARD_MAX_ITER,
-    solver_tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, ConvergenceTrace]:
+def picard_solve(prob: SystemProblem) -> tuple[np.ndarray, ConvergenceTrace]:
     """Safeguarded Anderson-accelerated Picard iteration on Lambda from the
     zero source pair.
 
@@ -480,23 +471,21 @@ def picard_solve(
 
     Lambda's lifts are warm and inexact: every lift starts from the pair
     lifted last, and the lifts of iteration k stop at the inner tolerance
-    max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR delta_k-1)), so
+    max(DEFAULT_TOL, min(INNER_TOL_MAX, INNER_TOL_FACTOR delta_k-1)), so
     the first ones at INNER_TOL_MAX (Toth et al., SIAM J. Sci. Comput.
     2017, on inexact evaluations in Anderson acceleration).  The run stops
-    once delta <= tol, with a damped step, and returns the pair w = (u, v),
-    the read-only (2, n_nodes) stack lifted from the final source pair at
-    solver_tol, and the trace, which also holds the weak residual rows of
-    w; a run that diverged returns the inexact lift of its last iterate,
-    without a final lift.
-    Exhaustion of max_iter and divergence are reported in the trace, not
-    raised.  The iteration takes no certificate: lambda and M0 describe
-    Lambda itself, not this accelerated iteration.  Raises ValueError
-    before any lift unless tol is positive and finite and max_iter >= 1.
+    once delta <= PICARD_TOL, with a damped step, and returns the pair
+    w = (u, v), the read-only (2, n_nodes) stack lifted from the final
+    source pair at the lift's default tolerance DEFAULT_TOL, and the trace,
+    which also holds the weak residual rows of w; a run that diverged
+    returns the inexact lift of its last iterate, without a final lift.
+    Exhaustion of PICARD_MAX_ITER iterations and divergence are reported in
+    the trace, not raised.  PICARD_TOL and PICARD_MAX_ITER are module
+    constants, read when the run starts.  The iteration takes no
+    certificate: lambda and M0 describe Lambda itself, not this
+    accelerated iteration.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    tol, max_iter = PICARD_TOL, PICARD_MAX_ITER
     grid = prob.grid
     r = prob.exponents.r
     sqrt_w = np.sqrt(grid.lumped)
@@ -513,7 +502,7 @@ def picard_solve(
     stop_reason = "max_iter"
     delta = math.nan
     for it in range(1, max_iter + 1):
-        inner_tol = max(solver_tol, min(INNER_TOL_MAX, INNER_TOL_FACTOR * prev_delta))
+        inner_tol = max(DEFAULT_TOL, min(INNER_TOL_MAX, INNER_TOL_FACTOR * prev_delta))
         stage = f"Picard iteration {it}"
         try:
             L, lam, R, counts = _lambda_pair(prob, x, inner_tol, L, stage)
@@ -561,11 +550,11 @@ def picard_solve(
 
     if stop_reason == "diverged":
         # the lift of the last iterate, whose sources can be too large for
-        # a lift at solver_tol to converge: the final row took no lift
+        # a lift at DEFAULT_TOL to converge: the final row took no lift
         counts = (0, 0, 0, 0)
     else:
-        inner_tol = solver_tol
-        L, _, R, counts = _lambda_pair(prob, x, solver_tol, L, "the final lift")
+        inner_tol = DEFAULT_TOL
+        L, _, R, counts = _lambda_pair(prob, x, DEFAULT_TOL, L, "the final lift")
     weak = float(np.abs(R).max(initial=0.0))
     norms = lq_norms(grid, x, r).tolist()
     rows.append(TraceRow(rows[-1].index + 1, *norms, delta, weak, *counts, inner_tol))

@@ -11,7 +11,8 @@ through the discrete weak residuals against every interior nodal hat eta_i:
 
 and the psi analogue R2.  Verdicts: solution when every |R| <= tol,
 supersolution when every R >= -tol, subsolution when every R <= tol,
-neither otherwise.  The test functions are exactly the interior hat basis
+neither otherwise, at the module constant tol = CLASS_TOL, read when a
+pair is classified.  The test functions are exactly the interior hat basis
 (nonnegative, spanning the discrete zero-boundary space).  The residual
 rows come from plap.residual_vector at reg = 0, the same weighted-flux
 kernel the scalar solver minimizes with; the caller supplies the reaction
@@ -46,7 +47,7 @@ from .coupling import Coupling, check_monotone, coupling_values
 from .field import Grid, check_pair
 from .plap import residual_vector
 
-DEFAULT_CLASS_TOL = 1e-6
+CLASS_TOL = 1e-6  # the tolerance of every verdict
 
 
 def system_residuals(grid: Grid, w: np.ndarray, reactions: np.ndarray, p: float) -> np.ndarray:
@@ -62,7 +63,6 @@ class Classification:
     """Weak-form verdict for a candidate pair, with the per-hat residuals."""
 
     verdict: str  # 'solution' | 'supersolution' | 'subsolution' | 'neither'
-    tol: float
     hat_nodes: np.ndarray  # global node index of each interior hat
     R: np.ndarray  # the rows (R1, R2), shape (2, N), one column per hat
 
@@ -71,8 +71,8 @@ class Classification:
         return float(np.abs(self.R).max())
 
     def offending_hats(self) -> list[int]:
-        """Hats breaking the 'solution' verdict at the stored tolerance."""
-        return [int(n) for n in self.hat_nodes[(np.abs(self.R) > self.tol).any(axis=0)]]
+        """Hats breaking the 'solution' verdict at CLASS_TOL."""
+        return [int(n) for n in self.hat_nodes[(np.abs(self.R) > CLASS_TOL).any(axis=0)]]
 
     def csv_lines(self) -> list[str]:
         lines = ["hat_index,R1,R2"]
@@ -81,22 +81,18 @@ class Classification:
         return lines
 
 
-def weak_residuals(
-    grid: Grid, w: np.ndarray, c: Coupling, p: float, tol: float = DEFAULT_CLASS_TOL
-) -> Classification:
+def weak_residuals(grid: Grid, w: np.ndarray, c: Coupling, p: float) -> Classification:
     """Classify the pair w = (u, v), a (2, n_nodes) stack of nodal values on
     grid, as solution / supersolution / subsolution / neither; any other
     shape, or a value that is not finite, is a ValueError."""
     check_pair(grid, w, "w")
-    return classify(grid, system_residuals(grid, w, coupling_values(c, grid, w), p), tol)
+    return classify(grid, system_residuals(grid, w, coupling_values(c, grid, w), p))
 
 
-def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
+def classify(grid: Grid, R: np.ndarray) -> Classification:
     """The verdict of a pair on grid from its interior-hat weak residual
-    rows R = (R1, R2), shape (2, N), as system_residuals returns them;
-    tol must be positive and finite."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    rows R = (R1, R2), shape (2, N), as system_residuals returns them."""
+    tol = CLASS_TOL
     lo, hi = R.min(), R.max()
     if max(abs(lo), abs(hi)) <= tol:
         verdict = "solution"
@@ -106,7 +102,7 @@ def classify(grid: Grid, R: np.ndarray, tol: float) -> Classification:
         verdict = "subsolution"
     else:
         verdict = "neither"
-    return Classification(verdict, tol, grid.interior.copy(), R)
+    return Classification(verdict, grid.interior.copy(), R)
 
 
 @dataclass
@@ -131,10 +127,11 @@ def shift_test(
     """Check that w + (alpha, beta) stays a supersolution (alpha > 0,
     beta >= 0, both finite), or w - (alpha, beta) a subsolution for
     subsolution input, given the pair w = (u, v), a (2, n_nodes) stack on
-    grid, and its classification `base`, whose tolerance the shifted pairs
-    are classified at.  The monotonicity gate probes check_monotone on the
-    grid's box and the ranges of u and v that the shift visits.  A w of
-    any other shape, or with a value that is not finite, is a ValueError."""
+    grid, and its classification `base`; the shifted pairs are classified
+    at CLASS_TOL, as `base` is.  The monotonicity gate probes
+    check_monotone on the grid's box and the ranges of u and v that the
+    shift visits.  A w of any other shape, or with a value that is not
+    finite, is a ValueError."""
     check_pair(grid, w, "w")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -156,7 +153,7 @@ def shift_test(
     results, ok = [], True
     for direction in directions[base.verdict]:
         sign, keep = (1.0, "supersolution") if direction == "up" else (-1.0, "subsolution")
-        verdict = weak_residuals(grid, w + sign * step[:, None], c, p, base.tol).verdict
+        verdict = weak_residuals(grid, w + sign * step[:, None], c, p).verdict
         results.append((direction, verdict))
         ok = ok and verdict in (keep, "solution")
     return ShiftReport(True, "", results, ok)

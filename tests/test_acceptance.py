@@ -14,6 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import plapsys.expr as ex
+import plapsys.fixpoint as fixpoint
+import plapsys.verify as verify
 from plapsys.cli import study
 from plapsys.config import load_setup
 from plapsys.coupling import (
@@ -161,10 +163,13 @@ def test_criterion_5_ball_invariance(certified_problem):
            f"{len(ball.violations)} violations, {elapsed:.1f}s")
 
 
-def test_criterion_6_picard_end_to_end(certified_problem):
+def test_criterion_6_picard_end_to_end(certified_problem, monkeypatch):
     prob, cert, _ = certified_problem
-    w, trace = picard_solve(prob, tol=1e-7, max_iter=200)
-    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, 1e-6)
+    monkeypatch.setattr(fixpoint, "PICARD_TOL", 1e-7)
+    monkeypatch.setattr(fixpoint, "PICARD_MAX_ITER", 200)
+    monkeypatch.setattr(verify, "CLASS_TOL", 1e-6)
+    w, trace = picard_solve(prob)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
 
     n = 12
     g = Grid(2, (0.0, 0.5, 0.0, 0.5), n)
@@ -172,7 +177,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
     lin = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0)
     h = constant_field(g, 1.0)
     lp = SystemProblem(g, exps, lin, pair(h, h))
-    lw, ltrace = picard_solve(lp, tol=1e-7, max_iter=200)
+    lw, ltrace = picard_solve(lp)
     A = stiffness_matrix(g).tocsr()
     I, B = g.interior, g.boundary
     M = sp.diags(g.lumped[I])
@@ -191,7 +196,7 @@ def test_criterion_6_picard_end_to_end(certified_problem):
            f"{cls.max_abs_residual:.2e}, oracle discrepancy {disc:.2e}")
 
 
-def test_criterion_7_constant_shift_comparison():
+def test_criterion_7_constant_shift_comparison(monkeypatch):
     # constructed example: p = 2, zero coupling
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 8)
     zc = Coupling(ex.parse("0"), ex.parse("0"), 0.0, 0.0, 0.0, 0.0)
@@ -212,6 +217,7 @@ def test_criterion_7_constant_shift_comparison():
     mono = Coupling(ex.parse("u"), ex.parse("v"), 1.0, 0.0, 1.0, 0.0)
     h = constant_field(g2, 1.0)
     pairs = {}
+    monkeypatch.setattr(fixpoint, "PICARD_TOL", 1e-9)
     for sign, label in ((-2.0, "sup"), (2.0, "sub")):
         shifted = Coupling(
             ex.parse(f"u+{sign!r}" if sign > 0 else f"u-{-sign!r}"),
@@ -219,7 +225,7 @@ def test_criterion_7_constant_shift_comparison():
             1.0, 0.0, 1.0, 0.0,
         )
         sp_prob = SystemProblem(g2, exps, shifted, pair(h, h))
-        pairs[label], trace = picard_solve(sp_prob, tol=1e-9)
+        pairs[label], trace = picard_solve(sp_prob)
         assert trace.converged
 
     base = weak_residuals(g2, pairs["sup"], mono, 2.0)

@@ -414,17 +414,20 @@ def test_calibration_rejects_zero_source_before_any_lift(monkeypatch):
         calibration_ratios(g, exps, np.stack([w, np.zeros_like(w)]))
 
 
-def test_calibration_abort_names_first_failing_source():
-    """At tol = 1e-300 the first source reaches a zero gradient and
-    converges, and the other two fail; the SolverAbort is that of the
-    second source, the first that fails in source order, as a one-at-a-time
-    calibration would raise it."""
+def test_calibration_abort_names_first_failing_source(monkeypatch):
+    """At the lift tolerance 1e-300 the first source reaches a zero
+    gradient in 5 Newton steps and converges, and the other two fail within
+    plap.MAX_ITER = 5; the SolverAbort is that of the second source, the
+    first that fails in source order, as a one-at-a-time calibration would
+    raise it."""
+    monkeypatch.setattr(fixpoint, "DEFAULT_TOL", 1e-300)
+    monkeypatch.setattr(plap, "MAX_ITER", 5)
     g = Grid(2, (0.0, 1.0, 0.0, 1.0), 3)
     exps = make_exponents(3, 2.2, 1.25)
     rng = np.random.default_rng(2)
     sources = [sample_smooth_field(g, rng) for _ in range(3)]
     with pytest.raises(SolverAbort) as err:
-        calibration_ratios(g, exps, np.stack([f.values for f in sources]), tol=1e-300)
+        calibration_ratios(g, exps, np.stack([f.values for f in sources]))
     zero = constant_field(g, 0.0)
     lone = [solve_p_poisson(PPoissonProblem(g, 2.2, f, zero), tol=1e-300) for f in sources]
     assert lone[0].converged and lone[0].gradient_norm == 0.0
@@ -586,10 +589,11 @@ def test_ball_invariance_guards():
 
 
 def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
-    """At tol = 1e-300 every lift of a nonzero source fails.  Trial 0 draws
+    """At plap.MAX_ITER = 1 every lift of a nonzero source fails.  Trial 0 draws
     the zero pair and trial 1 a zero f, so the first failure is trial 1's v
     lift, though trial 2's u and v lifts fail too: the SolverAbort is the
     one a trial-by-trial check would raise, taking u before v."""
+    monkeypatch.setattr(plap, "MAX_ITER", 1)
     prob = small_problem(n=3)
     cert = certify(prob, C=0.01)
     w = sample_smooth_field(prob.grid, np.random.default_rng(3)).values
@@ -611,10 +615,10 @@ def test_ball_invariance_abort_names_first_failing_lift(monkeypatch):
 
     monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", spy)
     with pytest.raises(SolverAbort) as err:
-        check_ball_invariance(prob, cert, cert.M0, trials=3, tol=1e-300)
+        check_ball_invariance(prob, cert, cert.M0, trials=3)
     assert len(lifted) == 6
     assert err.value.component == "v"
-    lone = [solve_p_poisson(q, tol=1e-300) for q in lifted]
+    lone = [solve_p_poisson(q) for q in lifted]
     assert [rep.converged for rep in lone] == [True, True, True, False, False, False]
     assert err.value.gradient_norm == lone[3].gradient_norm != lone[4].gradient_norm
     assert err.value.stop_reason == lone[3].stop_reason
@@ -675,7 +679,7 @@ def test_picard_symmetric_problem():
     assert np.array_equal(w[0], w[1])
 
 
-def test_picard_decoupled_linear_matches_monolithic():
+def test_picard_decoupled_linear_matches_monolithic(monkeypatch):
     """phi = u, psi = v at p = 2 decouple into -Delta u + u = 0, u = 1.
 
     The discrete equation at interior nodes is (A + M) u_I = -A_IB 1 with
@@ -689,7 +693,8 @@ def test_picard_decoupled_linear_matches_monolithic():
     prob = SystemProblem(g, exps, c, pair(h, h))
     cert = certify(prob, C=calibrate_C(g, exps, samples=10, seed=0))
     assert cert.valid
-    (u, v), trace = picard_solve(prob, tol=1e-10)
+    monkeypatch.setattr(fixpoint, "PICARD_TOL", 1e-10)
+    (u, v), trace = picard_solve(prob)
     assert trace.converged
 
     A = stiffness_matrix(g).tocsr()
@@ -703,35 +708,15 @@ def test_picard_decoupled_linear_matches_monolithic():
     assert np.array_equal(u[B], np.ones(len(B)))
 
 
-def test_picard_max_iter_exhaustion_is_reported():
+def test_picard_max_iter_exhaustion_is_reported(monkeypatch):
+    monkeypatch.setattr(fixpoint, "PICARD_MAX_ITER", 1)
     prob = small_problem(n=6)
-    w, trace = picard_solve(prob, max_iter=1)
+    w, trace = picard_solve(prob)
     assert not trace.converged
     assert trace.stop_reason == "max_iter"
     assert trace.iterations == 1
     assert len(trace.rows) == 2
     assert w.shape == (2, prob.grid.n_nodes)
-
-
-def test_picard_max_iter_validation():
-    prob = small_problem(n=6)
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iter"):
-            picard_solve(prob, max_iter=bad)
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-def test_picard_tol_validation_before_any_lift(monkeypatch, tol):
-    """tol must be positive and finite: inf would stop at the first
-    iteration as converged, and nan, 0 or -1 would run to max_iter."""
-    prob = small_problem(n=6)
-
-    def no_lift(*args, **kwargs):
-        raise AssertionError("a lift ran")
-
-    monkeypatch.setattr(fixpoint, "solve_p_poisson_batch", no_lift)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        picard_solve(prob, tol=tol)
 
 
 def test_trace_csv_shape():
@@ -747,10 +732,11 @@ def test_trace_csv_shape():
         assert len(ln.split(",")) == 10
 
 
-def test_picard_fixed_point_property():
+def test_picard_fixed_point_property(monkeypatch):
     """At convergence the source pair reproduces itself through Lambda."""
+    monkeypatch.setattr(fixpoint, "PICARD_TOL", 1e-10)
     prob = small_problem(n=8)
-    w, trace = picard_solve(prob, tol=1e-10)
+    w, trace = picard_solve(prob)
     assert trace.converged
     phi_f, psi_f = nemytskii(prob.coupling, ScalarField(prob.grid, w[0]), ScalarField(prob.grid, w[1]))
     L, _, _ = apply_lambda(prob, pairs(phi_f, psi_f))
@@ -774,7 +760,7 @@ def test_trace_weak_residual_is_that_of_the_returned_pair(mirrored):
     c = Coupling(ex.parse(phi), ex.parse(psi), 0.1, 0.1, 0.1, 0.1)
     prob = SystemProblem(g, make_exponents(3, 2.2, 1.25), c, pair(h, k))
     w, trace = picard_solve(prob)
-    cls = weak_residuals(g, w, c, 2.2, 1e-6)
+    cls = weak_residuals(g, w, c, 2.2)
     assert trace.rows[-1].weak_residual == cls.max_abs_residual
     assert np.array_equal(trace.residuals, cls.R)
     assert (np.abs(cls.R[1]).max() > np.abs(cls.R[0]).max()) == mirrored
@@ -790,7 +776,7 @@ def test_picard_large_coupling_converges(a):
     prob = small_problem(n=16, box=UNIT_BOX, const=a)
     w, trace = picard_solve(prob)
     assert trace.converged
-    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, 1e-6)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
     assert cls.verdict == "solution"
 
 
@@ -912,7 +898,7 @@ def test_picard_abort_on_extrapolated_pair_falls_back(monkeypatch):
     assert patched.aborts == 1
     assert trace.converged
     assert trace.restarts >= 1
-    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p, 1e-6)
+    cls = weak_residuals(prob.grid, w, prob.coupling, prob.exponents.p)
     assert cls.verdict == "solution"
 
 
@@ -962,8 +948,9 @@ def test_picard_abort_in_final_lift_names_it(monkeypatch):
         return real(prob, X, tol, first_row, L0)
 
     monkeypatch.setattr(fixpoint, "apply_lambda", second_aborts)
+    monkeypatch.setattr(fixpoint, "PICARD_MAX_ITER", 1)  # one iteration, then the final lift
     with pytest.raises(SolverAbort) as err:
-        picard_solve(prob, max_iter=1)  # one iteration, then the final lift
+        picard_solve(prob)
     assert len(calls) == 2
     assert err.value.stage == "the final lift" and err.value.n == 16
     want = "v component did not converge in the final lift (max_iter at p = 2.2, n = 16,"

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import plapsys.expr as ex
+import plapsys.fixpoint as fixpoint
 from plapsys.cli import study
-from plapsys.config import build_setup, load_setup
+from plapsys.config import load_setup
 from plapsys.coupling import Coupling
 from plapsys.field import Grid
 from plapsys.plap import residual_vector
 from plapsys.verify import (
-    classify,
     convergence_study,
     shift_test,
     system_residuals,
@@ -92,13 +92,6 @@ def test_reaction_term_moves_verdict():
     assert np.abs(cls.R[0] - g.lumped[g.interior]).max() <= 1e-15
 
 
-def test_tol_validation():
-    g = unit_square(4)
-    z = constant_field(g, 0.0)
-    with pytest.raises(ValueError, match="tol"):
-        weak_residuals(g, pair(z, z), zero_coupling(), 2.0, tol=0.0)
-
-
 @pytest.mark.parametrize("shape", [(2, 24), (2, 26), (25,), (1, 25), (3, 25), (1, 2, 25)])
 def test_pair_shape_rejected(shape):
     """A pair is one (2, n_nodes) stack; any other shape is a ValueError
@@ -124,18 +117,6 @@ def test_pair_nonfinite_rejected(bad):
         weak_residuals(g, w, zero_coupling(), 2.0)
     with pytest.raises(ValueError, match="the values of the pair w must be finite"):
         shift_test(g, w, base, zero_coupling(), 2.0, alpha=1.0, beta=0.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-def test_nonfinite_tol_rejected(tol):
-    """nan fails every comparison, so it would classify any rows as
-    neither, and inf would classify any pair as a solution."""
-    g = unit_square(4)
-    z = constant_field(g, 0.0)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        classify(g, np.zeros((2, len(g.interior))), tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        weak_residuals(g, pair(quad_up(g), z), zero_coupling(), 2.0, tol=tol)
 
 
 def test_classification_csv():
@@ -303,10 +284,10 @@ def test_study_validation():
         convergence_study([1, 2, 4], unmeasured)
 
 
-def test_study_reports_inner_nonconvergence():
+def test_study_reports_inner_nonconvergence(monkeypatch):
     setup = example("sinsin")
     # 1e-300 is positive but unreachable in floating point
-    setup = build_setup({**setup.config, "solver.tol": "1e-300"})
+    monkeypatch.setattr(fixpoint, "DEFAULT_TOL", 1e-300)
     with pytest.raises(RuntimeError, match="n = 4"):
         study(setup, [4, 8, 16])
 
